@@ -33,7 +33,10 @@ class BestSolution {
  public:
   void offer(std::int64_t makespan, std::vector<int> permutation) {
     std::scoped_lock lock(mu_);
-    if (makespan < makespan_) {
+    // Ties keep the lexicographically smaller permutation, so processes that
+    // found different optimal schedules agree once their results merge.
+    if (makespan < makespan_ ||
+        (makespan == makespan_ && permutation < permutation_)) {
       makespan_ = makespan;
       permutation_ = std::move(permutation);
     }

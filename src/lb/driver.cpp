@@ -250,9 +250,9 @@ SequentialMetrics run_sequential(Workload& workload) {
 namespace {
 
 /// Fault-tolerant request/lease timing, derived from the worst-case round
-/// trip unless overridden. The lease interval must dominate the maximum
-/// message lifetime (see lease_termination.hpp); 4x RTT gives slack for
-/// the serve-time between request and reply.
+/// trip. The lease interval must dominate the maximum message lifetime (see
+/// lease_termination.hpp); 4x RTT gives slack for the serve-time between
+/// request and reply.
 struct FtTiming {
   sim::Time request_timeout = 0;
   sim::Time lease_interval = 0;
@@ -266,12 +266,8 @@ FtTiming ft_timing(const RunConfig& config) {
       sim::max_message_latency(base, config.net.latency_jitter, config.faults);
   const sim::Time rtt = 2 * (max_lat + config.net.msg_handling_cost);
   FtTiming t;
-  t.request_timeout = config.overlay.request_timeout > 0
-                          ? config.overlay.request_timeout
-                          : std::max<sim::Time>(sim::milliseconds(1), 4 * rtt);
-  t.lease_interval = config.overlay.lease_interval > 0
-                         ? config.overlay.lease_interval
-                         : std::max<sim::Time>(sim::milliseconds(2), 4 * rtt);
+  t.request_timeout = std::max<sim::Time>(sim::milliseconds(1), 4 * rtt);
+  t.lease_interval = std::max<sim::Time>(sim::milliseconds(2), 4 * rtt);
   return t;
 }
 
@@ -471,7 +467,6 @@ RunMetrics run_on_engine(EngineT& engine, Workload& workload,
                          const RunConfig& config) {
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
-  engine.enable_queue_delay_stats();
   BuiltCluster built = build_cluster(engine, workload, config);
   if (config.faults.enabled()) engine.set_faults(config.faults);
   engine.set_perturbation(config.perturb);

@@ -65,11 +65,6 @@ struct OverlayTuning {
   std::uint64_t split_fixed_units = 1;  ///< k for SplitPolicy::kFixedUnits
   sim::Time retry_delay = sim::microseconds(100);
   sim::Time bridge_patience = sim::microseconds(300);
-  /// Fault-tolerant request/lease timing; 0 means "derive from the network
-  /// and fault plan" (4x the worst-case round trip). Only used when the
-  /// run's FaultPlan is enabled.
-  sim::Time request_timeout = 0;
-  sim::Time lease_interval = 0;
 };
 
 /// Heterogeneous-cluster extension (the paper's future work): a seeded

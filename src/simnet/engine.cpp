@@ -261,56 +261,20 @@ void Engine::service(Actor& a, Time t) {
     ++a.stats_.msgs_received;
     a.busy_until_ = t + config_.msg_handling_cost;
     a.stats_.overhead_time += config_.msg_handling_cost;
+    const Time inbox_wait = t - m.arrived_at;
     // Application messages (type >= 0) first: one compare on the hot path,
-    // the engine-reserved negative types pay the second.
+    // the engine-reserved negative types pay the second. Only application
+    // messages count towards the queueing delay.
     if (m.type >= 0) {
-      a.on_message(std::move(m));
-    } else if (m.type == kTimerMsgType) {
-      a.on_timer(m.a);
-    } else {
-      a.on_peer_down(static_cast<int>(m.a));
-    }
-  } else if (a.compute_pending_) {
-    a.compute_pending_ = false;
-    a.on_compute_done();
-  }
-
-  if (!a.inbox_.empty() || a.compute_pending_) {
-    schedule_wake(a, a.busy_until_ > t ? a.busy_until_ : t);
-  }
-}
-
-// Keep this in lockstep with service() above: same dispatch, plus trace
-// emission and queueing-delay accounting. run() picks one loop flavour up
-// front so an untraced run's event loop is byte-for-byte the plain one.
-void Engine::service_instrumented(Actor& a, Time t) {
-  if (t < a.busy_until_) [[unlikely]] {
-    schedule_wake(a, a.busy_until_);
-    return;
-  }
-
-  if (!a.started_) {
-    a.started_ = true;
-    a.on_start();
-  } else if (!a.inbox_.empty()) {
-    Message m = std::move(a.inbox_.front());
-    a.inbox_.pop_front();
-    ++a.stats_.msgs_received;
-    a.busy_until_ = t + config_.msg_handling_cost;
-    a.stats_.overhead_time += config_.msg_handling_cost;
-    if (m.type >= 0) {
-      if (measure_queue_delay_) {
-        const Time inbox_wait = t - m.arrived_at;
-        queue_delay_sum_ += inbox_wait;
-        ++queue_delay_samples_;
-        if (inbox_wait > queue_delay_max_) queue_delay_max_ = inbox_wait;
-      }
+      queue_delay_sum_ += inbox_wait;
+      ++queue_delay_samples_;
+      if (inbox_wait > queue_delay_max_) queue_delay_max_ = inbox_wait;
       trace::emit(tracer_, t, trace::EventKind::kMsgDeliver, a.id_, m.src,
-                  m.type, static_cast<std::int64_t>(m.id), t - m.arrived_at);
+                  m.type, static_cast<std::int64_t>(m.id), inbox_wait);
       a.on_message(std::move(m));
     } else if (m.type == kTimerMsgType) {
       trace::emit(tracer_, t, trace::EventKind::kTimerFire, a.id_, -1, 0, m.a,
-                  t - m.arrived_at);
+                  inbox_wait);
       a.on_timer(m.a);
     } else {
       a.on_peer_down(static_cast<int>(m.a));
@@ -322,7 +286,7 @@ void Engine::service_instrumented(Actor& a, Time t) {
 
   if (!a.inbox_.empty() || a.compute_pending_) {
     schedule_wake(a, a.busy_until_ > t ? a.busy_until_ : t);
-  } else if (a.started_) {
+  } else {
     // Nothing queued and no compute outstanding: the actor goes idle once
     // its current busy period (if any) drains.
     trace::emit(tracer_, a.busy_until_ > t ? a.busy_until_ : t,
@@ -330,11 +294,6 @@ void Engine::service_instrumented(Actor& a, Time t) {
   }
 }
 
-// `Faulty` compiles the crash/stall handling out of fault-free runs: their
-// event kinds are never queued without a plan, and the crashed-actor probes
-// would otherwise cost a load + branch on every event. `Metered` likewise
-// compiles the snapshot-deadline probe out of metrics-off runs.
-template <bool Instrumented, bool Faulty, bool Metered>
 Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
   RunResult result;
   while (!queue_.empty()) {
@@ -350,22 +309,21 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
     now_ = e.time;
     ++result.events;
     result.end_time = now_;
-    if constexpr (Metered) {
-      if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
-    }
+    // kTimeMax unless a metrics hub is attached (see run()).
+    if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
     const int dst = e.dst;
     const Event::Kind kind = e.kind;
     Actor& a = *actors_[static_cast<std::size_t>(dst - id_base_)];
+    // Crash and stall events are only ever queued from a fault plan, and
+    // crashed_ is only ever set by one, so fault-free runs take none of the
+    // [[unlikely]] branches below.
     switch (kind) {
       case Event::Kind::kArrival:
-        if constexpr (Faulty) {
-          if (a.crashed_) [[unlikely]] {
-            Event dead = queue_.pop();
-            arrival_at_crashed(std::move(dead));
-            break;
-          }
+        if (a.crashed_) [[unlikely]] {
+          arrival_at_crashed(queue_.pop());
+          break;
         }
-        if constexpr (Instrumented) e.msg.arrived_at = now_;
+        e.msg.arrived_at = now_;
         a.inbox_.push_back(std::move(e.msg));
         queue_.drop_top();
         if (!a.wake_pending_) {
@@ -375,23 +333,17 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
       case Event::Kind::kWake:
         queue_.drop_top();
         a.wake_pending_ = false;
-        if constexpr (Faulty) {
-          if (a.crashed_) [[unlikely]] break;
-        }
-        if constexpr (Instrumented) {
-          service_instrumented(a, now_);
-        } else {
-          service(a, now_);
-        }
+        if (a.crashed_) [[unlikely]] break;
+        service(a, now_);
         break;
       case Event::Kind::kCrash:
         queue_.drop_top();
-        if constexpr (Faulty) apply_crash(dst);
+        apply_crash(dst);
         break;
       case Event::Kind::kStall: {
         const Time stall = e.msg.a;
         queue_.drop_top();
-        if constexpr (Faulty) apply_stall(dst, stall);
+        apply_stall(dst, stall);
         break;
       }
     }
@@ -469,7 +421,7 @@ void Engine::apply_stall(int peer, Time duration) {
 void Engine::set_metrics(metrics::MetricsHub* hub) {
   if constexpr (!metrics::kMetricsCompiled) {
     (void)hub;
-    return;  // never arm: the metered loop flavour stays unreachable
+    return;  // never arm: metrics_next_ stays kTimeMax
   }
   OLB_CHECK_MSG(!running_, "metrics must be attached before run()");
   metrics_hub_ = hub;
@@ -504,18 +456,6 @@ void Engine::flush_metrics(std::uint64_t events_so_far) {
   metrics_next_ = now_ + metrics_hub_->interval_ns();
 }
 
-template <bool Instrumented, bool Faulty>
-Engine::RunResult Engine::run_metered(Time time_limit, std::uint64_t event_limit) {
-  // Arm instruments once per run: get-or-create is idempotent, so resumed
-  // runs (limit hit, then run() again) just re-fetch the same pointers.
-  for (auto& a : actors_) a->on_metrics(metrics_hub_->registry());
-  m_last_events_ = 0;  // result.events restarts per run(); deltas must too
-  metrics_next_ = now_ + metrics_hub_->interval_ns();
-  RunResult result = run_loop<Instrumented, Faulty, true>(time_limit, event_limit);
-  flush_metrics(result.events);  // final window, so short runs still export
-  return result;
-}
-
 void Engine::schedule_startup() {
   // One-shot startup: the sharded coordinator re-enters run() once per
   // conservative window (thousands of times per simulation), and the
@@ -528,33 +468,27 @@ void Engine::schedule_startup() {
   for (auto& a : actors_) {
     if (!a->started_ && !a->wake_pending_) schedule_wake(*a, 0);
   }
-  if (faults_on_) {
-    for (const CrashEvent& c : injector_.plan().crashes) {
-      emplace_event(c.at, c.peer, Event::Kind::kCrash);
-    }
-    for (const StallEvent& s : injector_.plan().stalls) {
-      emplace_event(s.at, s.peer, Event::Kind::kStall).msg.a = s.duration;
-    }
+  // Empty unless set_faults installed a plan.
+  for (const CrashEvent& c : injector_.plan().crashes) {
+    emplace_event(c.at, c.peer, Event::Kind::kCrash);
+  }
+  for (const StallEvent& s : injector_.plan().stalls) {
+    emplace_event(s.at, s.peer, Event::Kind::kStall).msg.a = s.duration;
   }
 }
 
 Engine::RunResult Engine::run(Time time_limit, std::uint64_t event_limit) {
   running_ = true;
   schedule_startup();
-  if (metrics_hub_ != nullptr) [[unlikely]] {
-    if (faults_on_) {
-      return instrumented_ ? run_metered<true, true>(time_limit, event_limit)
-                           : run_metered<false, true>(time_limit, event_limit);
-    }
-    return instrumented_ ? run_metered<true, false>(time_limit, event_limit)
-                         : run_metered<false, false>(time_limit, event_limit);
-  }
-  if (faults_on_) {
-    return instrumented_ ? run_loop<true, true, false>(time_limit, event_limit)
-                         : run_loop<false, true, false>(time_limit, event_limit);
-  }
-  return instrumented_ ? run_loop<true, false, false>(time_limit, event_limit)
-                       : run_loop<false, false, false>(time_limit, event_limit);
+  if (metrics_hub_ == nullptr) return run_loop(time_limit, event_limit);
+  // Arm instruments once per run: get-or-create is idempotent, so resumed
+  // runs (limit hit, then run() again) just re-fetch the same pointers.
+  for (auto& a : actors_) a->on_metrics(metrics_hub_->registry());
+  m_last_events_ = 0;  // result.events restarts per run(); deltas must too
+  metrics_next_ = now_ + metrics_hub_->interval_ns();
+  const RunResult result = run_loop(time_limit, event_limit);
+  flush_metrics(result.events);  // final window, so short runs still export
+  return result;
 }
 
 }  // namespace olb::sim

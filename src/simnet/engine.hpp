@@ -258,7 +258,6 @@ class Engine final : public Transport {
   void set_faults(const FaultPlan& plan) {
     OLB_CHECK_MSG(!running_, "faults must be configured before run()");
     injector_.configure(plan, num_actors(), seed_);
-    faults_on_ = injector_.active();
     link_faults_on_ = injector_.link_active();
   }
   const FaultPlan& fault_plan() const { return injector_.plan(); }
@@ -306,33 +305,22 @@ class Engine final : public Transport {
 
   /// Attaches a trace sink (not owned; must outlive run()). nullptr (the
   /// default) disables tracing at the cost of one branch per event site.
-  /// Attaching a tracer also turns on queueing-delay accounting.
-  void set_tracer(trace::TraceSink* tracer) {
-    tracer_ = tracer;
-    if (tracer != nullptr) measure_queue_delay_ = true;
-    instrumented_ = tracer_ != nullptr || measure_queue_delay_;
-  }
+  void set_tracer(trace::TraceSink* tracer) { tracer_ = tracer; }
   trace::TraceSink* tracer() const { return tracer_; }
 
-  /// Queueing-delay accounting: how long application messages sat in an
-  /// inbox behind a busy actor before being handled — the paper's
-  /// Master-Worker collapse is exactly this number exploding at the master.
-  /// Off by default to keep the raw event loop at full speed; the lb driver
-  /// switches it on for every run.
-  void enable_queue_delay_stats() {
-    measure_queue_delay_ = true;
-    instrumented_ = true;
-  }
   /// Attaches a live-metrics hub (not owned; must outlive run()). The engine
   /// registers its own instruments, arms every actor's via on_metrics, and
   /// flushes a snapshot whenever simulated time crosses the hub's interval —
   /// so the cadence is deterministic simulated milliseconds. nullptr (the
-  /// default) disables metrics; like tracing, the metered run_loop flavour
-  /// is only entered when a hub is attached, and metrics only *read* actor
-  /// state, so runs stay byte-identical with or without a hub.
+  /// default) disables metrics and leaves the snapshot deadline at kTimeMax;
+  /// metrics only *read* actor state, so runs stay byte-identical with or
+  /// without a hub.
   void set_metrics(metrics::MetricsHub* hub);
   metrics::MetricsHub* metrics_hub() const { return metrics_hub_; }
 
+  /// Queueing delay: how long application messages sat in an inbox behind a
+  /// busy actor before being handled — the paper's Master-Worker collapse is
+  /// exactly this number exploding at the master. Always accounted.
   Time queueing_delay_max() const { return queue_delay_max_; }
   std::uint64_t queueing_delay_samples() const { return queue_delay_samples_; }
   double queueing_delay_mean() const {
@@ -367,14 +355,7 @@ class Engine final : public Transport {
   void send_from(Actor& from, int dst, Message m);
   void schedule_wake(Actor& a, Time at);
   void service(Actor& a, Time t);
-  void service_instrumented(Actor& a, Time t);
-  /// `Metered` adds the snapshot-deadline probe per event; like the other
-  /// two flavours it is chosen once in run() so metrics-off loops carry no
-  /// trace of it.
-  template <bool Instrumented, bool Faulty, bool Metered>
   RunResult run_loop(Time time_limit, std::uint64_t event_limit);
-  template <bool Instrumented, bool Faulty>
-  RunResult run_metered(Time time_limit, std::uint64_t event_limit);
   /// Polls every live actor's gauges, updates the engine's own instruments,
   /// and flushes a snapshot stamped `now_`. Cold path (once per interval).
   void flush_metrics(std::uint64_t events_so_far);
@@ -420,7 +401,6 @@ class Engine final : public Transport {
   // Fault injection (inactive by default; every hot-path probe is one
   // predicted-not-taken branch, and zero-fault runs take none of them).
   FaultInjector injector_;
-  bool faults_on_ = false;
   bool link_faults_on_ = false;
   std::uint64_t msgs_dropped_ = 0;
   std::uint64_t msgs_duplicated_ = 0;
@@ -441,16 +421,12 @@ class Engine final : public Transport {
   // Conformance-harness bug plant (see set_planted_payload_drop).
   int planted_drop_nth_ = 0;
   int planted_payload_seen_ = 0;
-  // Tracing / queueing-delay state lives after the event-loop hot members so
-  // attaching the subsystem does not shift their cache-line layout.
   trace::TraceSink* tracer_ = nullptr;
-  bool instrumented_ = false;  ///< tracer_ != nullptr || measure_queue_delay_
-  bool measure_queue_delay_ = false;
   Time queue_delay_sum_ = 0;
   Time queue_delay_max_ = 0;
   std::uint64_t queue_delay_samples_ = 0;
-  // Live metrics (cold like tracing: nothing below is touched unless a hub
-  // is attached, and the metered loop flavour is only entered then).
+  // Live metrics: nothing below but metrics_next_ is touched unless a hub is
+  // attached, and the run loop reads that one deadline per event.
   metrics::MetricsHub* metrics_hub_ = nullptr;
   Time metrics_next_ = kTimeMax;  ///< next snapshot deadline (simulated)
   struct EngineInstruments {

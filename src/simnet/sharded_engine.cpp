@@ -183,10 +183,6 @@ const std::vector<Time>& ShardedEngine::busy_histogram() const {
   return merged_busy_;
 }
 
-void ShardedEngine::enable_queue_delay_stats() {
-  for (auto& e : engines_) e->enable_queue_delay_stats();
-}
-
 Time ShardedEngine::queueing_delay_max() const {
   Time m = 0;
   for (const auto& e : engines_) m = std::max(m, e->queueing_delay_max());

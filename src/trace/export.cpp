@@ -220,7 +220,14 @@ void write_perfetto(std::ostream& os, std::span<const TraceEvent> events,
       case EventKind::kTimerFire:
       case EventKind::kActorIdle:
       case EventKind::kNoServe:
-        break;  // too noisy for the visual timeline; present in NDJSON
+      case EventKind::kJobSubmit:
+      case EventKind::kJobAdmit:
+      case EventKind::kJobReject:
+      case EventKind::kJobXfer:
+      case EventKind::kJobMerge:
+      case EventKind::kJobChunk:
+      case EventKind::kJobDone:
+        break;  // kept off the visual timeline; present in NDJSON
     }
   }
   os << "\n]}\n";

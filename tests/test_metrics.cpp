@@ -406,43 +406,65 @@ TEST(MetricsEndToEnd, SimRunPopulatesInstrumentsAndStreamsSnapshots) {
 
 TEST(MetricsEndToEnd, AttachingMetricsDoesNotPerturbTheRun) {
   // The load-bearing guarantee: metrics only read protocol state, so a sim
-  // run with a hub attached must produce the exact same event timeline.
-  uts::UtsWorkload w1(small_uts(), uts::CostModel{});
-  trace::VectorTracer t1;
-  lb::RunConfig c1 = small_config(6);
-  c1.tracer = &t1;
-  const auto r1 = lb::run_distributed(w1, c1);
-  ASSERT_TRUE(r1.ok);
+  // run with a hub attached must produce the exact same event timeline —
+  // fault-free, and with link drops plus a crash feeding the engine's fault
+  // counters.
+  sim::FaultPlan faulty;
+  faulty.link.drop_prob = 0.05;
+  faulty.add_crash(3, sim::microseconds(400));
+  for (const sim::FaultPlan& faults : {sim::FaultPlan{}, faulty}) {
+    SCOPED_TRACE(faults.enabled() ? "faulty" : "fault-free");
+    uts::UtsWorkload w1(small_uts(), uts::CostModel{});
+    trace::VectorTracer t1;
+    lb::RunConfig c1 = small_config(6);
+    c1.faults = faults;
+    c1.tracer = &t1;
+    const auto r1 = lb::run_distributed(w1, c1);
+    ASSERT_TRUE(r1.ok);
 
-  const std::string path = "test_metrics_identity.ndjson";
-  metrics::MetricsHub::Options o;
-  o.path = path;
-  o.interval_ns = 500'000;  // aggressively frequent: 0.5 simulated ms
-  metrics::MetricsHub hub(std::move(o));
-  uts::UtsWorkload w2(small_uts(), uts::CostModel{});
-  trace::VectorTracer t2;
-  lb::RunConfig c2 = small_config(6);
-  c2.tracer = &t2;
-  c2.metrics = &hub;
-  const auto r2 = lb::run_distributed(w2, c2);
-  ASSERT_TRUE(r2.ok);
+    const std::string path = "test_metrics_identity.ndjson";
+    metrics::MetricsHub::Options o;
+    o.path = path;
+    o.interval_ns = 500'000;  // aggressively frequent: 0.5 simulated ms
+    metrics::MetricsHub hub(std::move(o));
+    uts::UtsWorkload w2(small_uts(), uts::CostModel{});
+    trace::VectorTracer t2;
+    lb::RunConfig c2 = small_config(6);
+    c2.faults = faults;
+    c2.tracer = &t2;
+    c2.metrics = &hub;
+    const auto r2 = lb::run_distributed(w2, c2);
+    ASSERT_TRUE(r2.ok);
 
-  EXPECT_EQ(r1.total_units, r2.total_units);
-  EXPECT_EQ(r1.total_messages, r2.total_messages);
-  EXPECT_EQ(r1.exec_seconds, r2.exec_seconds);
-  const auto& e1 = t1.events();
-  const auto& e2 = t2.events();
-  ASSERT_EQ(e1.size(), e2.size());
-  for (std::size_t i = 0; i < e1.size(); ++i) {
-    EXPECT_EQ(e1[i].time, e2[i].time) << i;
-    EXPECT_EQ(e1[i].kind, e2[i].kind) << i;
-    EXPECT_EQ(e1[i].actor, e2[i].actor) << i;
-    EXPECT_EQ(e1[i].peer, e2[i].peer) << i;
-    EXPECT_EQ(e1[i].type, e2[i].type) << i;
-    EXPECT_EQ(e1[i].a, e2[i].a) << i;
-    EXPECT_EQ(e1[i].b, e2[i].b) << i;
+    EXPECT_EQ(r1.total_units, r2.total_units);
+    EXPECT_EQ(r1.total_messages, r2.total_messages);
+    EXPECT_EQ(r1.exec_seconds, r2.exec_seconds);
+    const auto& e1 = t1.events();
+    const auto& e2 = t2.events();
+    ASSERT_EQ(e1.size(), e2.size());
+    for (std::size_t i = 0; i < e1.size(); ++i) {
+      EXPECT_EQ(e1[i].time, e2[i].time) << i;
+      EXPECT_EQ(e1[i].kind, e2[i].kind) << i;
+      EXPECT_EQ(e1[i].actor, e2[i].actor) << i;
+      EXPECT_EQ(e1[i].peer, e2[i].peer) << i;
+      EXPECT_EQ(e1[i].type, e2[i].type) << i;
+      EXPECT_EQ(e1[i].a, e2[i].a) << i;
+      EXPECT_EQ(e1[i].b, e2[i].b) << i;
+    }
+
+    const metrics::Registry& reg = hub.registry();
+    metrics::Counter* dropped = reg.find_counter("olb_sim_msgs_dropped_total");
+    metrics::Counter* crashes = reg.find_counter("olb_sim_crashes_total");
+    ASSERT_NE(dropped, nullptr);
+    ASSERT_NE(crashes, nullptr);
+    EXPECT_EQ(dropped->value(), r2.msgs_dropped);
+    EXPECT_EQ(crashes->value(), r2.peers_crashed);
+    if (faults.enabled()) {
+      EXPECT_GT(r2.msgs_dropped, 0u);
+      EXPECT_EQ(r2.peers_crashed, 1u);
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(MetricsEndToEnd, ThreadsRunExportsPerPeerTelemetry) {

@@ -222,6 +222,10 @@ TEST(Engine, BusyServerSerialisesDeliveries) {
   ASSERT_EQ(recorder->deliveries.size(), 2u);
   EXPECT_EQ(recorder->deliveries[0].at, microseconds(10));
   EXPECT_EQ(recorder->deliveries[1].at, microseconds(13));  // +handling cost
+  // Queueing delay is accounted on a bare engine with nothing attached: the
+  // second message waited one handling cost behind the first.
+  EXPECT_EQ(engine.queueing_delay_samples(), 2u);
+  EXPECT_EQ(engine.queueing_delay_max(), microseconds(3));
 }
 
 TEST(Engine, MessagesServicedAtComputeBoundary) {

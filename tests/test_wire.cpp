@@ -532,6 +532,23 @@ TEST(WorkCodec, BBSolutionMergesAcrossProcesses) {
   runtime::WireReader r3(w3.data());
   ASSERT_TRUE(receiver_codec->merge_solution(r3));
   EXPECT_EQ(receiver->best().makespan(), 777);
+
+  // An equal-makespan merge settles on the lexicographically smaller
+  // permutation whichever side holds it, so every rank ends on the same one.
+  const std::vector<int> smaller{0, 2, 1, 3, 4, 5, 6};
+  const std::vector<int> larger{2, 0, 1, 3, 4, 5, 6};
+  for (const bool local_holds_smaller : {true, false}) {
+    auto local = test_bb();
+    auto remote = test_bb();
+    local->best().offer(777, local_holds_smaller ? smaller : larger);
+    remote->best().offer(777, local_holds_smaller ? larger : smaller);
+    runtime::WireWriter tw;
+    runtime::make_work_codec(*remote)->encode_solution(tw);
+    runtime::WireReader tr(tw.data());
+    ASSERT_TRUE(runtime::make_work_codec(*local)->merge_solution(tr));
+    EXPECT_EQ(local->best().makespan(), 777);
+    EXPECT_EQ(local->best().permutation(), smaller) << local_holds_smaller;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // one causally ordered stream (check::merge_causal) and replays it through
 // the invariant oracles (src/check).
 //
-//   $ tools/olb_check_trace --traces a.rank0.ndjson,a.rank1.ndjson \
+//   $ tools/olb_check_trace --traces a.rank0.ndjson,a.rank1.ndjson
 //         --expect-peers 2
 //
 // Exit status 0 when every oracle is quiet (and, with --expect-peers, every

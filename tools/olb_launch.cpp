@@ -4,7 +4,7 @@
 // shared 127.0.0.1 address table, and supervises them under a wall-clock
 // deadline:
 //
-//   $ tools/olb_launch --n 4 --timeout-ms 60000 --logdir /tmp/logs -- \
+//   $ tools/olb_launch --n 4 --timeout-ms 60000 --logdir /tmp/logs --
 //         examples/flowshop_solver --strategy btd --peers 4
 //
 // Appends `--backend=sockets --rank=<i> --peer-addrs=<table>` to the

@@ -228,8 +228,8 @@ class JsonParser {
 
 // ------------------------------------------------------------- suite items ---
 
-/// Ping-pong actors: the raw event-loop throughput micro (the same shape as
-/// bench/micro_components' BM_EngineEventThroughput, so numbers line up).
+/// Ping-pong actors: the raw event-loop throughput micro
+/// (BM_EngineEventThroughput).
 class Pinger : public sim::Actor {
  public:
   explicit Pinger(int peer) : peer_(peer) {}
