@@ -316,7 +316,7 @@ BuiltCluster build_cluster(EngineT& engine, Workload& workload,
     case Strategy::kOverlayBTD: {
       auto tree =
           std::make_shared<const overlay::TreeOverlay>(make_overlay_tree(config));
-      const OverlayConfig oc = make_overlay_config(config);
+      auto oc = std::make_shared<const OverlayConfig>(make_overlay_config(config));
       for (int i = 0; i < n; ++i) {
         auto peer = std::make_unique<OverlayPeer>(
             tree, oc, i == 0 ? workload.make_root_work() : nullptr, weight_of(i));

@@ -1,6 +1,7 @@
 #include "lb/overlay_lb.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "lb/job_work.hpp"
 #include "support/check.hpp"
@@ -8,23 +9,38 @@
 namespace olb::lb {
 
 OverlayPeer::OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
-                         OverlayConfig config, std::unique_ptr<Work> initial_work,
+                         std::shared_ptr<const OverlayConfig> config,
+                         std::unique_ptr<Work> initial_work,
                          std::uint64_t capacity_weight)
-    : PeerBase(config.peer), tree_(std::move(tree)), config_(config),
+    : PeerBase(config->peer), tree_(std::move(tree)), config_(std::move(config)),
       initial_work_(std::move(initial_work)), weight_(capacity_weight) {
   OLB_CHECK(weight_ >= 1);
+  if (config_->churn.enabled()) churn_ = std::make_unique<Churn>();
+  if (config_->fault_tolerant) ft_ = std::make_unique<FaultTolerance>();
+  if (config_->service.enabled) svc_ = std::make_unique<Service>();
+}
+
+OverlayPeer::RootTermination& OverlayPeer::root_term() {
+  OLB_CHECK(is_root());
+  if (root_ == nullptr) root_ = std::make_unique<RootTermination>();
+  return *root_;
+}
+
+std::span<const OverlayPeer::PhantomChild> OverlayPeer::phantoms() const {
+  if (churn_ == nullptr) return {};
+  return churn_->phantoms;
 }
 
 std::size_t OverlayPeer::child_index(int child_id) const {
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i] == child_id) return i;
+    if (children_[i].id == child_id) return i;
   }
   return kNpos;
 }
 
 bool OverlayPeer::all_children_pending() const {
-  return std::all_of(pending_child_.begin(), pending_child_.end(),
-                     [](bool b) { return b; });
+  return std::all_of(children_.begin(), children_.end(),
+                     [](const Child& c) { return c.pending; });
 }
 
 bool OverlayPeer::locally_quiet() const {
@@ -34,7 +50,8 @@ bool OverlayPeer::locally_quiet() const {
 void OverlayPeer::trace_queue_depth() {
   const auto depth =
       static_cast<std::int64_t>(
-          std::count(pending_child_.begin(), pending_child_.end(), true)) +
+          std::count_if(children_.begin(), children_.end(),
+                        [](const Child& c) { return c.pending; })) +
       static_cast<std::int64_t>(pending_bridges_.size());
   emit_trace(trace::EventKind::kQueueDepth, -1, 0, depth);
 }
@@ -54,7 +71,7 @@ void OverlayPeer::send_work(int dst, std::unique_ptr<Work> w, int req_type,
     // record the tagged transfer for the conservation oracle.
     const JobBag::Slot& slot = static_cast<JobBag*>(w.get())->sole_slot();
     job_tag = static_cast<std::int64_t>(slot.job);
-    ++svc_counters_[slot.job].first;
+    ++svc_->counters[slot.job].first;
     emit_trace(trace::EventKind::kJobXfer, dst, static_cast<std::int32_t>(slot.job),
                amount_milli(w->amount()), req_type);
   }
@@ -70,44 +87,39 @@ void OverlayPeer::on_start() {
   OLB_CHECK((initial_work_ != nullptr) == (is_root() && !svc_enabled()));
   // Crash book-keeping is only read on fault-tolerant paths; allocating it
   // unconditionally would cost n bytes per peer — n^2 across the run, which
-  // at n = 10^5 is the whole memory budget (10 GB). Fault-free runs carry an
-  // empty vector instead (on_peer_down tolerates the missing slots).
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
+  // at n = 10^5 is the whole memory budget (10 GB). Fault-free runs carry no
+  // FaultTolerance struct at all.
+  if (ft_ != nullptr) {
+    ft_->peer_down.assign(static_cast<std::size_t>(num_peers()), 0);
   }
   if (churn_enabled()) {
-    for (const ChurnEvent& e : config_.churn.events) {
+    for (const ChurnEvent& e : config_->churn.events) {
       if (e.peer != id()) continue;
-      if (e.join) join_at_ = e.time; else leave_at_ = e.time;
+      if (e.join) churn_->join_at = e.time; else churn_->leave_at = e.time;
     }
-    if (id() >= config_.churn.initial_peers) {
+    if (id() >= config_->churn.initial_peers) {
       // Dormant peer: sits outside the overlay until its scheduled join.
       member_ = false;
-      OLB_CHECK_MSG(join_at_ >= 0, "dormant peer without a scheduled join");
-      set_timer(std::max<sim::Time>(join_at_ - now(), 0), kOverlayJoinTimer);
+      OLB_CHECK_MSG(churn_->join_at >= 0, "dormant peer without a scheduled join");
+      set_timer(std::max<sim::Time>(churn_->join_at - now(), 0), kOverlayJoinTimer);
       return;
     }
-    if (leave_at_ >= 0) {
-      leave_timer_armed_ = true;
-      set_timer(std::max<sim::Time>(leave_at_ - now(), 0), kOverlayLeaveTimer);
+    if (churn_->leave_at >= 0) {
+      set_timer(std::max<sim::Time>(churn_->leave_at - now(), 0),
+                kOverlayLeaveTimer);
     }
   }
   parent_ = is_root() ? -1 : tree_->parent(id());
   const overlay::ChildSpan initial_children = tree_->children(id());
-  children_.assign(initial_children.begin(), initial_children.end());
-  if (churn_enabled()) {
-    // Initial members are the id-prefix [0, initial_peers); the overlay
-    // invariant parent[i] < i makes that prefix upward-closed, so filtering
-    // dormant ids out of the child lists yields a connected subtree.
-    children_.erase(std::remove_if(children_.begin(), children_.end(),
-                                   [this](int c) {
-                                     return c >= config_.churn.initial_peers;
-                                   }),
-                    children_.end());
+  children_.reserve(initial_children.size());
+  for (const int c : initial_children) {
+    // Under churn the initial members are the id-prefix [0, initial_peers);
+    // the overlay invariant parent[i] < i makes that prefix upward-closed,
+    // so filtering dormant ids out of the child lists yields a connected
+    // subtree.
+    if (churn_enabled() && c >= config_->churn.initial_peers) continue;
+    children_.push_back(Child{c});
   }
-  child_size_.assign(children_.size(), 0);
-  pending_child_.assign(children_.size(), false);
-  child_agg_.assign(children_.size(), {0, 0});
   sizes_missing_ = static_cast<int>(children_.size());
   if (sizes_missing_ == 0) {
     // Leaf (or singleton root): size known immediately.
@@ -118,10 +130,10 @@ void OverlayPeer::on_start() {
       send(parent(), make_msg(kSizeUp, static_cast<std::int64_t>(my_size_)));
     }
   }
-  if (config_.fault_tolerant && !is_root()) {
+  if (config_->fault_tolerant && !is_root()) {
     // Retransmit kSizeUp until the start signal arrives (covers a dropped
     // converge-cast message in either direction).
-    set_timer(config_.request_timeout, kOverlaySetupTimer);
+    set_timer(config_->request_timeout, kOverlaySetupTimer);
   }
 }
 
@@ -130,16 +142,16 @@ void OverlayPeer::on_size_up(const sim::Message& m) {
   if (idx == kNpos) {
     // Under churn a rewired child introduces itself with kSizeUp before the
     // leaver's kLeave handover lands here (the two race on disjoint links).
-    OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled(),
+    OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled(),
                   "message from a non-child peer");
     idx = adopt_child(m.src, 0);
   }
   // A duplicated or retransmitted kSizeUp is a refresh: update the size and
   // re-send the start signal if we already have it.
-  const bool refresh = ready_ || child_size_[idx] != 0;
-  OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled() || !refresh,
+  const bool refresh = ready_ || children_[idx].size != 0;
+  OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled() || !refresh,
                 "duplicate kSizeUp");
-  child_size_[idx] = static_cast<std::uint64_t>(m.b);
+  children_[idx].size = static_cast<std::uint64_t>(m.b);
   if (refresh) {
     if (ready_) {
       send(m.src, make_msg(kSizeDown, static_cast<std::int64_t>(my_size_)));
@@ -152,11 +164,11 @@ void OverlayPeer::on_size_up(const sim::Message& m) {
 
 void OverlayPeer::finish_converge_cast() {
   my_size_ = weight_;
-  for (std::uint64_t s : child_size_) my_size_ += s;
+  for (const Child& c : children_) my_size_ += c.size;
   // The distributed converge-cast must agree with the static overlay
   // (capacity weights deliberately diverge from plain node counts; crashes
   // and dormant peers are removed from the count).
-  OLB_CHECK(config_.capacity_weighted || config_.fault_tolerant ||
+  OLB_CHECK(config_->capacity_weighted || config_->fault_tolerant ||
             churn_enabled() || my_size_ == tree_->subtree_size(id()));
   if (is_root()) {
     become_ready();
@@ -174,23 +186,23 @@ void OverlayPeer::on_size_down(const sim::Message& m) {
 void OverlayPeer::become_ready() {
   OLB_CHECK(!ready_);
   ready_ = true;
-  for (int c : children_) {
-    send(c, make_msg(kSizeDown, static_cast<std::int64_t>(my_size_)));
+  for (const Child& c : children_) {
+    send(c.id, make_msg(kSizeDown, static_cast<std::int64_t>(my_size_)));
   }
-  if (config_.fault_tolerant || (churn_enabled() && is_root())) {
+  if (config_->fault_tolerant || (churn_enabled() && is_root())) {
     // FT: every peer leases its protocol state. Churn: the root alone must
     // re-poll — a join or leave changes no transfer counter, so no kReqUp
     // refresh reaches the root; without this tick a membership event that
     // dirties the confirming wave would hang the run (nothing else would
     // ever relaunch the pair).
-    set_timer(config_.lease_interval, kOverlayLeaseTimer);
+    set_timer(config_->lease_interval, kOverlayLeaseTimer);
   }
   if (is_root()) {
     if (svc_enabled()) {
       // Workless start: the gate streams jobs in. The wave timer is the
       // root's only self-driven cadence — it launches per-job accounting
       // waves while jobs are in flight and dies with termination.
-      set_timer(config_.service.wave_interval, kOverlayJobWaveTimer);
+      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
       start_idle_episode();
     } else {
       OLB_CHECK(acquire_work(std::move(initial_work_)));
@@ -200,9 +212,9 @@ void OverlayPeer::become_ready() {
     start_idle_episode();
   }
   // Joins that arrived mid-converge-cast were parked; adopt them now.
-  if (!parked_joins_.empty()) {
-    const auto parked = std::move(parked_joins_);
-    parked_joins_.clear();
+  if (churn_enabled() && !churn_->parked_joins.empty()) {
+    const auto parked = std::move(churn_->parked_joins);
+    churn_->parked_joins.clear();
     for (const auto& [joiner, weight] : parked) accept_join(joiner, weight);
   }
 }
@@ -223,14 +235,14 @@ void OverlayPeer::start_idle_episode() {
 
 void OverlayPeer::send_bridge_request() {
   const int n = fleet_size();  // the service gate is never a bridge partner
-  if (!config_.use_bridges || n < 2) return;
-  if (config_.fault_tolerant && crash_epoch_ >= n - 1) return;  // no live partner
+  if (!config_->use_bridges || n < 2) return;
+  if (config_->fault_tolerant && crash_epoch() >= n - 1) return;  // no live partner
   // At most one bridge request is ever parked: if the previous partner has
   // not served us yet it still will the moment it acquires work (idle peers
   // cooperate by chaining parked requests — the paper's "logical cluster of
   // idle nodes"), so re-sending would only multiply work transfers.
   if (bridge_target_ != -1) {
-    if (now() - bridge_sent_at_ < config_.bridge_patience) return;
+    if (now() - bridge_sent_at_ < config_->bridge_patience) return;
     // Abandon the parked request (it may still be served later — the work
     // simply merges in) and sample a new partner.
     bridge_target_ = -1;
@@ -238,7 +250,7 @@ void OverlayPeer::send_bridge_request() {
   int u;
   do {
     u = static_cast<int>(rng().below(static_cast<std::uint64_t>(n)));
-  } while (u == id() || (config_.fault_tolerant && peer_down_[u] != 0));
+  } while (u == id() || known_down(u));
   bridge_target_ = u;
   bridge_sent_at_ = now();
   emit_trace(trace::EventKind::kRequest, u, kReqBridge);
@@ -247,8 +259,8 @@ void OverlayPeer::send_bridge_request() {
 
 void OverlayPeer::start_down_phase() {
   down_order_.clear();
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!pending_child_[i]) down_order_.push_back(children_[i]);
+  for (const Child& c : children_) {
+    if (!c.pending) down_order_.push_back(c.id);
   }
   // Uniformly random visiting order (paper: "choosing a child uniformly at
   // random at each step").
@@ -264,19 +276,19 @@ void OverlayPeer::advance_down() {
   while (down_pos_ < down_order_.size()) {
     const int c = down_order_[down_pos_];
     const std::size_t idx = child_index(c);
-    if (idx == kNpos || pending_child_[idx]) {
+    if (idx == kNpos || children_[idx].pending) {
       ++down_pos_;
       continue;  // became pending (or crashed) since the phase started
     }
     awaiting_child_ = c;
     emit_trace(trace::EventKind::kRequest, c, kReqDown);
     send(c, make_msg(kReqDown, 0, episode_));
-    if (config_.fault_tolerant) {
+    if (config_->fault_tolerant) {
       // A lost kReqDown or kNoWork would park this peer forever; after the
       // timeout the silence is treated as kNoWork. The sequence number in
       // the tag voids timers whose request was in fact answered.
-      set_timer(config_.request_timeout,
-                kOverlayReqTimeoutTimer | (++down_req_seq_ << kTimerTagShift));
+      set_timer(config_->request_timeout,
+                kOverlayReqTimeoutTimer | (++ft_->down_req_seq << kTimerTagShift));
     }
     return;
   }
@@ -299,13 +311,13 @@ void OverlayPeer::maybe_send_up() {
   // In bridge mode an idle peer keeps sampling random bridge partners while
   // it waits — work may re-enter its subtree only over a bridge, and the
   // pure tree protocol would otherwise sit passive until termination.
-  if (config_.use_bridges && !terminated_) arm_retry_timer();
+  if (config_->use_bridges && !terminated_) arm_retry_timer();
 }
 
 void OverlayPeer::arm_retry_timer() {
   if (retry_timer_armed_) return;
   retry_timer_armed_ = true;
-  set_timer(config_.retry_delay, kOverlayRetryTimer);
+  set_timer(config_->retry_delay, kOverlayRetryTimer);
 }
 
 void OverlayPeer::send_up_request() {
@@ -329,17 +341,15 @@ void OverlayPeer::on_timer(std::int64_t tag) {
   }
   switch (tag & kTimerTagMask) {
     case kOverlayLeaveTimer:
-      leave_timer_armed_ = false;
       if (terminated_) return;
       if (!ready_) {
         // Setup has not completed yet; a member cannot unwind links it has
         // not announced. Retry shortly — converge-casts finish fast.
-        leave_timer_armed_ = true;
-        set_timer(config_.retry_delay, kOverlayLeaveTimer);
+        set_timer(config_->retry_delay, kOverlayLeaveTimer);
         return;
       }
       if (computing()) {
-        leave_pending_ = true;  // after_chunk() picks it up
+        churn_->leave_pending = true;  // after_chunk() picks it up
         return;
       }
       begin_leave();
@@ -352,8 +362,8 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       return;
     case kOverlayReqTimeoutTimer: {
       if (terminated_ || !idle_ || awaiting_child_ == -1) return;
-      if ((tag >> kTimerTagShift) != down_req_seq_) return;  // answered
-      count_retry(awaiting_child_, kReqDown, down_req_seq_);
+      if ((tag >> kTimerTagShift) != ft_->down_req_seq) return;  // answered
+      count_retry(awaiting_child_, kReqDown, ft_->down_req_seq);
       awaiting_child_ = -1;
       ++down_pos_;
       advance_down();
@@ -365,7 +375,7 @@ void OverlayPeer::on_timer(std::int64_t tag) {
         count_retry(parent(), kSizeUp, 0);
         send(parent(), make_msg(kSizeUp, static_cast<std::int64_t>(my_size_)));
       }
-      set_timer(config_.request_timeout, kOverlaySetupTimer);
+      set_timer(config_->request_timeout, kOverlaySetupTimer);
       return;
     case kOverlayLeaseTimer:
       on_lease_tick();
@@ -374,10 +384,10 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       // Per-job accounting cadence (service mode, root only). Stops re-arming
       // once the fleet terminates so the simulation can quiesce.
       if (terminated_) return;
-      if (!svc_wave_outstanding_ && svc_done_.size() < svc_injected_.size()) {
+      if (!svc_->wave_outstanding && svc_->done.size() < svc_->injected.size()) {
         svc_launch_wave();
       }
-      set_timer(config_.service.wave_interval, kOverlayJobWaveTimer);
+      set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
       return;
     default:
       OLB_CHECK_MSG(false, "unexpected timer tag for OverlayPeer");
@@ -387,7 +397,7 @@ void OverlayPeer::on_timer(std::int64_t tag) {
 // -------------------------------------------------------------- serving ---
 
 double OverlayPeer::apply_policy(double proportional) const {
-  switch (config_.split) {
+  switch (config_->split) {
     case SplitPolicy::kSubtreeProportional:
       return proportional;
     case SplitPolicy::kHalf:
@@ -395,7 +405,7 @@ double OverlayPeer::apply_policy(double proportional) const {
     case SplitPolicy::kFixedUnits: {
       const double amount = work_ != nullptr ? work_->amount() : 0.0;
       if (amount <= 0.0) return 0.0;
-      return static_cast<double>(config_.fixed_units) / amount;
+      return static_cast<double>(config_->fixed_units) / amount;
     }
   }
   return proportional;
@@ -427,7 +437,7 @@ double OverlayPeer::fraction_for_child(std::size_t child_idx, int req_type) {
   // All ratios are formed in double: the aggregates are uint64, and stale
   // values (see clamp_fraction) would otherwise wrap on subtraction.
   return biased(clamp_fraction(
-      apply_policy(static_cast<double>(child_size_[child_idx]) /
+      apply_policy(static_cast<double>(children_[child_idx].size) /
                    static_cast<double>(my_size_)),
       req_type));
 }
@@ -472,13 +482,13 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
       // A departed peer refreshing its phantom ledger (after forwarding a
       // late work delivery): update the counters, never mark it pending —
       // phantoms are polled, not served.
-      for (PhantomChild& ph : phantoms_) {
+      for (PhantomChild& ph : churn_->phantoms) {
         if (ph.peer != m.src) continue;
         ph.agg.first = std::max(ph.agg.first, static_cast<std::uint64_t>(m.b));
         ph.agg.second = std::max(ph.agg.second, static_cast<std::uint64_t>(m.c));
         if (is_root()) {
-          if (probe_outstanding_) {
-            recheck_after_probe_ = true;
+          if (root_term().probe_outstanding) {
+            root_term().recheck_after_probe = true;
           } else {
             check_root_termination();
           }
@@ -489,19 +499,21 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
         return;
       }
     }
-    OLB_CHECK_MSG(config_.fault_tolerant || churn_enabled(),
+    OLB_CHECK_MSG(config_->fault_tolerant || churn_enabled(),
                   "message from a non-child peer");
     // Under churn: a rewired child racing its leaver's kLeave handover.
     idx = adopt_child(m.src, std::max<std::uint64_t>(
                                  tree_->subtree_size(m.src), 1));
   }
-  pending_child_[idx] = true;
-  child_agg_[idx] = {static_cast<std::uint64_t>(m.b), static_cast<std::uint64_t>(m.c)};
+  Child& child = children_[idx];
+  child.pending = true;
+  child.agg_sent = static_cast<std::uint64_t>(m.b);
+  child.agg_recv = static_cast<std::uint64_t>(m.c);
 
   if (holds_work()) {
     const double fraction = fraction_for_child(idx, kReqUp);
     if (auto w = split_work(fraction)) {
-      pending_child_[idx] = false;
+      child.pending = false;
       send_work(m.src, std::move(w), kReqUp, fraction);
     }
     trace_queue_depth();
@@ -510,8 +522,8 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
   trace_queue_depth();
 
   if (is_root()) {
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
+    if (root_term().probe_outstanding) {
+      root_term().recheck_after_probe = true;
     } else {
       check_root_termination();
     }
@@ -538,10 +550,14 @@ void OverlayPeer::on_req_bridge(const sim::Message& m) {
     }
   }
   emit_trace(trace::EventKind::kNoServe, m.src, kReqBridge);
-  for (const auto& [peer, size] : pending_bridges_) {
-    if (peer == m.src) return;  // already pending here
+  for (const ParkedBridge& pb : pending_bridges_) {
+    if (pb.peer == m.src) return;  // already pending here
   }
-  pending_bridges_.emplace_back(m.src, static_cast<std::uint64_t>(m.b));
+  // The size arrives off the wire on the socket backend: refuse to narrow a
+  // value that does not fit rather than park a wrong split weight.
+  OLB_CHECK_MSG(m.b >= 0 && m.b <= std::numeric_limits<std::uint32_t>::max(),
+                "bridge requester size out of range");
+  pending_bridges_.push_back({m.src, static_cast<std::uint32_t>(m.b)});
   trace_queue_depth();
 }
 
@@ -561,7 +577,7 @@ void OverlayPeer::on_work(sim::Message m) {
     // the accounting waves and record the merge for the oracle before the
     // acquire consumes the piece.
     const auto job = static_cast<std::uint64_t>(m.c);
-    ++svc_counters_[job].second;
+    ++svc_->counters[job].second;
     emit_trace(trace::EventKind::kJobMerge, m.src, static_cast<std::int32_t>(job),
                amount_milli(payload->work->amount()), m.b);
   }
@@ -574,16 +590,16 @@ void OverlayPeer::serve_pending() {
   if (!holds_work()) return;
   bool served_any = false;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (!pending_child_[i]) continue;
+    if (!children_[i].pending) continue;
     const double fraction = fraction_for_child(i, kReqUp);
     auto w = split_work(fraction);
     if (w == nullptr) {
       if (served_any) trace_queue_depth();
       return;  // too small to divide further right now
     }
-    pending_child_[i] = false;
+    children_[i].pending = false;
     served_any = true;
-    send_work(children_[i], std::move(w), kReqUp, fraction);
+    send_work(children_[i].id, std::move(w), kReqUp, fraction);
   }
   while (!pending_bridges_.empty()) {
     const auto [peer, size] = pending_bridges_.front();
@@ -603,8 +619,8 @@ void OverlayPeer::serve_pending() {
 
 void OverlayPeer::after_chunk() {
   if (svc_enabled()) svc_emit_chunks();
-  if (leave_pending_) {
-    leave_pending_ = false;
+  if (churn_enabled() && churn_->leave_pending) {
+    churn_->leave_pending = false;
     if (!terminated_ && member_) {
       begin_leave();
       return;
@@ -640,8 +656,8 @@ void OverlayPeer::on_size_delta(const sim::Message& m) {
   const std::size_t idx = child_index(m.src);
   if (idx != kNpos) {
     const std::int64_t next =
-        static_cast<std::int64_t>(child_size_[idx]) + delta;
-    child_size_[idx] = next < 1 ? 1 : static_cast<std::uint64_t>(next);
+        static_cast<std::int64_t>(children_[idx].size) + delta;
+    children_[idx].size = next < 1 ? 1 : static_cast<std::uint64_t>(next);
   }
   apply_size_delta(delta, /*forward_up=*/true);
 }
@@ -658,10 +674,10 @@ void OverlayPeer::on_join_req(sim::Message m) {
   const int joiner = static_cast<int>(m.c);
   const auto weight = static_cast<std::uint64_t>(m.b);
   if (!ready_) {
-    parked_joins_.emplace_back(joiner, weight);
+    churn_->parked_joins.emplace_back(joiner, weight);
     return;
   }
-  if (static_cast<int>(children_.size()) < config_.join_degree) {
+  if (static_cast<int>(children_.size()) < config_->join_degree) {
     accept_join(joiner, weight);
     return;
   }
@@ -669,27 +685,27 @@ void OverlayPeer::on_join_req(sim::Message m) {
   // inversely proportional to its subtree size, steering joins into the
   // lightest regions of the overlay.
   double total = 0.0;
-  for (std::uint64_t s : child_size_) {
-    total += 1.0 / static_cast<double>(s + 1);
+  for (const Child& c : children_) {
+    total += 1.0 / static_cast<double>(c.size + 1);
   }
   double x = rng().uniform01() * total;
   std::size_t pick = children_.size() - 1;
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    x -= 1.0 / static_cast<double>(child_size_[i] + 1);
+    x -= 1.0 / static_cast<double>(children_[i].size + 1);
     if (x <= 0.0) {
       pick = i;
       break;
     }
   }
   // The joiner's id travels in field c — routing rewrites m.src per hop.
-  send(children_[pick], std::move(m));
+  send(children_[pick].id, std::move(m));
 }
 
 void OverlayPeer::accept_join(int joiner, std::uint64_t weight) {
   OLB_CHECK(churn_enabled() && ready_ && member_);
   if (child_index(joiner) != kNpos) return;  // duplicate request, already in
   adopt_child(joiner, weight);
-  ++member_events_;
+  ++churn_->member_events;
   dirty_outstanding_probe();
   // The new child starts non-pending, which blocks the termination condition
   // until its first upward request integrates it into the quiet proof.
@@ -706,9 +722,9 @@ void OverlayPeer::on_join_accept(const sim::Message& m) {
   my_size_ = weight_;
   emit_trace(trace::EventKind::kMemberJoin, parent_, 0,
              static_cast<std::int64_t>(weight_));
-  if (leave_at_ >= 0) {
-    leave_timer_armed_ = true;
-    set_timer(std::max<sim::Time>(leave_at_ - now(), 0), kOverlayLeaveTimer);
+  if (churn_->leave_at >= 0) {
+    set_timer(std::max<sim::Time>(churn_->leave_at - now(), 0),
+              kOverlayLeaveTimer);
   }
   start_idle_episode();
 }
@@ -725,21 +741,19 @@ void OverlayPeer::begin_leave() {
   }
   // (2) Rewire every child to the parent. Children re-announce themselves
   // (kSizeUp) and re-send any open upward request on the new link.
-  for (int c : children_) {
-    send(c, make_msg(kRewire, parent_, static_cast<std::int64_t>(parent_size_)));
+  for (const Child& c : children_) {
+    send(c.id, make_msg(kRewire, parent_, static_cast<std::int64_t>(parent_size_)));
   }
   // (3) Hand the parent our child links, inherited phantoms and final
   // transfer counters in one message.
   auto msg = make_msg(kLeave, static_cast<std::int64_t>(weight_), id());
   auto payload = std::make_unique<LeavePayload>();
   payload->children.reserve(children_.size());
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    payload->children.push_back({children_[i], child_size_[i],
-                                 pending_child_[i] != false,
-                                 child_agg_[i].first, child_agg_[i].second});
+  for (const Child& c : children_) {
+    payload->children.push_back({c.id, c.size, c.pending, c.agg_sent, c.agg_recv});
   }
-  payload->phantoms.reserve(phantoms_.size());
-  for (const PhantomChild& ph : phantoms_) {
+  payload->phantoms.reserve(churn_->phantoms.size());
+  for (const PhantomChild& ph : churn_->phantoms) {
     payload->phantoms.push_back({ph.peer, ph.agg.first, ph.agg.second});
   }
   payload->sent = own_sent();
@@ -757,11 +771,8 @@ void OverlayPeer::begin_leave() {
   idle_ = false;
   awaiting_child_ = -1;
   children_.clear();
-  child_size_.clear();
-  pending_child_.clear();
-  child_agg_.clear();
   pending_bridges_.clear();
-  phantoms_.clear();
+  churn_->phantoms.clear();
   bridge_target_ = -1;
 }
 
@@ -769,29 +780,26 @@ void OverlayPeer::on_leave(sim::Message m) {
   const auto* lp = static_cast<const LeavePayload*>(m.payload.get());
   OLB_CHECK(lp != nullptr);
   const int leaver = static_cast<int>(m.c);  // src is rewritten on forwards
-  ++member_events_;
+  ++churn_->member_events;
   dirty_outstanding_probe();
   const std::size_t idx = child_index(leaver);
   if (idx != kNpos) {
     children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(idx));
-    child_size_.erase(child_size_.begin() + static_cast<std::ptrdiff_t>(idx));
-    pending_child_.erase(pending_child_.begin() +
-                         static_cast<std::ptrdiff_t>(idx));
-    child_agg_.erase(child_agg_.begin() + static_cast<std::ptrdiff_t>(idx));
   }
   // Keep the leaver's final counters as a phantom child: subtree aggregates
   // retain its contribution, probes keep polling it directly.
-  phantoms_.push_back({leaver, {lp->sent, lp->recv}});
+  std::vector<PhantomChild>& phantoms = churn_->phantoms;
+  phantoms.push_back({leaver, {lp->sent, lp->recv}});
   for (const auto& ph : lp->phantoms) {
     bool known = false;
-    for (PhantomChild& mine : phantoms_) {
+    for (PhantomChild& mine : phantoms) {
       if (mine.peer != ph.peer) continue;
       mine.agg.first = std::max(mine.agg.first, ph.sent);
       mine.agg.second = std::max(mine.agg.second, ph.recv);
       known = true;
       break;
     }
-    if (!known) phantoms_.push_back({ph.peer, {ph.sent, ph.recv}});
+    if (!known) phantoms.push_back({ph.peer, {ph.sent, ph.recv}});
   }
   apply_size_delta(-static_cast<std::int64_t>(m.b), /*forward_up=*/true);
   // Merge the transferred child links. A child may have introduced itself
@@ -800,14 +808,16 @@ void OverlayPeer::on_leave(sim::Message m) {
   for (const auto& cl : lp->children) {
     const std::size_t ci = child_index(cl.peer);
     if (ci == kNpos) {
-      const std::size_t ni = adopt_child(cl.peer, cl.size);
-      pending_child_[ni] = cl.pending;
-      child_agg_[ni] = {cl.agg_sent, cl.agg_recv};
+      Child& c = children_[adopt_child(cl.peer, cl.size)];
+      c.pending = cl.pending;
+      c.agg_sent = cl.agg_sent;
+      c.agg_recv = cl.agg_recv;
     } else {
-      child_size_[ci] = std::max(child_size_[ci], cl.size);
-      pending_child_[ci] = pending_child_[ci] || cl.pending;
-      child_agg_[ci].first = std::max(child_agg_[ci].first, cl.agg_sent);
-      child_agg_[ci].second = std::max(child_agg_[ci].second, cl.agg_recv);
+      Child& c = children_[ci];
+      c.size = std::max(c.size, cl.size);
+      c.pending = c.pending || cl.pending;
+      c.agg_sent = std::max(c.agg_sent, cl.agg_sent);
+      c.agg_recv = std::max(c.agg_recv, cl.agg_recv);
     }
   }
   trace_queue_depth();
@@ -816,12 +826,12 @@ void OverlayPeer::on_leave(sim::Message m) {
     // answer) out of departed_dispatch, but advance defensively.
     awaiting_child_ = -1;
     ++down_pos_;
-    ++down_req_seq_;
+    if (ft_ != nullptr) ++ft_->down_req_seq;  // void the request timeout
     advance_down();
   }
   if (is_root()) {
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
+    if (root_term().probe_outstanding) {
+      root_term().recheck_after_probe = true;
     } else {
       check_root_termination();
     }
@@ -884,8 +894,8 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
       ack->bridge_sent = own_sent();
       ack->bridge_recv = own_recv();
       ack->dirty = false;
-      ack->crash_epoch = crash_epoch_;
-      ack->member_events = member_events_;
+      ack->crash_epoch = crash_epoch();
+      ack->member_events = churn_->member_events;
       msg.payload = std::move(ack);
       send(m.src, std::move(msg));
       break;
@@ -956,7 +966,7 @@ void OverlayPeer::dormant_dispatch(sim::Message m) {
 
 void OverlayPeer::diffuse_bound() {
   if (!is_root()) send(parent(), make_msg(kBound));
-  for (int c : children_) send(c, make_msg(kBound));
+  for (const Child& c : children_) send(c.id, make_msg(kBound));
 }
 
 void OverlayPeer::on_bound_msg(const sim::Message& m) {
@@ -964,8 +974,8 @@ void OverlayPeer::on_bound_msg(const sim::Message& m) {
   if (bound_ >= diffused_bound_) return;
   diffused_bound_ = bound_;
   if (!is_root() && parent() != m.src) send(parent(), make_msg(kBound));
-  for (int c : children_) {
-    if (c != m.src) send(c, make_msg(kBound));
+  for (const Child& c : children_) {
+    if (c.id != m.src) send(c.id, make_msg(kBound));
   }
 }
 
@@ -975,74 +985,57 @@ int OverlayPeer::nearest_live_ancestor(int peer_id) const {
   // Root crashes are rejected by the driver, so the walk terminates.
   OLB_CHECK(peer_id != tree_->root());
   int p = tree_->parent(peer_id);
-  while (p != tree_->root() && peer_down_[static_cast<std::size_t>(p)] != 0) {
+  while (p != tree_->root() && known_down(p)) {
     p = tree_->parent(p);
   }
   return p;
 }
 
 std::size_t OverlayPeer::adopt_child(int peer_id, std::uint64_t size_hint) {
-  children_.push_back(peer_id);
-  child_size_.push_back(size_hint);
-  pending_child_.push_back(false);
-  child_agg_.emplace_back(0, 0);
+  children_.push_back(Child{peer_id, false, size_hint});
   if (!ready_ && size_hint == 0) ++sizes_missing_;
   return children_.size() - 1;
 }
 
 void OverlayPeer::rebuild_children() {
   const int n = num_peers();
-  std::vector<int> now_children;
+  std::vector<Child> now_children;
   for (int j = 0; j < n; ++j) {
     if (j == id() || j == tree_->root()) continue;  // the root has no parent
-    if (peer_down_[static_cast<std::size_t>(j)] != 0) continue;
-    if (nearest_live_ancestor(j) == id()) now_children.push_back(j);
-  }
-  std::vector<std::uint64_t> sizes;
-  std::vector<bool> pending;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> aggs;
-  sizes.reserve(now_children.size());
-  pending.reserve(now_children.size());
-  aggs.reserve(now_children.size());
-  for (int j : now_children) {
+    if (known_down(j)) continue;
+    if (nearest_live_ancestor(j) != id()) continue;
     const std::size_t old = child_index(j);
     if (old != kNpos) {
-      sizes.push_back(child_size_[old]);
-      pending.push_back(pending_child_[old]);
-      aggs.push_back(child_agg_[old]);
+      now_children.push_back(children_[old]);
     } else {
       // Adopted orphan. The static subtree size is a placeholder split
       // weight until its kSizeUp refresh arrives; starting non-pending
       // blocks termination until the orphan re-requests upwards.
-      sizes.push_back(tree_->subtree_size(j));
-      pending.push_back(false);
-      aggs.emplace_back(0, 0);
+      now_children.push_back(Child{j, false, tree_->subtree_size(j)});
     }
   }
   children_ = std::move(now_children);
-  child_size_ = std::move(sizes);
-  pending_child_ = std::move(pending);
-  child_agg_ = std::move(aggs);
   if (!ready_) {
     sizes_missing_ = static_cast<int>(
-        std::count(child_size_.begin(), child_size_.end(), std::uint64_t{0}));
+        std::count_if(children_.begin(), children_.end(),
+                      [](const Child& c) { return c.size == 0; }));
     // Removing a crashed child can complete the converge-cast by itself.
     if (sizes_missing_ == 0 && my_size_ == 0) finish_converge_cast();
   }
 }
 
 void OverlayPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
+  OLB_CHECK(config_->fault_tolerant);
   const auto pidx = static_cast<std::size_t>(peer);
-  if (pidx >= peer_down_.size() || peer_down_[pidx] != 0) return;
-  peer_down_[pidx] = 1;
-  ++crash_epoch_;
+  if (pidx >= ft_->peer_down.size() || ft_->peer_down[pidx] != 0) return;
+  ft_->peer_down[pidx] = 1;
+  ++ft_->crash_epoch;
   if (terminated_) return;
-  if (is_root()) have_clean_probe_ = false;  // wave pairs must share an epoch
+  if (is_root()) root_term().have_clean_probe = false;  // wave pairs must share an epoch
   if (bridge_target_ == peer) bridge_target_ = -1;
   pending_bridges_.erase(
       std::remove_if(pending_bridges_.begin(), pending_bridges_.end(),
-                     [peer](const auto& pb) { return pb.first == peer; }),
+                     [peer](const ParkedBridge& pb) { return pb.peer == peer; }),
       pending_bridges_.end());
   // Subtree sizes along the crashed peer's ancestor path used to stay stale
   // until the next converge-cast refresh (which fault recovery never runs),
@@ -1053,10 +1046,10 @@ void OverlayPeer::on_peer_down(int peer) {
   // unknown here, so a crashed peer counts as weight 1 — the same
   // approximation rebuild_children uses for adopted orphans.
   if (my_size_ != 0 && is_static_ancestor(id(), peer)) {
-    for (std::size_t i = 0; i < children_.size(); ++i) {
-      if (children_[i] == peer) break;  // direct child: handled by rebuild
-      if (!is_static_ancestor(children_[i], peer)) continue;
-      if (child_size_[i] > 1) --child_size_[i];
+    for (Child& c : children_) {
+      if (c.id == peer) break;  // direct child: handled by rebuild
+      if (!is_static_ancestor(c.id, peer)) continue;
+      if (c.size > 1) --c.size;
       break;
     }
     apply_size_delta(-1, /*forward_up=*/false);
@@ -1079,7 +1072,7 @@ void OverlayPeer::on_peer_down(int peer) {
     // The pending downward request can never be answered now.
     awaiting_child_ = -1;
     ++down_pos_;
-    ++down_req_seq_;  // void the outstanding timeout
+    ++ft_->down_req_seq;  // void the outstanding timeout
     advance_down();
   }
   if (idle_ && awaiting_child_ == -1 && !terminated_) arm_retry_timer();
@@ -1088,11 +1081,12 @@ void OverlayPeer::on_peer_down(int peer) {
 void OverlayPeer::on_lease_tick() {
   if (terminated_) return;  // no re-arm: the timer dies with the protocol
   if (is_root()) {
-    if (probe_outstanding_ &&
-        now() - probe_launched_at_ >= config_.lease_interval) {
+    RootTermination& rt = root_term();
+    if (rt.probe_outstanding &&
+        now() - rt.probe_launched_at >= config_->lease_interval) {
       // The wave lost a message (or its relay crashed); abandon it.
       count_retry(-1, kProbe, static_cast<std::int64_t>(cur_probe_));
-      probe_outstanding_ = false;
+      rt.probe_outstanding = false;
       probe_acks_missing_ = 0;
     }
     check_root_termination();
@@ -1102,7 +1096,7 @@ void OverlayPeer::on_lease_tick() {
     count_retry(parent(), kReqUp, 0);
     send_up_request();
   }
-  set_timer(config_.lease_interval, kOverlayLeaseTimer);
+  set_timer(config_->lease_interval, kOverlayLeaseTimer);
 }
 
 // ---------------------------------------------------------- termination ---
@@ -1115,25 +1109,25 @@ void OverlayPeer::on_lease_tick() {
 // and the departed peer's counted forward only starts at receipt), so the
 // four-counter rule must see all work to keep the Mattern argument sound.
 std::uint64_t OverlayPeer::own_sent() const {
-  return config_.fault_tolerant || churn_enabled() ? ft_sent_ : bridge_sent_;
+  return config_->fault_tolerant || churn_enabled() ? ft_sent_ : bridge_sent_;
 }
 
 std::uint64_t OverlayPeer::own_recv() const {
-  return config_.fault_tolerant || churn_enabled() ? ft_recv_ : bridge_recv_;
+  return config_->fault_tolerant || churn_enabled() ? ft_recv_ : bridge_recv_;
 }
 
 
 std::uint64_t OverlayPeer::agg_sent() const {
   std::uint64_t s = own_sent();
-  for (const auto& [cs, cr] : child_agg_) s += cs;
-  for (const PhantomChild& ph : phantoms_) s += ph.agg.first;
+  for (const Child& c : children_) s += c.agg_sent;
+  for (const PhantomChild& ph : phantoms()) s += ph.agg.first;
   return s;
 }
 
 std::uint64_t OverlayPeer::agg_recv() const {
   std::uint64_t r = own_recv();
-  for (const auto& [cs, cr] : child_agg_) r += cr;
-  for (const PhantomChild& ph : phantoms_) r += ph.agg.second;
+  for (const Child& c : children_) r += c.agg_recv;
+  for (const PhantomChild& ph : phantoms()) r += ph.agg.second;
   return r;
 }
 
@@ -1141,26 +1135,28 @@ void OverlayPeer::check_root_termination() {
   if (!is_root() || terminated_) return;
   // Service mode: the gate owns end-of-stream. Until it says kSvcShutdown
   // more jobs may still be injected, so global quiescence means nothing.
-  if (svc_enabled() && !svc_shutdown_) return;
+  if (svc_enabled() && !svc_->shutdown) return;
   if (!locally_quiet() || !all_children_pending()) return;
-  if (config_.fault_tolerant) {
+  RootTermination& rt = root_term();
+  if (config_->fault_tolerant) {
     // Unreliable links can leave pending flags stale, so even pure tree
     // mode must confirm termination with counter waves.
-    if (probe_outstanding_) {
-      recheck_after_probe_ = true;
+    if (rt.probe_outstanding) {
+      rt.recheck_after_probe = true;
       return;
     }
-    if (crash_epoch_ == 0 && agg_sent() != agg_recv()) return;
+    if (crash_epoch() == 0 && agg_sent() != agg_recv()) return;
     // Pace the confirming wave one lease after the previous one: every
     // transfer in flight during wave k has landed (and bumped a receive
     // counter) before wave k+1 polls its receiver.
-    if (have_clean_probe_ && now() - last_wave_end_ < config_.lease_interval) {
+    if (rt.have_clean_probe &&
+        now() - rt.last_wave_end < config_->lease_interval) {
       return;  // the lease timer re-checks
     }
     launch_probe();
     return;
   }
-  if (!config_.use_bridges && !churn_enabled()) {
+  if (!config_->use_bridges && !churn_enabled()) {
     // Pure tree mode: a child's upward request proves its whole subtree is
     // finished, so the condition alone is exact. Under churn that proof
     // breaks — a serve can be in flight to a peer that already left (its
@@ -1169,8 +1165,8 @@ void OverlayPeer::check_root_termination() {
     declare_termination();
     return;
   }
-  if (probe_outstanding_) {
-    recheck_after_probe_ = true;
+  if (rt.probe_outstanding) {
+    rt.recheck_after_probe = true;
     return;
   }
   if (agg_sent() == agg_recv()) launch_probe();
@@ -1179,16 +1175,17 @@ void OverlayPeer::check_root_termination() {
 }
 
 void OverlayPeer::launch_probe() {
-  probe_outstanding_ = true;
-  probe_launched_at_ = now();
-  recheck_after_probe_ = false;
-  cur_probe_ = ++next_probe_id_;
+  RootTermination& rt = root_term();
+  rt.probe_outstanding = true;
+  rt.probe_launched_at = now();
+  rt.recheck_after_probe = false;
+  cur_probe_ = ++rt.next_probe_id;
   probe_s_ = own_sent();
   probe_r_ = own_recv();
-  probe_me_ = member_events_;
+  probe_me_ = member_events();
   probe_dirty_ = false;
-  probe_epoch_ = crash_epoch_;
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms_.size());
+  probe_epoch_ = crash_epoch();
+  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   emit_trace(trace::EventKind::kProbeWave, -1, 0,
              static_cast<std::int64_t>(cur_probe_));
   if (probe_acks_missing_ == 0) {
@@ -1202,11 +1199,11 @@ void OverlayPeer::launch_probe() {
     msg.payload = std::move(payload);
     send(dst, std::move(msg));
   };
-  for (int c : children_) probe(c);
+  for (const Child& c : children_) probe(c.id);
   // Phantoms are polled directly: the departed peer answers with its *true*
   // counters, so a stale phantom ledger can only block termination (the
   // pre-wave gate), never falsely balance it.
-  for (const PhantomChild& ph : phantoms_) probe(ph.peer);
+  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
 }
 
 void OverlayPeer::on_probe(sim::Message m) {
@@ -1218,7 +1215,7 @@ void OverlayPeer::on_probe(sim::Message m) {
     auto payload = std::make_unique<ProbePayload>();
     payload->probe_id = pid;
     payload->dirty = true;
-    payload->crash_epoch = crash_epoch_;
+    payload->crash_epoch = crash_epoch();
     msg.payload = std::move(payload);
     send(m.src, std::move(msg));
   };
@@ -1230,10 +1227,10 @@ void OverlayPeer::on_probe(sim::Message m) {
   probe_parent_ = m.src;
   probe_s_ = own_sent();
   probe_r_ = own_recv();
-  probe_me_ = member_events_;
+  probe_me_ = member_events();
   probe_dirty_ = false;
-  probe_epoch_ = crash_epoch_;
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms_.size());
+  probe_epoch_ = crash_epoch();
+  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
   if (probe_acks_missing_ == 0) {
     auto msg = make_msg(kProbeAck);
     auto payload = std::make_unique<ProbePayload>();
@@ -1254,8 +1251,8 @@ void OverlayPeer::on_probe(sim::Message m) {
     msg.payload = std::move(payload);
     send(dst, std::move(msg));
   };
-  for (int c : children_) probe(c);
-  for (const PhantomChild& ph : phantoms_) probe(ph.peer);
+  for (const Child& c : children_) probe(c.id);
+  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
 }
 
 void OverlayPeer::on_probe_ack(sim::Message m) {
@@ -1287,45 +1284,46 @@ void OverlayPeer::on_probe_ack(sim::Message m) {
 
 void OverlayPeer::on_metrics(metrics::Registry& registry) {
   PeerBase::on_metrics(registry);
-  if (is_root()) m_wave_ = registry.histogram("olb_term_wave_ns", id());
+  if (is_root()) root_term().m_wave = registry.histogram("olb_term_wave_ns", id());
 }
 
 void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool dirty) {
-  probe_outstanding_ = false;
-  last_wave_end_ = now();
+  RootTermination& rt = root_term();
+  rt.probe_outstanding = false;
+  rt.last_wave_end = now();
   // Wave latency = launch at the root to the last ack folding back in.
-  if (m_wave_ != nullptr) [[unlikely]] {
-    const sim::Time lat = last_wave_end_ - probe_launched_at_;
-    metrics::record(m_wave_, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
+  if (rt.m_wave != nullptr) [[unlikely]] {
+    const sim::Time lat = rt.last_wave_end - rt.probe_launched_at;
+    metrics::record(rt.m_wave, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
   }
   const bool still_quiet = locally_quiet() && all_children_pending();
-  if (config_.fault_tolerant) {
-    const int epoch = std::max(probe_epoch_, crash_epoch_);
+  if (config_->fault_tolerant) {
+    const int epoch = std::max(probe_epoch_, crash_epoch());
     // With a known crash the crashed peer's counter contributions are gone
     // for good, so balance is only required while epoch == 0; stability
     // across a lease-separated pair (at one shared epoch) carries the
     // Mattern argument by itself.
     const bool clean =
-        !dirty && still_quiet && (epoch > 0 || s == r) && epoch == crash_epoch_;
+        !dirty && still_quiet && (epoch > 0 || s == r) && epoch == crash_epoch();
     emit_trace(trace::EventKind::kProbeWave, -1, clean ? 1 : 2,
                static_cast<std::int64_t>(cur_probe_),
                static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
     if (clean) {
-      if (have_clean_probe_ && clean_s_ == s && clean_r_ == r &&
-          clean_epoch_ == epoch) {
+      if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
+          rt.clean_epoch == epoch) {
         declare_termination();
         return;
       }
-      have_clean_probe_ = true;
-      clean_s_ = s;
-      clean_r_ = r;
-      clean_epoch_ = epoch;
+      rt.have_clean_probe = true;
+      rt.clean_s = s;
+      rt.clean_r = r;
+      rt.clean_epoch = epoch;
       // The confirming wave launches from the lease timer, one lease later.
       return;
     }
-    have_clean_probe_ = false;
-    if (recheck_after_probe_) {
-      recheck_after_probe_ = false;
+    rt.have_clean_probe = false;
+    if (rt.recheck_after_probe) {
+      rt.recheck_after_probe = false;
       check_root_termination();
     }
     return;
@@ -1335,8 +1333,8 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
              static_cast<std::int64_t>(cur_probe_),
              static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
   if (clean) {
-    if (have_clean_probe_ && clean_s_ == s && clean_r_ == r &&
-        clean_me_ == probe_me_) {
+    if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
+        rt.clean_me == probe_me_) {
       // Mattern four-counter rule: two consecutive clean waves with
       // identical balanced counters — no transfer can be in flight. Under
       // churn the waves must also agree on the membership-event sum: a
@@ -1345,16 +1343,16 @@ void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool di
       declare_termination();
       return;
     }
-    have_clean_probe_ = true;
-    clean_s_ = s;
-    clean_r_ = r;
-    clean_me_ = probe_me_;
+    rt.have_clean_probe = true;
+    rt.clean_s = s;
+    rt.clean_r = r;
+    rt.clean_me = probe_me_;
     launch_probe();
     return;
   }
-  have_clean_probe_ = false;
-  if (recheck_after_probe_) {
-    recheck_after_probe_ = false;
+  rt.have_clean_probe = false;
+  if (rt.recheck_after_probe) {
+    rt.recheck_after_probe = false;
     check_root_termination();
   }
 }
@@ -1364,10 +1362,10 @@ void OverlayPeer::declare_termination() {
   terminated_ = true;
   done_time_ = now();
   emit_trace(trace::EventKind::kTerminated);
-  for (int c : children_) send(c, make_msg(kTerminate));
-  for (const PhantomChild& ph : phantoms_) send(ph.peer, make_msg(kTerminate));
+  for (const Child& c : children_) send(c.id, make_msg(kTerminate));
+  for (const PhantomChild& ph : phantoms()) send(ph.peer, make_msg(kTerminate));
   // The gate sits outside the tree; tell it directly so it can exit.
-  if (svc_enabled()) send(config_.service.gate, make_msg(kTerminate));
+  if (svc_enabled()) send(config_->service.gate, make_msg(kTerminate));
 }
 
 void OverlayPeer::on_terminate() {
@@ -1378,8 +1376,8 @@ void OverlayPeer::on_terminate() {
   emit_trace(trace::EventKind::kTerminated);
   idle_ = false;
   pending_bridges_.clear();
-  for (int c : children_) send(c, make_msg(kTerminate));
-  for (const PhantomChild& ph : phantoms_) send(ph.peer, make_msg(kTerminate));
+  for (const Child& c : children_) send(c.id, make_msg(kTerminate));
+  for (const PhantomChild& ph : phantoms()) send(ph.peer, make_msg(kTerminate));
 }
 
 // ------------------------------------------------ multi-job service mode ---
@@ -1414,9 +1412,10 @@ void OverlayPeer::on_job_inject(sim::Message m) {
   const std::uint64_t job = jp->job;
   // Done-eligibility is restricted to injected jobs: a wave that ran while
   // this inject was in flight must not declare the job done-by-absence.
-  svc_injected_.insert(job);
+  svc_->injected.insert(job);
   // The inject is not a peer transfer (the gate sits outside the fleet), so
-  // it does not bump svc_counters_ — waves stay sent == recv symmetric. The
+  // it does not bump the per-job counters — waves stay sent == recv
+  // symmetric. The
   // oracle's transfer balance instead pairs the gate's kJobXfer with this:
   emit_trace(trace::EventKind::kJobMerge, m.src, static_cast<int>(job),
              amount_milli(jp->work->amount()), 0);
@@ -1431,9 +1430,9 @@ void OverlayPeer::on_job_inject(sim::Message m) {
 }
 
 void OverlayPeer::svc_fill_own_stats() {
-  svc_table_.clear();
-  for (const auto& [job, sr] : svc_counters_) {
-    JobStat& st = svc_table_[job];
+  svc_->table.clear();
+  for (const auto& [job, sr] : svc_->counters) {
+    JobStat& st = svc_->table[job];
     st.job = job;
     st.sent = sr.first;
     st.recv = sr.second;
@@ -1441,7 +1440,7 @@ void OverlayPeer::svc_fill_own_stats() {
   const JobBag* b = bag();
   if (b != nullptr) {
     b->for_each_hold([&](std::uint64_t job, double amount) {
-      JobStat& st = svc_table_[job];
+      JobStat& st = svc_->table[job];
       st.job = job;
       st.holds_milli += amount_milli(amount);
     });
@@ -1450,20 +1449,20 @@ void OverlayPeer::svc_fill_own_stats() {
 
 void OverlayPeer::svc_launch_wave() {
   OLB_CHECK(is_root());
-  svc_wave_outstanding_ = true;
-  svc_probe_id_ = ++svc_next_wave_;
+  svc_->wave_outstanding = true;
+  svc_->probe_id = ++svc_->next_wave;
   svc_fill_own_stats();
-  svc_acks_missing_ = static_cast<int>(children_.size());
-  if (svc_acks_missing_ == 0) {
+  svc_->acks_missing = static_cast<int>(children_.size());
+  if (svc_->acks_missing == 0) {
     svc_finish_wave_at_root();
     return;
   }
-  for (int c : children_) {
+  for (const Child& c : children_) {
     auto msg = make_msg(kJobProbe);
     auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_probe_id_;
+    payload->probe_id = svc_->probe_id;
     msg.payload = std::move(payload);
-    send(c, std::move(msg));
+    send(c.id, std::move(msg));
   }
 }
 
@@ -1471,20 +1470,20 @@ void OverlayPeer::on_job_probe(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  svc_probe_id_ = pp->probe_id;
-  svc_probe_parent_ = m.src;
+  svc_->probe_id = pp->probe_id;
+  svc_->probe_parent = m.src;
   svc_fill_own_stats();
-  svc_acks_missing_ = static_cast<int>(children_.size());
-  if (svc_acks_missing_ == 0) {
+  svc_->acks_missing = static_cast<int>(children_.size());
+  if (svc_->acks_missing == 0) {
     svc_reply_wave();
     return;
   }
-  for (int c : children_) {
+  for (const Child& c : children_) {
     auto msg = make_msg(kJobProbe);
     auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_probe_id_;
+    payload->probe_id = svc_->probe_id;
     msg.payload = std::move(payload);
-    send(c, std::move(msg));
+    send(c.id, std::move(msg));
   }
 }
 
@@ -1492,15 +1491,15 @@ void OverlayPeer::on_job_probe_ack(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  if (pp->probe_id != svc_probe_id_ || svc_acks_missing_ == 0) return;  // stale
+  if (pp->probe_id != svc_->probe_id || svc_->acks_missing == 0) return;  // stale
   for (const JobStat& st : pp->stats) {
-    JobStat& mine = svc_table_[st.job];
+    JobStat& mine = svc_->table[st.job];
     mine.job = st.job;
     mine.sent += st.sent;
     mine.recv += st.recv;
     mine.holds_milli += st.holds_milli;
   }
-  if (--svc_acks_missing_ > 0) return;
+  if (--svc_->acks_missing > 0) return;
   if (is_root()) {
     svc_finish_wave_at_root();
   } else {
@@ -1511,40 +1510,41 @@ void OverlayPeer::on_job_probe_ack(sim::Message m) {
 void OverlayPeer::svc_reply_wave() {
   auto msg = make_msg(kJobProbeAck);
   auto payload = std::make_unique<JobProbePayload>();
-  payload->probe_id = svc_probe_id_;
-  payload->stats.reserve(svc_table_.size());
-  for (const auto& [job, st] : svc_table_) payload->stats.push_back(st);
+  payload->probe_id = svc_->probe_id;
+  payload->stats.reserve(svc_->table.size());
+  for (const auto& [job, st] : svc_->table) payload->stats.push_back(st);
   msg.payload = std::move(payload);
-  send(svc_probe_parent_, std::move(msg));
+  send(svc_->probe_parent, std::move(msg));
 }
 
 void OverlayPeer::svc_finish_wave_at_root() {
-  svc_wave_outstanding_ = false;
-  const std::uint64_t wave = svc_next_wave_;
-  for (const std::uint64_t job : svc_injected_) {
-    if (svc_done_.count(job) != 0) continue;
+  Service& sv = *svc_;
+  sv.wave_outstanding = false;
+  const std::uint64_t wave = sv.next_wave;
+  for (const std::uint64_t job : sv.injected) {
+    if (sv.done.count(job) != 0) continue;
     JobStat zero;
     zero.job = job;
-    const auto it = svc_table_.find(job);
-    const JobStat& st = it != svc_table_.end() ? it->second : zero;
+    const auto it = sv.table.find(job);
+    const JobStat& st = it != sv.table.end() ? it->second : zero;
     // A job the counters never saw (injected and fully drained at the root
     // between waves) reads sent == recv == 0, holds == 0: still a correct
     // quiet reading — the stability pair below does the rest.
     const bool quiet = st.holds_milli == 0 && st.sent == st.recv;
     if (!quiet) {
-      svc_prev_.erase(job);
+      sv.prev.erase(job);
       continue;
     }
-    const auto prev = svc_prev_.find(job);
-    if (prev != svc_prev_.end() && prev->second.wave == wave - 1 &&
+    const auto prev = sv.prev.find(job);
+    if (prev != sv.prev.end() && prev->second.wave == wave - 1 &&
         prev->second.sent == st.sent) {
-      svc_done_.insert(job);
-      svc_prev_.erase(job);
-      send(config_.service.gate,
+      sv.done.insert(job);
+      sv.prev.erase(job);
+      send(config_->service.gate,
            make_msg(kJobDone, 0, static_cast<std::int64_t>(job)));
       continue;
     }
-    svc_prev_[job] = SvcPrev{st.sent, wave};
+    sv.prev[job] = Service::Prev{st.sent, wave};
   }
 }
 
@@ -1552,8 +1552,7 @@ void OverlayPeer::svc_finish_wave_at_root() {
 
 void OverlayPeer::on_message(sim::Message m) {
   if (m.type != kTerminate) handle_piggyback(m);
-  if (config_.fault_tolerant && m.src >= 0 &&
-      peer_down_[static_cast<std::size_t>(m.src)] != 0 && m.type != kWork) {
+  if (m.src >= 0 && known_down(m.src) && m.type != kWork) {
     // In-flight message from a peer we know crashed. Work is still real and
     // must be kept (it bounces back off the dead peer); everything else is
     // protocol state of a dead participant.
@@ -1590,7 +1589,7 @@ void OverlayPeer::on_message(sim::Message m) {
       }
       return;
     }
-    if (config_.fault_tolerant && m.type != kTerminate) {
+    if (config_->fault_tolerant && m.type != kTerminate) {
       // The sender evidently missed the broadcast (e.g. its kTerminate was
       // dropped); its own lease retransmit reached us, so answer it.
       send(m.src, make_msg(kTerminate));
@@ -1613,7 +1612,7 @@ void OverlayPeer::on_message(sim::Message m) {
       if (idle_ && awaiting_child_ == m.src && m.c == episode_) {
         awaiting_child_ = -1;
         ++down_pos_;
-        ++down_req_seq_;  // void the fault-tolerance timeout, if armed
+        if (ft_ != nullptr) ++ft_->down_req_seq;  // void the request timeout
         advance_down();
       }
       break;
@@ -1626,7 +1625,7 @@ void OverlayPeer::on_message(sim::Message m) {
     case kJobProbeAck: on_job_probe_ack(std::move(m)); break;
     case kSvcShutdown:
       OLB_CHECK(svc_enabled() && is_root());
-      svc_shutdown_ = true;
+      svc_->shutdown = true;
       check_root_termination();
       break;
     default: OLB_CHECK_MSG(false, "unexpected message type for OverlayPeer");

@@ -104,6 +104,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -201,10 +202,13 @@ struct OverlayConfig {
 
 class OverlayPeer final : public PeerBase {
  public:
-  /// `initial_work` must be non-null exactly for the overlay root (peer 0).
-  /// `capacity_weight` is this peer's logical compute power (1 for
-  /// homogeneous clusters; scale by relative speed in heterogeneous ones).
-  OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree, OverlayConfig config,
+  /// `tree` and `config` are shared by the whole fleet (one immutable copy
+  /// each, however many peers). `initial_work` must be non-null exactly for
+  /// the overlay root (peer 0). `capacity_weight` is this peer's logical
+  /// compute power (1 for homogeneous clusters; scale by relative speed in
+  /// heterogeneous ones).
+  OverlayPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
+              std::shared_ptr<const OverlayConfig> config,
               std::unique_ptr<Work> initial_work, std::uint64_t capacity_weight = 1);
 
   // --- post-run inspection ---
@@ -214,14 +218,16 @@ class OverlayPeer final : public PeerBase {
   /// until fault-driven re-parenting moves it.
   int current_parent() const { return parent_; }
   /// Number of crashed peers this peer has been notified about.
-  int known_crashes() const { return crash_epoch_; }
+  int known_crashes() const { return ft_ != nullptr ? ft_->crash_epoch : 0; }
   /// Current overlay membership (false while dormant or after a leave).
   bool is_member() const { return member_; }
   /// This peer's current subtree-size estimate (tests: the incremental
   /// delta machinery must keep it consistent across churn and crashes).
   std::uint64_t subtree_size_estimate() const { return my_size_; }
   /// Membership events (joins accepted + leaves absorbed) witnessed here.
-  std::uint64_t member_events() const { return member_events_; }
+  std::uint64_t member_events() const {
+    return churn_ != nullptr ? churn_->member_events : 0;
+  }
 
   StateTap state_tap() const override;
 
@@ -239,6 +245,102 @@ class OverlayPeer final : public PeerBase {
 
  private:
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+  /// One dynamic child link: the child, its subtree size (learned in the
+  /// converge-cast; 0 until reported), whether its upward request is parked
+  /// here, and the subtree transfer aggregates (S, R) that request carried.
+  /// One flat record per child keeps the serving and termination loops on
+  /// one allocation — and leaves, most of any tree, allocate nothing.
+  struct Child {
+    int id = -1;
+    bool pending = false;
+    std::uint64_t size = 0;
+    std::uint64_t agg_sent = 0;
+    std::uint64_t agg_recv = 0;
+  };
+
+  /// A bridge request parked until this peer has work to split. The
+  /// requester's subtree size is stored in 32 bits (checked on receipt):
+  /// these pile up at every peer of a large BTD run.
+  struct ParkedBridge {
+    int peer = -1;
+    std::uint32_t size = 0;  ///< T_peer
+  };
+
+  /// A departed child's final transfer counters, kept by its parent so the
+  /// subtree aggregates (agg_sent/agg_recv) never lose its contribution.
+  /// Phantoms are probed like children (they answer with their live-polled
+  /// counters) and receive the termination broadcast, but are never served.
+  struct PhantomChild {
+    int peer = -1;
+    std::pair<std::uint64_t, std::uint64_t> agg{0, 0};  ///< (sent, recv)
+  };
+
+  /// Elastic-membership state, allocated iff the config's ChurnPlan is on.
+  struct Churn {
+    sim::Time join_at = -1;   ///< this peer's scheduled join (dormant peers)
+    sim::Time leave_at = -1;  ///< this peer's scheduled leave (members)
+    bool leave_pending = false;  ///< leave deferred until the chunk ends
+    /// Joins accepted + leaves absorbed here; summed across termination
+    /// waves so the root can tell churn happened between two otherwise
+    /// clean waves.
+    std::uint64_t member_events = 0;
+    std::vector<PhantomChild> phantoms;
+    /// kJoinReq accepted before this node finished its own converge-cast;
+    /// processed in become_ready().
+    std::vector<std::pair<int, std::uint64_t>> parked_joins;  ///< (id, weight)
+  };
+
+  /// Fault-tolerance state, allocated iff config.fault_tolerant.
+  struct FaultTolerance {
+    std::vector<char> peer_down;   ///< peers known to have crashed
+    int crash_epoch = 0;           ///< == count of set entries in peer_down
+    std::int64_t down_req_seq = 0; ///< generation of the kReqDown timeout
+  };
+
+  /// Multi-job service-mode state, allocated iff config.service.enabled.
+  struct Service {
+    /// Per-job transfer counters of THIS peer: job -> (pieces sent,
+    /// received). Monotone, like the bridge/ft counters; ordered so wave
+    /// payloads are assembled in deterministic job order.
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counters;
+    // wave state (any node)
+    std::uint64_t probe_id = 0;
+    int probe_parent = -1;
+    int acks_missing = 0;
+    std::map<std::uint64_t, JobStat> table;  ///< subtree aggregate
+    // root-only
+    bool wave_outstanding = false;
+    bool shutdown = false;  ///< gate declared the stream exhausted
+    std::uint64_t next_wave = 0;
+    std::set<std::uint64_t> injected;  ///< kJobInject processed here
+    std::set<std::uint64_t> done;      ///< wave-confirmed and reported
+    /// A job's qualifying reading from the previous wave: done needs the
+    /// next wave to agree (same sent, consecutive wave ids).
+    struct Prev {
+      std::uint64_t sent = 0;
+      std::uint64_t wave = 0;
+    };
+    std::map<std::uint64_t, Prev> prev;
+  };
+
+  /// The root's termination-wave bookkeeping; allocated on the root only,
+  /// on first use.
+  struct RootTermination {
+    bool probe_outstanding = false;
+    bool have_clean_probe = false;
+    bool recheck_after_probe = false;
+    sim::Time probe_launched_at = 0;
+    sim::Time last_wave_end = 0;
+    std::uint64_t next_probe_id = 0;
+    std::uint64_t clean_s = 0;
+    std::uint64_t clean_r = 0;
+    int clean_epoch = 0;
+    std::uint64_t clean_me = 0;  ///< member-events sum of the clean wave
+    /// Wave-latency histogram (null unless metrics attached).
+    metrics::Histogram* m_wave = nullptr;
+  };
+  RootTermination& root_term();
 
   bool is_root() const { return id() == tree_->root(); }
   int parent() const { return parent_; }
@@ -278,7 +380,7 @@ class OverlayPeer final : public PeerBase {
   double clamp_fraction(double raw, int req_type);
   /// Applies the conformance-harness bug plant (planted_split_bias) *after*
   /// clamping so the sanitiser cannot mask it; identity when unset.
-  double biased(double f) const { return f + config_.planted_split_bias; }
+  double biased(double f) const { return f + config_->planted_split_bias; }
   double fraction_for_child(std::size_t child_idx, int req_type);
   double fraction_for_parent();
   double fraction_for_bridge(std::uint64_t requester_size);
@@ -296,7 +398,9 @@ class OverlayPeer final : public PeerBase {
   bool is_static_ancestor(int anc, int node) const;
 
   // elastic membership (every path below is gated on churn_enabled())
-  bool churn_enabled() const { return config_.churn.enabled(); }
+  bool churn_enabled() const { return churn_ != nullptr; }
+  /// The phantom children kept here (always empty without churn).
+  std::span<const PhantomChild> phantoms() const;
   /// Applies a (possibly negative) delta to my_size_ — clamped at the
   /// peer's own weight — and forwards it up the dynamic parent chain, the
   /// incremental replacement for a full converge-cast refresh.
@@ -319,10 +423,10 @@ class OverlayPeer final : public PeerBase {
   void dirty_outstanding_probe();
 
   // multi-job service mode (every path below is gated on svc_enabled())
-  bool svc_enabled() const { return config_.service.enabled; }
+  bool svc_enabled() const { return svc_ != nullptr; }
   /// Peers eligible as bridge partners / tree members: excludes the gate.
   int fleet_size() const {
-    return svc_enabled() ? config_.service.gate : num_peers();
+    return svc_enabled() ? config_->service.gate : num_peers();
   }
   /// The installed JobBag (null when no work). In service mode every
   /// acquire path installs bags only, so the downcast is total.
@@ -336,6 +440,12 @@ class OverlayPeer final : public PeerBase {
   void on_job_probe_ack(sim::Message m);
   void svc_reply_wave();
   void svc_finish_wave_at_root();
+
+  // fault recovery state (0 / no-op without fault tolerance)
+  int crash_epoch() const { return ft_ != nullptr ? ft_->crash_epoch : 0; }
+  bool known_down(int peer) const {
+    return ft_ != nullptr && ft_->peer_down[static_cast<std::size_t>(peer)] != 0;
+  }
 
   // termination
   std::uint64_t own_sent() const;
@@ -355,123 +465,64 @@ class OverlayPeer final : public PeerBase {
     return m;
   }
 
+  // Hot state first: the fields every message handler touches sit together
+  // at the front; cold, mode-specific state lives behind the pointers at
+  // the end, allocated only when its mode is on (docs/SCALING.md §2).
   std::shared_ptr<const overlay::TreeOverlay> tree_;
-  OverlayConfig config_;
+  std::shared_ptr<const OverlayConfig> config_;
   std::unique_ptr<Work> initial_work_;
   std::uint64_t weight_ = 1;
 
-  // sizes (learned through the distributed converge-cast)
-  std::vector<int> children_;
-  std::vector<std::uint64_t> child_size_;
+  // sizes (learned through the distributed converge-cast) and the dynamic
+  // tree position (diverges from tree_ only after crashes and churn)
+  std::vector<Child> children_;
   std::uint64_t my_size_ = 0;
   std::uint64_t parent_size_ = 0;
   int sizes_missing_ = 0;
-  bool ready_ = false;
-
-  // dynamic tree position (diverges from tree_ only after crashes)
   int parent_ = -1;
 
   // idle-episode state
-  bool idle_ = false;
   std::int64_t episode_ = 0;
   std::vector<int> down_order_;
   std::size_t down_pos_ = 0;
   int awaiting_child_ = -1;
-  bool up_requested_ = false;
-  std::pair<std::uint64_t, std::uint64_t> last_sent_agg_{0, 0};
-  bool retry_timer_armed_ = false;
   int bridge_target_ = -1;
   sim::Time bridge_sent_at_ = 0;
+  std::pair<std::uint64_t, std::uint64_t> last_sent_agg_{0, 0};
+  bool ready_ = false;
+  bool idle_ = false;
+  bool up_requested_ = false;
+  bool retry_timer_armed_ = false;
+  bool member_ = true;  ///< false while dormant and after a graceful leave
 
   // serving state
-  std::vector<bool> pending_child_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> child_agg_;  ///< (S, R)
-  std::vector<std::pair<int, std::uint64_t>> pending_bridges_;      ///< (peer, T_peer)
+  std::vector<ParkedBridge> pending_bridges_;
 
-  // bridge-transfer counters (monotonic)
+  // transfer counters (monotonic). The ft_ pair counts all work transfers,
+  // not just bridges: with unreliable links or churn the pending flags can
+  // go stale, so those termination waves count every serve.
   std::uint64_t bridge_sent_ = 0;
   std::uint64_t bridge_recv_ = 0;
-
-  // elastic-membership state
-  bool member_ = true;  ///< false while dormant and after a graceful leave
-  sim::Time join_at_ = -1;   ///< this peer's scheduled join (dormant peers)
-  sim::Time leave_at_ = -1;  ///< this peer's scheduled leave (members)
-  bool leave_timer_armed_ = false;
-  bool leave_pending_ = false;  ///< leave deferred until the chunk ends
-  /// Joins accepted + leaves absorbed here; summed across termination waves
-  /// so the root can tell churn happened between two otherwise clean waves.
-  std::uint64_t member_events_ = 0;
-  /// A departed child's final transfer counters, kept by its parent so the
-  /// subtree aggregates (agg_sent/agg_recv) never lose its contribution.
-  /// Phantoms are probed like children (they answer with their live-polled
-  /// counters) and receive the termination broadcast, but are never served.
-  struct PhantomChild {
-    int peer = -1;
-    std::pair<std::uint64_t, std::uint64_t> agg{0, 0};  ///< (sent, recv)
-  };
-  std::vector<PhantomChild> phantoms_;
-  /// kJoinReq accepted before this node finished its own converge-cast;
-  /// processed in become_ready().
-  std::vector<std::pair<int, std::uint64_t>> parked_joins_;  ///< (id, weight)
-  std::uint64_t probe_me_ = 0;  ///< member-events sum of the current wave
-
-  // service-mode state (all empty/idle unless config_.service.enabled)
-  /// Per-job transfer counters of THIS peer: job -> (pieces sent, received).
-  /// Monotone, like the bridge/ft counters; ordered so wave payloads are
-  /// assembled in deterministic job order.
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> svc_counters_;
-  // wave state (any node)
-  std::uint64_t svc_probe_id_ = 0;
-  int svc_probe_parent_ = -1;
-  int svc_acks_missing_ = 0;
-  std::map<std::uint64_t, JobStat> svc_table_;  ///< subtree aggregate
-  // root-only service state
-  bool svc_wave_outstanding_ = false;
-  std::uint64_t svc_next_wave_ = 0;
-  std::set<std::uint64_t> svc_injected_;  ///< kJobInject processed here
-  std::set<std::uint64_t> svc_done_;      ///< wave-confirmed and reported
-  /// A job's qualifying reading from the previous wave: done needs the next
-  /// wave to agree (same sent, consecutive wave ids).
-  struct SvcPrev {
-    std::uint64_t sent = 0;
-    std::uint64_t wave = 0;
-  };
-  std::map<std::uint64_t, SvcPrev> svc_prev_;
-  bool svc_shutdown_ = false;  ///< gate declared the stream exhausted
-
-  // fault-tolerance state
-  std::vector<char> peer_down_;   ///< peers known to have crashed
-  int crash_epoch_ = 0;           ///< == count of set entries in peer_down_
-  std::int64_t down_req_seq_ = 0; ///< generation of the kReqDown timeout
-  // All work transfers, not just bridges: with unreliable links the pending
-  // flags can go stale, so FT termination waves count every serve.
   std::uint64_t ft_sent_ = 0;
   std::uint64_t ft_recv_ = 0;
 
   // probe state (any node)
   std::uint64_t cur_probe_ = 0;
-  int probe_parent_ = -1;
-  int probe_acks_missing_ = 0;
   std::uint64_t probe_s_ = 0;
   std::uint64_t probe_r_ = 0;
-  bool probe_dirty_ = false;
+  std::uint64_t probe_me_ = 0;  ///< member-events sum of the current wave
+  int probe_parent_ = -1;
+  int probe_acks_missing_ = 0;
   int probe_epoch_ = 0;
-
-  // root-only termination state
-  bool probe_outstanding_ = false;
-  sim::Time probe_launched_at_ = 0;
-  /// Root-only wave-latency histogram (null unless metrics attached).
-  metrics::Histogram* m_wave_ = nullptr;
-  sim::Time last_wave_end_ = 0;
-  std::uint64_t next_probe_id_ = 0;
-  bool have_clean_probe_ = false;
-  std::uint64_t clean_s_ = 0;
-  std::uint64_t clean_r_ = 0;
-  int clean_epoch_ = 0;
-  std::uint64_t clean_me_ = 0;  ///< member-events sum of the clean wave
-  bool recheck_after_probe_ = false;
+  bool probe_dirty_ = false;
 
   sim::Time done_time_ = -1;
+
+  // cold, mode-specific state (null unless the mode is on / on the root)
+  std::unique_ptr<Churn> churn_;
+  std::unique_ptr<FaultTolerance> ft_;
+  std::unique_ptr<Service> svc_;
+  std::unique_ptr<RootTermination> root_;
 };
 
 }  // namespace olb::lb

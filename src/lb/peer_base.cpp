@@ -6,17 +6,33 @@
 
 namespace olb::lb {
 
+struct PeerBase::Instruments final : metrics::ActorEventCounters {
+  metrics::Gauge* queue = nullptr;         ///< olb_peer_queue_depth
+  metrics::Gauge* inflight = nullptr;      ///< olb_peer_inflight_requests
+  metrics::Counter* units = nullptr;       ///< olb_peer_units_total
+  metrics::Histogram* sojourn = nullptr;   ///< olb_peer_sojourn_ns
+  std::uint64_t units_reported = 0;
+  sim::Time idle_since = -1;  ///< -1 = currently holding work
+};
+
+PeerBase::Instruments* PeerBase::peer_instruments() const {
+  // on_metrics installs an Instruments before the Actor base arms it, so a
+  // non-null pointer here is always ours.
+  return static_cast<Instruments*>(instruments());
+}
+
 bool PeerBase::acquire_work(std::unique_ptr<Work> w) {
   if (w == nullptr || w->empty()) return holds_work();
   // Sojourn metric: close an open idle episode — this acquisition is the
-  // work the episode was waiting for. Gated on the instrument so metrics-off
-  // runs never pay the now() read (a syscall on the thread backend).
-  if (m_sojourn_ != nullptr && m_idle_since_ >= 0 && !holds_work())
-      [[unlikely]] {
-    const sim::Time waited = now() - m_idle_since_;
-    metrics::record(m_sojourn_,
+  // work the episode was waiting for. Gated on the instruments so
+  // metrics-off runs never pay the now() read (a syscall on the thread
+  // backend).
+  if (Instruments* m = peer_instruments();
+      m != nullptr && m->idle_since >= 0 && !holds_work()) [[unlikely]] {
+    const sim::Time waited = now() - m->idle_since;
+    metrics::record(m->sojourn,
                     static_cast<std::uint64_t>(waited > 0 ? waited : 0));
-    m_idle_since_ = -1;
+    m->idle_since = -1;
   }
   if (work_ == nullptr) {
     work_ = std::move(w);
@@ -65,8 +81,9 @@ void PeerBase::on_compute_done() {
   } else {
     // Sojourn metric: the idle episode starts when the last local chunk
     // finishes with nothing left, not when a request goes out.
-    if (m_sojourn_ != nullptr && m_idle_since_ < 0) [[unlikely]] {
-      m_idle_since_ = now();
+    if (Instruments* m = peer_instruments(); m != nullptr && m->idle_since < 0)
+        [[unlikely]] {
+      m->idle_since = now();
     }
     became_idle();
   }
@@ -96,22 +113,27 @@ void PeerBase::count_retry(int target, int msg_type, std::int64_t attempt) {
 }
 
 void PeerBase::on_metrics(metrics::Registry& registry) {
+  // Resumed runs re-arm: keep the existing struct (and its sojourn and
+  // units state), only re-fetch the idempotent get-or-create pointers.
+  if (instruments() == nullptr) set_instruments(std::make_unique<Instruments>());
   sim::Actor::on_metrics(registry);
-  m_queue_ = registry.gauge("olb_peer_queue_depth", id());
-  m_inflight_ = registry.gauge("olb_peer_inflight_requests", id());
-  m_units_ = registry.counter("olb_peer_units_total", id());
-  m_sojourn_ = registry.histogram("olb_peer_sojourn_ns", id());
+  Instruments& m = *peer_instruments();
+  m.queue = registry.gauge("olb_peer_queue_depth", id());
+  m.inflight = registry.gauge("olb_peer_inflight_requests", id());
+  m.units = registry.counter("olb_peer_units_total", id());
+  m.sojourn = registry.histogram("olb_peer_sojourn_ns", id());
   // Peers that start without work are idle from t=0: open their first
   // sojourn episode at run start so the initial work distribution shows up.
-  if (!holds_work()) m_idle_since_ = 0;
+  if (!holds_work()) m.idle_since = 0;
 }
 
 void PeerBase::on_metrics_poll() {
+  Instruments& m = *peer_instruments();
   const StateTap tap = state_tap();
-  m_queue_->set(static_cast<std::int64_t>(tap.work_amount));
-  m_inflight_->set(static_cast<std::int64_t>(tap.pending_requests));
-  m_units_->inc(units_done_ - m_units_reported_);
-  m_units_reported_ = units_done_;
+  m.queue->set(static_cast<std::int64_t>(tap.work_amount));
+  m.inflight->set(static_cast<std::int64_t>(tap.pending_requests));
+  m.units->inc(units_done_ - m.units_reported);
+  m.units_reported = units_done_;
 }
 
 void PeerBase::maybe_diffuse() {

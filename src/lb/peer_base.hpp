@@ -123,24 +123,22 @@ class PeerBase : public sim::Actor {
   std::int64_t diffused_bound_ = kNoBound;  ///< last value handed to diffuse_bound
   std::uint64_t units_done_ = 0;
   sim::Time last_active_ = 0;
+  std::uint64_t retries_ = 0;
   bool terminated_ = false;
   bool departed_ = false;  ///< set by the overlay's graceful-leave path
-  std::uint64_t retries_ = 0;
 
  private:
+  /// Live-metrics instruments on top of the Actor's event counters, held
+  /// behind Actor::instruments() (null unless a hub is attached; see
+  /// on_metrics). The sojourn clock is gated on that pointer so metrics-off
+  /// thread runs never pay the now() syscall in acquire_work or
+  /// on_compute_done.
+  struct Instruments;
+  Instruments* peer_instruments() const;
+
   void maybe_diffuse();
 
   PeerConfig config_;
-
-  // Live metrics (all null unless a hub is attached; see on_metrics). The
-  // sojourn clock is gated on m_sojourn_ so metrics-off thread runs never
-  // pay the now() syscall in acquire_work/on_compute_done.
-  metrics::Gauge* m_queue_ = nullptr;     ///< olb_peer_queue_depth
-  metrics::Gauge* m_inflight_ = nullptr;  ///< olb_peer_inflight_requests
-  metrics::Counter* m_units_ = nullptr;   ///< olb_peer_units_total
-  metrics::Histogram* m_sojourn_ = nullptr;  ///< olb_peer_sojourn_ns
-  std::uint64_t m_units_reported_ = 0;
-  sim::Time m_idle_since_ = -1;  ///< -1 = currently holding work
 };
 
 }  // namespace olb::lb

@@ -239,14 +239,19 @@ class Registry {
 /// at the emit_trace funnel — every protocol already marks requests, serves,
 /// declines, retries and idle episodes there, so deriving the counters at
 /// the funnel instruments all four strategies without touching their code.
+/// Heap-allocated per actor only when a hub attaches; actor classes with
+/// more instruments derive from it, so one pointer owns them all.
 struct ActorEventCounters {
+  ActorEventCounters() = default;
+  virtual ~ActorEventCounters() = default;
+  ActorEventCounters(const ActorEventCounters&) = delete;
+  ActorEventCounters& operator=(const ActorEventCounters&) = delete;
+
   Counter* requests = nullptr;  ///< kRequest (RWS steals, overlay req*, MW asks)
   Counter* serves = nullptr;    ///< kServe
   Counter* declines = nullptr;  ///< kNoServe
   Counter* retries = nullptr;   ///< kRetry
   Counter* idle = nullptr;      ///< kIdleBegin (idle episodes entered)
-
-  bool armed() const { return requests != nullptr; }
 };
 
 // --- the instrumentation-site helpers -------------------------------------

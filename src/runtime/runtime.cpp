@@ -20,7 +20,7 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(
       lb::make_overlay_tree(config));
-  const lb::OverlayConfig oc = lb::make_overlay_config(config);
+  auto oc = std::make_shared<const lb::OverlayConfig>(lb::make_overlay_config(config));
 
   ThreadNet net(config.seed);
   // Any caller-supplied sink is wrapped for thread safety: peers emit from

@@ -148,7 +148,7 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(
       lb::make_overlay_tree(config));
-  const lb::OverlayConfig oc = lb::make_overlay_config(config);
+  auto oc = std::make_shared<const lb::OverlayConfig>(lb::make_overlay_config(config));
   const std::unique_ptr<WorkCodec> codec = make_work_codec(workload);
 
   SocketNet::Options options;

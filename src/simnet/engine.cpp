@@ -29,22 +29,22 @@ void Actor::emit_trace(trace::EventKind kind, int peer, int type, std::int64_t a
   // retry/idle moments here, so counting at the funnel instruments all four
   // strategies (and works even when tracing is compiled out or detached).
   if constexpr (metrics::kMetricsCompiled) {
-    if (mcounters_.armed()) [[unlikely]] {
+    if (mcounters_ != nullptr) [[unlikely]] {
       switch (kind) {
         case trace::EventKind::kRequest:
-          mcounters_.requests->inc();
+          metrics::inc(mcounters_->requests);
           break;
         case trace::EventKind::kServe:
-          mcounters_.serves->inc();
+          metrics::inc(mcounters_->serves);
           break;
         case trace::EventKind::kNoServe:
-          mcounters_.declines->inc();
+          metrics::inc(mcounters_->declines);
           break;
         case trace::EventKind::kRetry:
-          mcounters_.retries->inc();
+          metrics::inc(mcounters_->retries);
           break;
         case trace::EventKind::kIdleBegin:
-          mcounters_.idle->inc();
+          metrics::inc(mcounters_->idle);
           break;
         default:
           break;
@@ -56,11 +56,14 @@ void Actor::emit_trace(trace::EventKind kind, int peer, int type, std::int64_t a
 }
 
 void Actor::on_metrics(metrics::Registry& registry) {
-  mcounters_.requests = registry.counter("olb_peer_requests_total", id_);
-  mcounters_.serves = registry.counter("olb_peer_serves_total", id_);
-  mcounters_.declines = registry.counter("olb_peer_declines_total", id_);
-  mcounters_.retries = registry.counter("olb_peer_retries_total", id_);
-  mcounters_.idle = registry.counter("olb_peer_idle_episodes_total", id_);
+  if (mcounters_ == nullptr) {
+    mcounters_ = std::make_unique<metrics::ActorEventCounters>();
+  }
+  mcounters_->requests = registry.counter("olb_peer_requests_total", id_);
+  mcounters_->serves = registry.counter("olb_peer_serves_total", id_);
+  mcounters_->declines = registry.counter("olb_peer_declines_total", id_);
+  mcounters_->retries = registry.counter("olb_peer_retries_total", id_);
+  mcounters_->idle = registry.counter("olb_peer_idle_episodes_total", id_);
 }
 
 void Actor::set_timer(Time delay, std::int64_t tag) {
@@ -236,9 +239,19 @@ void Engine::push_arrival(Message&& m, Time at) {
 void Engine::schedule_wake(Actor& a, Time at) {
   OLB_CHECK(!a.wake_pending_);
   a.wake_pending_ = true;
-  // Wake events never read msg, so the recycled slot's moved-from shell
-  // (payload always null after consumption) is left as-is.
+  // Wake events read only msg.dst, so the rest of the recycled slot's
+  // moved-from shell (payload always null after consumption) is left as-is.
   emplace_event(at, a.id_, Event::Kind::kWake);
+}
+
+Message Engine::pop_inbox(Actor& a) {
+  const std::uint32_t s = a.inbox_head_;
+  Event& ev = queue_.slot(s);
+  a.inbox_head_ = ev.next;
+  if (a.inbox_head_ == kNoSlot) a.inbox_tail_ = kNoSlot;
+  Message m = std::move(ev.msg);
+  queue_.release(s);
+  return m;
 }
 
 void Engine::service(Actor& a, Time t) {
@@ -255,9 +268,8 @@ void Engine::service(Actor& a, Time t) {
   if (!a.started_) {
     a.started_ = true;
     a.on_start();
-  } else if (!a.inbox_.empty()) {
-    Message m = std::move(a.inbox_.front());
-    a.inbox_.pop_front();
+  } else if (a.inbox_head_ != kNoSlot) {
+    Message m = pop_inbox(a);
     ++a.stats_.msgs_received;
     a.busy_until_ = t + config_.msg_handling_cost;
     a.stats_.overhead_time += config_.msg_handling_cost;
@@ -284,7 +296,7 @@ void Engine::service(Actor& a, Time t) {
     a.on_compute_done();
   }
 
-  if (!a.inbox_.empty() || a.compute_pending_) {
+  if (a.inbox_head_ != kNoSlot || a.compute_pending_) {
     schedule_wake(a, a.busy_until_ > t ? a.busy_until_ : t);
   } else {
     // Nothing queued and no compute outstanding: the actor goes idle once
@@ -301,35 +313,43 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
       return result;  // limit hit; queue intentionally left intact
     }
     // The event is consumed in place: scalars are copied out, an arrival's
-    // message is moved straight into the inbox, and drop_top() recycles the
-    // slot — the Event body itself never moves. `e` is dead after drop_top
-    // (anything that schedules — schedule_wake, service — may reuse the
-    // slot), so each branch drops before it emplaces.
+    // slot is detached from the schedule and linked into the inbox as it
+    // is, and drop_top() recycles every other slot — the Event body itself
+    // never moves. `e` is dead once its slot is released or the slab may
+    // grow (anything that schedules — schedule_wake, service — can do
+    // both), so each branch finishes with `e` before it emplaces.
     Event& e = queue_.top();
-    now_ = e.time;
+    now_ = queue_.peek_time();
     ++result.events;
     result.end_time = now_;
     // kTimeMax unless a metrics hub is attached (see run()).
     if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
-    const int dst = e.dst;
+    const int dst = e.msg.dst;
     const Event::Kind kind = e.kind;
     Actor& a = *actors_[static_cast<std::size_t>(dst - id_base_)];
     // Crash and stall events are only ever queued from a fault plan, and
     // crashed_ is only ever set by one, so fault-free runs take none of the
     // [[unlikely]] branches below.
     switch (kind) {
-      case Event::Kind::kArrival:
+      case Event::Kind::kArrival: {
         if (a.crashed_) [[unlikely]] {
-          arrival_at_crashed(queue_.pop());
+          arrival_at_crashed(std::move(queue_.pop().msg));
           break;
         }
         e.msg.arrived_at = now_;
-        a.inbox_.push_back(std::move(e.msg));
-        queue_.drop_top();
+        e.next = kNoSlot;
+        const std::uint32_t s = queue_.detach_top();
+        if (a.inbox_tail_ == kNoSlot) {
+          a.inbox_head_ = s;
+        } else {
+          queue_.slot(a.inbox_tail_).next = s;
+        }
+        a.inbox_tail_ = s;
         if (!a.wake_pending_) {
           schedule_wake(a, a.busy_until_ > now_ ? a.busy_until_ : now_);
         }
         break;
+      }
       case Event::Kind::kWake:
         queue_.drop_top();
         a.wake_pending_ = false;
@@ -357,25 +377,25 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
 // detects the failed delivery and keeps the data — so no work is lost and
 // the sender's transfer counters re-balance. A bounce that itself lands on
 // a crashed peer (sender died meanwhile) is destroyed and accounted.
-void Engine::arrival_at_crashed(Event e) {
-  Message m = std::move(e.msg);
+void Engine::arrival_at_crashed(Message m) {
+  const int victim = m.dst;
   if (m.payload != nullptr && !m.bounced && m.src >= 0 && is_local(m.src) &&
       !actors_[static_cast<std::size_t>(m.src - id_base_)]->crashed_) {
     ++work_bounced_;
     const int sender = m.src;
-    m.src = e.dst;
+    m.src = victim;
     m.dst = sender;
     m.bounced = true;
-    push_arrival(std::move(m), now_ + network_.latency(e.dst, sender));
+    push_arrival(std::move(m), now_ + network_.latency(victim, sender));
     return;
   }
   ++msgs_dropped_;
   if (m.payload != nullptr) {
     work_lost_units_ += m.payload->amount();
-    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, e.dst, m.type,
+    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
                 static_cast<std::int64_t>(m.id), 2);
   } else {
-    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, e.dst, m.type,
+    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
                 static_cast<std::int64_t>(m.id), 1);
   }
 }
@@ -388,11 +408,18 @@ void Engine::apply_crash(int peer) {
   ++crashes_applied_;
   // Arrived-but-unserviced messages die with the peer; their payloads are
   // genuinely lost (the sender already considers them delivered).
-  for (std::size_t i = 0; i < a.inbox_.size(); ++i) {
-    const Message& m = a.inbox_.at(i);
-    if (m.payload != nullptr) work_lost_units_ += m.payload->amount();
+  for (std::uint32_t s = a.inbox_head_; s != kNoSlot;) {
+    Event& ev = queue_.slot(s);
+    const std::uint32_t next = ev.next;
+    if (ev.msg.payload != nullptr) {
+      work_lost_units_ += ev.msg.payload->amount();
+      ev.msg.payload.reset();
+    }
+    queue_.release(s);
+    s = next;
   }
-  a.inbox_.clear();
+  a.inbox_head_ = kNoSlot;
+  a.inbox_tail_ = kNoSlot;
   const double held = a.on_crashed();
   work_lost_units_ += held;
   trace::emit(tracer_, now_, trace::EventKind::kPeerCrash, peer, -1, 0,

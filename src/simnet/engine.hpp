@@ -144,6 +144,14 @@ class Actor {
   void emit_trace(trace::EventKind kind, int peer = -1, int type = 0,
                   std::int64_t a = 0, std::int64_t b = 0);
 
+  /// The instruments armed by on_metrics; null until a hub attaches.
+  metrics::ActorEventCounters* instruments() const { return mcounters_.get(); }
+  /// Lets an on_metrics override install an extended instrument struct
+  /// before calling its base, which then fills the event counters in place.
+  void set_instruments(std::unique_ptr<metrics::ActorEventCounters> i) {
+    mcounters_ = std::move(i);
+  }
+
  private:
   friend class Engine;
   friend class olb::runtime::ThreadNet;
@@ -163,10 +171,17 @@ class Actor {
   bool compute_pending_ = false;
   bool wake_pending_ = false;
   bool crashed_ = false;
-  MessageRing inbox_;
+  /// Simulator inbox: delivered arrivals stay in their event-slab slots,
+  /// linked head to tail through Event::next (kNoSlot when empty). The
+  /// real-time backends keep their own mailboxes and never touch these.
+  std::uint32_t inbox_head_ = kNoSlot;
+  std::uint32_t inbox_tail_ = kNoSlot;
   ActorStats stats_;
-  /// Armed by on_metrics, bumped at the emit_trace funnel (see engine.cpp).
-  metrics::ActorEventCounters mcounters_;
+  /// Armed by on_metrics, bumped at the emit_trace funnel (see engine.cpp);
+  /// null until a hub attaches. Subclasses extend the struct (see
+  /// set_instruments), so all of an actor's instruments sit behind this one
+  /// pointer instead of inline in every peer.
+  std::unique_ptr<metrics::ActorEventCounters> mcounters_;
 };
 
 class Engine final : public Transport {
@@ -234,7 +249,8 @@ class Engine final : public Transport {
     return queue_.empty() ? kTimeMax : queue_.peek_time();
   }
 
-  /// Bytes of heap storage behind the event queue and remote outbox.
+  /// Bytes of heap storage behind the event queue (whose slab also holds
+  /// every actor's queued inbox messages) and the remote outbox.
   std::size_t queue_memory_bytes() const {
     return queue_.memory_bytes() + remote_out_.capacity() * sizeof(RemoteSend);
   }
@@ -371,10 +387,13 @@ class Engine final : public Transport {
     return queue_.emplace(at, tie, next_seq_++, dst, kind);
   }
   void push_arrival(Message&& m, Time at);
+  /// Moves the oldest inbox message out of its slab slot and frees the
+  /// slot. Precondition: the inbox is not empty.
+  Message pop_inbox(Actor& a);
   /// Cold continuation of send_from when link faults are enabled: fate
   /// draw, spike accounting, drop/duplicate handling.
   void send_faulty(Actor& from, int dst, Message&& m, Time latency);
-  void arrival_at_crashed(Event e);
+  void arrival_at_crashed(Message m);
   void apply_crash(int peer);
   void apply_stall(int peer, Time duration);
 

@@ -2,23 +2,30 @@
 //
 // std::priority_queue cannot hand back move-only elements, and we need a
 // deterministic total order (time, then insertion sequence), so we keep a
-// hand-rolled heap. Two layout decisions make it the engine's fastest
-// component instead of its bottleneck:
+// hand-rolled heap. Three layout decisions make it the engine's fastest
+// component instead of its bottleneck, and keep it small at 10^5+ peers:
 //
 //  * Event bodies live in a slab (`slots_`) and are recycled through a
-//    freelist — the heap itself holds 32-byte POD entries carrying only the
+//    freelist — the heap itself holds 32-byte POD entries carrying the
 //    ordering key (time, tie, seq) plus the slot index. Sift operations
-//    therefore shuffle trivially-copyable entries instead of ~100-byte
-//    move-only Events (whose Message member drags a unique_ptr along), and
-//    an Event's bytes never move between its push and its pop.
-//  * Sifts use hole percolation (shift parents/children into the hole, place
-//    the moving entry once) rather than std::swap chains — one copy per
-//    level instead of three.
+//    therefore shuffle trivially-copyable entries instead of move-only
+//    Events (whose Message member drags a unique_ptr along), and an Event's
+//    bytes never move between its emplace and its release.
+//  * The key lives only in the heap entry, so a slot is {Message, kind,
+//    next}: exactly one 64-byte cache line.
+//  * A delivered arrival keeps its slot: detach_top() pops the heap key but
+//    leaves the slot allocated, and the engine threads it into the
+//    destination actor's inbox FIFO through Event::next. An inbox therefore
+//    costs its actor two indices and no buffer of its own.
 //
-// The slab never shrinks: it holds as many slots as the queue's high-water
-// mark, which for the protocols here is small (events per actor are O(1)).
-// Ordering is byte-for-byte the pre-slab order — the comparator reads the
-// same (time, tie, seq) triple — so seeded runs reproduce exactly.
+// Sifts use hole percolation (shift parents/children into the hole, place
+// the moving entry once) rather than std::swap chains — one copy per level
+// instead of three.
+//
+// The slab never shrinks: it holds as many slots as the high-water mark of
+// pending events plus queued inbox messages, which for the protocols here
+// is small (O(1) per actor). Ordering reads the same (time, tie, seq)
+// triple whatever slot an event lands in, so seeded runs reproduce exactly.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +37,10 @@
 
 namespace olb::sim {
 
-struct Event {
+/// Slot index meaning "none" (end of an inbox list, empty inbox).
+inline constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+struct alignas(64) Event {
   enum class Kind : std::uint8_t {
     kArrival,  ///< a message reaches its destination's inbox
     kWake,     ///< the destination actor should service its queues
@@ -38,88 +48,85 @@ struct Event {
     kStall,    ///< fault injection: the destination freezes for msg.a ns
   };
 
-  Time time = 0;
-  std::uint64_t seq = 0;  ///< global insertion counter; ties broken FIFO
-  /// Random tie-break key, always 0 unless schedule perturbation is active
-  /// (see simnet/perturb.hpp) — then simultaneous events are ordered by it
-  /// instead of insertion order, exploring a different interleaving per
-  /// perturbation seed while staying fully deterministic.
-  std::uint64_t tie = 0;
-  int dst = -1;
+  /// The message of a kArrival. For every kind msg.dst names the target
+  /// actor (emplace stores it); kStall borrows msg.a for its duration.
+  Message msg;
   Kind kind = Kind::kWake;
-  Message msg;  ///< valid only for kArrival (kStall borrows msg.a)
+  /// Next slot of the inbox FIFO this delivered arrival sits in (kNoSlot at
+  /// the tail). Meaningless while the event is still pending in the heap.
+  std::uint32_t next = kNoSlot;
 };
+static_assert(sizeof(Event) == 64, "an event slot is one cache line");
 
 class EventQueue {
  public:
+  /// True when no event is pending (inbox-resident slots do not count).
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  void push(Event e) {
-    const Entry entry{e.time, e.tie, e.seq, acquire_slot(std::move(e))};
-    std::size_t i = heap_.size();
-    heap_.push_back(entry);  // placeholder; sift_up writes the final position
-    sift_up(entry, i);
-  }
-
   /// Constructs the event in its slab slot and returns a reference for the
-  /// caller to finish (typically moving a Message into `.msg`). Skips the
-  /// two whole-Event moves push() pays; the reference is valid only until
-  /// the next queue operation (emplace may grow or recycle the slab).
+  /// caller to finish (typically moving a Message into `.msg`, which keeps
+  /// the msg.dst stored here). The reference is valid only until the next
+  /// queue operation (emplace may grow or recycle the slab).
   Event& emplace(Time time, std::uint64_t tie, std::uint64_t seq, int dst,
                  Event::Kind kind) {
     std::uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
       free_.pop_back();
-      Event& ev = slots_[slot];
-      ev.time = time;
-      ev.tie = tie;
-      ev.seq = seq;
-      ev.dst = dst;
-      ev.kind = kind;
     } else {
       slot = static_cast<std::uint32_t>(slots_.size());
-      Event& ev = slots_.emplace_back();
-      ev.time = time;
-      ev.tie = tie;
-      ev.seq = seq;
-      ev.dst = dst;
-      ev.kind = kind;
+      slots_.emplace_back();
     }
+    Event& ev = slots_[slot];
+    ev.msg.dst = dst;
+    ev.kind = kind;
     const Entry entry{time, tie, seq, slot};
     std::size_t i = heap_.size();
     heap_.push_back(entry);  // placeholder; sift_up writes the final position
     sift_up(entry, i);
-    return slots_[slot];
+    return ev;
   }
 
   /// Removes and returns the earliest event. Precondition: !empty().
   Event pop() {
-    const std::uint32_t slot = heap_.front().slot;
-    pop_entry();
-    Event out = std::move(slots_[slot]);
-    free_.push_back(slot);
+    const std::uint32_t s = detach_top();
+    Event out = std::move(slots_[s]);
+    release(s);
     return out;
   }
 
   /// The earliest event, mutable so callers can consume `.msg` in place
-  /// before drop_top() — the zero-move alternative to pop(). Precondition:
-  /// !empty().
+  /// before drop_top()/detach_top() — the zero-move alternative to pop().
+  /// Precondition: !empty().
   Event& top() { return slots_[heap_.front().slot]; }
 
   /// Discards the earliest event without moving it out; pair with top().
   /// Any reference from top()/emplace() is dead after this (the slot is
   /// recycled). Precondition: !empty().
-  void drop_top() {
-    free_.push_back(heap_.front().slot);
-    pop_entry();
+  void drop_top() { release(detach_top()); }
+
+  /// Removes the earliest event's heap key but keeps its slot allocated,
+  /// returning the slot index: the event leaves the schedule, its body
+  /// stays put (the engine's inbox path). The caller owns the slot until
+  /// release(). References into the slab stay valid. Precondition: !empty().
+  std::uint32_t detach_top() {
+    const std::uint32_t s = heap_.front().slot;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(last);
+    return s;
   }
+
+  /// A detached slot (see detach_top). Valid until the next emplace.
+  Event& slot(std::uint32_t s) { return slots_[s]; }
+
+  /// Returns a detached slot to the freelist. Its message must already be
+  /// moved out or destroyed: recycled slots are reused as-is.
+  void release(std::uint32_t s) { free_.push_back(s); }
 
   /// Timestamp of the earliest event. Precondition: !empty().
   Time peek_time() const { return heap_.front().time; }
-
-  const Event& peek() const { return slots_[heap_.front().slot]; }
 
   /// Bytes of heap storage behind the queue. Tracks the slab's high-water
   /// mark (the slab never shrinks) — the honest number for the
@@ -132,7 +139,7 @@ class EventQueue {
 
  private:
   /// Heap entry: the deterministic ordering key plus the slab slot holding
-  /// the full Event. Trivially copyable by design — sifts copy these.
+  /// the event body. Trivially copyable by design — sifts copy these.
   struct Entry {
     Time time;
     std::uint64_t tie;
@@ -145,25 +152,6 @@ class EventQueue {
       return seq < other.seq;
     }
   };
-
-  /// Removes the root entry and restores the heap (slot not freed here).
-  void pop_entry() {
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(last);
-  }
-
-  std::uint32_t acquire_slot(Event&& e) {
-    if (!free_.empty()) {
-      const std::uint32_t slot = free_.back();
-      free_.pop_back();
-      slots_[slot] = std::move(e);
-      return slot;
-    }
-    const auto slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(e));
-    return slot;
-  }
 
   /// Percolates `e` up from the hole at `i`.
   void sift_up(Entry e, std::size_t i) {

@@ -61,65 +61,6 @@ static_assert(sizeof(Message) == 3 * sizeof(std::int64_t) + sizeof(void*) +
                                      2 * sizeof(int) + sizeof(Time) + 8,
               "type/id/bounced must form one 8-byte leading unit");
 
-/// FIFO of messages backed by a growable power-of-two ring.
-///
-/// This is the actor inbox. std::deque paid a chunk-map indirection plus a
-/// non-trivial iterator on every push/pop, and those two calls sit on the
-/// engine's hottest path (every delivered message passes through once).
-/// The ring is one contiguous buffer, two masked indices, and — like the
-/// event slab — it never shrinks: capacity is the inbox's high-water mark,
-/// small for every protocol here.
-class MessageRing {
- public:
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  /// Oldest message. Precondition: !empty().
-  Message& front() { return buf_[head_]; }
-  const Message& front() const { return buf_[head_]; }
-
-  /// The i-th oldest message, i < size() (for crash accounting sweeps).
-  const Message& at(std::size_t i) const {
-    return buf_[(head_ + i) & (buf_.size() - 1)];
-  }
-
-  void push_back(Message&& m) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(m);
-    ++size_;
-  }
-
-  /// Drops the oldest message. Callers move front() out first; the slot
-  /// keeps the moved-from shell (payload null) until overwritten.
-  void pop_front() {
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-  }
-
-  /// Destroys all queued messages (releases their payloads).
-  void clear() {
-    while (size_ > 0) {
-      buf_[head_] = Message();
-      pop_front();
-    }
-    head_ = 0;
-  }
-
- private:
-  void grow() {
-    std::vector<Message> bigger(buf_.empty() ? 8 : buf_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
-    }
-    buf_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  std::vector<Message> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 /// Message type tag reserved by the engine for timer expiry. Application
 /// message types must be >= 0.
 inline constexpr int kTimerMsgType = -1;

@@ -118,8 +118,9 @@ class ShardedEngine {
   void set_perturbation(const SchedulePerturbation& p);
   void set_planted_payload_drop(int nth);
 
-  /// Bytes of heap memory behind the event queues and remote outboxes —
-  /// the simulator's own share of the bytes-per-peer budget.
+  /// Bytes of heap memory behind the event queues (inboxes included) and
+  /// remote outboxes — the simulator's own share of the bytes-per-peer
+  /// budget.
   std::size_t queue_memory_bytes() const;
 
   /// Lifecycle pass-throughs (no-ops on the simulator; kept so the driver's

@@ -145,11 +145,12 @@ ServiceMetrics run_service(const ServiceConfig& config) {
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(
       lb::make_overlay_tree(rc));
-  lb::OverlayConfig oc = lb::make_overlay_config(rc);
-  oc.peer.diffuse_bounds = false;
-  oc.service.enabled = true;
-  oc.service.gate = n;  // gate id == fleet size, outside the tree
-  oc.service.wave_interval = config.wave_interval;
+  lb::OverlayConfig svc_config = lb::make_overlay_config(rc);
+  svc_config.peer.diffuse_bounds = false;
+  svc_config.service.enabled = true;
+  svc_config.service.gate = n;  // gate id == fleet size, outside the tree
+  svc_config.service.wave_interval = config.wave_interval;
+  const auto oc = std::make_shared<const lb::OverlayConfig>(std::move(svc_config));
 
   const int num_classes = static_cast<int>(config.classes.size());
   std::vector<lb::OverlayPeer*> peers;

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "lb/overlay_lb.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/sharded_engine.hpp"
@@ -262,10 +263,12 @@ TEST(ShardedMemory, EventQueueAccountsItsHeapStorage) {
 
 TEST(ShardedMemory, HotStructSizesStayPacked) {
   // The scale budget (docs/SCALING.md) counts these per queued event / per
-  // message. Growing either silently is a bytes-per-peer regression at
-  // n = 10^5-10^6; this canary makes the growth a conscious decision.
+  // message / per peer. Growing any of them silently is a bytes-per-peer
+  // regression at n = 10^5-10^6; this canary makes the growth a conscious
+  // decision.
   EXPECT_LE(sizeof(sim::Message), 56u);
-  EXPECT_LE(sizeof(sim::Event), 96u);
+  EXPECT_LE(sizeof(sim::Event), 64u);  // one cache line per slab slot
+  EXPECT_LE(sizeof(lb::OverlayPeer), 640u);
 }
 
 TEST(ShardedMemory, QueueBytesPerPeerStaysBounded) {

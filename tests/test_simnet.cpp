@@ -15,29 +15,27 @@ namespace {
 TEST(EventQueue, PopsInTimeOrder) {
   EventQueue q;
   for (Time t : {50, 10, 30, 20, 40}) {
-    Event e;
-    e.time = t;
-    e.seq = static_cast<std::uint64_t>(t);
-    q.push(std::move(e));
+    q.emplace(t, 0, static_cast<std::uint64_t>(t), 0, Event::Kind::kArrival)
+        .msg.a = t;
   }
   Time prev = -1;
   while (!q.empty()) {
-    const Event e = q.pop();
-    EXPECT_GT(e.time, prev);
-    prev = e.time;
+    const Time t = q.peek_time();
+    EXPECT_GT(t, prev);
+    EXPECT_EQ(q.pop().msg.a, t);  // the body travels with its key
+    prev = t;
   }
 }
 
 TEST(EventQueue, TiesBreakBySequence) {
   EventQueue q;
   for (std::uint64_t s : {3u, 1u, 2u, 0u}) {
-    Event e;
-    e.time = 7;
-    e.seq = s;
-    q.push(std::move(e));
+    q.emplace(7, 0, s, 0, Event::Kind::kArrival).msg.a =
+        static_cast<std::int64_t>(s);
   }
   for (std::uint64_t expect = 0; expect < 4; ++expect) {
-    EXPECT_EQ(q.pop().seq, expect);
+    EXPECT_EQ(q.peek_time(), 7);
+    EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(expect));
   }
 }
 
@@ -46,18 +44,32 @@ TEST(EventQueue, SingleElementPopKeepsMessageIntact) {
   // self-move-assigned the element — undefined for the Message's
   // unique_ptr payload (in practice it nulled it).
   EventQueue q;
-  Event e;
-  e.time = 5;
-  e.seq = 1;
+  Event& e = q.emplace(5, 0, 1, 3, Event::Kind::kArrival);
   e.msg = Message(7, 42);
+  e.msg.dst = 3;
   e.msg.payload = std::make_unique<MsgPayload>();
-  q.push(std::move(e));
+  EXPECT_EQ(q.peek_time(), 5);
   const Event out = q.pop();
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(out.time, 5);
   EXPECT_EQ(out.msg.type, 7);
   EXPECT_EQ(out.msg.a, 42);
+  EXPECT_EQ(out.msg.dst, 3);
   EXPECT_NE(out.msg.payload, nullptr);
+}
+
+TEST(EventQueue, EmplaceStoresTheTargetInMsgDst) {
+  // The slot carries no separate destination field: every kind names its
+  // target through msg.dst, including kinds that never carry a message.
+  EventQueue q;
+  q.emplace(2, 0, 0, 11, Event::Kind::kWake);
+  q.emplace(1, 0, 1, 12, Event::Kind::kCrash);
+  EXPECT_EQ(q.top().kind, Event::Kind::kCrash);
+  EXPECT_EQ(q.top().msg.dst, 12);
+  q.drop_top();
+  EXPECT_EQ(q.top().kind, Event::Kind::kWake);
+  EXPECT_EQ(q.top().msg.dst, 11);
+  q.drop_top();
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, SlabReuseNeverAliasesLiveEvent) {
@@ -90,8 +102,9 @@ TEST(EventQueue, SlabReuseNeverAliasesLiveEvent) {
   }
   // Drain the rest: ordering and payloads must line up despite recycling.
   for (std::uint64_t i = 32; i < 96; ++i) {
+    EXPECT_EQ(q.peek_time(), static_cast<Time>(i));
     const Event e = q.pop();
-    EXPECT_EQ(e.seq, i);
+    EXPECT_EQ(e.msg.type, static_cast<int>(i));
     ASSERT_NE(e.msg.payload, nullptr);
     EXPECT_EQ(e.msg.b, static_cast<std::int64_t>(i));
   }
@@ -110,15 +123,47 @@ TEST(EventQueue, TopDropTopMatchesPop) {
   EXPECT_EQ(q.peek_time(), 10);
   {
     Event& top = q.top();
-    EXPECT_EQ(top.time, 10);
     EXPECT_EQ(top.msg.a, 10);
     q.drop_top();
   }
+  EXPECT_EQ(q.peek_time(), 20);
   const Event e = q.pop();
-  EXPECT_EQ(e.time, 20);
-  EXPECT_EQ(q.top().time, 30);
+  EXPECT_EQ(e.msg.a, 20);
+  EXPECT_EQ(q.peek_time(), 30);
+  EXPECT_EQ(q.top().msg.a, 30);
   q.drop_top();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, DetachedSlotSurvivesLaterTraffic) {
+  // The inbox path: detach_top() takes the event off the schedule but the
+  // slot stays allocated, so later emplace/pop traffic must neither reuse
+  // nor clobber it until release().
+  EventQueue q;
+  Event& first = q.emplace(1, 0, 0, 4, Event::Kind::kArrival);
+  first.msg = Message(9, 99);
+  first.msg.dst = 4;
+  first.msg.payload = std::make_unique<MsgPayload>();
+  const std::uint32_t kept = q.detach_top();
+  EXPECT_TRUE(q.empty());
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    q.emplace(static_cast<Time>(2 + i), 0, 1 + i, 0, Event::Kind::kArrival)
+        .msg.a = static_cast<std::int64_t>(i);
+  }
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(i));
+  }
+  Event& still = q.slot(kept);
+  EXPECT_EQ(still.msg.type, 9);
+  EXPECT_EQ(still.msg.a, 99);
+  EXPECT_EQ(still.msg.dst, 4);
+  ASSERT_NE(still.msg.payload, nullptr);
+  still.msg.payload.reset();
+  q.release(kept);
+  // The released slot is recycled by the next emplace.
+  Event& reused = q.emplace(50, 0, 50, 1, Event::Kind::kWake);
+  EXPECT_EQ(&reused, &q.slot(kept));
+  EXPECT_EQ(reused.msg.dst, 1);
 }
 
 TEST(EventQueue, StressAgainstSortedReference) {
@@ -126,17 +171,15 @@ TEST(EventQueue, StressAgainstSortedReference) {
   EventQueue q;
   std::vector<std::pair<Time, std::uint64_t>> ref;
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    Event e;
-    e.time = static_cast<Time>(rng.below(1000));
-    e.seq = i;
-    ref.emplace_back(e.time, e.seq);
-    q.push(std::move(e));
+    const auto t = static_cast<Time>(rng.below(1000));
+    q.emplace(t, 0, i, 0, Event::Kind::kArrival).msg.a =
+        static_cast<std::int64_t>(i);
+    ref.emplace_back(t, i);
   }
   std::sort(ref.begin(), ref.end());
   for (const auto& [t, s] : ref) {
-    const Event e = q.pop();
-    EXPECT_EQ(e.time, t);
-    EXPECT_EQ(e.seq, s);
+    EXPECT_EQ(q.peek_time(), t);
+    EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(s));
   }
 }
 
@@ -359,6 +402,170 @@ TEST(Engine, BusyHistogramAccumulatesComputeTime) {
   Time total = 0;
   for (Time t : engine.busy_histogram()) total += t;
   EXPECT_EQ(total, milliseconds(3));
+}
+
+// ------------------------------------------------- slot-resident inboxes ---
+
+/// A payload that carries a marker and counts its own destruction.
+struct MarkedPayload : MsgPayload {
+  MarkedPayload(std::int64_t m, double units, int* destroyed)
+      : marker(m), units_(units), destroyed_(destroyed) {}
+  ~MarkedPayload() override {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+  double amount() const override { return units_; }
+  std::int64_t marker;
+
+ private:
+  double units_;
+  int* destroyed_;
+};
+
+/// Sends one marked payload to `dst` every `gap`, `count` in total.
+class Drip : public Actor {
+ public:
+  Drip(int dst, int count, Time gap) : dst_(dst), count_(count), gap_(gap) {}
+
+ protected:
+  void on_start() override { set_timer(0, 0); }
+  void on_timer(std::int64_t) override {
+    Message m(1, sent_);
+    m.payload = std::make_unique<MarkedPayload>(1000 + sent_, 1.0, nullptr);
+    send(dst_, std::move(m));
+    if (++sent_ < count_) set_timer(gap_, 0);
+  }
+  void on_message(Message) override {}
+
+ private:
+  int dst_;
+  int count_;
+  Time gap_;
+  int sent_ = 0;
+};
+
+/// Bounces a type-2 message back and forth with `partner` for `hops` hops.
+class PingPong : public Actor {
+ public:
+  PingPong(int partner, int hops, bool serve)
+      : partner_(partner), hops_(hops), serve_(serve) {}
+  int received = 0;
+
+ protected:
+  void on_start() override {
+    if (serve_) send(partner_, Message(2));
+  }
+  void on_message(Message) override {
+    ++received;
+    if (received < hops_) send(partner_, Message(2));
+  }
+
+ private:
+  int partner_;
+  int hops_;
+  bool serve_;
+};
+
+/// Computes for `busy` from t=0, then records every message it is handed.
+class BusyRecorder : public Actor {
+ public:
+  explicit BusyRecorder(Time busy) : busy_(busy) {}
+  struct Got {
+    Time at;
+    std::int64_t a;
+    std::int64_t marker;  ///< -1 when the message had no payload
+  };
+  std::vector<Got> got;
+  std::vector<int> peers_down;
+
+ protected:
+  void on_start() override { start_compute(busy_); }
+  void on_message(Message m) override {
+    const auto* p = static_cast<const MarkedPayload*>(m.payload.get());
+    got.push_back({now(), m.a, p != nullptr ? p->marker : -1});
+  }
+  void on_peer_down(int peer) override { peers_down.push_back(peer); }
+
+ private:
+  Time busy_;
+};
+
+TEST(Engine, InboxKeepsArrivalOrderWhileSlotsRecycle) {
+  // A busy actor's inbox lives in the event slab: 64 payload messages sit
+  // in their slots while a ping-pong pair churns the freelist around them.
+  // Every message must come out in arrival order with its payload intact —
+  // a slot freed early would be recycled and overwritten by the pair.
+  Engine engine(zero_jitter(), 1);
+  auto busy = std::make_unique<BusyRecorder>(milliseconds(5));
+  BusyRecorder* rec = busy.get();
+  engine.add_actor(std::move(busy));                                   // 0
+  engine.add_actor(std::make_unique<Drip>(0, 64, microseconds(20)));   // 1
+  auto ping = std::make_unique<PingPong>(3, 200, true);
+  auto pong = std::make_unique<PingPong>(2, 200, false);
+  PingPong* pi = ping.get();
+  PingPong* po = pong.get();
+  engine.add_actor(std::move(ping));                                   // 2
+  engine.add_actor(std::move(pong));                                   // 3
+  const auto result = engine.run();
+  EXPECT_TRUE(result.quiesced);
+  // The pair finished its whole exchange while the inbox was still full.
+  EXPECT_EQ(pi->received + po->received, 399);
+  ASSERT_EQ(rec->got.size(), 64u);
+  for (std::size_t i = 0; i < rec->got.size(); ++i) {
+    EXPECT_EQ(rec->got[i].a, static_cast<std::int64_t>(i));
+    EXPECT_EQ(rec->got[i].marker, 1000 + static_cast<std::int64_t>(i));
+    EXPECT_GE(rec->got[i].at, milliseconds(5));  // all waited for the compute
+  }
+}
+
+TEST(Engine, CrashDestroysQueuedInboxAndAccountsItsPayloads) {
+  // The crash-time inbox sweep: the victim is mid-compute with two payload
+  // messages (5 and 7 units) and one control message queued. None may be
+  // delivered, both payloads must be charged to the work-lost ledger and
+  // destroyed, and the survivors must hear of the crash.
+  int destroyed = 0;
+  class Feeder : public Actor {
+   public:
+    explicit Feeder(int* destroyed) : destroyed_(destroyed) {}
+    std::vector<int> peers_down;
+
+   protected:
+    void on_start() override {
+      Message five(1, 5);
+      five.payload = std::make_unique<MarkedPayload>(5, 5.0, destroyed_);
+      send(0, std::move(five));
+      Message seven(1, 7);
+      seven.payload = std::make_unique<MarkedPayload>(7, 7.0, destroyed_);
+      send(0, std::move(seven));
+      send(0, Message(3));  // control message, no payload
+    }
+    void on_message(Message) override {}
+    void on_peer_down(int peer) override { peers_down.push_back(peer); }
+
+   private:
+    int* destroyed_;
+  };
+  Engine engine(zero_jitter(), 1);
+  auto victim = std::make_unique<BusyRecorder>(milliseconds(2));
+  BusyRecorder* v = victim.get();
+  auto feeder = std::make_unique<Feeder>(&destroyed);
+  Feeder* f = feeder.get();
+  auto bystander = std::make_unique<BusyRecorder>(0);
+  BusyRecorder* b = bystander.get();
+  engine.add_actor(std::move(victim));     // 0
+  engine.add_actor(std::move(feeder));     // 1
+  engine.add_actor(std::move(bystander));  // 2
+  FaultPlan plan;
+  plan.add_crash(0, milliseconds(1));  // the messages arrived at 10 us
+  plan.detection_delay = microseconds(50);
+  engine.set_faults(plan);
+  const auto result = engine.run();
+  EXPECT_TRUE(result.quiesced);
+  EXPECT_EQ(engine.crashes_applied(), 1);
+  EXPECT_TRUE(v->got.empty());
+  EXPECT_DOUBLE_EQ(engine.work_lost_units(), 12.0);
+  EXPECT_EQ(destroyed, 2);  // before the engine (and its slab) goes away
+  EXPECT_EQ(f->peers_down, std::vector<int>{0});
+  EXPECT_EQ(b->peers_down, std::vector<int>{0});
 }
 
 TEST(Network, ClusterAssignmentIsBlockwise) {
