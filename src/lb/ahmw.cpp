@@ -7,16 +7,14 @@
 namespace olb::lb {
 
 AhmwPeer::AhmwPeer(std::shared_ptr<const overlay::TreeOverlay> tree,
-                   AhmwConfig config, std::unique_ptr<Work> initial_work)
-    : PeerBase(config.peer), tree_(std::move(tree)), config_(config),
-      initial_work_(std::move(initial_work)) {}
+                   const AhmwConfig& config, std::unique_ptr<Work> initial_work)
+    : FlatPeer(config.peer, config.fault_tolerant, config.request_timeout,
+               config.lease_interval),
+      tree_(std::move(tree)), config_(config), initial_work_(std::move(initial_work)) {}
 
 void AhmwPeer::on_start() {
   OLB_CHECK((initial_work_ != nullptr) == is_root());
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
-    if (is_root()) set_timer(config_.lease_interval, kRwsTermPollTimer);
-  }
+  start_termination(is_root());
   if (is_master()) {
     const int my_level = tree_->depth(id());
     for (int p = 0; p < tree_->size(); ++p) {
@@ -26,7 +24,6 @@ void AhmwPeer::on_start() {
     }
   }
   if (is_root()) {
-    ds_.make_initiator();
     OLB_CHECK(acquire_work(std::move(initial_work_)));
     continue_processing();
   } else {
@@ -49,32 +46,15 @@ double AhmwPeer::grain_fraction() const {
 void AhmwPeer::became_idle() {
   if (terminated_) return;
   emit_trace(trace::EventKind::kIdleBegin);
-  // Under faults Dijkstra–Scholten is abandoned (a lost signal hangs it);
-  // the top master's poll detects termination instead.
-  if (!config_.fault_tolerant) maybe_detach();
+  maybe_detach();
   if (terminated_ || request_outstanding_) return;
   if (is_root()) return;  // the top master only waits for its subtree
   pull_from_parent();
 }
 
-void AhmwPeer::send_request(int target, int type) {
-  request_outstanding_ = true;
-  emit_trace(trace::EventKind::kRequest, target, type);
-  if (config_.fault_tolerant) {
-    request_target_ = target;
-    // The sequence number travels in the request, is echoed by kStealFail
-    // and voids both stale failure replies and stale timeout timers.
-    send(target, make_msg(type, ++req_seq_));
-    set_timer(config_.request_timeout,
-              kAhmwRequestTimeoutTimer | (req_seq_ << kTimerTagShift));
-  } else {
-    send(target, make_msg(type));
-  }
-}
-
 void AhmwPeer::pull_from_parent() {
   if (terminated_ || request_outstanding_ || holds_work()) return;
-  send_request(tree_->parent(id()), kMWRequest);
+  send_request(tree_->parent(id()), kMWRequest, kAhmwRequestTimeoutTimer);
 }
 
 void AhmwPeer::steal_from_sibling() {
@@ -85,7 +65,7 @@ void AhmwPeer::steal_from_sibling() {
   }
   const int target =
       level_peers_[rng().below(static_cast<std::uint64_t>(level_peers_.size()))];
-  send_request(target, kSteal);
+  send_request(target, kSteal, kAhmwRequestTimeoutTimer);
 }
 
 void AhmwPeer::arm_retry() {
@@ -102,13 +82,9 @@ void AhmwPeer::on_timer(std::int64_t tag) {
       if (!is_root()) pull_from_parent();
       return;
     case kAhmwRequestTimeoutTimer:
-      if (terminated_ || !request_outstanding_) return;
-      if ((tag >> kTimerTagShift) != req_seq_) return;  // answered
-      count_retry(request_target_, kMWRequest, req_seq_);
-      request_outstanding_ = false;
-      if (!holds_work() && !is_root()) pull_from_parent();
+      on_request_timeout(tag, kMWRequest);
       return;
-    case kRwsTermPollTimer:
+    case kTermPollTimer:
       on_poll_tick();
       return;
     default:
@@ -116,130 +92,44 @@ void AhmwPeer::on_timer(std::int64_t tag) {
   }
 }
 
-void AhmwPeer::maybe_detach() {
-  const bool is_passive = !holds_work() && !computing();
-  if (!ds_.can_detach(is_passive)) return;
-  const int parent = ds_.detach();
-  if (parent >= 0) {
-    send(parent, make_msg(kSignal));
-  } else {
-    declare_termination();
-  }
-}
-
 void AhmwPeer::declare_termination() {
-  terminated_ = true;
-  done_time_ = now();
+  stop();
   for (int c : tree_->children(id())) {
-    if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-    send(c, make_msg(kTerminate));
+    if (!known_down(c)) send(c, make_msg(kTerminate));
   }
 }
 
 void AhmwPeer::diffuse_bound() {
   if (!is_root()) send(tree_->parent(id()), make_msg(kBound));
   for (int c : tree_->children(id())) {
-    if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-    send(c, make_msg(kBound));
-  }
-}
-
-void AhmwPeer::on_poll_tick() {
-  if (terminated_) return;  // no re-arm
-  const int n = num_peers();
-  int live_others = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != id() && peer_down_[p] == 0) ++live_others;
-  }
-  poll_.begin_round(++poll_round_, n, live_others);
-  for (int p = 0; p < n; ++p) {
-    if (p == id() || peer_down_[p] != 0) continue;
-    send(p, make_msg(kTermProbe, static_cast<std::int64_t>(poll_round_)));
-  }
-  if (live_others == 0) conclude_poll();  // sole survivor
-  if (!terminated_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-}
-
-void AhmwPeer::conclude_poll() {
-  if (poll_.conclude(passive(), work_sent_, work_recv_, crash_epoch_)) {
-    declare_termination();
-  }
-}
-
-void AhmwPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx >= peer_down_.size() || peer_down_[idx] != 0) return;
-  peer_down_[idx] = 1;
-  ++crash_epoch_;
-  if (terminated_) return;
-  poll_.invalidate();  // snapshots across a crash boundary don't compare
-  if (request_outstanding_ && request_target_ == peer) {
-    // The pull died with its target; retry against the hierarchy.
-    request_outstanding_ = false;
-    ++req_seq_;
-    if (!holds_work() && !is_root()) pull_from_parent();
+    if (!known_down(c)) send(c, make_msg(kBound));
   }
 }
 
 void AhmwPeer::on_message(sim::Message m) {
-  if (m.type != kTerminate) note_bound(m.a);
-  if (config_.fault_tolerant && m.src >= 0 &&
-      m.src < static_cast<int>(peer_down_.size()) && peer_down_[m.src] != 0 &&
-      m.type != kWork) {
-    return;  // in-flight message of a dead peer (work still bounces back)
-  }
+  if (!admit(m)) return;
   if (terminated_) {
     OLB_CHECK(m.type != kWork);
     if (m.type == kMWRequest || m.type == kSteal) {
       // Straggler pull from a peer the broadcast has not reached yet. Under
       // faults the sender may have *missed* the broadcast entirely, so tell
       // it to stop; fault-free it just gets a plain failure.
-      send(m.src, make_msg(config_.fault_tolerant ? kTerminate : kStealFail,
-                           config_.fault_tolerant ? 0 : m.b));
-    } else if (config_.fault_tolerant && m.type == kTermProbe) {
+      send(m.src, make_msg(fault_tolerant() ? kTerminate : kStealFail,
+                           fault_tolerant() ? 0 : m.b));
+    } else if (fault_tolerant() && m.type == kTermProbe) {
       send(m.src, make_msg(kTerminate));
     }
     return;
   }
   switch (m.type) {
-    case kMWRequest: {  // a child pulls a level-grain piece
-      if (holds_work()) {
-        const double fraction = grain_fraction();
-        if (auto w = split_work(fraction)) {
-          ds_.on_work_sent();
-          ++work_sent_;  // pure counter: FT TermPoll and state taps read it
-          emit_trace(trace::EventKind::kServe, m.src, kMWRequest,
-                     trace::fraction_ppm(fraction),
-                     static_cast<std::int64_t>(w->amount()));
-          auto reply = make_msg(kWork);
-          reply.payload = std::make_unique<WorkPayload>(std::move(w));
-          send(m.src, std::move(reply));
-          break;
-        }
-      }
-      send(m.src, make_msg(kStealFail, m.b));
+    case kMWRequest:  // a child pulls a level-grain piece
+      if (!serve(m, grain_fraction())) send(m.src, make_msg(kStealFail, m.b));
       break;
-    }
-    case kSteal: {  // an empty same-level master steals half
-      if (holds_work()) {
-        if (auto w = split_work(0.5)) {
-          ds_.on_work_sent();
-          ++work_sent_;  // pure counter, as above
-          emit_trace(trace::EventKind::kServe, m.src, kSteal,
-                     trace::fraction_ppm(0.5),
-                     static_cast<std::int64_t>(w->amount()));
-          auto reply = make_msg(kWork);
-          reply.payload = std::make_unique<WorkPayload>(std::move(w));
-          send(m.src, std::move(reply));
-          break;
-        }
-      }
-      send(m.src, make_msg(kStealFail, m.b));
+    case kSteal:  // an empty same-level master steals half
+      if (!serve(m, 0.5)) send(m.src, make_msg(kStealFail, m.b));
       break;
-    }
-    case kStealFail: {
-      if (config_.fault_tolerant && m.b != req_seq_) break;  // stale/dup
+    case kStealFail:
+      if (fault_tolerant() && m.b != request_seq_) break;  // stale/dup
       request_outstanding_ = false;
       if (holds_work()) break;
       // Parent dry: masters try a same-level peer before backing off.
@@ -249,41 +139,6 @@ void AhmwPeer::on_message(sim::Message m) {
         arm_retry();
       }
       break;
-    }
-    case kWork: {
-      request_outstanding_ = false;
-      ++work_recv_;  // pure counter, mirroring work_sent_
-      if (config_.fault_tolerant) {
-        ++req_seq_;  // void any outstanding request timeout
-      }
-      emit_trace(trace::EventKind::kIdleEnd, m.src, m.type);
-      if (!config_.fault_tolerant && ds_.on_work_received(m.src)) {
-        send(m.src, make_msg(kSignal));
-      }
-      auto* payload = static_cast<WorkPayload*>(m.payload.get());
-      acquire_work(std::move(payload->work));
-      continue_processing();
-      break;
-    }
-    case kSignal: {
-      ds_.on_signal();
-      maybe_detach();
-      break;
-    }
-    case kTermProbe: {
-      send(m.src, make_msg(kTermAck,
-                           pack_term_ack_b(static_cast<std::uint64_t>(m.b),
-                                           passive()),
-                           pack_term_ack_c(work_sent_, work_recv_)));
-      break;
-    }
-    case kTermAck: {
-      if (poll_.on_ack(term_ack_round(m.b), m.src, term_ack_passive(m.b),
-                       term_ack_sent(m.c), term_ack_recv(m.c))) {
-        conclude_poll();
-      }
-      break;
-    }
     case kBound:
       // Forward improvements along the hierarchy.
       if (bound_ < diffused_bound_) {
@@ -292,25 +147,16 @@ void AhmwPeer::on_message(sim::Message m) {
           send(tree_->parent(id()), make_msg(kBound));
         }
         for (int c : tree_->children(id())) {
-          if (c != m.src &&
-              !(config_.fault_tolerant && peer_down_[c] != 0)) {
-            send(c, make_msg(kBound));
-          }
+          if (c != m.src && !known_down(c)) send(c, make_msg(kBound));
         }
       }
       break;
-    case kTerminate: {
+    case kTerminate:
       OLB_CHECK_MSG(!holds_work(), "terminate reached a peer still holding work");
-      terminated_ = true;
-      done_time_ = now();
-      for (int c : tree_->children(id())) {
-        if (config_.fault_tolerant && peer_down_[c] != 0) continue;
-        send(c, make_msg(kTerminate));
-      }
+      declare_termination();  // relays the broadcast down the hierarchy
       break;
-    }
     default:
-      OLB_CHECK_MSG(false, "unexpected message type for AhmwPeer");
+      on_common_message(std::move(m));
   }
 }
 

@@ -20,24 +20,21 @@
 // Fault tolerance (config.fault_tolerant, set by the driver iff a FaultPlan
 // is enabled; only *leaf* crashes are supported — the driver rejects master
 // victims): pulls and steals time out and are retried, Dijkstra–Scholten is
-// replaced by the top master's poll termination (lease_termination.hpp),
-// and terminated peers answer straggler pulls with kTerminate so a dropped
-// broadcast cannot strand a worker.
+// replaced by the top master's lease poll (flat_peer.hpp), and terminated
+// peers answer straggler pulls with kTerminate so a dropped broadcast cannot
+// strand a worker.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "lb/ds_termination.hpp"
-#include "lb/lease_termination.hpp"
-#include "lb/peer_base.hpp"
+#include "lb/flat_peer.hpp"
 #include "overlay/tree_overlay.hpp"
 
 namespace olb::lb {
 
 struct AhmwConfig {
   PeerConfig peer;
-  int hierarchy_degree = 10;
   /// Grain divisor base: a level-L master serves pieces of total/B^(L+1).
   double decomposition_base = 30.0;
   /// Total problem size in work units (the driver sets this from the
@@ -54,32 +51,22 @@ struct AhmwConfig {
   sim::Time lease_interval = sim::milliseconds(2);
 };
 
-class AhmwPeer final : public PeerBase {
+class AhmwPeer final : public FlatPeer {
  public:
   /// `initial_work` non-null exactly for the hierarchy root (peer 0).
-  AhmwPeer(std::shared_ptr<const overlay::TreeOverlay> tree, AhmwConfig config,
+  AhmwPeer(std::shared_ptr<const overlay::TreeOverlay> tree, const AhmwConfig& config,
            std::unique_ptr<Work> initial_work);
-
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
-  /// Number of crashed peers this peer has been notified about.
-  int known_crashes() const { return crash_epoch_; }
-
-  StateTap state_tap() const override {
-    StateTap t = PeerBase::state_tap();
-    t.transfers_sent = work_sent_;
-    t.transfers_recv = work_recv_;
-    t.pending_requests = request_outstanding_ ? 1 : 0;
-    return t;
-  }
 
  protected:
   void on_start() override;
   void on_message(sim::Message m) override;
   void on_timer(std::int64_t tag) override;
-  void on_peer_down(int peer) override;
   void became_idle() override;
   void diffuse_bound() override;
+  void retry_request() override {
+    if (!is_root()) pull_from_parent();
+  }
+  void declare_termination() override;
 
  private:
   bool is_root() const { return id() == tree_->root(); }
@@ -87,37 +74,14 @@ class AhmwPeer final : public PeerBase {
 
   void pull_from_parent();
   void steal_from_sibling();
-  void send_request(int target, int type);
   void arm_retry();
-  void maybe_detach();
-  void declare_termination();
   double grain_fraction() const;
-  bool passive() const { return !holds_work() && !computing(); }
-  void on_poll_tick();
-  void conclude_poll();
-
-  sim::Message make_msg(int type, std::int64_t b = 0, std::int64_t c = 0) const {
-    return sim::Message(type, bound_, b, c);
-  }
 
   std::shared_ptr<const overlay::TreeOverlay> tree_;
   AhmwConfig config_;
   std::unique_ptr<Work> initial_work_;
   std::vector<int> level_peers_;  ///< masters of the same hierarchy level
-  DsTermination ds_;
-  bool request_outstanding_ = false;
   bool retry_armed_ = false;
-  sim::Time done_time_ = -1;
-
-  // fault-tolerance state
-  std::vector<char> peer_down_;
-  int crash_epoch_ = 0;
-  int request_target_ = -1;
-  std::int64_t req_seq_ = 0;  ///< generation of the request-timeout timer
-  std::uint64_t work_sent_ = 0;
-  std::uint64_t work_recv_ = 0;
-  TermPoll poll_;              ///< top master only
-  std::uint64_t poll_round_ = 0;
 };
 
 }  // namespace olb::lb

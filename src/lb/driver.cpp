@@ -249,10 +249,13 @@ SequentialMetrics run_sequential(Workload& workload) {
 
 namespace {
 
+/// Which payload-carrying message the lost-work plant drops.
+constexpr int kLostWorkNth = 2;
+
 /// Fault-tolerant request/lease timing, derived from the worst-case round
-/// trip. The lease interval must dominate the maximum message lifetime (see
-/// lease_termination.hpp); 4x RTT gives slack for the serve-time between
-/// request and reply.
+/// trip. The lease interval must dominate the maximum message lifetime (the
+/// counter-wave argument in counter_wave.hpp); 4x RTT gives slack for the
+/// serve-time between request and reply.
 struct FtTiming {
   sim::Time request_timeout = 0;
   sim::Time lease_interval = 0;
@@ -369,7 +372,6 @@ BuiltCluster build_cluster(EngineT& engine, Workload& workload,
           overlay::TreeOverlay::deterministic(n, config.dmax));
       AhmwConfig ac;
       ac.peer = peer_config;
-      ac.hierarchy_degree = config.dmax;
       ac.decomposition_base = config.ahmw_decomposition;
       ac.total_amount = static_cast<double>(factory->interval_total());
       ac.fault_tolerant = ft;
@@ -471,7 +473,7 @@ RunMetrics run_on_engine(EngineT& engine, Workload& workload,
   if (config.faults.enabled()) engine.set_faults(config.faults);
   engine.set_perturbation(config.perturb);
   if (config.plant.kind == PlantedBug::Kind::kLostWork) {
-    engine.set_planted_payload_drop(config.plant.lose_nth);
+    engine.set_planted_payload_drop(kLostWorkNth);
   }
 
   engine.transport_start();  // lifecycle contract; a no-op on the simulator

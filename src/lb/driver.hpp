@@ -110,13 +110,12 @@ struct PlantedBug {
     /// Overlay split fractions biased upwards after clamping — served
     /// shares can exceed 1 (split-fraction oracle territory).
     kSplitBias,
-    /// The nth payload-carrying message silently vanishes in the network —
-    /// a lost transfer (conservation/completion oracle territory).
+    /// The second payload-carrying message silently vanishes in the
+    /// network — a lost transfer (conservation/completion oracle territory).
     kLostWork,
   };
   Kind kind = Kind::kNone;
   double split_bias = 0.6;  ///< added to every fraction under kSplitBias
-  int lose_nth = 2;         ///< which transfer vanishes under kLostWork
 
   bool enabled() const { return kind != Kind::kNone; }
 };

@@ -23,7 +23,9 @@ enum MsgType : int {
   kSizeUp = 0,     ///< converge-cast: b = subtree size of sender
   kSizeDown = 1,   ///< b = sender's (the parent's) subtree size; start signal
   kReqDown = 2,    ///< parent asks child for work; c = requester episode
-  kReqUp = 3,      ///< child asks parent; b/c = aggregated bridge sent/recv
+  kReqUp = 3,      ///< child asks parent; b/c = subtree transfer counters
+                   ///< sent/recv (bridge transfers on reliable links, every
+                   ///< transfer under faults or churn)
   kReqBridge = 4,  ///< bridge request; b = requester's subtree size
   kNoWork = 5,     ///< negative reply to kReqDown; c = echoed episode
   kWork = 6,       ///< work transfer; payload = WorkPayload
@@ -114,7 +116,6 @@ inline const char* msg_type_name(int type) {
 /// PeerBase — can never alias a protocol timer of a subclass.
 enum TimerTag : std::int64_t {
   kOverlayRetryTimer = 0x0101,
-  kRwsRetryTimer = 0x0201,
   kMwCheckpointTimer = 0x0301,
   kAhmwRetryTimer = 0x0401,
   kTraceFlushTimer = 0x0501,  ///< reserved for the trace layer
@@ -126,7 +127,7 @@ enum TimerTag : std::int64_t {
   kOverlaySetupTimer = 0x0103,       ///< kSizeUp retransmit until ready
   kOverlayLeaseTimer = 0x0104,       ///< root re-probe / peer lease refresh
   kRwsStealTimeoutTimer = 0x0202,    ///< kSteal went unanswered
-  kRwsTermPollTimer = 0x0203,        ///< initiator poll-termination cadence
+  kTermPollTimer = 0x0203,           ///< RWS/AHMW initiator poll cadence
   kMwRequestTimeoutTimer = 0x0302,   ///< kMWRequest retransmit
   kAhmwRequestTimeoutTimer = 0x0402, ///< kMWRequest/kSteal retransmit
 
@@ -145,20 +146,20 @@ enum TimerTag : std::int64_t {
 inline constexpr int kTimerTagShift = 16;
 inline constexpr std::int64_t kTimerTagMask = (std::int64_t{1} << kTimerTagShift) - 1;
 
-/// Payload of kProbe / kProbeAck (termination waves in bridge mode).
+/// Payload of kProbe / kProbeAck: one subtree's counter-wave reading
+/// (lb::CounterReading in counter_wave.hpp, which states the rule the root
+/// applies to it).
 struct ProbePayload final : sim::MsgPayload {
   std::uint64_t probe_id = 0;
-  std::uint64_t bridge_sent = 0;
-  std::uint64_t bridge_recv = 0;
+  /// The subtree's summed transfer counters: bridge transfers on reliable
+  /// links, every transfer under faults or churn.
+  std::uint64_t sent = 0;
+  std::uint64_t recv = 0;
   bool dirty = false;  ///< some node in the subtree was active
-  /// Max crash-epoch (count of known crashed peers) over the wave; the
-  /// fault-tolerant root only terminates when two lease-separated waves
-  /// agree on it (no crash was learned between them).
+  /// Max crash epoch (count of known crashed peers) over the wave.
   int crash_epoch = 0;
   /// Sum of membership events (joins accepted + leaves absorbed) over the
-  /// wave. Under churn the root requires the back-to-back clean waves to
-  /// agree on this sum too — the membership analogue of the crash-epoch
-  /// rule: a join or leave between the waves invalidates the pair.
+  /// wave.
   std::uint64_t member_events = 0;
 };
 
@@ -215,9 +216,8 @@ struct JobStat {
 /// Payload of kJobProbe / kJobProbeAck: the root's per-job accounting wave.
 /// Unlike kProbe, a service wave always recurses — busy peers answer too —
 /// because it measures *where each job's work is*, not whether the system is
-/// quiet. The root declares a job done after two consecutive waves agree:
-/// sent == recv, holds == 0, and sent unchanged between them (Mattern's
-/// stability rule applied per job).
+/// quiet. The root applies the counter rule (counter_wave.hpp) per job, with
+/// zero holdings as the job's quiet condition.
 struct JobProbePayload final : sim::MsgPayload {
   std::uint64_t probe_id = 0;
   std::vector<JobStat> stats;  ///< sorted by job id (map iteration order)

@@ -384,7 +384,7 @@ void OverlayPeer::on_timer(std::int64_t tag) {
       // Per-job accounting cadence (service mode, root only). Stops re-arming
       // once the fleet terminates so the simulation can quiesce.
       if (terminated_) return;
-      if (!svc_->wave_outstanding && svc_->done.size() < svc_->injected.size()) {
+      if (!svc_->wave.in_progress() && !svc_->open.empty()) {
         svc_launch_wave();
       }
       set_timer(config_->service.wave_interval, kOverlayJobWaveTimer);
@@ -487,11 +487,7 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
         ph.agg.first = std::max(ph.agg.first, static_cast<std::uint64_t>(m.b));
         ph.agg.second = std::max(ph.agg.second, static_cast<std::uint64_t>(m.c));
         if (is_root()) {
-          if (root_term().probe_outstanding) {
-            root_term().recheck_after_probe = true;
-          } else {
-            check_root_termination();
-          }
+          recheck_root_termination();
         } else if (idle_ && up_requested_ &&
                    std::pair{agg_sent(), agg_recv()} != last_sent_agg_) {
           send_up_request();
@@ -522,11 +518,7 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
   trace_queue_depth();
 
   if (is_root()) {
-    if (root_term().probe_outstanding) {
-      root_term().recheck_after_probe = true;
-    } else {
-      check_root_termination();
-    }
+    recheck_root_termination();
     return;
   }
   if (idle_ && up_requested_) {
@@ -565,7 +557,7 @@ void OverlayPeer::on_work(sim::Message m) {
   OLB_CHECK_MSG(!terminated_, "work arrived after termination was declared");
   ++ft_recv_;  // unconditional, mirroring ft_sent_ in send_work
   if (m.b == 1) ++bridge_recv_;
-  if (probe_acks_missing_ > 0) probe_dirty_ = true;
+  dirty_outstanding_probe();
   if (m.b == 1 && m.src == bridge_target_) bridge_target_ = -1;
   if (idle_) emit_trace(trace::EventKind::kIdleEnd, m.src, m.type, episode_);
   idle_ = false;
@@ -830,11 +822,7 @@ void OverlayPeer::on_leave(sim::Message m) {
     advance_down();
   }
   if (is_root()) {
-    if (root_term().probe_outstanding) {
-      root_term().recheck_after_probe = true;
-    } else {
-      check_root_termination();
-    }
+    recheck_root_termination();
   } else if (idle_ && up_requested_) {
     if (std::pair{agg_sent(), agg_recv()} != last_sent_agg_) send_up_request();
   } else if (idle_ && awaiting_child_ == -1) {
@@ -860,7 +848,7 @@ void OverlayPeer::on_rewire(const sim::Message& m) {
 }
 
 void OverlayPeer::dirty_outstanding_probe() {
-  if (probe_acks_missing_ > 0) probe_dirty_ = true;
+  if (probe_.in_progress()) probe_dirty_ = true;
 }
 
 void OverlayPeer::departed_dispatch(sim::Message m) {
@@ -888,16 +876,7 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
     case kProbe: {
       const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
       OLB_CHECK(pp != nullptr);
-      auto msg = make_msg(kProbeAck);
-      auto ack = std::make_unique<ProbePayload>();
-      ack->probe_id = pp->probe_id;
-      ack->bridge_sent = own_sent();
-      ack->bridge_recv = own_recv();
-      ack->dirty = false;
-      ack->crash_epoch = crash_epoch();
-      ack->member_events = churn_->member_events;
-      msg.payload = std::move(ack);
-      send(m.src, std::move(msg));
+      send_probe_ack(m.src, pp->probe_id, /*dirty=*/false, own_reading());
       break;
     }
     case kTerminate:
@@ -1031,7 +1010,7 @@ void OverlayPeer::on_peer_down(int peer) {
   ft_->peer_down[pidx] = 1;
   ++ft_->crash_epoch;
   if (terminated_) return;
-  if (is_root()) root_term().have_clean_probe = false;  // wave pairs must share an epoch
+  if (is_root()) root_term().rule.invalidate();  // wave pairs must share an epoch
   if (bridge_target_ == peer) bridge_target_ = -1;
   pending_bridges_.erase(
       std::remove_if(pending_bridges_.begin(), pending_bridges_.end(),
@@ -1082,12 +1061,11 @@ void OverlayPeer::on_lease_tick() {
   if (terminated_) return;  // no re-arm: the timer dies with the protocol
   if (is_root()) {
     RootTermination& rt = root_term();
-    if (rt.probe_outstanding &&
+    if (probe_.in_progress() &&
         now() - rt.probe_launched_at >= config_->lease_interval) {
       // The wave lost a message (or its relay crashed); abandon it.
-      count_retry(-1, kProbe, static_cast<std::int64_t>(cur_probe_));
-      rt.probe_outstanding = false;
-      probe_acks_missing_ = 0;
+      count_retry(-1, kProbe, static_cast<std::int64_t>(probe_.id));
+      probe_.acks_missing = 0;
     }
     check_root_termination();
   } else if (idle_ && up_requested_) {
@@ -1137,149 +1115,119 @@ void OverlayPeer::check_root_termination() {
   // more jobs may still be injected, so global quiescence means nothing.
   if (svc_enabled() && !svc_->shutdown) return;
   if (!locally_quiet() || !all_children_pending()) return;
-  RootTermination& rt = root_term();
-  if (config_->fault_tolerant) {
-    // Unreliable links can leave pending flags stale, so even pure tree
-    // mode must confirm termination with counter waves.
-    if (rt.probe_outstanding) {
-      rt.recheck_after_probe = true;
-      return;
-    }
-    if (crash_epoch() == 0 && agg_sent() != agg_recv()) return;
-    // Pace the confirming wave one lease after the previous one: every
-    // transfer in flight during wave k has landed (and bumped a receive
-    // counter) before wave k+1 polls its receiver.
-    if (rt.have_clean_probe &&
-        now() - rt.last_wave_end < config_->lease_interval) {
-      return;  // the lease timer re-checks
-    }
-    launch_probe();
-    return;
-  }
-  if (!config_->use_bridges && !churn_enabled()) {
+  if (!config_->fault_tolerant && !config_->use_bridges && !churn_enabled()) {
     // Pure tree mode: a child's upward request proves its whole subtree is
-    // finished, so the condition alone is exact. Under churn that proof
-    // breaks — a serve can be in flight to a peer that already left (its
-    // departed forward re-injects the work outside the tree discipline) —
-    // so elastic runs always confirm with full-counter waves instead.
+    // finished, so the condition alone is exact. Unreliable links can leave
+    // pending flags stale, and under churn a serve can be in flight to a
+    // peer that already left (its departed forward re-injects the work
+    // outside the tree discipline), so those runs confirm with counter
+    // waves like bridge mode.
     declare_termination();
     return;
   }
-  if (rt.probe_outstanding) {
+  RootTermination& rt = root_term();
+  if (probe_.in_progress()) {
     rt.recheck_after_probe = true;
     return;
   }
-  if (agg_sent() == agg_recv()) launch_probe();
   // Unbalanced counters: some receipt/send is still unreported; the owning
   // subtree will re-idle and refresh its upward request, re-triggering us.
+  // (After a crash the victim's counters are gone for good.)
+  if (crash_epoch() == 0 && agg_sent() != agg_recv()) return;
+  // Under faults the confirming wave waits one lease (finish_probe_at_root).
+  if (config_->fault_tolerant && rt.rule.primed() &&
+      now() - rt.last_wave_end < config_->lease_interval) {
+    return;  // the lease timer re-checks
+  }
+  launch_probe();
+}
+
+void OverlayPeer::recheck_root_termination() {
+  if (probe_.in_progress()) {
+    root_term().recheck_after_probe = true;
+  } else {
+    check_root_termination();
+  }
+}
+
+bool OverlayPeer::forward_wave(WaveNode& wave, int type, std::uint64_t id, int parent) {
+  wave = WaveNode{id, parent, static_cast<int>(children_.size() + phantoms().size())};
+  auto forward = [&](int dst) {
+    auto msg = make_msg(type);
+    if (type == kProbe) {
+      auto payload = std::make_unique<ProbePayload>();
+      payload->probe_id = id;
+      msg.payload = std::move(payload);
+    } else {
+      auto payload = std::make_unique<JobProbePayload>();
+      payload->probe_id = id;
+      msg.payload = std::move(payload);
+    }
+    send(dst, std::move(msg));
+  };
+  for (const Child& c : children_) forward(c.id);
+  // Phantoms are polled directly: the departed peer answers with its *true*
+  // counters, so a stale phantom ledger can only block termination (the
+  // pre-wave gate), never falsely balance it.
+  for (const PhantomChild& ph : phantoms()) forward(ph.peer);
+  return wave.in_progress();
 }
 
 void OverlayPeer::launch_probe() {
   RootTermination& rt = root_term();
-  rt.probe_outstanding = true;
   rt.probe_launched_at = now();
   rt.recheck_after_probe = false;
-  cur_probe_ = ++rt.next_probe_id;
-  probe_s_ = own_sent();
-  probe_r_ = own_recv();
-  probe_me_ = member_events();
+  const std::uint64_t id = probe_.id + 1;
+  emit_trace(trace::EventKind::kProbeWave, -1, 0, static_cast<std::int64_t>(id));
+  join_probe(id, -1);
+}
+
+void OverlayPeer::join_probe(std::uint64_t id, int parent) {
+  probe_sum_ = own_reading();
   probe_dirty_ = false;
-  probe_epoch_ = crash_epoch();
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
-  emit_trace(trace::EventKind::kProbeWave, -1, 0,
-             static_cast<std::int64_t>(cur_probe_));
-  if (probe_acks_missing_ == 0) {
-    finish_probe_at_root(probe_s_, probe_r_, probe_dirty_);
-    return;
-  }
-  auto probe = [&](int dst) {
-    auto msg = make_msg(kProbe);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = cur_probe_;
-    msg.payload = std::move(payload);
-    send(dst, std::move(msg));
-  };
-  for (const Child& c : children_) probe(c.id);
-  // Phantoms are polled directly: the departed peer answers with its *true*
-  // counters, so a stale phantom ledger can only block termination (the
-  // pre-wave gate), never falsely balance it.
-  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
+  if (!forward_wave(probe_, kProbe, id, parent)) reply_probe();
 }
 
 void OverlayPeer::on_probe(sim::Message m) {
   if (terminated_) return;
   const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
-  const std::uint64_t pid = pp->probe_id;
-  auto reply_dirty = [&] {
-    auto msg = make_msg(kProbeAck);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    payload->dirty = true;
-    payload->crash_epoch = crash_epoch();
-    msg.payload = std::move(payload);
-    send(m.src, std::move(msg));
-  };
   if (!locally_quiet() || !all_children_pending()) {
-    reply_dirty();
+    send_probe_ack(m.src, pp->probe_id, /*dirty=*/true, {.crash_epoch = crash_epoch()});
     return;
   }
-  cur_probe_ = pid;
-  probe_parent_ = m.src;
-  probe_s_ = own_sent();
-  probe_r_ = own_recv();
-  probe_me_ = member_events();
-  probe_dirty_ = false;
-  probe_epoch_ = crash_epoch();
-  probe_acks_missing_ = static_cast<int>(children_.size() + phantoms().size());
-  if (probe_acks_missing_ == 0) {
-    auto msg = make_msg(kProbeAck);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    payload->bridge_sent = probe_s_;
-    payload->bridge_recv = probe_r_;
-    payload->dirty = false;
-    payload->crash_epoch = probe_epoch_;
-    payload->member_events = probe_me_;
-    msg.payload = std::move(payload);
-    send(probe_parent_, std::move(msg));
-    return;
-  }
-  auto probe = [&](int dst) {
-    auto msg = make_msg(kProbe);
-    auto payload = std::make_unique<ProbePayload>();
-    payload->probe_id = pid;
-    msg.payload = std::move(payload);
-    send(dst, std::move(msg));
-  };
-  for (const Child& c : children_) probe(c.id);
-  for (const PhantomChild& ph : phantoms()) probe(ph.peer);
+  join_probe(pp->probe_id, m.src);
 }
 
 void OverlayPeer::on_probe_ack(sim::Message m) {
   if (terminated_) return;
   const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
-  if (pp->probe_id != cur_probe_ || probe_acks_missing_ == 0) return;  // stale
-  probe_s_ += pp->bridge_sent;
-  probe_r_ += pp->bridge_recv;
-  probe_me_ += pp->member_events;
+  if (!probe_.awaits(pp->probe_id)) return;  // stale
+  probe_sum_.absorb({pp->sent, pp->recv, pp->crash_epoch, pp->member_events});
   probe_dirty_ = probe_dirty_ || pp->dirty;
-  probe_epoch_ = std::max(probe_epoch_, pp->crash_epoch);
-  if (--probe_acks_missing_ > 0) return;
-  if (is_root()) {
-    finish_probe_at_root(probe_s_, probe_r_, probe_dirty_);
-    return;
-  }
-  const bool still_quiet = locally_quiet() && all_children_pending();
+  if (--probe_.acks_missing == 0) reply_probe();
+}
+
+void OverlayPeer::send_probe_ack(int dst, std::uint64_t id, bool dirty,
+                                 const CounterReading& r) {
   auto msg = make_msg(kProbeAck);
   auto payload = std::make_unique<ProbePayload>();
-  payload->probe_id = cur_probe_;
-  payload->bridge_sent = probe_s_;
-  payload->bridge_recv = probe_r_;
-  payload->dirty = probe_dirty_ || !still_quiet;
-  payload->crash_epoch = probe_epoch_;
-  payload->member_events = probe_me_;
+  payload->probe_id = id;
+  payload->sent = r.sent;
+  payload->recv = r.recv;
+  payload->dirty = dirty;
+  payload->crash_epoch = r.crash_epoch;
+  payload->member_events = r.member_events;
   msg.payload = std::move(payload);
-  send(probe_parent_, std::move(msg));
+  send(dst, std::move(msg));
+}
+
+void OverlayPeer::reply_probe() {
+  if (is_root()) {
+    finish_probe_at_root();
+    return;
+  }
+  const bool quiet = !probe_dirty_ && locally_quiet() && all_children_pending();
+  send_probe_ack(probe_.parent, probe_.id, !quiet, probe_sum_);
 }
 
 void OverlayPeer::on_metrics(metrics::Registry& registry) {
@@ -1287,73 +1235,42 @@ void OverlayPeer::on_metrics(metrics::Registry& registry) {
   if (is_root()) root_term().m_wave = registry.histogram("olb_term_wave_ns", id());
 }
 
-void OverlayPeer::finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool dirty) {
+void OverlayPeer::finish_probe_at_root() {
   RootTermination& rt = root_term();
-  rt.probe_outstanding = false;
   rt.last_wave_end = now();
   // Wave latency = launch at the root to the last ack folding back in.
   if (rt.m_wave != nullptr) [[unlikely]] {
     const sim::Time lat = rt.last_wave_end - rt.probe_launched_at;
     metrics::record(rt.m_wave, static_cast<std::uint64_t>(lat > 0 ? lat : 0));
   }
-  const bool still_quiet = locally_quiet() && all_children_pending();
-  if (config_->fault_tolerant) {
-    const int epoch = std::max(probe_epoch_, crash_epoch());
-    // With a known crash the crashed peer's counter contributions are gone
-    // for good, so balance is only required while epoch == 0; stability
-    // across a lease-separated pair (at one shared epoch) carries the
-    // Mattern argument by itself.
-    const bool clean =
-        !dirty && still_quiet && (epoch > 0 || s == r) && epoch == crash_epoch();
-    emit_trace(trace::EventKind::kProbeWave, -1, clean ? 1 : 2,
-               static_cast<std::int64_t>(cur_probe_),
-               static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
-    if (clean) {
-      if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
-          rt.clean_epoch == epoch) {
-        declare_termination();
-        return;
-      }
-      rt.have_clean_probe = true;
-      rt.clean_s = s;
-      rt.clean_r = r;
-      rt.clean_epoch = epoch;
-      // The confirming wave launches from the lease timer, one lease later.
-      return;
-    }
-    rt.have_clean_probe = false;
-    if (rt.recheck_after_probe) {
-      rt.recheck_after_probe = false;
-      check_root_termination();
-    }
-    return;
-  }
-  const bool clean = !dirty && still_quiet && s == r;
-  emit_trace(trace::EventKind::kProbeWave, -1, clean ? 1 : 2,
-             static_cast<std::int64_t>(cur_probe_),
-             static_cast<std::int64_t>(s) - static_cast<std::int64_t>(r));
-  if (clean) {
-    if (rt.have_clean_probe && rt.clean_s == s && rt.clean_r == r &&
-        rt.clean_me == probe_me_) {
-      // Mattern four-counter rule: two consecutive clean waves with
-      // identical balanced counters — no transfer can be in flight. Under
-      // churn the waves must also agree on the membership-event sum: a
-      // join or leave between them (whose handover traffic the counters
-      // may not have caught yet) forces another pair.
+  // A wave that met a crash the root has not heard of yet is not quiet: it
+  // compares with nothing the root knows.
+  const bool quiet = !probe_dirty_ && locally_quiet() && all_children_pending() &&
+                     probe_sum_.crash_epoch <= crash_epoch();
+  CounterReading reading = probe_sum_;
+  reading.crash_epoch = crash_epoch();
+  const Settle verdict = rt.rule.settle(quiet, reading);
+  emit_trace(trace::EventKind::kProbeWave, -1, verdict == Settle::kDirty ? 2 : 1,
+             static_cast<std::int64_t>(probe_.id),
+             static_cast<std::int64_t>(reading.sent) -
+                 static_cast<std::int64_t>(reading.recv));
+  switch (verdict) {
+    case Settle::kStable:
       declare_termination();
       return;
-    }
-    rt.have_clean_probe = true;
-    rt.clean_s = s;
-    rt.clean_r = r;
-    rt.clean_me = probe_me_;
-    launch_probe();
-    return;
-  }
-  rt.have_clean_probe = false;
-  if (rt.recheck_after_probe) {
-    rt.recheck_after_probe = false;
-    check_root_termination();
+    case Settle::kClean:
+      // The confirming wave: back to back on reliable links; under faults
+      // the lease timer launches it one lease later, so every transfer in
+      // flight during this wave has landed before the next polls its
+      // receiver.
+      if (!config_->fault_tolerant) launch_probe();
+      return;
+    case Settle::kDirty:
+      if (rt.recheck_after_probe) {
+        rt.recheck_after_probe = false;
+        check_root_termination();
+      }
+      return;
   }
 }
 
@@ -1385,13 +1302,13 @@ void OverlayPeer::on_terminate() {
 // Per-job completion is detected with root-led accounting waves (kJobProbe /
 // kJobProbeAck) that ALWAYS recurse — busy peers answer too, unlike the
 // termination probes — aggregating per job: transfer pieces sent, pieces
-// received, and milli-units currently held. A job is declared done when two
-// consecutive waves (ids w-1 and w) both read sent == recv, holds == 0, with
-// the sent total unchanged between them: Mattern's stability argument per
-// job. Sent/recv counters are monotone and execute-then-advance makes a
-// peer's held amount externally consistent by the time it answers a probe,
-// so a stable balanced pair proves no piece of the job is in flight and no
-// peer holds any of it.
+// received, and milli-units currently held. The root applies the counter
+// rule (counter_wave.hpp) to each open job, with zero holdings as its quiet
+// condition: the job is done when two consecutive waves read the same
+// balanced counters and nobody holds any of it. Sent/recv counters are
+// monotone and execute-then-advance makes a peer's held amount externally
+// consistent by the time it answers a probe, so such a pair proves no piece
+// of the job is in flight and no peer holds any of it.
 
 JobBag* OverlayPeer::bag() { return static_cast<JobBag*>(work_.get()); }
 
@@ -1410,9 +1327,7 @@ void OverlayPeer::on_job_inject(sim::Message m) {
   auto* jp = static_cast<JobPayload*>(m.payload.get());
   OLB_CHECK(jp != nullptr && jp->work != nullptr);
   const std::uint64_t job = jp->job;
-  // Done-eligibility is restricted to injected jobs: a wave that ran while
-  // this inject was in flight must not declare the job done-by-absence.
-  svc_->injected.insert(job);
+  svc_->open.try_emplace(job);
   // The inject is not a peer transfer (the gate sits outside the fleet), so
   // it does not bump the per-job counters — waves stay sent == recv
   // symmetric. The
@@ -1449,49 +1364,26 @@ void OverlayPeer::svc_fill_own_stats() {
 
 void OverlayPeer::svc_launch_wave() {
   OLB_CHECK(is_root());
-  svc_->wave_outstanding = true;
-  svc_->probe_id = ++svc_->next_wave;
+  svc_join_wave(svc_->wave.id + 1, -1);
+}
+
+void OverlayPeer::svc_join_wave(std::uint64_t id, int parent) {
   svc_fill_own_stats();
-  svc_->acks_missing = static_cast<int>(children_.size());
-  if (svc_->acks_missing == 0) {
-    svc_finish_wave_at_root();
-    return;
-  }
-  for (const Child& c : children_) {
-    auto msg = make_msg(kJobProbe);
-    auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_->probe_id;
-    msg.payload = std::move(payload);
-    send(c.id, std::move(msg));
-  }
+  if (!forward_wave(svc_->wave, kJobProbe, id, parent)) svc_reply_wave();
 }
 
 void OverlayPeer::on_job_probe(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  svc_->probe_id = pp->probe_id;
-  svc_->probe_parent = m.src;
-  svc_fill_own_stats();
-  svc_->acks_missing = static_cast<int>(children_.size());
-  if (svc_->acks_missing == 0) {
-    svc_reply_wave();
-    return;
-  }
-  for (const Child& c : children_) {
-    auto msg = make_msg(kJobProbe);
-    auto payload = std::make_unique<JobProbePayload>();
-    payload->probe_id = svc_->probe_id;
-    msg.payload = std::move(payload);
-    send(c.id, std::move(msg));
-  }
+  svc_join_wave(pp->probe_id, m.src);
 }
 
 void OverlayPeer::on_job_probe_ack(sim::Message m) {
   OLB_CHECK(svc_enabled());
   if (terminated_) return;
   const auto* pp = static_cast<const JobProbePayload*>(m.payload.get());
-  if (pp->probe_id != svc_->probe_id || svc_->acks_missing == 0) return;  // stale
+  if (!svc_->wave.awaits(pp->probe_id)) return;  // stale
   for (const JobStat& st : pp->stats) {
     JobStat& mine = svc_->table[st.job];
     mine.job = st.job;
@@ -1499,52 +1391,37 @@ void OverlayPeer::on_job_probe_ack(sim::Message m) {
     mine.recv += st.recv;
     mine.holds_milli += st.holds_milli;
   }
-  if (--svc_->acks_missing > 0) return;
-  if (is_root()) {
-    svc_finish_wave_at_root();
-  } else {
-    svc_reply_wave();
-  }
+  if (--svc_->wave.acks_missing == 0) svc_reply_wave();
 }
 
 void OverlayPeer::svc_reply_wave() {
+  if (is_root()) {
+    svc_finish_wave_at_root();
+    return;
+  }
   auto msg = make_msg(kJobProbeAck);
   auto payload = std::make_unique<JobProbePayload>();
-  payload->probe_id = svc_->probe_id;
+  payload->probe_id = svc_->wave.id;
   payload->stats.reserve(svc_->table.size());
   for (const auto& [job, st] : svc_->table) payload->stats.push_back(st);
   msg.payload = std::move(payload);
-  send(svc_->probe_parent, std::move(msg));
+  send(svc_->wave.parent, std::move(msg));
 }
 
 void OverlayPeer::svc_finish_wave_at_root() {
   Service& sv = *svc_;
-  sv.wave_outstanding = false;
-  const std::uint64_t wave = sv.next_wave;
-  for (const std::uint64_t job : sv.injected) {
-    if (sv.done.count(job) != 0) continue;
-    JobStat zero;
-    zero.job = job;
-    const auto it = sv.table.find(job);
-    const JobStat& st = it != sv.table.end() ? it->second : zero;
+  for (auto it = sv.open.begin(); it != sv.open.end();) {
+    const std::uint64_t job = it->first;
     // A job the counters never saw (injected and fully drained at the root
-    // between waves) reads sent == recv == 0, holds == 0: still a correct
-    // quiet reading — the stability pair below does the rest.
-    const bool quiet = st.holds_milli == 0 && st.sent == st.recv;
-    if (!quiet) {
-      sv.prev.erase(job);
-      continue;
+    // between waves) reads all zeros: still a correct quiet reading.
+    const auto row = sv.table.find(job);
+    const JobStat st = row != sv.table.end() ? row->second : JobStat{};
+    if (it->second.settle(st.holds_milli == 0, {st.sent, st.recv}) == Settle::kStable) {
+      send(config_->service.gate, make_msg(kJobDone, 0, static_cast<std::int64_t>(job)));
+      it = sv.open.erase(it);
+    } else {
+      ++it;
     }
-    const auto prev = sv.prev.find(job);
-    if (prev != sv.prev.end() && prev->second.wave == wave - 1 &&
-        prev->second.sent == st.sent) {
-      sv.done.insert(job);
-      sv.prev.erase(job);
-      send(config_->service.gate,
-           make_msg(kJobDone, 0, static_cast<std::int64_t>(job)));
-      continue;
-    }
-    sv.prev[job] = Service::Prev{st.sent, wave};
   }
 }
 

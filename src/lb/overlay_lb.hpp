@@ -32,8 +32,10 @@
 //               counters; when the sums balance, the root runs confirmation
 //               waves down the tree (kProbe/kProbeAck) and terminates after
 //               two consecutive clean waves with identical, balanced
-//               counters (Mattern's four-counter rule) — our realisation of
-//               the paper's "aggregated work request messages".
+//               counters — our realisation of the paper's "aggregated work
+//               request messages". The rule itself (Mattern's counter
+//               stability) lives in counter_wave.hpp, shared with every
+//               other wave-based path below.
 //
 // Fault tolerance (config.fault_tolerant, set by the driver iff a FaultPlan
 // is enabled; a fault-free run never takes any of these paths):
@@ -53,11 +55,11 @@
 //     parent/child views stay consistent without a repair handshake.
 //     Adopted children start out non-pending, which blocks termination until
 //     they re-request upwards;
-//   * wave-confirmed termination — the root only terminates after two
-//     lease-separated clean waves whose *total* work-transfer counters (all
-//     serves, not just bridges) and crash epochs agree; counters must
-//     balance only while no crash is known (a crashed peer takes its counter
-//     contributions with it). The lease exceeds the maximum message
+//   * wave-confirmed termination — the counter rule of counter_wave.hpp
+//     over the *total* work-transfer counters (all serves, not just
+//     bridges) and the crash epoch; a wave that met a crash the root has
+//     not heard of yet is not quiet, and the confirming wave starts one
+//     lease after the first. The lease exceeds the maximum message
 //     lifetime, so any transfer in flight during one wave lands — and bumps
 //     a counter — before the next wave polls its receiver. Work bounced off
 //     a crashed peer re-enters through on_work like any other transfer.
@@ -80,10 +82,10 @@
 //    those counters as a *phantom child*: termination probes visit phantoms
 //    like children (the departed peer answers with its true counters), so
 //    Mattern's counter rule still sees every transfer the leaver ever made.
-//    Probes additionally sum membership events; the root requires the two
-//    clean waves to agree on that sum, so a join or leave between the waves
-//    — whose handover traffic could otherwise race the counters — forces
-//    another wave pair.
+//    Probes additionally sum membership events into the wave's reading, so
+//    the counter rule (counter_wave.hpp) needs two clean waves that agree on
+//    that sum: a join or leave between the waves — whose handover traffic
+//    could otherwise race the counters — forces another wave pair.
 // Multi-job service mode (config.service, set by src/svc; single-job runs
 // never take any of these paths — simulator timelines stay byte-identical):
 //
@@ -93,9 +95,11 @@
 //  The root starts workless, termination is suppressed until the gate's
 //  kSvcShutdown, and per-job completion is detected by root-led accounting
 //  waves (kJobProbe/kJobProbeAck, always recursing — busy peers answer too)
-//  that aggregate each job's {sent, recv, holds} over the tree: a job is
-//  done after two consecutive waves agree on balanced, stable counters and
-//  zero holdings (Mattern's stability rule applied per job). Completions go
+//  that aggregate each job's {sent, recv, holds} over the tree: the counter
+//  rule of counter_wave.hpp runs once per open job, with zero holdings as
+//  the job's quiet condition, so a job is done after two consecutive waves
+//  agree on balanced counters and nobody holds any of it. Job waves and
+//  kProbe waves share one per-node record and one fan-out. Completions go
 //  back to the gate as kJobDone; after shutdown the classic single-job
 //  termination machinery runs unchanged.
 #pragma once
@@ -103,11 +107,11 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "lb/counter_wave.hpp"
 #include "lb/messages.hpp"
 #include "lb/peer_base.hpp"
 #include "overlay/tree_overlay.hpp"
@@ -305,38 +309,23 @@ class OverlayPeer final : public PeerBase {
     /// payloads are assembled in deterministic job order.
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> counters;
     // wave state (any node)
-    std::uint64_t probe_id = 0;
-    int probe_parent = -1;
-    int acks_missing = 0;
+    WaveNode wave;
     std::map<std::uint64_t, JobStat> table;  ///< subtree aggregate
     // root-only
-    bool wave_outstanding = false;
     bool shutdown = false;  ///< gate declared the stream exhausted
-    std::uint64_t next_wave = 0;
-    std::set<std::uint64_t> injected;  ///< kJobInject processed here
-    std::set<std::uint64_t> done;      ///< wave-confirmed and reported
-    /// A job's qualifying reading from the previous wave: done needs the
-    /// next wave to agree (same sent, consecutive wave ids).
-    struct Prev {
-      std::uint64_t sent = 0;
-      std::uint64_t wave = 0;
-    };
-    std::map<std::uint64_t, Prev> prev;
+    /// Jobs injected here and not yet confirmed done, each with its own
+    /// counter rule. Only injected jobs are eligible: a wave that ran while
+    /// an inject was in flight must not declare that job done by absence.
+    std::map<std::uint64_t, StableCounters> open;
   };
 
   /// The root's termination-wave bookkeeping; allocated on the root only,
   /// on first use.
   struct RootTermination {
-    bool probe_outstanding = false;
-    bool have_clean_probe = false;
+    StableCounters rule;  ///< Mattern's rule over the kProbe waves
     bool recheck_after_probe = false;
     sim::Time probe_launched_at = 0;
     sim::Time last_wave_end = 0;
-    std::uint64_t next_probe_id = 0;
-    std::uint64_t clean_s = 0;
-    std::uint64_t clean_r = 0;
-    int clean_epoch = 0;
-    std::uint64_t clean_me = 0;  ///< member-events sum of the clean wave
     /// Wave-latency histogram (null unless metrics attached).
     metrics::Histogram* m_wave = nullptr;
   };
@@ -418,8 +407,8 @@ class OverlayPeer final : public PeerBase {
   void departed_dispatch(sim::Message m);
   /// Message dispatch for a not-yet-joined peer.
   void dormant_dispatch(sim::Message m);
-  /// Marks any outstanding probe at this node dirty — a membership event
-  /// mid-wave must not let that wave read as clean.
+  /// Marks any outstanding probe at this node dirty — a work receipt or a
+  /// membership event mid-wave must not let that wave read as clean.
   void dirty_outstanding_probe();
 
   // multi-job service mode (every path below is gated on svc_enabled())
@@ -436,8 +425,13 @@ class OverlayPeer final : public PeerBase {
   /// Own (sent, recv, holds) per job into svc_table_.
   void svc_fill_own_stats();
   void svc_launch_wave();
+  /// Joins job wave `id` (answering `parent`, -1 at the root) with this
+  /// peer's own stats and forwards it down.
+  void svc_join_wave(std::uint64_t id, int parent);
   void on_job_probe(sim::Message m);
   void on_job_probe_ack(sim::Message m);
+  /// Every ack of the job wave is in: reports the subtree table upward, or
+  /// at the root judges each open job.
   void svc_reply_wave();
   void svc_finish_wave_at_root();
 
@@ -452,11 +446,28 @@ class OverlayPeer final : public PeerBase {
   std::uint64_t own_recv() const;
   std::uint64_t agg_sent() const;
   std::uint64_t agg_recv() const;
+  /// This peer's own contribution to a kProbe wave.
+  CounterReading own_reading() const {
+    return {own_sent(), own_recv(), crash_epoch(), member_events()};
+  }
   void check_root_termination();
+  /// A child or phantom report changed the root's view: checks for
+  /// termination now, or once the probe wave in flight has ended.
+  void recheck_root_termination();
+  /// Joins subtree wave `id` as `wave` (answering `parent`, -1 at the root)
+  /// and forwards a `type` probe to every child and phantom. Returns false
+  /// when no ack is due, i.e. this node completes its part at once.
+  bool forward_wave(WaveNode& wave, int type, std::uint64_t id, int parent);
   void launch_probe();
+  /// Joins kProbe wave `id` with this peer's own reading.
+  void join_probe(std::uint64_t id, int parent);
   void on_probe(sim::Message m);
   void on_probe_ack(sim::Message m);
-  void finish_probe_at_root(std::uint64_t s, std::uint64_t r, bool dirty);
+  void send_probe_ack(int dst, std::uint64_t id, bool dirty, const CounterReading& r);
+  /// Every ack of the probe wave is in: reports the subtree reading upward,
+  /// or at the root judges the wave.
+  void reply_probe();
+  void finish_probe_at_root();
   void declare_termination();
   void on_terminate();
 
@@ -494,6 +505,7 @@ class OverlayPeer final : public PeerBase {
   bool up_requested_ = false;
   bool retry_timer_armed_ = false;
   bool member_ = true;  ///< false while dormant and after a graceful leave
+  bool probe_dirty_ = false;  ///< the current kProbe wave saw activity here
 
   // serving state
   std::vector<ParkedBridge> pending_bridges_;
@@ -506,15 +518,9 @@ class OverlayPeer final : public PeerBase {
   std::uint64_t ft_sent_ = 0;
   std::uint64_t ft_recv_ = 0;
 
-  // probe state (any node)
-  std::uint64_t cur_probe_ = 0;
-  std::uint64_t probe_s_ = 0;
-  std::uint64_t probe_r_ = 0;
-  std::uint64_t probe_me_ = 0;  ///< member-events sum of the current wave
-  int probe_parent_ = -1;
-  int probe_acks_missing_ = 0;
-  int probe_epoch_ = 0;
-  bool probe_dirty_ = false;
+  // kProbe wave state (any node)
+  WaveNode probe_;
+  CounterReading probe_sum_;  ///< this subtree's reading of the current wave
 
   sim::Time done_time_ = -1;
 

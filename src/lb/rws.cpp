@@ -3,18 +3,21 @@
 #include "support/check.hpp"
 
 namespace olb::lb {
+namespace {
 
-RwsPeer::RwsPeer(RwsConfig config, std::unique_ptr<Work> initial_work)
-    : PeerBase(config.peer), config_(config), initial_work_(std::move(initial_work)) {}
+constexpr double kStealFraction = 0.5;  ///< steal-half
+
+}  // namespace
+
+RwsPeer::RwsPeer(const RwsConfig& config, std::unique_ptr<Work> initial_work)
+    : FlatPeer(config.peer, config.fault_tolerant, config.request_timeout,
+               config.lease_interval),
+      initial_work_(std::move(initial_work)) {}
 
 void RwsPeer::on_start() {
-  initiator_ = initial_work_ != nullptr;
-  if (config_.fault_tolerant) {
-    peer_down_.assign(static_cast<std::size_t>(num_peers()), 0);
-    if (initiator_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-  }
-  if (initiator_) {
-    ds_.make_initiator();
+  const bool initiator = initial_work_ != nullptr;
+  start_termination(initiator);
+  if (initiator) {
     OLB_CHECK(acquire_work(std::move(initial_work_)));
     continue_processing();
   } else {
@@ -25,57 +28,29 @@ void RwsPeer::on_start() {
 void RwsPeer::became_idle() {
   if (terminated_) return;
   emit_trace(trace::EventKind::kIdleBegin);
-  // Under faults Dijkstra–Scholten is abandoned entirely (a lost signal
-  // hangs it); the initiator's poll detects termination instead.
-  if (!config_.fault_tolerant) maybe_detach();
+  maybe_detach();
   if (!terminated_) try_steal();
 }
 
 void RwsPeer::try_steal() {
-  if (terminated_ || steal_outstanding_ || holds_work()) return;
+  if (terminated_ || request_outstanding_ || holds_work()) return;
   const int n = num_peers();
   if (n < 2) {
     // Nothing to steal from; the singleton initiator terminates on idle.
     return;
   }
-  if (config_.fault_tolerant && crash_epoch_ >= n - 1) return;  // no live victim
+  if (known_crashes() >= n - 1) return;  // no live victim
   int victim;
   do {
     victim = static_cast<int>(rng().below(static_cast<std::uint64_t>(n)));
-  } while (victim == id() ||
-           (config_.fault_tolerant && peer_down_[victim] != 0));
-  steal_outstanding_ = true;
-  emit_trace(trace::EventKind::kRequest, victim, kSteal);
-  if (config_.fault_tolerant) {
-    steal_victim_ = victim;
-    // The sequence number travels in the request, is echoed by kStealFail
-    // and voids both stale failure replies and stale timeout timers.
-    send(victim, make_msg(kSteal, ++steal_seq_));
-    set_timer(config_.request_timeout,
-              kRwsStealTimeoutTimer | (steal_seq_ << kTimerTagShift));
-  } else {
-    send(victim, make_msg(kSteal));
-  }
-}
-
-void RwsPeer::maybe_detach() {
-  const bool is_passive = !holds_work() && !computing();
-  if (!ds_.can_detach(is_passive)) return;
-  const int parent = ds_.detach();
-  if (parent >= 0) {
-    send(parent, make_msg(kSignal));
-  } else {
-    declare_termination();
-  }
+  } while (victim == id() || known_down(victim));
+  send_request(victim, kSteal, kRwsStealTimeoutTimer);
 }
 
 void RwsPeer::declare_termination() {
-  terminated_ = true;
-  done_time_ = now();
+  stop();
   for (int p = 0; p < num_peers(); ++p) {
-    if (p == id()) continue;
-    if (config_.fault_tolerant && peer_down_[p] != 0) continue;
-    send(p, make_msg(kTerminate));
+    if (p != id() && !known_down(p)) send(p, make_msg(kTerminate));
   }
 }
 
@@ -84,57 +59,12 @@ void RwsPeer::diffuse_bound() {
   // of every message), which in RWS is abundant.
 }
 
-void RwsPeer::on_poll_tick() {
-  if (terminated_) return;  // no re-arm
-  const int n = num_peers();
-  int live_others = 0;
-  for (int p = 0; p < n; ++p) {
-    if (p != id() && peer_down_[p] == 0) ++live_others;
-  }
-  poll_.begin_round(++poll_round_, n, live_others);
-  for (int p = 0; p < n; ++p) {
-    if (p == id() || peer_down_[p] != 0) continue;
-    send(p, make_msg(kTermProbe, static_cast<std::int64_t>(poll_round_)));
-  }
-  if (live_others == 0) conclude_poll();  // sole survivor
-  if (!terminated_) set_timer(config_.lease_interval, kRwsTermPollTimer);
-}
-
-void RwsPeer::conclude_poll() {
-  if (poll_.conclude(passive(), work_sent_, work_recv_, crash_epoch_)) {
-    declare_termination();
-  }
-}
-
-void RwsPeer::on_peer_down(int peer) {
-  OLB_CHECK(config_.fault_tolerant);
-  const auto idx = static_cast<std::size_t>(peer);
-  if (idx >= peer_down_.size() || peer_down_[idx] != 0) return;
-  peer_down_[idx] = 1;
-  ++crash_epoch_;
-  if (terminated_) return;
-  poll_.invalidate();  // snapshots across a crash boundary don't compare
-  if (steal_outstanding_ && steal_victim_ == peer) {
-    // The request died with the victim; move on immediately.
-    steal_outstanding_ = false;
-    ++steal_seq_;
-    try_steal();
-  }
-}
-
 void RwsPeer::on_timer(std::int64_t tag) {
   switch (tag & kTimerTagMask) {
-    case kRwsRetryTimer:
-      if (!terminated_ && !holds_work() && !steal_outstanding_) try_steal();
-      return;
     case kRwsStealTimeoutTimer:
-      if (terminated_ || !steal_outstanding_) return;
-      if ((tag >> kTimerTagShift) != steal_seq_) return;  // answered
-      count_retry(steal_victim_, kSteal, steal_seq_);
-      steal_outstanding_ = false;
-      if (!holds_work()) try_steal();
+      on_request_timeout(tag, kSteal);
       return;
-    case kRwsTermPollTimer:
+    case kTermPollTimer:
       on_poll_tick();
       return;
     default:
@@ -143,14 +73,10 @@ void RwsPeer::on_timer(std::int64_t tag) {
 }
 
 void RwsPeer::on_message(sim::Message m) {
-  if (m.type != kTerminate) note_bound(m.a);
-  if (config_.fault_tolerant && m.src >= 0 && m.src < (int)peer_down_.size() &&
-      peer_down_[m.src] != 0 && m.type != kWork) {
-    return;  // in-flight message of a dead peer (work still bounces back)
-  }
+  if (!admit(m)) return;
   if (terminated_) {
     OLB_CHECK(m.type != kWork);
-    if (config_.fault_tolerant && m.type != kTerminate) {
+    if (fault_tolerant() && m.type != kTerminate) {
       // The sender missed the broadcast (dropped kTerminate); answer its
       // retransmitted request so it can stop too.
       send(m.src, make_msg(kTerminate));
@@ -158,77 +84,22 @@ void RwsPeer::on_message(sim::Message m) {
     return;
   }
   switch (m.type) {
-    case kSteal: {
-      if (holds_work()) {
-        if (auto w = split_work(config_.steal_fraction)) {
-          ds_.on_work_sent();
-          ++work_sent_;  // pure counter: FT TermPoll and state taps read it
-          emit_trace(trace::EventKind::kServe, m.src, kSteal,
-                     trace::fraction_ppm(config_.steal_fraction),
-                     static_cast<std::int64_t>(w->amount()));
-          auto reply = make_msg(kWork);
-          reply.payload = std::make_unique<WorkPayload>(std::move(w));
-          send(m.src, std::move(reply));
-          break;
-        }
-      }
+    case kSteal:
+      if (serve(m, kStealFraction)) break;
       emit_trace(trace::EventKind::kNoServe, m.src, kSteal);
       send(m.src, make_msg(kStealFail, m.b));
       break;
-    }
-    case kStealFail: {
-      if (config_.fault_tolerant && m.b != steal_seq_) break;  // stale/dup
-      steal_outstanding_ = false;
-      if (holds_work()) break;  // engaged meanwhile via another transfer
-      if (config_.retry_delay > 0) {
-        set_timer(config_.retry_delay, kRwsRetryTimer);
-      } else {
-        try_steal();
-      }
+    case kStealFail:
+      if (fault_tolerant() && m.b != request_seq_) break;  // stale/dup
+      request_outstanding_ = false;
+      try_steal();  // unless engaged meanwhile via another transfer
       break;
-    }
-    case kWork: {
-      steal_outstanding_ = false;
-      ++work_recv_;  // pure counter, mirroring work_sent_
-      if (config_.fault_tolerant) {
-        ++steal_seq_;  // void any outstanding steal timeout
-      }
-      emit_trace(trace::EventKind::kIdleEnd, m.src, m.type);
-      if (!config_.fault_tolerant && ds_.on_work_received(m.src)) {
-        send(m.src, make_msg(kSignal));
-      }
-      auto* payload = static_cast<WorkPayload*>(m.payload.get());
-      acquire_work(std::move(payload->work));
-      continue_processing();
-      break;
-    }
-    case kSignal: {
-      ds_.on_signal();
-      maybe_detach();
-      break;
-    }
-    case kTermProbe: {
-      send(m.src, make_msg(kTermAck,
-                           pack_term_ack_b(static_cast<std::uint64_t>(m.b),
-                                           passive()),
-                           pack_term_ack_c(work_sent_, work_recv_)));
-      break;
-    }
-    case kTermAck: {
-      if (poll_.on_ack(term_ack_round(m.b), m.src, term_ack_passive(m.b),
-                       term_ack_sent(m.c), term_ack_recv(m.c))) {
-        conclude_poll();
-      }
-      break;
-    }
-    case kTerminate: {
+    case kTerminate:
       OLB_CHECK_MSG(!holds_work(), "terminate reached a peer still holding work");
-      terminated_ = true;
-      done_time_ = now();
+      stop();
       break;
-    }
     default:
-      OLB_CHECK_MSG(false, "unexpected message type for RwsPeer");
+      on_common_message(std::move(m));
   }
 }
 

@@ -15,23 +15,18 @@
 // Fault tolerance (config.fault_tolerant, set by the driver iff a FaultPlan
 // is enabled): steal requests time out and are retried against a fresh live
 // victim, and Dijkstra–Scholten — which a single lost or duplicated kSignal
-// corrupts — is replaced by the initiator-led poll termination of
-// lease_termination.hpp over per-peer work-transfer counters.
+// corrupts — is replaced by the initiator's lease poll over per-peer
+// work-transfer counters (flat_peer.hpp).
 #pragma once
 
 #include <memory>
 
-#include "lb/ds_termination.hpp"
-#include "lb/lease_termination.hpp"
-#include "lb/peer_base.hpp"
+#include "lb/flat_peer.hpp"
 
 namespace olb::lb {
 
 struct RwsConfig {
   PeerConfig peer;
-  double steal_fraction = 0.5;  ///< steal-half
-  /// Pause between a failed steal and the next attempt (0 = immediate).
-  sim::Time retry_delay = 0;
 
   // --- fault tolerance (driver sets these iff a FaultPlan is enabled) ---
   bool fault_tolerant = false;
@@ -41,60 +36,24 @@ struct RwsConfig {
   sim::Time lease_interval = sim::milliseconds(2);
 };
 
-class RwsPeer final : public PeerBase {
+class RwsPeer final : public FlatPeer {
  public:
   /// `initial_work` non-null exactly for the initiator peer.
-  RwsPeer(RwsConfig config, std::unique_ptr<Work> initial_work);
-
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
-  /// Number of crashed peers this peer has been notified about.
-  int known_crashes() const { return crash_epoch_; }
-
-  StateTap state_tap() const override {
-    StateTap t = PeerBase::state_tap();
-    t.transfers_sent = work_sent_;
-    t.transfers_recv = work_recv_;
-    t.pending_requests = steal_outstanding_ ? 1 : 0;
-    return t;
-  }
+  RwsPeer(const RwsConfig& config, std::unique_ptr<Work> initial_work);
 
  protected:
   void on_start() override;
   void on_message(sim::Message m) override;
   void on_timer(std::int64_t tag) override;
-  void on_peer_down(int peer) override;
   void became_idle() override;
   void diffuse_bound() override;
+  void retry_request() override { try_steal(); }
+  void declare_termination() override;
 
  private:
   void try_steal();
-  void maybe_detach();
-  void declare_termination();
-  bool passive() const { return !holds_work() && !computing(); }
-  void on_poll_tick();
-  void conclude_poll();
 
-  sim::Message make_msg(int type, std::int64_t b = 0, std::int64_t c = 0) const {
-    return sim::Message(type, bound_, b, c);
-  }
-
-  RwsConfig config_;
   std::unique_ptr<Work> initial_work_;
-  DsTermination ds_;
-  bool steal_outstanding_ = false;
-  sim::Time done_time_ = -1;
-
-  // fault-tolerance state
-  bool initiator_ = false;
-  std::vector<char> peer_down_;
-  int crash_epoch_ = 0;
-  int steal_victim_ = -1;
-  std::int64_t steal_seq_ = 0;  ///< generation of the steal-timeout timer
-  std::uint64_t work_sent_ = 0;
-  std::uint64_t work_recv_ = 0;
-  TermPoll poll_;               ///< initiator only
-  std::uint64_t poll_round_ = 0;
 };
 
 }  // namespace olb::lb

@@ -21,6 +21,21 @@ enum PayloadKind : std::uint8_t {
   kPayloadJobProbe = 5,  ///< kJobProbe/kJobProbeAck: per-job stat vectors
 };
 
+/// The one payload kind each message type carries; a frame that pairs a
+/// type with any other kind is malformed.
+PayloadKind payload_kind_of(int type) {
+  switch (type) {
+    case lb::kWork: return kPayloadWork;
+    case lb::kProbe:
+    case lb::kProbeAck: return kPayloadProbe;
+    case lb::kLeave: return kPayloadLeave;
+    case lb::kJobInject: return kPayloadJob;
+    case lb::kJobProbe:
+    case lb::kJobProbeAck: return kPayloadJobProbe;
+    default: return kPayloadNone;
+  }
+}
+
 /// UTS work = nodes-counted tally + the deque of pending (state, depth)
 /// entries, each node as its 20 raw generator-state bytes. The tally
 /// travels with the work so merge-side accounting matches the in-process
@@ -154,8 +169,8 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
   if (const auto* probe = dynamic_cast<const lb::ProbePayload*>(m.payload.get())) {
     w.u8(kPayloadProbe);
     w.u64(probe->probe_id);
-    w.u64(probe->bridge_sent);
-    w.u64(probe->bridge_recv);
+    w.u64(probe->sent);
+    w.u64(probe->recv);
     w.u8(probe->dirty ? 1 : 0);
     w.i32(probe->crash_epoch);
     w.u64(probe->member_events);
@@ -229,14 +244,15 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
   m.b = r.i64();
   m.c = r.i64();
   const std::uint8_t kind = r.u8();
+  if (kind != payload_kind_of(m.type)) return false;
   switch (kind) {
     case kPayloadNone:
       break;
     case kPayloadProbe: {
       auto probe = std::make_unique<lb::ProbePayload>();
       probe->probe_id = r.u64();
-      probe->bridge_sent = r.u64();
-      probe->bridge_recv = r.u64();
+      probe->sent = r.u64();
+      probe->recv = r.u64();
       probe->dirty = r.u8() != 0;
       probe->crash_epoch = r.i32();
       probe->member_events = r.u64();

@@ -1,8 +1,12 @@
 // Protocol tests for the baselines: RWS (Dijkstra-Scholten termination),
-// MW (interval pool, stale-view splitting), AHMW (hierarchy, grains).
+// MW (interval pool, stale-view splitting), AHMW (hierarchy, grains), and
+// the counter-wave rule their fault-tolerant poll shares with the overlay.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bb/bb_work.hpp"
+#include "lb/counter_wave.hpp"
 #include "lb/driver.hpp"
 #include "lb/ds_termination.hpp"
 #include "test_util.hpp"
@@ -48,6 +52,88 @@ TEST(DsTermination, ReengagementUsesNewParent) {
   EXPECT_EQ(ds.detach(), 1);
   (void)ds.on_work_received(8);
   EXPECT_EQ(ds.detach(), 8);
+}
+
+// ---------------------------------------------------- counter-wave rule ---
+
+TEST(StableCounters, DecidesByMatternsRule) {
+  using lb::Settle;
+  struct Step {
+    bool quiet;
+    lb::CounterReading reading;  ///< {sent, recv, crash_epoch, member_events}
+    Settle expect;
+    bool invalidate_first = false;
+  };
+  struct Case {
+    const char* name;
+    std::vector<Step> steps;
+  };
+  const std::vector<Case> cases = {
+      {"a balanced pair is stable",
+       {{true, {5, 5}, Settle::kClean}, {true, {5, 5}, Settle::kStable}}},
+      {"moved counters are clean, not stable",
+       {{true, {5, 5}, Settle::kClean},
+        {true, {6, 6}, Settle::kClean},
+        {true, {6, 6}, Settle::kStable}}},
+      {"unbalanced counters at epoch 0 are dirty",
+       {{true, {5, 4}, Settle::kDirty}, {true, {5, 4}, Settle::kDirty}}},
+      {"unbalanced counters after a crash are stable when repeated",
+       {{true, {5, 4, 1}, Settle::kClean}, {true, {5, 4, 1}, Settle::kStable}}},
+      {"a crash between two readings blocks stable",
+       {{true, {5, 5, 0}, Settle::kClean},
+        {true, {5, 5, 1}, Settle::kClean},
+        {true, {5, 4, 2}, Settle::kClean},
+        {true, {5, 4, 2}, Settle::kStable}}},
+      {"a membership event between two readings blocks stable",
+       {{true, {5, 5, 0, 3}, Settle::kClean},
+        {true, {5, 5, 0, 4}, Settle::kClean},
+        {true, {5, 5, 0, 4}, Settle::kStable}}},
+      {"a dirty reading breaks a pair",
+       {{true, {5, 5}, Settle::kClean},
+        {false, {5, 5}, Settle::kDirty},
+        {true, {5, 5}, Settle::kClean},
+        {true, {5, 5}, Settle::kStable}}},
+      {"invalidate breaks a pair",
+       {{true, {5, 5}, Settle::kClean},
+        {true, {5, 5}, Settle::kClean, /*invalidate_first=*/true},
+        {true, {5, 5}, Settle::kStable}}},
+  };
+  for (const Case& c : cases) {
+    lb::StableCounters rule;
+    for (std::size_t i = 0; i < c.steps.size(); ++i) {
+      const Step& step = c.steps[i];
+      if (step.invalidate_first) rule.invalidate();
+      EXPECT_EQ(rule.settle(step.quiet, step.reading), step.expect)
+          << c.name << ", reading " << i;
+      EXPECT_EQ(rule.primed(), step.expect != Settle::kDirty)
+          << c.name << ", reading " << i;
+    }
+  }
+}
+
+TEST(TermPoll, CountsEachPeerOnceInTheCurrentRoundOnly) {
+  lb::TermPoll poll;
+  EXPECT_FALSE(poll.on_ack(0, 1, true, 0, 0));  // no round started yet
+  const std::uint64_t r1 = poll.begin_round(/*num_peers=*/4, /*expected_acks=*/3);
+  EXPECT_FALSE(poll.on_ack(r1, 1, true, 3, 1));
+  EXPECT_FALSE(poll.on_ack(r1, 1, true, 3, 1));      // duplicate
+  EXPECT_FALSE(poll.on_ack(r1 + 1, 2, true, 9, 9));  // not this round
+  EXPECT_FALSE(poll.on_ack(r1, 2, true, 0, 2));
+  EXPECT_TRUE(poll.on_ack(r1, 3, true, 1, 1));  // the third distinct peer
+  EXPECT_FALSE(poll.on_ack(r1, 0, true, 0, 0));  // surplus: already complete
+  EXPECT_TRUE(poll.all_passive());
+  EXPECT_EQ(poll.reading(/*own_sent=*/2, /*own_recv=*/3, /*crash_epoch=*/1),
+            (lb::CounterReading{6, 7, 1, 0}));
+
+  const std::uint64_t r2 = poll.begin_round(4, 2);
+  EXPECT_NE(r2, r1);
+  EXPECT_FALSE(poll.on_ack(r1, 1, true, 3, 1));  // stale round
+  EXPECT_FALSE(poll.on_ack(r2, 1, /*passive=*/false, 4, 4));
+  EXPECT_TRUE(poll.on_ack(r2, 2, true, 0, 0));
+  EXPECT_FALSE(poll.all_passive());
+  // A round with an active peer is not quiet, so the rule reads it dirty.
+  lb::StableCounters rule;
+  EXPECT_EQ(rule.settle(poll.all_passive(), poll.reading(0, 0, 0)), lb::Settle::kDirty);
 }
 
 // -------------------------------------------------------------------- RWS ---

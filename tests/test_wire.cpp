@@ -188,8 +188,8 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
     if (type == lb::kProbe || type == lb::kProbeAck) {
       auto probe = std::make_unique<lb::ProbePayload>();
       probe->probe_id = std::numeric_limits<std::uint64_t>::max();
-      probe->bridge_sent = 1;
-      probe->bridge_recv = 2;
+      probe->sent = 1;
+      probe->recv = 2;
       probe->dirty = true;
       probe->crash_epoch = -3;
       probe->member_events = std::numeric_limits<std::uint64_t>::max() - 1;
@@ -197,6 +197,19 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
     } else if (type == lb::kWork) {
       auto root = workload->make_root_work();
       m.payload = std::make_unique<lb::WorkPayload>(std::move(root));
+    } else if (type == lb::kLeave) {
+      auto leave = std::make_unique<lb::LeavePayload>();
+      leave->sent = kU64Max;
+      m.payload = std::move(leave);
+    } else if (type == lb::kJobInject) {
+      auto job = std::make_unique<lb::JobPayload>();
+      job->job = kU64Max;
+      job->work = workload->make_root_work();
+      m.payload = std::move(job);
+    } else if (type == lb::kJobProbe || type == lb::kJobProbeAck) {
+      auto probe = std::make_unique<lb::JobProbePayload>();
+      probe->probe_id = kU64Max;
+      m.payload = std::move(probe);
     }
 
     runtime::WireWriter w;
@@ -212,8 +225,8 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
       const auto* probe = dynamic_cast<const lb::ProbePayload*>(out.payload.get());
       ASSERT_NE(probe, nullptr);
       EXPECT_EQ(probe->probe_id, std::numeric_limits<std::uint64_t>::max());
-      EXPECT_EQ(probe->bridge_sent, 1u);
-      EXPECT_EQ(probe->bridge_recv, 2u);
+      EXPECT_EQ(probe->sent, 1u);
+      EXPECT_EQ(probe->recv, 2u);
       EXPECT_TRUE(probe->dirty);
       EXPECT_EQ(probe->crash_epoch, -3);
       EXPECT_EQ(probe->member_events,
@@ -223,9 +236,44 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
       ASSERT_NE(wp, nullptr);
       ASSERT_NE(wp->work, nullptr);
       EXPECT_EQ(wp->work->amount(), 1.0);  // the root as one pending node
+    } else if (type == lb::kLeave) {
+      const auto* lp = dynamic_cast<const lb::LeavePayload*>(out.payload.get());
+      ASSERT_NE(lp, nullptr);
+      EXPECT_EQ(lp->sent, kU64Max);
+    } else if (type == lb::kJobInject) {
+      const auto* jp = dynamic_cast<const lb::JobPayload*>(out.payload.get());
+      ASSERT_NE(jp, nullptr);
+      EXPECT_EQ(jp->job, kU64Max);
+      ASSERT_NE(jp->work, nullptr);
+    } else if (type == lb::kJobProbe || type == lb::kJobProbeAck) {
+      const auto* jpp = dynamic_cast<const lb::JobProbePayload*>(out.payload.get());
+      ASSERT_NE(jpp, nullptr);
+      EXPECT_EQ(jpp->probe_id, kU64Max);
     } else {
       EXPECT_EQ(out.payload, nullptr);
     }
+  }
+}
+
+TEST(WorkCodec, PayloadMismatchedToItsTypeIsRejected) {
+  // Each type carries exactly one payload kind. A kProbe frame without its
+  // payload would otherwise reach OverlayPeer::on_probe as a null pointer.
+  auto workload = test_uts();
+  const auto codec = runtime::make_work_codec(*workload);
+  sim::Message probe_without_payload(lb::kProbe);
+  sim::Message job_ack_without_payload(lb::kJobProbeAck);
+  sim::Message work_carrying_probe(lb::kWork);
+  work_carrying_probe.payload = std::make_unique<lb::ProbePayload>();
+  sim::Message no_work_carrying_probe(lb::kNoWork);
+  no_work_carrying_probe.payload = std::make_unique<lb::ProbePayload>();
+  for (const sim::Message* m : {&probe_without_payload, &job_ack_without_payload,
+                                &work_carrying_probe, &no_work_carrying_probe}) {
+    runtime::WireWriter w;
+    runtime::encode_message(*m, codec.get(), w);
+    runtime::WireReader r(w.data());
+    sim::Message out;
+    EXPECT_FALSE(runtime::decode_message(r, codec.get(), &out))
+        << lb::msg_type_name(m->type);
   }
 }
 
