@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "runtime/runtime.hpp"
-#include "runtime/transport_registry.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "trace/export.hpp"
@@ -30,7 +29,7 @@ std::unique_ptr<metrics::MetricsHub> g_metrics_hub;
 /// plumbing.
 lb::SocketBringup g_socket_bringup;
 /// Process-wide simulator shard count from --shards, carried by every
-/// RunConfig common_config builds (0 = the plain single-queue engine).
+/// RunConfig common_config builds (0 or 1 = one shard).
 int g_sim_shards = 0;
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -59,8 +58,8 @@ Flags& define_run_flags(Flags& flags, const RunFlagSpec& spec) {
   if (spec.backend) {
     flags
         .define("backend", "sim",
-                "execution backend (" + runtime::transport_names() +
-                    "); real-time backends cover overlay strategies only")
+                "execution backend (sim|threads|sockets); real-time "
+                "backends cover overlay strategies only")
         .define("rank", "-1", "socket backend: this process's rank")
         .define("peer-addrs", "",
                 "socket backend: comma-separated host:port listen address "
@@ -83,10 +82,9 @@ Flags& define_run_flags(Flags& flags, const RunFlagSpec& spec) {
   }
   if (spec.shards) {
     flags.define("shards", "0",
-                 "simulator event-queue shards (0 = plain single-queue "
-                 "engine, 1 = sharded coordinator with one shard "
-                 "[byte-identical to 0], >=2 = cluster-aligned conservative "
-                 "sharding; see docs/SCALING.md)");
+                 "simulator event-queue shards (0 or 1 = one engine over "
+                 "every peer, >=2 = cluster-aligned conservative sharding; "
+                 "see docs/SCALING.md)");
   }
   return flags;
 }
@@ -110,13 +108,13 @@ RunFlags parse_run_flags(const Flags& flags) {
   if (flags.has("csv")) rf.csv = flags.get_bool("csv");
   if (flags.has("backend")) {
     const std::string name = flags.get("backend");
-    const runtime::TransportEntry* entry = runtime::find_transport(name);
-    if (entry == nullptr) {
-      std::fprintf(stderr, "FATAL: unknown --backend '%s' (use %s)\n",
-                   name.c_str(), runtime::transport_names().c_str());
+    if (!lb::backend_from_name(name, &rf.backend)) {
+      std::fprintf(stderr,
+                   "FATAL: unknown --backend '%s' (use sim, threads or "
+                   "sockets)\n",
+                   name.c_str());
       std::abort();
     }
-    rf.backend = entry->backend;
     g_default_backend = rf.backend;
   }
   if (flags.has("rank")) {
@@ -307,11 +305,9 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax) {
 
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what) {
-  const runtime::TransportEntry& entry =
-      runtime::transport_entry(config.backend);
-  std::string why;
-  if (!entry.supports(config, &why)) {
-    // Only the real-time transports can decline a config (the simulator
+  const std::string why = runtime::unsupported_reason(config.backend, config);
+  if (!why.empty()) {
+    // Only the real-time backends can decline a config (the simulator
     // accepts everything). Fall back to the simulator with a one-time note
     // so sweeps mixing overlay and non-overlay strategies keep working —
     // and, on the socket backend, so every rank of a uniform multi-process
@@ -322,19 +318,19 @@ lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
       std::fprintf(stderr,
                    "# note: --backend=%s cannot run %s (%s): %s; using the "
                    "simulator\n",
-                   entry.name, what, lb::strategy_name(config.strategy),
-                   why.c_str());
+                   lb::backend_name(config.backend), what,
+                   lb::strategy_name(config.strategy), why.c_str());
     }
     lb::RunConfig sim_config = config;
     sim_config.backend = lb::Backend::kSim;
     return run_checked(workload, sim_config, what);
   }
-  const lb::RunMetrics metrics = entry.run(workload, config);
+  const lb::RunMetrics metrics = runtime::run(workload, config);
   if (!metrics.ok) {
     std::fprintf(stderr,
                  "FATAL: %s run did not complete cleanly: %s (%s, n=%d)\n",
-                 entry.name, what, lb::strategy_name(config.strategy),
-                 config.num_peers);
+                 lb::backend_name(config.backend), what,
+                 lb::strategy_name(config.strategy), config.num_peers);
     std::abort();
   }
   return metrics;
@@ -361,7 +357,8 @@ void dump_trace_if_requested(const Flags& flags, lb::Workload& workload,
   trace::RingTracer tracer(
       static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("trace-limit"))));
   config.tracer = &tracer;
-  // Trace sinks are single-threaded; the timeline is a simulator feature.
+  // The event counts and derived timeline this reports are filled by the
+  // simulator only.
   config.backend = lb::Backend::kSim;
   // This is a diagnostic re-run of an already-measured combination: keep it
   // out of the metrics stream (the re-run would restart simulated time and
@@ -386,14 +383,6 @@ void dump_trace_if_requested(const Flags& flags, lb::Workload& workload,
               ndjson ? "ndjson" : "perfetto",
               static_cast<unsigned long long>(metrics.trace_events),
               static_cast<unsigned long long>(metrics.trace_dropped), path.c_str());
-}
-
-std::vector<double> parse_double_list(const std::string& spec) {
-  std::vector<double> out;
-  for (const std::string& item : split_commas(spec)) {
-    out.push_back(std::strtod(item.c_str(), nullptr));
-  }
-  return out;
 }
 
 std::vector<lb::Strategy> parse_strategy_list(const std::string& spec,

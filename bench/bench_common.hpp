@@ -52,13 +52,13 @@ struct RunFlagSpec {
   int machines = Defaults::kSmallMachines;
   bool seed = true;  ///< --seed
   bool csv = true;   ///< --csv
-  /// --backend (any name in runtime::transport_names()) plus the socket
-  /// bring-up flags --rank / --peer-addrs / --socket-trace and the
+  /// --backend (sim, threads or sockets; lb::backend_from_name) plus the
+  /// socket bring-up flags --rank / --peer-addrs / --socket-trace and the
   /// --time-limit-ms wall-clock watchdog.
   bool backend = true;
   bool metrics = true;  ///< --metrics / --metrics-interval (live telemetry)
-  /// --shards (simulator event-queue shards; see docs/SCALING.md). 0 = the
-  /// plain single-queue engine, the pre-sharding default.
+  /// --shards (simulator event-queue shards; see docs/SCALING.md). 0 (the
+  /// default) and 1 both run one shard.
   bool shards = true;
 };
 
@@ -73,7 +73,7 @@ struct RunFlags {
   std::uint64_t seed = 1;
   bool csv = false;
   lb::Backend backend = lb::Backend::kSim;
-  int sim_shards = 0;  ///< --shards (0 = plain engine)
+  int sim_shards = 0;  ///< --shards (0 or 1 = one shard)
 };
 
 /// Reads back whichever of the shared flags were defined. Parsing --backend
@@ -136,12 +136,11 @@ lb::RunConfig bb_config(lb::Strategy s, int n, std::uint64_t seed, int dmax = 10
 lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax = 10);
 
 /// Runs and aborts loudly if the protocol failed to complete — a bench must
-/// never silently report a broken run. Dispatches through the transport
-/// registry (runtime::transport_entry) on config.backend; when the chosen
-/// transport declines the config (real-time backends cover fault-free,
-/// homogeneous, untraced overlay runs only) it falls back to the simulator
-/// with a one-time stderr note naming the reason. Real-time exec time =
-/// wall time to the root's termination; sim-only metrics stay zero.
+/// never silently report a broken run. Dispatches through runtime::run on
+/// config.backend; when runtime::unsupported_reason says the backend cannot
+/// run the config, it falls back to the simulator with a one-time stderr
+/// note naming the reason. Real-time exec time = wall time to the root's
+/// termination; sim-only metrics stay zero.
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what);
 
@@ -150,10 +149,6 @@ double sequential_seconds(lb::Workload& workload);
 
 /// Common header printed by every bench binary.
 void print_preamble(const char* experiment, const std::string& notes);
-
-/// Comma-separated doubles ("0,0.01,0.1") — the get_int_list reading would
-/// truncate the fractions, so the ladder sweeps parse their axes with this.
-std::vector<double> parse_double_list(const std::string& spec);
 
 /// Comma-separated strategy names, aborting loudly on a typo. With
 /// `overlay_only`, non-overlay names abort too (for sweeps exercising

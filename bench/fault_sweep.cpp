@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   print_preamble("Fault sweep: BTD vs RWS under message loss and crashes",
                  "UTS workload; explored=100% required whenever lost=0");
 
-  const std::vector<double> drops = parse_double_list(flags.get("drops"));
+  const std::vector<double> drops = flags.get_double_list("drops");
 
   auto uts = make_uts(static_cast<std::uint32_t>(flags.get_int("uts_seed")),
                       static_cast<int>(flags.get_int("uts_b0")));

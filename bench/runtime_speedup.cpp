@@ -104,8 +104,6 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 0;
   const RunFlags rf = parse_run_flags(flags);
   const lb::Strategy strategy = parse_strategy_flag(flags);
-  OLB_CHECK_MSG(lb::strategy_is_overlay(strategy),
-                "the thread backend runs overlay strategies only");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   // A speedup benchmark on a single core measures only timesharing overhead:
   // every multi-thread row is meaningless. Still run (CI smoke value), but

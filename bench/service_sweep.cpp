@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
                "soj_p50_ms", "soj_p99_ms", "queue_p50_ms", "queue_p99_ms",
                "exec_sec", "checked"});
   std::vector<std::string> json_rows;
-  for (double load : parse_double_list(flags.get("loads"))) {
+  for (double load : flags.get_double_list("loads")) {
     svc::ServiceConfig sc = build_service(flags, rf, strategy, load);
 
     check::OracleOptions options = check::oracle_options_for(sc.run);

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   const lb::RunConfig config = bench::bb_config(
       strategy, rf.peers, rf.seed, static_cast<int>(flags.get_int("dmax")));
 
-  // run_checked dispatches through the transport registry on config.backend
-  // and aborts on an unclean run; every transport solves to optimality.
+  // run_checked dispatches through runtime::run on config.backend and
+  // aborts on an unclean run; every backend solves to optimality.
   const auto metrics = bench::run_checked(workload, config, "flowshop_solver");
 
   const auto perm = workload.best().permutation();

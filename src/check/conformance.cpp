@@ -2,7 +2,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <string>
 
+#include "runtime/runtime.hpp"
 #include "support/check.hpp"
 
 namespace olb::check {
@@ -123,8 +125,10 @@ OracleOptions oracle_options_for(const lb::RunConfig& config) {
   o.churn_initial_peers =
       config.churn.enabled() ? config.churn.initial_peers : 0;
   // With zero jitter, no perturbation and no faults the simulator's network
-  // delivers every link in send order.
-  o.strict_link_fifo = config.net.latency_jitter == 0 &&
+  // delivers every link in send order. Real-time backends have no modelled
+  // links; the inbox-order FIFO check still applies there.
+  o.strict_link_fifo = config.backend == lb::Backend::kSim &&
+                       config.net.latency_jitter == 0 &&
                        !config.perturb.enabled() && !config.faults.enabled();
   return o;
 }
@@ -132,17 +136,15 @@ OracleOptions oracle_options_for(const lb::RunConfig& config) {
 ConformanceReport run_conformance(lb::Workload& workload,
                                   const lb::RunConfig& config,
                                   const lb::SequentialMetrics& seq) {
-  lb::RunConfig local = config;
-  local.backend = lb::Backend::kSim;
-
-  OracleSet oracles(oracle_options_for(local));
+  OracleSet oracles(oracle_options_for(config));
   // The caller's tracer stays `first` so the driver's snapshot-derived
   // timeline metrics keep working; the oracles only ever see record().
   trace::TeeSink tee(config.tracer, &oracles);
+  lb::RunConfig local = config;
   local.tracer = &tee;
 
   ConformanceReport report;
-  report.metrics = lb::run_distributed(workload, local);
+  report.metrics = runtime::run(workload, local);
   oracles.finish();
   report.violations = oracles.violations();
 
@@ -161,58 +163,25 @@ ConformanceReport run_conformance(lb::Workload& workload,
   return report;
 }
 
-ThreadConformanceReport run_thread_conformance(
-    lb::Workload& workload, const lb::RunConfig& config,
-    const lb::SequentialMetrics& seq) {
-  lb::RunConfig local = config;
-  local.backend = lb::Backend::kThreads;
-  local.perturb = sim::SchedulePerturbation{};  // a simulator concept
-  OLB_CHECK_MSG(local.plant.kind != lb::PlantedBug::Kind::kLostWork,
-                "kLostWork is planted in the simulated network");
-
-  OracleOptions options = oracle_options_for(local);
-  // Real threads: wall-clock timestamps, no modelled links. The inbox-order
-  // FIFO check still applies; the strict per-link variant would hold too
-  // (mailboxes are FIFO) but adds nothing over it here.
-  options.strict_link_fifo = false;
-  OracleSet oracles(options);
-  trace::TeeSink tee(config.tracer, &oracles);
-  local.tracer = &tee;
-
-  ThreadConformanceReport report;
-  report.metrics = runtime::run_threads(workload, local);
-  oracles.finish();
-  report.violations = oracles.violations();
-
-  if (!report.metrics.ok) {
-    add(&report.violations, "completion", -1,
-        "run did not quiesce with protocol termination (watchdog or stuck)");
-    return report;
-  }
-  check_final_state(report.metrics.final_state, &report.violations);
-  // The threads backend is fault-free by construction: always lossless.
-  check_totals(report.metrics.total_units, report.metrics.best_bound,
-               /*lossless=*/true, seq, &report.violations);
-  check_transfer_balance(report.metrics.final_state, &report.violations);
-  return report;
-}
-
 DifferentialReport run_differential(
     const std::function<std::unique_ptr<lb::Workload>()>& make_workload,
     const lb::RunConfig& config, const lb::SequentialMetrics& seq) {
-  OLB_CHECK_MSG(lb::strategy_is_overlay(config.strategy),
-                "differential checking needs a strategy both backends run");
-  OLB_CHECK_MSG(!config.faults.enabled(),
-                "fault injection is a simulator concept");
+  lb::RunConfig sim_config = config;
+  sim_config.backend = lb::Backend::kSim;
+  lb::RunConfig threads_config = config;
+  threads_config.backend = lb::Backend::kThreads;
+  const std::string why =
+      runtime::unsupported_reason(lb::Backend::kThreads, threads_config);
+  OLB_CHECK_MSG(why.empty(), why.c_str());
 
   DifferentialReport report;
   {
     auto workload = make_workload();
-    report.sim = run_conformance(*workload, config, seq);
+    report.sim = run_conformance(*workload, sim_config, seq);
   }
   {
     auto workload = make_workload();
-    report.threads = run_thread_conformance(*workload, config, seq);
+    report.threads = run_conformance(*workload, threads_config, seq);
   }
 
   // Execution-order-independent results must agree across backends. (Both

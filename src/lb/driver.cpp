@@ -18,6 +18,17 @@
 
 namespace olb::lb {
 
+namespace {
+
+bool equals_icase(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](char x, char y) {
+    return std::tolower(static_cast<unsigned char>(x)) ==
+           std::tolower(static_cast<unsigned char>(y));
+  });
+}
+
+}  // namespace
+
 const char* strategy_name(Strategy s) {
   switch (s) {
     case Strategy::kOverlayTD: return "TD";
@@ -45,23 +56,11 @@ const char* backend_name(Backend b) {
 }
 
 bool backend_from_name(std::string_view name, Backend* out) {
-  auto lower = [](std::string_view s) {
-    std::string r(s);
-    for (char& c : r) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return r;
-  };
-  const std::string n = lower(name);
-  if (n == "sim") {
-    *out = Backend::kSim;
-    return true;
-  }
-  if (n == "threads") {
-    *out = Backend::kThreads;
-    return true;
-  }
-  if (n == "sockets") {
-    *out = Backend::kSockets;
-    return true;
+  for (Backend b : {Backend::kSim, Backend::kThreads, Backend::kSockets}) {
+    if (equals_icase(name, backend_name(b))) {
+      *out = b;
+      return true;
+    }
   }
   return false;
 }
@@ -75,18 +74,8 @@ const std::vector<Strategy>& all_strategies() {
 }
 
 bool strategy_from_name(std::string_view name, Strategy* out) {
-  auto eq = [](std::string_view a, std::string_view b) {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (std::toupper(static_cast<unsigned char>(a[i])) !=
-          std::toupper(static_cast<unsigned char>(b[i]))) {
-        return false;
-      }
-    }
-    return true;
-  };
   for (Strategy s : all_strategies()) {
-    if (eq(name, strategy_name(s))) {
+    if (equals_icase(name, strategy_name(s))) {
       *out = s;
       return true;
     }
@@ -282,11 +271,7 @@ struct BuiltCluster {
   AhmwPeer* ahmw_root = nullptr;         ///< set for Strategy::kAHMW
 };
 
-// Templated over the engine so the sharded coordinator (sim::ShardedEngine)
-// builds byte-identical clusters through the same code path as the plain
-// engine — both expose the add_actor/num_actors/actor surface.
-template <class EngineT>
-BuiltCluster build_cluster(EngineT& engine, Workload& workload,
+BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
                            const RunConfig& config) {
   BuiltCluster built;
   const int n = config.num_peers;
@@ -393,13 +378,13 @@ BuiltCluster build_cluster(EngineT& engine, Workload& workload,
   return built;
 }
 
-/// Caps config.sim_shards to what the run supports: features that need one
-/// global event order (or per-link state sized to the whole cluster) force a
-/// single shard, with a one-time note so sweeps are not silently
-/// reconfigured.
+/// The shard count a run uses: config.sim_shards, at least 1, capped to one
+/// shard when a feature needs one global event order (or per-link state
+/// sized to the whole cluster), with a one-time note so sweeps are not
+/// silently reconfigured.
 int effective_sim_shards(const RunConfig& config) {
-  const int shards = std::max(config.sim_shards, 0);
-  if (shards < 2) return shards;
+  const int shards = config.sim_shards;
+  if (shards < 2) return 1;
   const char* why = nullptr;
   if (config.tracer != nullptr) {
     why = "tracing";
@@ -459,14 +444,14 @@ OverlayConfig make_overlay_config(const RunConfig& config) {
   return oc;
 }
 
-namespace {
-
-// The whole run — configuration, cluster build, execution, metric harvest —
-// shared between the plain engine and the sharded coordinator. Everything
-// here reads the common accessor surface the two types mirror.
-template <class EngineT>
-RunMetrics run_on_engine(EngineT& engine, Workload& workload,
-                         const RunConfig& config) {
+RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
+  OLB_CHECK_MSG(config.backend == Backend::kSim,
+                "run_distributed is the simulator backend; runtime::run "
+                "dispatches threads/sockets runs");
+  validate_faults_for_strategy(config);
+  validate_churn(config);
+  sim::ShardedEngine engine(config.net, config.seed, config.num_peers,
+                            effective_sim_shards(config));
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
   BuiltCluster built = build_cluster(engine, workload, config);
@@ -476,9 +461,7 @@ RunMetrics run_on_engine(EngineT& engine, Workload& workload,
     engine.set_planted_payload_drop(kLostWorkNth);
   }
 
-  engine.transport_start();  // lifecycle contract; a no-op on the simulator
   const auto result = engine.run(config.limits.time_limit, config.limits.event_limit);
-  engine.transport_shutdown();
 
   RunMetrics metrics;
   metrics.events = result.events;
@@ -575,28 +558,6 @@ RunMetrics run_on_engine(EngineT& engine, Workload& workload,
     metrics.idle_peers = tl.idle_peers;
     metrics.pending_depth = tl.pending_depth;
   }
-  return metrics;
-}
-
-}  // namespace
-
-RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
-  OLB_CHECK_MSG(config.backend == Backend::kSim,
-                "run_distributed is the simulator backend; threads/sockets "
-                "runs go through runtime::run_threads / runtime::run_sockets");
-  validate_faults_for_strategy(config);
-  validate_churn(config);
-  const int shards = effective_sim_shards(config);
-  if (shards == 0) {
-    // The pre-sharding code path, untouched: sim_shards=0 runs stay
-    // byte-identical to every release before the sharded coordinator.
-    sim::Engine engine(config.net, config.seed);
-    RunMetrics metrics = run_on_engine(engine, workload, config);
-    metrics.sim_shards = 1;
-    return metrics;
-  }
-  sim::ShardedEngine engine(config.net, config.seed, config.num_peers, shards);
-  RunMetrics metrics = run_on_engine(engine, workload, config);
   metrics.sim_shards = engine.num_shards();
   metrics.sim_windows = engine.windows_run();
   return metrics;

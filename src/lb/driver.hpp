@@ -34,9 +34,11 @@ const char* strategy_name(Strategy s);
 bool strategy_is_overlay(Strategy s);
 
 /// Execution backend for a run. kSim is the discrete-event simulator
-/// (sim::Engine); kThreads runs the same protocol objects on real threads
-/// (runtime::ThreadNet) over real shared-memory work; kSockets runs one
-/// peer per OS process joined by TCP (runtime::SocketNet).
+/// (sim::ShardedEngine over one or more sim::Engine shards); kThreads runs
+/// the same protocol objects on real threads (runtime::ThreadNet) over real
+/// shared-memory work; kSockets runs one peer per OS process joined by TCP
+/// (runtime::SocketNet). runtime::run dispatches on it, and
+/// runtime::unsupported_reason lists what each backend cannot run.
 enum class Backend {
   kSim,
   kThreads,
@@ -155,7 +157,7 @@ struct RunConfig {
   sim::SchedulePerturbation perturb;
 
   /// Conformance-harness bug plant (default = none). Simulator backend for
-  /// kLostWork; kSplitBias works on both backends (it lives in the shared
+  /// kLostWork; kSplitBias works on every backend (it lives in the shared
   /// OverlayConfig).
   PlantedBug plant;
 
@@ -173,10 +175,8 @@ struct RunConfig {
   metrics::MetricsHub* metrics = nullptr;
 
   /// Simulator sharding (Backend::kSim only; see simnet/sharded_engine.hpp).
-  /// 0 (default) runs the plain single-queue engine — exactly the
-  /// pre-sharding code path. 1 runs the sharded coordinator with one shard,
-  /// which is byte-identical to 0 by construction (CI compares the two on
-  /// pinned traces). >= 2 splits the peer range into that many
+  /// 0 (default) and 1 both run one shard: a single engine and event queue
+  /// over the whole peer range. >= 2 splits the peer range into that many
   /// cluster-aligned shards under conservative lookahead — deterministic,
   /// but a different (equally valid) timeline than the single-queue run.
   /// Features that assume one global event order (tracing, live metrics,
@@ -184,10 +184,9 @@ struct RunConfig {
   /// to one shard with a one-time stderr note.
   int sim_shards = 0;
 
-  /// Execution backend. run_distributed only accepts kSim; kThreads runs
-  /// go through runtime::run_threads and kSockets through
-  /// runtime::run_sockets (both share this config type so flag parsing and
-  /// sweep code stay backend-agnostic).
+  /// Execution backend. runtime::run dispatches on it; run_distributed
+  /// only accepts kSim (all three share this config type so flag parsing
+  /// and sweep code stay backend-agnostic).
   Backend backend = Backend::kSim;
 
   /// Per-process bring-up for Backend::kSockets; ignored otherwise.
@@ -253,9 +252,8 @@ struct RunMetrics {
   std::uint64_t events = 0;
   bool ok = false;  ///< quiesced, protocol terminated, no work left anywhere
 
-  /// Simulator sharding actually used (1 for the plain engine and for
-  /// single-shard runs) and conservative windows executed (0 when the
-  /// window loop never ran — plain engine or one shard).
+  /// Simulator shards actually used (at least 1) and conservative windows
+  /// executed (0 for one shard, which never enters the window loop).
   int sim_shards = 1;
   std::uint64_t sim_windows = 0;
 

@@ -12,8 +12,7 @@
 //  * Zero cost when off. Every instrumentation site goes through the inline
 //    helpers at the bottom (inc/set_gauge/record), which test a pointer that
 //    is null unless a MetricsHub was attached — one predicted branch, the
-//    same discipline as trace::emit. With -DOLB_METRICS_DISABLED the helpers
-//    fold to nothing and no pointer is ever armed.
+//    same discipline as trace::emit.
 //  * One write path for both backends. A Registry is built with a shard
 //    count: 1 on the simulator (writes compile to plain load/store on an
 //    uncontended atomic — field cost), >1 on the thread backend (writers are
@@ -42,14 +41,6 @@
 #include <vector>
 
 namespace olb::metrics {
-
-/// Compile-time kill switch: with -DOLB_METRICS_DISABLED the inline helpers
-/// below are empty and no hub ever arms an instrument pointer.
-#ifdef OLB_METRICS_DISABLED
-inline constexpr bool kMetricsCompiled = false;
-#else
-inline constexpr bool kMetricsCompiled = true;
-#endif
 
 class Registry;
 
@@ -256,31 +247,18 @@ struct ActorEventCounters {
 
 // --- the instrumentation-site helpers -------------------------------------
 // All hot-path call sites go through these: a null instrument (metrics off)
-// costs one predicted-not-taken branch, and OLB_METRICS_DISABLED folds the
-// whole call away.
+// costs one predicted-not-taken branch.
 
 inline void inc(Counter* c, std::uint64_t n = 1) {
-  if constexpr (kMetricsCompiled) {
-    if (c != nullptr) [[unlikely]] c->inc(n);
-  } else {
-    (void)c, (void)n;
-  }
+  if (c != nullptr) [[unlikely]] c->inc(n);
 }
 
 inline void set_gauge(Gauge* g, std::int64_t v) {
-  if constexpr (kMetricsCompiled) {
-    if (g != nullptr) [[unlikely]] g->set(v);
-  } else {
-    (void)g, (void)v;
-  }
+  if (g != nullptr) [[unlikely]] g->set(v);
 }
 
 inline void record(Histogram* h, std::uint64_t v) {
-  if constexpr (kMetricsCompiled) {
-    if (h != nullptr) [[unlikely]] h->record(v);
-  } else {
-    (void)h, (void)v;
-  }
+  if (h != nullptr) [[unlikely]] h->record(v);
 }
 
 }  // namespace olb::metrics

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "lb/messages.hpp"
 #include "runtime/thread_net.hpp"
@@ -9,13 +10,52 @@
 
 namespace olb::runtime {
 
+std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config) {
+  if (backend == lb::Backend::kSim) return "";
+  // The real-time backends run the overlay protocol objects directly and
+  // have no simulator to model faults, per-peer speed or a lossy network.
+  if (!lb::strategy_is_overlay(config.strategy)) {
+    return "only overlay strategies (TD/TR/BTD)";
+  }
+  if (config.faults.enabled()) return "fault injection is a simulator concept";
+  if (config.het.fraction != 0.0) return "speed scaling is a simulator concept";
+  if (config.plant.kind == lb::PlantedBug::Kind::kLostWork) {
+    return "the lost-work plant drops messages in the simulated network";
+  }
+  if (backend == lb::Backend::kThreads) return "";
+  if (config.tracer != nullptr || config.metrics != nullptr) {
+    return "socket runs trace via --socket-trace, not in-process sinks";
+  }
+  if (!config.sockets.configured()) return "needs --rank and a peer address table";
+  if (static_cast<int>(config.sockets.peers.size()) != config.num_peers) {
+    return "address table size must equal --peers";
+  }
+  return "";
+}
+
+lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config) {
+  if (config.backend == lb::Backend::kSim) {
+    return lb::run_distributed(workload, config);
+  }
+  ThreadRunMetrics t = config.backend == lb::Backend::kThreads
+                                 ? run_threads(workload, config)
+                                 : run_sockets(workload, config);
+  lb::RunMetrics m;
+  m.exec_seconds = t.done_seconds;
+  m.last_compute_seconds = t.done_seconds;
+  m.total_units = t.total_units;
+  m.total_messages = t.total_messages;
+  m.work_requests = t.work_requests;
+  m.work_transfers = t.work_transfers;
+  m.best_bound = t.best_bound;
+  m.ok = t.ok;
+  m.final_state = std::move(t.final_state);
+  return m;
+}
+
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config) {
-  OLB_CHECK_MSG(lb::strategy_is_overlay(config.strategy),
-                "the thread backend runs overlay strategies (TD/TR/BTD) only");
-  OLB_CHECK_MSG(!config.faults.enabled(),
-                "fault injection is a simulator concept");
-  OLB_CHECK_MSG(config.het.fraction == 0.0,
-                "speed scaling is a simulator concept");
+  const std::string why = unsupported_reason(lb::Backend::kThreads, config);
+  OLB_CHECK_MSG(why.empty(), why.c_str());
   OLB_CHECK(config.num_peers >= 1);
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(
@@ -40,13 +80,11 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
     net.add_actor(std::move(peer));
   }
 
-  net.transport_start();  // lifecycle contract; a no-op on this backend
   const auto result = net.run(
       [](const sim::Actor& a) {
         return static_cast<const lb::PeerBase&>(a).saw_terminate();
       },
       config.limits.time_limit);
-  net.transport_shutdown();
 
   ThreadRunMetrics metrics;
   metrics.wall_seconds = result.wall_seconds;

@@ -1,11 +1,17 @@
-// Thread-backend counterpart of lb::run_distributed: builds the same overlay
-// cluster a RunConfig describes, but executes it on real threads over real
-// work (runtime::ThreadNet) instead of the discrete-event simulator.
+// The real-time backends and the one dispatch from a RunConfig to a run.
 //
-// Scope: overlay strategies (TD/TR/BTD) only, fault-free, homogeneous —
-// fault injection and speed scaling are simulator concepts. Results are
-// checked against execution-order-independent invariants (exact node
-// counts, B&B optima) rather than reproduced byte-for-byte.
+// run_threads builds the same overlay cluster a RunConfig describes, but
+// executes it on real threads over real work (runtime::ThreadNet) instead
+// of the discrete-event simulator; run_sockets runs one rank of it per OS
+// process (runtime::SocketNet). run() switches on config.backend over those
+// two and lb::run_distributed, and unsupported_reason() is the single list
+// of what each backend cannot run.
+//
+// The real-time backends run overlay strategies (TD/TR/BTD) only,
+// fault-free and homogeneous — fault injection, speed scaling and the
+// lost-work plant are simulator concepts. Results are checked against
+// execution-order-independent invariants (exact node counts, B&B optima)
+// rather than reproduced byte-for-byte.
 //
 // Performance: the per-message path is allocation-free in steady state
 // (sender-pooled mailbox nodes), receivers drain in batches with at most
@@ -14,6 +20,8 @@
 // docs/BENCHMARKING.md (`runtime_speedup` is the pinned metric; small
 // chunk_units puts a run in this messaging-bound regime).
 #pragma once
+
+#include <string>
 
 #include "lb/driver.hpp"
 
@@ -35,21 +43,36 @@ struct ThreadRunMetrics {
   std::vector<lb::StateTap> final_state;
 };
 
-/// Runs `workload` under `config` on one thread per peer. Requires an
-/// overlay strategy, no fault plan and no heterogeneity (OLB_CHECK).
-/// `config.num_peers` is the thread count; `config.limits.time_limit` caps
-/// the wall clock (a watchdog — a correct run finishes long before it).
+/// Why `backend` cannot run `config`, or "" when it can. The simulator runs
+/// everything; the real-time backends reject non-overlay strategies, fault
+/// plans, speed scaling and the lost-work plant, and sockets additionally
+/// reject in-process trace sinks and metrics hubs and need a configured
+/// SocketBringup whose address table has exactly config.num_peers entries.
+/// run_threads and run_sockets abort (OLB_CHECK) on a non-empty reason.
+std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config);
+
+/// Runs `workload` on config.backend. Real-time results are converted to
+/// the simulator's RunMetrics shape: the root's termination time fills the
+/// timing fields and simulator-only series (events, utilisation, queueing
+/// delay, per-peer message vectors) stay zero or empty.
+lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config);
+
+/// Runs `workload` under `config` on one thread per peer. Requires
+/// unsupported_reason(kThreads, config) to be empty (OLB_CHECK). A tracer in
+/// the config is wrapped in a trace::LockedSink, since peers emit from their
+/// own threads. `config.num_peers` is the thread count;
+/// `config.limits.time_limit` caps the wall clock (a watchdog — a correct
+/// run finishes long before it).
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config);
 
 /// Socket-backend counterpart: runs THIS process's single peer
 /// (config.sockets.rank) of a multi-process cluster over TCP
 /// (runtime::SocketNet), then all-gathers per-rank results so the returned
 /// metrics are the cluster-wide aggregate — identical on every process.
-/// Requires an overlay strategy, no fault plan, no heterogeneity, no
-/// tracer/metrics hub in the config (socket traces go to per-process
-/// NDJSON files via config.sockets.trace_prefix), and a configured
-/// SocketBringup whose address table has exactly config.num_peers entries.
-/// `config.limits.time_limit` caps the wall clock per process.
+/// Requires unsupported_reason(kSockets, config) to be empty (OLB_CHECK);
+/// socket traces go to per-process NDJSON files via
+/// config.sockets.trace_prefix. `config.limits.time_limit` caps the wall
+/// clock per process.
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config);
 
 }  // namespace olb::runtime

@@ -107,7 +107,7 @@ void SocketNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
   m.id = static_cast<std::uint32_t>(
       (seq_ * n + static_cast<std::uint64_t>(options_.rank) + 1) & 0x7fffffffu);
   ++seq_;
-  if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
+  if (tracer_ != nullptr) [[unlikely]] {
     // Recorded before the enqueue, so this process's stream orders every
     // send ahead of any later local event — the causal order the merge in
     // src/check relies on. Latency (b) is 0: it is not locally observable.
@@ -139,7 +139,7 @@ void SocketNet::dispatch(sim::Message m) {
   sim::Actor& a = *actor_;
   ++a.stats_.msgs_received;
   OLB_CHECK(m.type >= 0);
-  if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
+  if (tracer_ != nullptr) [[unlikely]] {
     const sim::Time now = transport_now();
     trace::emit(tracer_.get(), now, trace::EventKind::kMsgDeliver, a.id_, m.src,
                 m.type, static_cast<std::int64_t>(m.id),

@@ -131,19 +131,9 @@ std::string next_trace_path(const std::string& prefix, int rank) {
 }  // namespace
 
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config) {
-  OLB_CHECK_MSG(lb::strategy_is_overlay(config.strategy),
-                "the socket backend runs overlay strategies (TD/TR/BTD) only");
-  OLB_CHECK_MSG(!config.faults.enabled(),
-                "fault injection is a simulator concept");
-  OLB_CHECK_MSG(config.het.fraction == 0.0,
-                "speed scaling is a simulator concept");
-  OLB_CHECK_MSG(config.tracer == nullptr && config.metrics == nullptr,
-                "socket runs trace via sockets.trace_prefix, not RunConfig");
+  const std::string why = unsupported_reason(lb::Backend::kSockets, config);
+  OLB_CHECK_MSG(why.empty(), why.c_str());
   OLB_CHECK(config.num_peers >= 1);
-  OLB_CHECK_MSG(config.sockets.configured(),
-                "--backend=sockets needs --rank and a peer address table");
-  OLB_CHECK_MSG(static_cast<int>(config.sockets.peers.size()) == config.num_peers,
-                "peer address table size must equal the peer count");
   OLB_CHECK(config.sockets.rank < config.num_peers);
 
   auto tree = std::make_shared<const overlay::TreeOverlay>(

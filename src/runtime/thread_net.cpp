@@ -56,7 +56,7 @@ void ThreadNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
   const std::uint64_t msg_id =
       total_messages_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
+  if (tracer_ != nullptr) [[unlikely]] {
     // Emitted *before* the mailbox push: the delivery emit happens-after the
     // pop, which happens-after this push, so the (locked) sink records every
     // send ahead of its delivery — the stream order the oracles rely on.
@@ -116,7 +116,7 @@ void ThreadNet::dispatch(Host& host, sim::Message m) {
   // Timers stay thread-local and faults don't exist here, so the reserved
   // negative types never travel through a mailbox.
   OLB_CHECK(m.type >= 0);
-  if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
+  if (tracer_ != nullptr) [[unlikely]] {
     trace::emit(tracer_, transport_now(), trace::EventKind::kMsgDeliver, a.id_,
                 m.src, m.type, static_cast<std::int64_t>(m.id), 0);
   }
@@ -189,21 +189,16 @@ void ThreadNet::peer_loop(Host& host,
       a.on_compute_done();
       progress = true;
     }
-    if constexpr (metrics::kMetricsCompiled) {
-      // Stride-throttled gauge sampling on the owner thread: no clock reads,
-      // no per-message cost, and the pre-sleep poll below keeps idle peers'
-      // gauges current between batches.
-      if (metrics_hub_ != nullptr && --host.metrics_countdown <= 0)
-          [[unlikely]] {
-        host.metrics_countdown = kMetricsPollStride;
-        a.on_metrics_poll();
-      }
+    // Stride-throttled gauge sampling on the owner thread: no clock reads,
+    // no per-message cost, and the pre-sleep poll below keeps idle peers'
+    // gauges current between batches.
+    if (metrics_hub_ != nullptr && --host.metrics_countdown <= 0) [[unlikely]] {
+      host.metrics_countdown = kMetricsPollStride;
+      a.on_metrics_poll();
     }
     if (progress) continue;
     if (std::chrono::steady_clock::now() >= deadline) return;  // watchdog
-    if constexpr (metrics::kMetricsCompiled) {
-      if (metrics_hub_ != nullptr) [[unlikely]] a.on_metrics_poll();
-    }
+    if (metrics_hub_ != nullptr) [[unlikely]] a.on_metrics_poll();
 
     // Idle. Eventcount sleep: read the epoch, raise the sleep gate, re-poll
     // once (a sender may have pushed between the drain above and the gate

@@ -101,7 +101,7 @@ class ThreadNet final : public sim::Transport {
   /// unarmed — the per-send cost is then two predicted branches.
   void set_metrics(metrics::MetricsHub* hub) {
     OLB_CHECK_MSG(!running_, "metrics must be attached before run()");
-    if constexpr (metrics::kMetricsCompiled) metrics_hub_ = hub;
+    metrics_hub_ = hub;
   }
 
  private:

@@ -27,28 +27,26 @@ void Actor::emit_trace(trace::EventKind kind, int peer, int type, std::int64_t a
                        std::int64_t b) {
   // Metrics tap: every protocol already marks its request/serve/decline/
   // retry/idle moments here, so counting at the funnel instruments all four
-  // strategies (and works even when tracing is compiled out or detached).
-  if constexpr (metrics::kMetricsCompiled) {
-    if (mcounters_ != nullptr) [[unlikely]] {
-      switch (kind) {
-        case trace::EventKind::kRequest:
-          metrics::inc(mcounters_->requests);
-          break;
-        case trace::EventKind::kServe:
-          metrics::inc(mcounters_->serves);
-          break;
-        case trace::EventKind::kNoServe:
-          metrics::inc(mcounters_->declines);
-          break;
-        case trace::EventKind::kRetry:
-          metrics::inc(mcounters_->retries);
-          break;
-        case trace::EventKind::kIdleBegin:
-          metrics::inc(mcounters_->idle);
-          break;
-        default:
-          break;
-      }
+  // strategies (and works even when tracing is detached).
+  if (mcounters_ != nullptr) [[unlikely]] {
+    switch (kind) {
+      case trace::EventKind::kRequest:
+        metrics::inc(mcounters_->requests);
+        break;
+      case trace::EventKind::kServe:
+        metrics::inc(mcounters_->serves);
+        break;
+      case trace::EventKind::kNoServe:
+        metrics::inc(mcounters_->declines);
+        break;
+      case trace::EventKind::kRetry:
+        metrics::inc(mcounters_->retries);
+        break;
+      case trace::EventKind::kIdleBegin:
+        metrics::inc(mcounters_->idle);
+        break;
+      default:
+        break;
     }
   }
   trace::emit(transport_->transport_tracer(), transport_->transport_now(), kind,
@@ -180,7 +178,7 @@ void Engine::send_from(Actor& from, int dst, Message m) {
     return;
   }
 
-  if (trace::kTraceCompiled && tracer_ != nullptr) [[unlikely]] {
+  if (tracer_ != nullptr) [[unlikely]] {
     // The id store lives under the tracer check: writing a bit-field is a
     // read-modify-write of the whole type/id unit, too costly for a field
     // nothing reads in untraced runs.
@@ -206,7 +204,7 @@ void Engine::send_faulty(Actor& from, int dst, Message&& m, Time latency) {
     ++latency_spikes_;
   }
 
-  if (trace::kTraceCompiled && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     m.id = static_cast<std::uint32_t>(total_messages_);
     trace::emit(tracer_, now_, trace::EventKind::kMsgSend, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), latency);
@@ -446,10 +444,6 @@ void Engine::apply_stall(int peer, Time duration) {
 }
 
 void Engine::set_metrics(metrics::MetricsHub* hub) {
-  if constexpr (!metrics::kMetricsCompiled) {
-    (void)hub;
-    return;  // never arm: metrics_next_ stays kTimeMax
-  }
   OLB_CHECK_MSG(!running_, "metrics must be attached before run()");
   metrics_hub_ = hub;
   if (hub == nullptr) return;

@@ -339,12 +339,7 @@ class Engine final : public Transport {
   /// exactly this number exploding at the master. Always accounted.
   Time queueing_delay_max() const { return queue_delay_max_; }
   std::uint64_t queueing_delay_samples() const { return queue_delay_samples_; }
-  double queueing_delay_mean() const {
-    return queue_delay_samples_ > 0
-               ? static_cast<double>(queue_delay_sum_) /
-                     static_cast<double>(queue_delay_samples_)
-               : 0.0;
-  }
+  Time queueing_delay_sum() const { return queue_delay_sum_; }
 
  private:
   friend class Actor;

@@ -63,8 +63,7 @@ int ShardedEngine::add_actor(std::unique_ptr<Actor> actor) {
 Engine::RunResult ShardedEngine::run(Time time_limit,
                                      std::uint64_t event_limit) {
   if (num_shards() == 1) {
-    // Identity path: one Engine over the whole peer range, one run() call —
-    // byte-identical to the unsharded simulator (CI enforces this).
+    // One Engine over the whole peer range: one run() call, no windows.
     return engines_[0]->run(time_limit, event_limit);
   }
   Engine::RunResult total;
@@ -190,14 +189,14 @@ Time ShardedEngine::queueing_delay_max() const {
 }
 
 double ShardedEngine::queueing_delay_mean() const {
-  double sum = 0.0;
+  Time sum = 0;
   std::uint64_t samples = 0;
   for (const auto& e : engines_) {
-    sum += e->queueing_delay_mean() *
-           static_cast<double>(e->queueing_delay_samples());
+    sum += e->queueing_delay_sum();
     samples += e->queueing_delay_samples();
   }
-  return samples > 0 ? sum / static_cast<double>(samples) : 0.0;
+  return samples > 0 ? static_cast<double>(sum) / static_cast<double>(samples)
+                     : 0.0;
 }
 
 std::uint64_t ShardedEngine::msgs_dropped() const {

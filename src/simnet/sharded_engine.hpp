@@ -29,12 +29,13 @@
 // bit-identical to running the shards one after another. A run is still a
 // pure function of (actors, config, seed, shard count).
 //
-// Identity: with a single shard there is exactly one Engine, configured over
-// the whole peer range, and run() forwards to it verbatim — byte-identical
-// timelines to the unsharded engine, which CI enforces on pinned seeds.
-// With k >= 2 the timeline is deterministic but *different* (each shard owns
-// a jitter RNG stream), so only schedule-independent outputs — e.g. exact
-// UTS unit counts — are comparable across shard counts.
+// One shard: there is exactly one Engine, configured over the whole peer
+// range, and run() forwards to it verbatim, so every simulator run —
+// sim_shards 0 or 1 — takes this one path (lb::run_distributed builds no
+// other engine). With k >= 2 the timeline is deterministic but *different*
+// (each shard owns a jitter RNG stream), so only schedule-independent
+// outputs — e.g. exact UTS unit counts — are comparable across shard
+// counts.
 #pragma once
 
 #include <condition_variable>
@@ -87,8 +88,8 @@ class ShardedEngine {
   /// Number of conservative windows executed so far (1 window == 1 barrier).
   std::uint64_t windows_run() const { return windows_; }
 
-  // --- aggregated Engine mirrors (the lb driver reads these; see
-  // driver.cpp's templated metric tail) ---
+  // --- aggregated Engine mirrors (the lb driver's metric harvest reads
+  // these) ---
   Time now() const;
   std::uint64_t total_messages() const;
   std::uint64_t total_sent_of_type(int type) const;
@@ -108,9 +109,8 @@ class ShardedEngine {
   // --- single-shard-only features ---
   // Tracing, metrics, faults, perturbation and bug plants all assume one
   // global event order (or per-pair link state sized to the local actor
-  // count), so the driver declines them for k >= 2; the k == 1 forwarding
-  // keeps the CI byte-identity gate honest (shards=1 runs carry the full
-  // instrument set of the unsharded engine).
+  // count), so the driver declines them for k >= 2 and forwards them to the
+  // one engine otherwise.
   void set_tracer(trace::TraceSink* tracer);
   trace::TraceSink* tracer() const { return engines_[0]->tracer(); }
   void set_metrics(metrics::MetricsHub* hub);
@@ -122,15 +122,6 @@ class ShardedEngine {
   /// remote outboxes — the simulator's own share of the bytes-per-peer
   /// budget.
   std::size_t queue_memory_bytes() const;
-
-  /// Lifecycle pass-throughs (no-ops on the simulator; kept so the driver's
-  /// templated run path treats both engine types uniformly).
-  void transport_start() {
-    for (auto& e : engines_) e->transport_start();
-  }
-  void transport_shutdown() {
-    for (auto& e : engines_) e->transport_shutdown();
-  }
 
  private:
   Engine& owner(int id) { return *engines_[static_cast<std::size_t>(shard_of(id))]; }

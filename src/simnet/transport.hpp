@@ -41,8 +41,9 @@
 //     an exceptional exit still releases OS resources. After shutdown no
 //     actor hook will run and transport_send() must not be called.
 //
-// Harnesses call the pair unconditionally on every backend; backends that
-// need no bring-up simply inherit the no-ops.
+// Only SocketNet needs stages 1 and 3, so only its harness
+// (runtime::run_sockets) calls the pair; the in-process backends inherit the
+// no-ops and their harnesses skip them.
 #pragma once
 
 #include <cstdint>

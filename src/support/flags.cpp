@@ -1,11 +1,63 @@
 #include "support/flags.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "support/check.hpp"
 
 namespace olb {
+namespace {
+
+/// A flag value that does not parse is a usage error, like an unknown flag:
+/// name the flag and the value and exit with status 2.
+[[noreturn]] void reject_value(std::string_view name, const std::string& value,
+                               const char* expected) {
+  std::fprintf(stderr, "FATAL: --%.*s: '%s' is not %s\n",
+               static_cast<int>(name.size()), name.data(), value.c_str(),
+               expected);
+  std::exit(2);
+}
+
+std::int64_t parse_int(std::string_view name, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE) {
+    reject_value(name, text, "a valid integer");
+  }
+  return v;
+}
+
+double parse_double(std::string_view name, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(v)) {
+    reject_value(name, text, "a finite number");
+  }
+  return v;
+}
+
+/// Comma-separated items; an empty value is an empty list.
+std::vector<std::string> list_items(const std::string& value) {
+  std::vector<std::string> out;
+  if (value.empty()) return out;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = value.find(',', start);
+    if (comma == std::string::npos) {
+      out.push_back(value.substr(start));
+      return out;
+    }
+    out.push_back(value.substr(start, comma - start));
+    start = comma + 1;
+  }
+}
+
+}  // namespace
 
 Flags& Flags::define(std::string name, std::string default_value, std::string help) {
   OLB_CHECK_MSG(find(name) == nullptr, "duplicate flag definition");
@@ -58,27 +110,32 @@ std::string Flags::get(std::string_view name) const {
 }
 
 std::int64_t Flags::get_int(std::string_view name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  return parse_int(name, get(name));
 }
 
 double Flags::get_double(std::string_view name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  return parse_double(name, get(name));
 }
 
 bool Flags::get_bool(std::string_view name) const {
   const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  reject_value(name, v, "a boolean (true/false, 1/0, yes/no, on/off)");
 }
 
 std::vector<std::int64_t> Flags::get_int_list(std::string_view name) const {
   std::vector<std::int64_t> out;
-  const std::string v = get(name);
-  std::size_t pos = 0;
-  while (pos < v.size()) {
-    std::size_t comma = v.find(',', pos);
-    if (comma == std::string::npos) comma = v.size();
-    out.push_back(std::strtoll(v.substr(pos, comma - pos).c_str(), nullptr, 10));
-    pos = comma + 1;
+  for (const std::string& item : list_items(get(name))) {
+    out.push_back(parse_int(name, item));
+  }
+  return out;
+}
+
+std::vector<double> Flags::get_double_list(std::string_view name) const {
+  std::vector<double> out;
+  for (const std::string& item : list_items(get(name))) {
+    out.push_back(parse_double(name, item));
   }
   return out;
 }

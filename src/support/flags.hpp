@@ -27,13 +27,19 @@ class Flags {
   /// out of.
   bool has(std::string_view name) const { return find(name) != nullptr; }
 
+  /// Typed readers. A value that does not parse completely — trailing
+  /// garbage, an empty or out-of-range number, a boolean other than
+  /// true/false, 1/0, yes/no or on/off — prints the flag and the value and
+  /// exits with status 2.
   std::string get(std::string_view name) const;
   std::int64_t get_int(std::string_view name) const;
   double get_double(std::string_view name) const;
   bool get_bool(std::string_view name) const;
 
-  /// Comma-separated integer list, e.g. "100,200,500".
+  /// Comma-separated lists, e.g. "100,200,500" or "0,0.05,0.1". An empty
+  /// value is an empty list; every item must parse as above.
   std::vector<std::int64_t> get_int_list(std::string_view name) const;
+  std::vector<double> get_double_list(std::string_view name) const;
 
   void print_usage(std::string_view program) const;
 

@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -152,68 +153,44 @@ ServiceMetrics run_service(const ServiceConfig& config) {
   svc_config.service.wave_interval = config.wave_interval;
   const auto oc = std::make_shared<const lb::OverlayConfig>(std::move(svc_config));
 
-  const int num_classes = static_cast<int>(config.classes.size());
+  // The fleet: n pool peers, then the gate (id n, outside the tree).
+  std::vector<std::unique_ptr<sim::Actor>> fleet;
   std::vector<lb::OverlayPeer*> peers;
-  bool all_done = false;
-  sim::Time done_time = -1;
+  for (int i = 0; i < n; ++i) {
+    auto peer = std::make_unique<lb::OverlayPeer>(tree, oc, nullptr);
+    peers.push_back(peer.get());
+    fleet.push_back(std::move(peer));
+  }
+  auto gate_owner = std::make_unique<JobGate>(
+      schedule, raw, config.admission, 0, static_cast<int>(config.classes.size()));
+  const JobGate& gate = *gate_owner;
+  fleet.push_back(std::move(gate_owner));
 
-  // Peers are owned by the engine/net, so everything read from them must
-  // happen before the backend object leaves scope.
-  auto finish = [&] {
-    harvest_tallies(peers, out.jobs);
-    for (lb::OverlayPeer* peer : peers) {
-      if (peer->holds_work() || !peer->saw_terminate()) all_done = false;
-      out.final_state.push_back(peer->state_tap());
-    }
-    done_time = peers.front()->done_time();
-  };
-
+  // Only the substrate differs by backend: how it is built, how the trace
+  // sink is wrapped, and the run call. It owns the fleet, so it is declared
+  // here and outlives the harvest below.
+  std::unique_ptr<trace::LockedSink> locked;
+  std::optional<sim::Engine> engine;
+  std::optional<runtime::ThreadNet> net;
+  bool completed = false;
   if (rc.backend == lb::Backend::kSim) {
-    sim::Engine engine(rc.net, rc.seed);
-    engine.set_tracer(rc.tracer);
-    engine.set_metrics(rc.metrics);
-    for (int i = 0; i < n; ++i) {
-      auto peer = std::make_unique<lb::OverlayPeer>(tree, oc, nullptr);
-      peers.push_back(peer.get());
-      engine.add_actor(std::move(peer));
-    }
-    auto gate_owner = std::make_unique<JobGate>(schedule, raw,
-                                                config.admission, 0,
-                                                num_classes);
-    JobGate* gate = gate_owner.get();
-    engine.add_actor(std::move(gate_owner));
-
-    engine.transport_start();
-    const auto result =
-        engine.run(rc.limits.time_limit, rc.limits.event_limit);
-    engine.transport_shutdown();
-
-    out.total_messages = engine.total_messages();
-    out.work_transfers = engine.total_sent_of_type(lb::kWork);
-    all_done = result.quiesced && gate->saw_terminate();
-    harvest_gate(*gate, out);
-    finish();
+    engine.emplace(rc.net, rc.seed);
+    engine->set_tracer(rc.tracer);
+    engine->set_metrics(rc.metrics);
+    for (auto& actor : fleet) engine->add_actor(std::move(actor));
+    completed = engine->run(rc.limits.time_limit, rc.limits.event_limit).quiesced;
+    out.total_messages = engine->total_messages();
+    out.work_transfers = engine->total_sent_of_type(lb::kWork);
   } else {
-    runtime::ThreadNet net(rc.seed);
-    std::unique_ptr<trace::LockedSink> locked;
+    net.emplace(rc.seed);
+    // Peers emit from their own threads; see runtime::run_threads.
     if (rc.tracer != nullptr) {
       locked = std::make_unique<trace::LockedSink>(rc.tracer);
-      net.set_tracer(locked.get());
+      net->set_tracer(locked.get());
     }
-    if (rc.metrics != nullptr) net.set_metrics(rc.metrics);
-    for (int i = 0; i < n; ++i) {
-      auto peer = std::make_unique<lb::OverlayPeer>(tree, oc, nullptr);
-      peers.push_back(peer.get());
-      net.add_actor(std::move(peer));
-    }
-    auto gate_owner = std::make_unique<JobGate>(schedule, raw,
-                                                config.admission, 0,
-                                                num_classes);
-    JobGate* gate = gate_owner.get();
-    net.add_actor(std::move(gate_owner));
-
-    net.transport_start();
-    const auto result = net.run(
+    net->set_metrics(rc.metrics);
+    for (auto& actor : fleet) net->add_actor(std::move(actor));
+    const auto result = net->run(
         [](const sim::Actor& a) {
           if (const auto* p = dynamic_cast<const lb::PeerBase*>(&a)) {
             return p->saw_terminate();
@@ -221,15 +198,20 @@ ServiceMetrics run_service(const ServiceConfig& config) {
           return static_cast<const JobGate&>(a).saw_terminate();
         },
         rc.limits.time_limit);
-    net.transport_shutdown();
-
+    completed = result.completed;
     out.wall_seconds = result.wall_seconds;
-    out.total_messages = net.total_messages();
-    out.work_transfers = net.total_sent_of_type(lb::kWork);
-    all_done = result.completed && gate->saw_terminate();
-    harvest_gate(*gate, out);
-    finish();
+    out.total_messages = net->total_messages();
+    out.work_transfers = net->total_sent_of_type(lb::kWork);
   }
+
+  bool all_done = completed && gate.saw_terminate();
+  harvest_gate(gate, out);
+  harvest_tallies(peers, out.jobs);
+  for (lb::OverlayPeer* peer : peers) {
+    if (peer->holds_work() || !peer->saw_terminate()) all_done = false;
+    out.final_state.push_back(peer->state_tap());
+  }
+  const sim::Time done_time = peers.front()->done_time();
 
   out.exec_seconds = sim::to_seconds(std::max<sim::Time>(done_time, 0));
   out.ok = all_done && done_time >= 0 && out.completed == out.admitted &&

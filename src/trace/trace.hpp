@@ -2,8 +2,8 @@
 //
 // The simulation engine and the protocol peers emit TraceEvents into a
 // TraceSink attached to the engine (none by default — tracing costs one
-// predicted-not-taken branch per event site when off, and can be compiled
-// out entirely with -DOLB_TRACE_DISABLED). Two sinks are provided:
+// predicted-not-taken branch per event site when off). Two sinks are
+// provided:
 //
 //  * VectorTracer — unbounded, for explorers and tests;
 //  * RingTracer   — bounded ring that overwrites the oldest events and
@@ -71,14 +71,6 @@
 #include "support/check.hpp"
 
 namespace olb::trace {
-
-/// Compile-time kill switch: with -DOLB_TRACE_DISABLED every emit() call is
-/// an empty inline and the tracer pointer is never consulted.
-#ifdef OLB_TRACE_DISABLED
-inline constexpr bool kTraceCompiled = false;
-#else
-inline constexpr bool kTraceCompiled = true;
-#endif
 
 enum class EventKind : std::uint8_t {
   // --- engine level ---
@@ -291,18 +283,12 @@ class LockedSink final : public TraceSink {
 
 /// The one emission point: a null sink (the default) costs a single
 /// predicted branch — the fields are plain scalars so the TraceEvent is
-/// only materialised on the cold path. With OLB_TRACE_DISABLED the whole
-/// call folds to nothing.
+/// only materialised on the cold path.
 inline void emit(TraceSink* sink, sim::Time time, EventKind kind,
                  std::int32_t actor, std::int32_t peer = -1,
                  std::int32_t type = 0, std::int64_t a = 0, std::int64_t b = 0) {
-  if constexpr (kTraceCompiled) {
-    if (sink != nullptr) [[unlikely]] {
-      sink->record(TraceEvent{time, kind, actor, peer, type, a, b});
-    }
-  } else {
-    (void)sink, (void)time, (void)kind, (void)actor, (void)peer, (void)type;
-    (void)a, (void)b;
+  if (sink != nullptr) [[unlikely]] {
+    sink->record(TraceEvent{time, kind, actor, peer, type, a, b});
   }
 }
 

@@ -213,8 +213,9 @@ TEST(Churn, ThreadsBackendExactUnderChurn) {
     uts::UtsWorkload workload(params, uts::CostModel{});
     const auto seq = lb::run_sequential(workload);
     uts::UtsWorkload fresh(params, uts::CostModel{});
-    const auto config = churn_config(strategy, 8, 2, 1, 3);
-    const auto report = check::run_thread_conformance(fresh, config, seq);
+    auto config = churn_config(strategy, 8, 2, 1, 3);
+    config.backend = lb::Backend::kThreads;
+    const auto report = check::run_conformance(fresh, config, seq);
     EXPECT_TRUE(report.passed()) << violations_text(report.violations);
     EXPECT_EQ(report.metrics.total_units, seq.units);
   }

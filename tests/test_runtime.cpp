@@ -8,12 +8,15 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bb/bb_work.hpp"
+#include "metrics/hub.hpp"
 #include "runtime/mpsc_mailbox.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/trace.hpp"
 #include "uts/uts_work.hpp"
 
 namespace olb {
@@ -261,9 +264,93 @@ TEST(RuntimeThreadsDeathTest, RejectsNonOverlayStrategies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto params = small_uts(1);
   uts::UtsWorkload workload(params, uts::CostModel{});
-  EXPECT_DEATH(runtime::run_threads(
-                   workload, threads_config(lb::Strategy::kRWS, 2, 1)),
-               "overlay");
+  auto lost_work = threads_config(lb::Strategy::kOverlayBTD, 2, 1);
+  lost_work.plant.kind = lb::PlantedBug::Kind::kLostWork;
+  const struct {
+    lb::RunConfig config;
+    const char* message;
+  } rows[] = {
+      {threads_config(lb::Strategy::kRWS, 2, 1), "overlay"},
+      {lost_work, "lost-work plant"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_DEATH(runtime::run_threads(workload, row.config), row.message);
+  }
+}
+
+TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
+  trace::VectorTracer tracer;
+  metrics::MetricsHub::Options hub_options;
+  hub_options.path = "never-written.prom";  // Prometheus hubs write on flush
+  metrics::MetricsHub hub(hub_options);
+
+  lb::RunConfig overlay;
+  overlay.strategy = lb::Strategy::kOverlayBTD;
+  overlay.num_peers = 2;
+  lb::RunConfig rws = overlay;
+  rws.strategy = lb::Strategy::kRWS;
+  lb::RunConfig faults = overlay;
+  faults.faults.link.drop_prob = 0.1;
+  lb::RunConfig slow = overlay;
+  slow.het.fraction = 0.5;
+  lb::RunConfig lost_work = overlay;
+  lost_work.plant.kind = lb::PlantedBug::Kind::kLostWork;
+  lb::RunConfig split_bias = overlay;
+  split_bias.plant.kind = lb::PlantedBug::Kind::kSplitBias;
+  lb::RunConfig traced = overlay;
+  traced.tracer = &tracer;
+  lb::RunConfig metered = overlay;
+  metered.metrics = &hub;
+  lb::RunConfig ranked = overlay;
+  ranked.sockets.rank = 0;
+  ranked.sockets.peers = {"127.0.0.1:1", "127.0.0.1:2"};
+  lb::RunConfig ranked_traced = ranked;
+  ranked_traced.tracer = &tracer;
+  lb::RunConfig ranked_metered = ranked;
+  ranked_metered.metrics = &hub;
+  lb::RunConfig wrong_table = ranked;
+  wrong_table.num_peers = 3;
+
+  using B = lb::Backend;
+  const struct {
+    B backend;
+    const lb::RunConfig& config;
+    const char* name;
+    bool accepted;
+  } rows[] = {
+      // The simulator runs everything.
+      {B::kSim, rws, "rws", true},
+      {B::kSim, faults, "faults", true},
+      {B::kSim, slow, "slow", true},
+      {B::kSim, lost_work, "lost_work", true},
+      {B::kSim, traced, "traced", true},
+      {B::kSim, metered, "metered", true},
+      // Real-time backends: overlay strategies, no simulator concepts.
+      {B::kThreads, overlay, "overlay", true},
+      {B::kThreads, rws, "rws", false},
+      {B::kThreads, faults, "faults", false},
+      {B::kThreads, slow, "slow", false},
+      {B::kThreads, lost_work, "lost_work", false},
+      {B::kThreads, split_bias, "split_bias", true},
+      {B::kThreads, traced, "traced", true},
+      {B::kThreads, metered, "metered", true},
+      {B::kSockets, ranked, "ranked", true},
+      {B::kSockets, rws, "rws", false},
+      {B::kSockets, faults, "faults", false},
+      {B::kSockets, slow, "slow", false},
+      {B::kSockets, lost_work, "lost_work", false},
+      // Sockets also need a bring-up and take no in-process sinks.
+      {B::kSockets, overlay, "unconfigured", false},
+      {B::kSockets, ranked_traced, "ranked_traced", false},
+      {B::kSockets, ranked_metered, "ranked_metered", false},
+      {B::kSockets, wrong_table, "wrong_table", false},
+  };
+  for (const auto& row : rows) {
+    const std::string why = runtime::unsupported_reason(row.backend, row.config);
+    EXPECT_EQ(why.empty(), row.accepted)
+        << lb::backend_name(row.backend) << " / " << row.name << ": '" << why
+        << "'";
+  }
 }
 
 }  // namespace

@@ -84,8 +84,9 @@ void expect_identical_metrics(const lb::RunMetrics& a, const lb::RunMetrics& b) 
 }
 
 TEST(ShardedIdentity, OneShardMatchesPlainEngine) {
-  // sim_shards == 0 is the pre-sharding engine; 1 is the sharded wrapper in
-  // its identity configuration. Same timeline, so every metric is equal.
+  // sim_shards 0 and 1 both run the sharded engine with one shard, so they
+  // are the same code path; this pins that 0 stays accepted and means one
+  // shard. Same timeline, so every metric is equal.
   const auto params = uts_params(3);
   auto plain = base_config(lb::Strategy::kOverlayBTD, 24, 4, 7);
   plain.sim_shards = 0;

@@ -321,20 +321,55 @@ TEST(Flags, DefaultsApply) {
 
 TEST(Flags, UnknownFlagRejected) {
   Flags flags;
-  flags.define("n", "1", "");
-  const char* argv[] = {"prog", "--bogus=3"};
-  EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  flags.define("n", "1", "")
+      .define("x", "0.5", "")
+      .define("on", "true", "")
+      .define("list", "1,2", "");
+  const char* unknown[] = {"prog", "--bogus=3"};
+  EXPECT_FALSE(flags.parse(2, const_cast<char**>(unknown)));
+
+  // Known flags whose value does not parse completely: the reader exits
+  // naming the flag and the value instead of returning a prefix or 0.
+  const struct {
+    const char* arg;
+    void (*read)(const Flags&);
+    const char* message;
+  } rows[] = {
+      {"--n=12x", [](const Flags& f) { (void)f.get_int("n"); }, "--n: '12x'"},
+      {"--n=abc", [](const Flags& f) { (void)f.get_int("n"); }, "--n: 'abc'"},
+      {"--n=", [](const Flags& f) { (void)f.get_int("n"); }, "--n: ''"},
+      {"--n=99999999999999999999", [](const Flags& f) { (void)f.get_int("n"); },
+       "--n: '99999999999999999999'"},
+      {"--x=0.5s", [](const Flags& f) { (void)f.get_double("x"); }, "--x: '0.5s'"},
+      {"--x=1e999", [](const Flags& f) { (void)f.get_double("x"); }, "--x: '1e999'"},
+      {"--on=maybe", [](const Flags& f) { (void)f.get_bool("on"); }, "--on: 'maybe'"},
+      {"--list=1,,2", [](const Flags& f) { (void)f.get_int_list("list"); }, "--list: ''"},
+      {"--list=1,2x", [](const Flags& f) { (void)f.get_int_list("list"); },
+       "--list: '2x'"},
+      {"--list=0,0.1x", [](const Flags& f) { (void)f.get_double_list("list"); },
+       "--list: '0.1x'"},
+  };
+  for (const auto& row : rows) {
+    const char* argv[] = {"prog", row.arg};
+    ASSERT_TRUE(flags.parse(2, const_cast<char**>(argv)));
+    EXPECT_DEATH(row.read(flags), row.message) << row.arg;
+  }
 }
 
 TEST(Flags, IntListParses) {
   Flags flags;
-  flags.define("scales", "100,200,500", "");
+  flags.define("scales", "100,200,500", "")
+      .define("none", "", "")
+      .define("drops", "0,0.05,0.1", "");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   const auto xs = flags.get_int_list("scales");
   ASSERT_EQ(xs.size(), 3u);
   EXPECT_EQ(xs[0], 100);
   EXPECT_EQ(xs[2], 500);
+  EXPECT_TRUE(flags.get_int_list("none").empty());
+  EXPECT_TRUE(flags.get_double_list("none").empty());
+  EXPECT_EQ(flags.get_double_list("drops"), (std::vector<double>{0, 0.05, 0.1}));
 }
 
 // ------------------------------------------------------------------- table ---

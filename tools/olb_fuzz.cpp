@@ -24,6 +24,7 @@
 
 #include "check/fuzz.hpp"
 #include "lb/messages.hpp"
+#include "runtime/runtime.hpp"
 #include "support/flags.hpp"
 #include "trace/export.hpp"
 
@@ -237,12 +238,12 @@ int main(int argc, char** argv) {
     ++cases;
     if (!report.passed()) return report_failure(flags, c, plant, report);
 
-    // Cross-backend differential pass: only configurations both backends
-    // accept (fault-free overlay, no simulated-network bug plant).
-    if (diff && lb::strategy_is_overlay(c.strategy) && c.fault_id == 0 &&
-        c.jobs_id == 0 && plant.kind != lb::PlantedBug::Kind::kLostWork) {
-      lb::RunConfig config = check::make_case_config(c);
-      config.plant = plant;
+    // Cross-backend differential pass over the single-job cases the threads
+    // backend accepts.
+    lb::RunConfig config = check::make_case_config(c);
+    config.plant = plant;
+    if (diff && c.jobs_id == 0 &&
+        runtime::unsupported_reason(lb::Backend::kThreads, config).empty()) {
       const auto d = check::run_differential(
           [&] { return check::make_case_workload(c); }, config,
           check::case_reference(c));
