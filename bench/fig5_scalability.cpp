@@ -85,7 +85,10 @@ int main(int argc, char** argv) {
   }
 
   auto uts_ref = make_uts(static_cast<std::uint32_t>(flags.get_int("uts_seed")));
-  const double uts_seq = sequential_seconds(*uts_ref);
+  // The sequential run also gives the exact node count every distributed
+  // run of this instance must reproduce (checked on the scale ladder).
+  const lb::SequentialMetrics uts_seq_run = lb::run_sequential(*uts_ref);
+  const double uts_seq = uts_seq_run.exec_seconds;
   std::printf("== UTS binomial (b0=2000, m=2, q=0.49995, r=%s; t_seq = %.2f sim-s) ==\n",
               flags.get("uts_seed").c_str(), uts_seq);
   Table uts_table({"n", "BTD_sec", "BTD_PE%", "RWS_sec", "RWS_PE%", "BTD_qmean_us"});
@@ -178,6 +181,15 @@ int main(int argc, char** argv) {
                       static_cast<long long>(n), lb::strategy_name(strategy),
                       metrics.sim_shards,
                       static_cast<unsigned long long>(metrics.total_units));
+        }
+        if (metrics.total_units != uts_seq_run.units) {
+          std::fprintf(stderr,
+                       "FATAL: fig5 scale ladder n=%lld %s explored %llu units, "
+                       "the sequential count is %llu\n",
+                       static_cast<long long>(n), lb::strategy_name(strategy),
+                       static_cast<unsigned long long>(metrics.total_units),
+                       static_cast<unsigned long long>(uts_seq_run.units));
+          return 1;
         }
         big.add_row({Table::cell(n), lb::strategy_name(strategy),
                      Table::cell(static_cast<std::int64_t>(metrics.sim_shards)),

@@ -75,8 +75,7 @@ const sim::ActorStats& SocketNet::stats() const { return actor_->stats_; }
 std::uint64_t SocketNet::sent_of_type(int type) const {
   OLB_CHECK(type >= 0);
   const auto idx = static_cast<std::size_t>(type);
-  const auto& sent = actor_->stats_.sent_by_type;
-  return idx < sent.size() ? sent[idx] : 0;
+  return idx < sent_by_type_.size() ? sent_by_type_[idx] : 0;
 }
 
 sim::Time SocketNet::transport_now() const {
@@ -97,10 +96,8 @@ void SocketNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
   m.dst = dst;
   ++from.stats_.msgs_sent;
   const auto type_idx = static_cast<std::size_t>(m.type);
-  if (from.stats_.sent_by_type.size() <= type_idx) {
-    from.stats_.sent_by_type.resize(type_idx + 1, 0);
-  }
-  ++from.stats_.sent_by_type[type_idx];
+  if (sent_by_type_.size() <= type_idx) sent_by_type_.resize(type_idx + 1, 0);
+  ++sent_by_type_[type_idx];
   // Globally unique 31-bit id: ranks interleave the id space so the merged
   // trace's conservation oracle never sees two flights under one id.
   const auto n = static_cast<std::uint64_t>(transport_num_peers());

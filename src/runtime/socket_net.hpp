@@ -125,7 +125,7 @@ class SocketNet final : public sim::Transport {
 
   int rank() const { return options_.rank; }
   std::uint64_t messages_sent() const { return stats().msgs_sent; }
-  /// The local actor's per-type send counter (call after run()).
+  /// The local actor's sends of one message type (call after run()).
   std::uint64_t sent_of_type(int type) const;
 
  private:
@@ -217,6 +217,7 @@ class SocketNet final : public sim::Transport {
   Options options_;
   const WorkCodec* codec_;
   std::unique_ptr<sim::Actor> actor_;
+  std::vector<std::uint64_t> sent_by_type_;  ///< the actor's sends, by type
   std::unique_ptr<trace::VectorTracer> tracer_;  ///< non-null iff trace_path
 
   int epoll_fd_ = -1;

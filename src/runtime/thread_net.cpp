@@ -46,13 +46,14 @@ void ThreadNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
   OLB_CHECK_MSG(m.type >= 0, "application message types must be >= 0");
   m.src = from.id_;
   m.dst = dst;
-  // Sender-side stats are only ever touched from the sender's own thread.
+  Host& sender = *hosts_[static_cast<std::size_t>(from.id_)];
+  // Sender-side counts are only ever touched from the sender's own thread.
   ++from.stats_.msgs_sent;
   const auto type_idx = static_cast<std::size_t>(m.type);
-  if (from.stats_.sent_by_type.size() <= type_idx) {
-    from.stats_.sent_by_type.resize(type_idx + 1, 0);
+  if (sender.sent_by_type.size() <= type_idx) {
+    sender.sent_by_type.resize(type_idx + 1, 0);
   }
-  ++from.stats_.sent_by_type[type_idx];
+  ++sender.sent_by_type[type_idx];
   const std::uint64_t msg_id =
       total_messages_.fetch_add(1, std::memory_order_relaxed) + 1;
 
@@ -66,7 +67,6 @@ void ThreadNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
                 dst, m.type, static_cast<std::int64_t>(m.id), 0);
   }
 
-  Host& sender = *hosts_[static_cast<std::size_t>(from.id_)];
   Host& to = *hosts_[static_cast<std::size_t>(dst)];
   to.mailbox.push(std::move(m), sender.pool);
   // Wake protocol (Dekker-style pairing with the receiver's sleep path):
@@ -306,8 +306,7 @@ std::uint64_t ThreadNet::total_sent_of_type(int type) const {
   std::uint64_t total = 0;
   const auto idx = static_cast<std::size_t>(type);
   for (const auto& host : hosts_) {
-    const auto& sent = host->actor->stats_.sent_by_type;
-    if (idx < sent.size()) total += sent[idx];
+    if (idx < host->sent_by_type.size()) total += host->sent_by_type[idx];
   }
   return total;
 }

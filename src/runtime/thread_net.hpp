@@ -124,6 +124,8 @@ class ThreadNet final : public sim::Transport {
     /// acquires; receivers release consumed nodes back — see MsgNodePool).
     MsgNodePool pool;
     std::vector<Timer> timers;  ///< min-heap; timers are self-addressed
+    /// The actor's sends by message type (owner thread only until joined).
+    std::vector<std::uint64_t> sent_by_type;
     std::thread thread;
 
     // Eventcount-style sleep/wake: a sender bumps epoch under the mutex

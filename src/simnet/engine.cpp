@@ -1,5 +1,7 @@
 #include "simnet/engine.hpp"
 
+#include <algorithm>
+
 #include "metrics/hub.hpp"
 
 namespace olb::sim {
@@ -110,14 +112,46 @@ int Engine::add_actor(std::unique_ptr<Actor> actor) {
   return id;
 }
 
-std::uint64_t Engine::total_sent_of_type(int type) const {
-  OLB_CHECK(type >= 0);
-  std::uint64_t total = 0;
-  const auto idx = static_cast<std::size_t>(type);
-  for (const auto& a : actors_) {
-    if (idx < a->stats_.sent_by_type.size()) total += a->stats_.sent_by_type[idx];
+void Engine::configure_shard(std::vector<int> bases, int shard) {
+  OLB_CHECK_MSG(actors_.empty(), "configure_shard before add_actor");
+  OLB_CHECK(shard >= 0 && static_cast<std::size_t>(shard) + 1 < bases.size());
+  id_base_ = bases[static_cast<std::size_t>(shard)];
+  global_peers_ = bases.back();
+  shard_ = shard;
+  outboxes_.resize(bases.size() - 1);
+  shard_bases_ = std::move(bases);
+}
+
+void Engine::send_remote(Message&& m, Time at) {
+  const auto it =
+      std::upper_bound(shard_bases_.begin(), shard_bases_.end(), m.dst);
+  Outbox& out = outboxes_[static_cast<std::size_t>(it - shard_bases_.begin() - 1)];
+  out.earliest = std::min(out.earliest, at);
+  out.sends.push_back(RemoteSend{at, std::move(m)});
+}
+
+void Engine::take_arrivals_from(Engine& source) {
+  Outbox& out = source.outboxes_[static_cast<std::size_t>(shard_)];
+  for (RemoteSend& rs : out.sends) {
+    OLB_CHECK_MSG(rs.at >= now_, "cross-shard arrival would be in the past");
+    push_arrival(std::move(rs.msg), rs.at);
   }
-  return total;
+  out.sends.clear();
+  out.earliest = kTimeMax;
+}
+
+Time Engine::earliest_outbound() const {
+  Time t = kTimeMax;
+  for (const Outbox& out : outboxes_) t = std::min(t, out.earliest);
+  return t;
+}
+
+std::size_t Engine::queue_memory_bytes() const {
+  std::size_t bytes = queue_.memory_bytes() + outboxes_.capacity() * sizeof(Outbox);
+  for (const Outbox& out : outboxes_) {
+    bytes += out.sends.capacity() * sizeof(RemoteSend);
+  }
+  return bytes;
 }
 
 void Engine::send_from(Actor& from, int dst, Message m) {
@@ -128,19 +162,17 @@ void Engine::send_from(Actor& from, int dst, Message m) {
   ++from.stats_.msgs_sent;
   ++total_messages_;
   const auto type_idx = static_cast<std::size_t>(m.type);
-  if (from.stats_.sent_by_type.size() <= type_idx) {
-    from.stats_.sent_by_type.resize(type_idx + 1, 0);
-  }
-  ++from.stats_.sent_by_type[type_idx];
+  if (sent_by_type_.size() <= type_idx) sent_by_type_.resize(type_idx + 1, 0);
+  ++sent_by_type_[type_idx];
   Time latency = network_.latency(from.id_, dst);
   if (!is_local(dst)) [[unlikely]] {
     // Cross-shard send: all send-side effects (stats, latency draw) are
-    // done, so the coordinator can inject the arrival verbatim on the
-    // destination shard at the next window barrier. The perturbation,
-    // link-fault, tracing and bug-plant features below are declined by the
-    // driver whenever more than one shard is active, so skipping them on
-    // this path cannot change behaviour.
-    remote_out_.push_back(RemoteSend{now_ + latency, std::move(m)});
+    // done, so the destination shard can inject the arrival verbatim at the
+    // start of the next window. The perturbation, link-fault, tracing and
+    // bug-plant features below are declined by the driver whenever more
+    // than one shard is active, so skipping them on this path cannot change
+    // behaviour.
+    send_remote(std::move(m), now_ + latency);
     return;
   }
   if (perturb_jitter_ > 0) [[unlikely]] {
@@ -309,6 +341,15 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
   while (!queue_.empty()) {
     if (queue_.peek_time() > time_limit || result.events >= event_limit) {
       return result;  // limit hit; queue intentionally left intact
+    }
+    // Start the next event's cache misses — its slab slot and the first two
+    // lines of its actor — so they overlap serving this one.
+    for (const int next : queue_.prefetch_next()) {
+      if (next < 0) continue;
+      const auto* p = reinterpret_cast<const char*>(
+          actors_[static_cast<std::size_t>(next - id_base_)].get());
+      __builtin_prefetch(p);
+      __builtin_prefetch(p + 64);
     }
     // The event is consumed in place: scalars are copied out, an arrival's
     // slot is detached from the schedule and linked into the inbox as it

@@ -52,7 +52,6 @@ struct ActorStats {
   std::uint64_t msgs_received = 0;
   Time compute_time = 0;   ///< simulated time spent on application work
   Time overhead_time = 0;  ///< simulated time spent handling messages
-  std::vector<std::uint64_t> sent_by_type;  ///< indexed by message type
 };
 
 /// Base class for protocol peers. Subclasses implement the protocol by
@@ -198,45 +197,35 @@ class Engine final : public Transport {
 
   // --- shard support (ShardedEngine, sharded_engine.hpp) ---
 
-  /// Declares this engine a shard owning the contiguous global id range
-  /// [id_base, id_base + local count) out of `global_peers` total. Actor
-  /// ids, their RNG streams and transport_num_peers() all use global
-  /// values, so a shard's actors are bit-identical to the same actors
-  /// inside an unsharded engine. Sends to non-local destinations divert to
-  /// the remote outbox instead of the event queue. Call before add_actor().
-  /// The default state (base 0, global -1) means unsharded: every peer is
-  /// local and num_peers() == num_actors().
-  void configure_shard(int id_base, int global_peers) {
-    OLB_CHECK_MSG(actors_.empty(), "configure_shard before add_actor");
-    OLB_CHECK(id_base >= 0 && global_peers > id_base);
-    id_base_ = id_base;
-    global_peers_ = global_peers;
-  }
+  /// Declares this engine shard `shard` of a partition of the global id
+  /// space: shard s owns the contiguous ids [bases[s], bases[s + 1]), and
+  /// bases.back() is the global peer count. Actor ids, their RNG streams
+  /// and transport_num_peers() all use global values, so a shard's actors
+  /// are bit-identical to the same actors inside an unsharded engine.
+  /// Sends to another shard's peers go to the outbox for that shard instead
+  /// of the event queue. Call before add_actor(). The default state (no
+  /// partition) means unsharded: every peer is local and num_peers() ==
+  /// num_actors().
+  void configure_shard(std::vector<int> bases, int shard);
   int id_base() const { return id_base_; }
   bool is_local(int id) const {
     return id >= id_base_ && id < id_base_ + num_actors();
   }
 
-  /// A message bound for another shard: the send-side work (stats, latency
-  /// draw) is already done; `at` is the arrival time at the destination.
-  struct RemoteSend {
-    Time at;
-    Message msg;  ///< src/dst are global ids
-  };
-  /// Cross-shard sends since the last drain, in send order. The shard
-  /// coordinator moves them into the destination engines at each window
-  /// barrier — conservative lookahead guarantees `at` is still in every
-  /// destination's future (see sharded_engine.hpp).
-  std::vector<RemoteSend>& remote_outbox() { return remote_out_; }
+  /// Moves the arrivals `source` sent to this shard since the last call
+  /// into the event queue, in send order, and empties that outbox. Each
+  /// stamps this engine's own insertion sequence, so cross-shard delivery
+  /// order is exactly the order of these calls. The sending engine already
+  /// counted the messages, so totals summed over shards stay per-message.
+  /// Aborts if an arrival would land in this shard's past: conservative
+  /// lookahead rules that out (see sharded_engine.hpp).
+  void take_arrivals_from(Engine& source);
 
-  /// Queues an arrival handed over from another shard. Stamps this engine's
-  /// own insertion sequence, so cross-shard delivery order is exactly the
-  /// coordinator's (deterministic) drain order. The sending engine already
-  /// counted the message, so totals summed over shards stay per-message.
-  void inject_arrival(Message m, Time at) {
-    OLB_CHECK_MSG(at >= now_, "cross-shard arrival would be in the past");
-    push_arrival(std::move(m), at);
-  }
+  /// Earliest arrival time among the sends still waiting in this engine's
+  /// outboxes, kTimeMax when they are all empty. Tracked at send time, so
+  /// the coordinator can pick the next window base before the arrivals
+  /// are handed over.
+  Time earliest_outbound() const;
 
   /// One-shot: queues the start wakes and any fault-plan events. run() calls
   /// it implicitly; the sharded coordinator calls it before its first window
@@ -250,10 +239,8 @@ class Engine final : public Transport {
   }
 
   /// Bytes of heap storage behind the event queue (whose slab also holds
-  /// every actor's queued inbox messages) and the remote outbox.
-  std::size_t queue_memory_bytes() const {
-    return queue_.memory_bytes() + remote_out_.capacity() * sizeof(RemoteSend);
-  }
+  /// every actor's queued inbox messages) and the cross-shard outboxes.
+  std::size_t queue_memory_bytes() const;
 
   struct RunResult {
     Time end_time = 0;          ///< time of the last processed event
@@ -311,8 +298,12 @@ class Engine final : public Transport {
   double work_lost_units() const { return work_lost_units_; }
 
   std::uint64_t total_messages() const { return total_messages_; }
-  /// Sum of a message-type counter over all actors.
-  std::uint64_t total_sent_of_type(int type) const;
+  /// Messages of one type sent by this engine's actors.
+  std::uint64_t total_sent_of_type(int type) const {
+    OLB_CHECK(type >= 0);
+    const auto idx = static_cast<std::size_t>(type);
+    return idx < sent_by_type_.size() ? sent_by_type_[idx] : 0;
+  }
 
   /// Aggregate compute time per kBusyBucket window of simulated time —
   /// cluster utilisation over time (bucket i covers [i, i+1) * kBusyBucket).
@@ -364,6 +355,8 @@ class Engine final : public Transport {
   void transport_compute_started(Actor& from, Time duration) override;
 
   void send_from(Actor& from, int dst, Message m);
+  /// Cold continuation of send_from for a destination on another shard.
+  void send_remote(Message&& m, Time at);
   void schedule_wake(Actor& a, Time at);
   void service(Actor& a, Time t);
   RunResult run_loop(Time time_limit, std::uint64_t event_limit);
@@ -402,12 +395,27 @@ class Engine final : public Transport {
   EventQueue queue_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t total_messages_ = 0;
+  std::vector<std::uint64_t> sent_by_type_;  ///< indexed by message type
   Time now_ = 0;
   bool running_ = false;
   // Shard state (see configure_shard; inert in unsharded engines).
   int id_base_ = 0;
   int global_peers_ = -1;
-  std::vector<RemoteSend> remote_out_;
+  int shard_ = 0;
+  std::vector<int> shard_bases_;
+  /// A message bound for another shard: the send-side work (stats, latency
+  /// draw) is already done; `at` is the arrival time at the destination.
+  struct RemoteSend {
+    Time at;
+    Message msg;  ///< src/dst are global ids
+  };
+  /// The sends to one other shard since it last took them, in send order,
+  /// and the earliest of their arrival times (kTimeMax when empty).
+  struct Outbox {
+    std::vector<RemoteSend> sends;
+    Time earliest = kTimeMax;
+  };
+  std::vector<Outbox> outboxes_;  ///< indexed by destination shard
   /// One-shot guards: the windowed sharded driver calls run() thousands of
   /// times per simulation, so start wakes and fault-plan events must be
   /// scheduled exactly once, not per call.

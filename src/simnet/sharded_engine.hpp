@@ -7,15 +7,23 @@
 // Shards synchronise with the classic conservative-window protocol
 // (Chandy/Misra/Bryant flavoured, barrier-stepped):
 //
-//   T   := min over shards of the earliest pending event time
+//   T   := min over shards of the earliest pending event time, counting the
+//          arrivals still waiting in the outboxes
 //   L   := lookahead = the minimum base latency of any cross-shard link
-//   run every shard through the window [T, T + L), i.e. time_limit T + L - 1
-//   drain cross-shard outboxes into the destination shards, repeat
+//   each shard takes the arrivals addressed to it out of every outbox,
+//   all shards meet, then each runs through the window [T, T + L), i.e.
+//   time_limit T + L - 1, repeat
+//
+// Every engine keeps one outbox per destination shard and tracks the
+// earliest arrival in each as it sends, so T is known before any arrival
+// is handed over. The meeting point between taking arrivals and running
+// keeps the outboxes single-buffered: no shard sends into an outbox while
+// its destination is still emptying it.
 //
 // Safety: a message sent at time t >= T arrives at t + latency >= T + L,
-// which is strictly after the window, so injecting arrivals only at window
-// barriers can never place an event in a shard's past. The engines assert
-// exactly that (Engine::inject_arrival).
+// which is strictly after the window, so handing arrivals over only
+// between windows can never place an event in a shard's past. The engines
+// assert exactly that (Engine::take_arrivals_from).
 //
 // When every shard boundary coincides with a cluster boundary, every
 // cross-shard link is a cross-cluster link and L is the inter-cluster
@@ -23,11 +31,18 @@
 // window at realistic loads). Otherwise L falls back to the intra-cluster
 // latency, which lower-bounds every link.
 //
-// Determinism: within a window shards share nothing, and the barrier drains
-// outboxes in shard-id order (each a FIFO), stamping the destination
-// engine's own insertion sequence — so the threaded execution is
+// Determinism: within a window shards share nothing, and every shard takes
+// its arrivals from the source shards in id order (each outbox a FIFO),
+// stamping its own insertion sequence — so the threaded execution is
 // bit-identical to running the shards one after another. A run is still a
 // pure function of (actors, config, seed, shard count).
+//
+// Threads: the calling thread runs shard 0 and a pool of k - 1 workers runs
+// the rest. They step through windows on two atomics, a generation counter
+// that starts a window and a pending counter that meets them after the
+// hand-over and again at the end. A waiting thread spins while the host
+// has a core for every shard and blocks (atomic wait) after a bounded
+// spin, or at once when the shards outnumber the cores.
 //
 // One shard: there is exactly one Engine, configured over the whole peer
 // range, and run() forwards to it verbatim, so every simulator run —
@@ -38,10 +53,9 @@
 // counts.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -119,7 +133,7 @@ class ShardedEngine {
   void set_planted_payload_drop(int nth);
 
   /// Bytes of heap memory behind the event queues (inboxes included) and
-  /// remote outboxes — the simulator's own share of the bytes-per-peer
+  /// cross-shard outboxes — the simulator's own share of the bytes-per-peer
   /// budget.
   std::size_t queue_memory_bytes() const;
 
@@ -129,13 +143,20 @@ class ShardedEngine {
     return *engines_[static_cast<std::size_t>(shard_of(id))];
   }
 
-  /// Moves every shard's remote outbox into the destination engines, in
-  /// shard-id order (the deterministic cross-shard FIFO).
-  void drain_outboxes();
+  /// Shard s takes the arrivals addressed to it from every outbox, source
+  /// shards in id order (the deterministic cross-shard FIFO).
+  void take_arrivals(int s);
 
-  /// Runs shard s through the current window. Called from the coordinator
-  /// (serial mode) or a pinned worker thread (threaded mode).
+  /// Runs shard s through the current window.
   void run_shard_window(int s);
+
+  /// Threaded mode: shard s's part of one window — take arrivals, meet the
+  /// other shards, run, report done. Runs on the calling thread for shard
+  /// 0 and on worker s - 1 otherwise.
+  void serve_window(int s);
+  /// Counts this thread off pending_, waking waiters at the two meeting
+  /// points (all arrivals taken, all windows run).
+  void arrive();
 
   void start_workers();
   void stop_workers();
@@ -146,23 +167,27 @@ class ShardedEngine {
   int next_id_ = 0;
   std::uint64_t windows_ = 0;
   bool threaded_ = false;
+  /// Waiters spin before blocking: only while every shard has a core.
+  bool spin_ = false;
 
-  // Window state shared with the worker pool (all barrier-synchronised;
-  // workers only touch their own engine between barriers).
+  // Window state shared with the workers. The calling thread writes it
+  // before it bumps generation_; workers read it after seeing the bump.
   Time window_end_ = 0;
   std::uint64_t window_budget_ = 0;
+  bool stopping_ = false;
   std::vector<Engine::RunResult> window_results_;
 
-  // Worker pool: one thread per shard, stepped by a generation counter.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  int pending_ = 0;
-  bool shutdown_ = false;
+  /// Bumped once per window (and once to stop the workers).
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  /// Set to 2k per window; each shard counts off once after taking its
+  /// arrivals (k left: everyone may run) and once after running (0: done).
+  alignas(64) std::atomic<int> pending_{0};
 
   mutable std::vector<Time> merged_busy_;  ///< cache for busy_histogram()
+
+  /// Workers for shards 1..k-1. Declared last: they use every member above,
+  /// so those outlive them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace olb::sim

@@ -5,10 +5,12 @@
 //    engine (CI additionally diffs NDJSON traces byte-for-byte);
 //  * multi-shard correctness — exact UTS unit counts (the schedule-
 //    independent invariant), run-to-run determinism of the threaded
-//    coordinator, cross-shard FIFO under conservative windows;
+//    coordinator, a pinned four-shard trajectory, threaded == serial,
+//    cross-shard FIFO under conservative windows;
 //  * the memory canaries behind the docs/SCALING.md bytes-per-peer budget.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "lb/overlay_lb.hpp"
@@ -124,6 +126,104 @@ TEST(ShardedRun, ExactUnitsAndDeterminism) {
   }
 }
 
+TEST(ShardedRun, FourShardTrajectoryIsPinned) {
+  // Tracing forces one shard, so the pinned trace set never sees a
+  // multi-shard timeline. This pins one: any change to how windows are
+  // cut, how cross-shard arrivals are handed over or in which order they
+  // are stamped moves at least one of these numbers. 3000 peers on the
+  // paper network are five 736-peer clusters, so four cluster-aligned
+  // shards and the 200us inter-cluster lookahead; the idle timers are
+  // paced x3 (n / 1000, docs/SCALING.md).
+  uts::Params params = uts_params(1, 500, 0.499);
+  lb::RunConfig config;
+  config.strategy = lb::Strategy::kOverlayBTD;
+  config.num_peers = 3000;
+  config.seed = 1;
+  config.net = lb::paper_network(3000);
+  config.chunk_units = 64;
+  config.sim_shards = 4;
+  config.overlay.retry_delay *= 3;
+  config.overlay.bridge_patience *= 3;
+  uts::UtsWorkload ref(params, uts::CostModel{});
+  const auto seq = lb::run_sequential(ref);
+  uts::UtsWorkload w(params, uts::CostModel{});
+  const auto m = lb::run_distributed(w, config);
+  ASSERT_TRUE(m.ok);
+  EXPECT_EQ(m.sim_shards, 4);
+  EXPECT_EQ(seq.units, 256'973u);
+  EXPECT_EQ(m.total_units, seq.units);
+  EXPECT_EQ(m.events, 1'066'117u);
+  EXPECT_EQ(m.sim_windows, 160u);
+  EXPECT_EQ(m.total_messages, 215'884u);
+  EXPECT_NEAR(m.exec_seconds, 0.031353559, 1e-9);
+}
+
+/// Forwards a hop-counted token to a peer drawn from its own RNG stream and
+/// folds every delivery (time, sender, token, hops left) into a digest.
+class TokenForwarder : public sim::Actor {
+ public:
+  explicit TokenForwarder(int hops) : hops_(hops) {}
+  std::uint64_t digest = 0;
+  int delivered = 0;
+
+ protected:
+  void on_start() override { forward(sim::Message(1, id(), hops_)); }
+  void on_message(sim::Message m) override {
+    ++delivered;
+    digest = mix64(digest ^ static_cast<std::uint64_t>(now()));
+    digest = mix64(digest ^ (static_cast<std::uint64_t>(m.src) << 32) ^
+                   static_cast<std::uint64_t>(m.a));
+    digest = mix64(digest ^ static_cast<std::uint64_t>(m.b));
+    if (m.b > 0) forward(sim::Message(1, m.a, m.b - 1));
+  }
+
+ private:
+  void forward(sim::Message m) {
+    send(static_cast<int>(rng().below(static_cast<std::uint64_t>(num_peers()))),
+         std::move(m));
+  }
+  int hops_;
+};
+
+TEST(ShardedRun, ThreadedMatchesSerial) {
+  // The worker pool must be an execution detail: the threaded window loop
+  // produces, actor for actor, the deliveries of running the shards one
+  // after another on one thread. Clusters of 8 give one aligned shard per
+  // cluster. Four shards fit the cores of most hosts, so their waiters
+  // spin first; eight outnumber the cores of small hosts (CI's included),
+  // where waiters block at once.
+  constexpr int kHops = 400;
+  sim::NetworkConfig net;
+  net.cluster_capacity = 8;
+  for (int shards : {4, 8}) {
+    const int peers = 8 * shards;
+    std::vector<std::uint64_t> digests[2];
+    std::uint64_t windows[2] = {0, 0};
+    for (int threaded = 0; threaded < 2; ++threaded) {
+      sim::ShardedEngine eng(net, 5, peers, shards, threaded == 1);
+      ASSERT_EQ(eng.num_shards(), shards);
+      std::vector<TokenForwarder*> fleet;
+      for (int i = 0; i < peers; ++i) {
+        auto a = std::make_unique<TokenForwarder>(kHops);
+        fleet.push_back(a.get());
+        eng.add_actor(std::move(a));
+      }
+      const auto result = eng.run();
+      ASSERT_TRUE(result.quiesced);
+      int delivered = 0;
+      for (const TokenForwarder* p : fleet) {
+        digests[threaded].push_back(p->digest);
+        delivered += p->delivered;
+      }
+      EXPECT_EQ(delivered, peers * (kHops + 1));
+      windows[threaded] = eng.windows_run();
+    }
+    EXPECT_GT(windows[0], 100u);
+    EXPECT_EQ(windows[0], windows[1]) << shards << " shards";
+    EXPECT_EQ(digests[0], digests[1]) << shards << " shards";
+  }
+}
+
 TEST(ShardedRun, RWSAcrossShardsKeepsExactUnits) {
   const auto params = uts_params(2);
   auto config = base_config(lb::Strategy::kRWS, 12, 4, 13);
@@ -207,10 +307,12 @@ TEST(ShardedFifo, CrossShardBurstArrivesInSendOrder) {
 }
 
 TEST(ShardedFifo, PingPongAcrossTheBarrierQuiesces) {
-  // Request/response across the shard boundary: each reply is injected at
-  // a barrier into the *next* window. The lookahead invariant (arrival time
-  // >= destination now, OLB_CHECK'd in inject_arrival) would abort here if
-  // the window math ever let a message land in a shard's past.
+  // Request/response across the shard boundary: each reply is handed over
+  // into the *next* window. The lookahead invariant (arrival time >=
+  // destination now, OLB_CHECK'd in take_arrivals_from) would abort here if
+  // the window math ever let a message land in a shard's past. Thousands of
+  // one-message windows make this the stress test of the threaded barrier:
+  // a lost wake hangs it, a missing happens-before is a TSan report.
   class Pinger : public sim::Actor {
    public:
     Pinger(int partner, int hops) : partner_(partner), hops_(hops) {}
@@ -229,20 +331,23 @@ TEST(ShardedFifo, PingPongAcrossTheBarrierQuiesces) {
     int partner_;
     int hops_;
   };
-  sim::NetworkConfig net;
-  sim::ShardedEngine eng(net, 9, 2, 2, /*threaded=*/false);
-  auto a = std::make_unique<Pinger>(1, 50);
-  auto b = std::make_unique<Pinger>(0, 50);
-  Pinger* pa = a.get();
-  Pinger* pb = b.get();
-  eng.add_actor(std::move(a));
-  eng.add_actor(std::move(b));
-  const auto result = eng.run();
-  EXPECT_TRUE(result.quiesced);
-  // The partner that hits its hop budget stops replying, so the chain is
-  // 2 * hops - 1 receipts long.
-  EXPECT_EQ(pa->received + pb->received, 99);
-  EXPECT_GT(eng.windows_run(), 0u);
+  constexpr int kHops = 2000;
+  for (bool threaded : {false, true}) {
+    sim::NetworkConfig net;
+    sim::ShardedEngine eng(net, 9, 2, 2, threaded);
+    auto a = std::make_unique<Pinger>(1, kHops);
+    auto b = std::make_unique<Pinger>(0, kHops);
+    Pinger* pa = a.get();
+    Pinger* pb = b.get();
+    eng.add_actor(std::move(a));
+    eng.add_actor(std::move(b));
+    const auto result = eng.run();
+    EXPECT_TRUE(result.quiesced);
+    // The partner that hits its hop budget stops replying, so the chain is
+    // 2 * hops - 1 receipts long.
+    EXPECT_EQ(pa->received + pb->received, 2 * kHops - 1);
+    EXPECT_GE(eng.windows_run(), 2u * kHops - 1);  // a window per receipt
+  }
 }
 
 // --------------------------------------------------------- memory canaries ---

@@ -28,6 +28,7 @@
 // experiment. See docs/BENCHMARKING.md for pinning/governor guidance.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -309,6 +310,9 @@ struct ScaleInfo {
 
 double scale_rate(int peers, int shards, std::uint32_t uts_seed, int b0,
                   double q, ScaleInfo* info) {
+  // The exact node count the sharded run must reproduce, outside the timed
+  // region.
+  const std::uint64_t want = lb::run_sequential(*make_uts(uts_seed, b0, q)).units;
   auto workload = make_uts(uts_seed, b0, q);
   auto config = uts_config(lb::Strategy::kOverlayBTD, peers, 1);
   config.backend = lb::Backend::kSim;
@@ -326,6 +330,14 @@ double scale_rate(int peers, int shards, std::uint32_t uts_seed, int b0,
   const auto metrics = lb::run_distributed(*workload, config);
   const double wall = wall_since(t0);
   OLB_CHECK_MSG(metrics.ok, "perf_lab scale slice did not terminate");
+  if (metrics.total_units != want) {
+    std::fprintf(stderr,
+                 "FATAL: perf_lab scale slice explored %llu units, the "
+                 "sequential count is %llu\n",
+                 static_cast<unsigned long long>(metrics.total_units),
+                 static_cast<unsigned long long>(want));
+    std::exit(1);
+  }
   if (info != nullptr) {
     info->peers = peers;
     info->shards_requested = shards;
