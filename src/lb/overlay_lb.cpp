@@ -503,8 +503,13 @@ void OverlayPeer::on_req_up(const sim::Message& m) {
   }
   Child& child = children_[idx];
   child.pending = true;
-  child.agg_sent = static_cast<std::uint64_t>(m.b);
-  child.agg_recv = static_cast<std::uint64_t>(m.c);
+  // Keep the per-counter maximum, as the phantom ledger above does: the
+  // counters are monotone, so the maximum is the newest reading even when a
+  // later kReqUp overtook an earlier one on the link (a send from a
+  // compute-done hook pays no handling cost, so the next send can leave
+  // less than the link's jitter after it).
+  child.agg_sent = std::max(child.agg_sent, static_cast<std::uint64_t>(m.b));
+  child.agg_recv = std::max(child.agg_recv, static_cast<std::uint64_t>(m.c));
 
   if (holds_work()) {
     const double fraction = fraction_for_child(idx, kReqUp);

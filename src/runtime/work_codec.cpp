@@ -1,5 +1,6 @@
 #include "runtime/work_codec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "bb/bb_work.hpp"
@@ -36,8 +37,10 @@ PayloadKind payload_kind_of(int type) {
   }
 }
 
-/// UTS work = nodes-counted tally + the deque of pending (state, depth)
-/// entries, each node as its 20 raw generator-state bytes. The tally
+/// UTS work = nodes-counted tally + the frontier of pending (state, depth)
+/// entries, each node as 20 generator-state bytes and its depth. A
+/// fast-hash state fills the first 8 bytes and leaves the rest zero, so a
+/// node with nonzero bytes 8-19 or a negative depth is malformed. The tally
 /// travels with the work so merge-side accounting matches the in-process
 /// transfer exactly.
 class UtsWorkCodec final : public WorkCodec {
@@ -63,7 +66,13 @@ class UtsWorkCodec final : public WorkCodec {
     for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
       uts::NodeState state;
       if (!r.read_bytes(state.bytes.data(), state.bytes.size())) break;
-      work->push_pending(state, r.i32());
+      const std::int32_t depth = r.i32();
+      if (depth < 0 || std::any_of(state.bytes.begin() + 8, state.bytes.end(),
+                                   [](std::uint8_t b) { return b != 0; })) {
+        r.fail();
+        break;
+      }
+      work->push_pending(state, depth);
     }
     if (!r.ok()) return nullptr;
     return work;

@@ -180,15 +180,23 @@ void Engine::send_from(Actor& from, int dst, Message m) {
         perturb_rng_.below(static_cast<std::uint64_t>(perturb_jitter_) + 1));
     // The jitter must not let a message overtake an earlier one on the same
     // ordered link: the overlay termination rules treat an upward request as
-    // the subtree-finished signal, which is only sound on non-overtaking
-    // links (DESIGN.md, conformance notes). The base network keeps that
-    // promise structurally — consecutive same-link sends are spaced by at
-    // least msg_handling_cost, which exceeds its latency_jitter — but an
-    // extra_jitter larger than that spacing would break it (the fuzzer
-    // found exactly this: a finished-signal overtaking the final work
-    // transfer, stranding work at a terminated root). So perturbed arrivals
-    // are clamped to stay strictly behind the link's last scheduled one;
-    // strict monotonicity also keeps tie shuffling from swapping them.
+    // the subtree-finished signal (DESIGN.md, conformance notes), and with
+    // an extra_jitter far above the base jitter the fuzzer found a
+    // finished-signal overtaking the final work transfer, stranding work
+    // at a terminated root. So perturbed arrivals are clamped to stay
+    // strictly behind the link's last scheduled one; strict monotonicity
+    // also keeps tie shuffling from swapping them.
+    //
+    // The base network does not keep links FIFO. Sends from a compute-done
+    // hook pay no msg_handling_cost, so two sends on one link can leave
+    // closer together than latency_jitter and arrive swapped: perfbench's
+    // pinned sim_bb_1k run has 712 such overtakings and sharded_uts_100k
+    // 5 093 (counted per ordered link on an instrumented build). The
+    // overlay tolerates them (OverlayPeer::on_req_up keeps the newest
+    // child aggregates whatever their arrival order), and the conformance
+    // oracles assume strict link FIFO only on unjittered runs. Clamping
+    // every link would move both perfbench pins, so it waits for a
+    // benchmark change (ROADMAP item 5).
     if (perturb_link_last_.empty()) {
       perturb_link_last_.resize(static_cast<std::size_t>(num_actors()) *
                                     static_cast<std::size_t>(num_actors()),

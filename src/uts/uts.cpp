@@ -38,8 +38,6 @@ std::uint32_t NodeState::random31() const {
   return v >> 1;
 }
 
-namespace {
-
 NodeState fast_state(std::uint64_t value) {
   NodeState s;
   for (int i = 0; i < 8; ++i) {
@@ -53,8 +51,6 @@ std::uint64_t fast_value(const NodeState& s) {
   for (int i = 0; i < 8; ++i) v = (v << 8) | s.bytes[static_cast<std::size_t>(i)];
   return v;
 }
-
-}  // namespace
 
 NodeState root_state(const Params& params) {
   if (params.hash == HashMode::kSha1) {

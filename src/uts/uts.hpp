@@ -18,9 +18,11 @@
 //
 // Hash modes:
 //  * kSha1 — child state = SHA-1(parent state || be32(child index)); matches
-//    the construction of the reference benchmark.
-//  * kFast — 64-bit splitmix mixing; ~20x faster, same statistics. Scaled
-//    experiments default to kFast; fidelity tests cover kSha1.
+//    the construction of the reference benchmark. It is the sequential
+//    reference mode: count_tree() runs it, the fidelity tests cover it.
+//  * kFast — 64-bit splitmix mixing; ~20x faster, same statistics. Every
+//    distributed run uses it: the lb::Work adapter (uts_work.hpp) is
+//    fast-hash only.
 #pragma once
 
 #include <array>
@@ -55,6 +57,11 @@ struct NodeState {
   /// Raw 31-bit value (mirrors the reference benchmark's rng_rand()).
   std::uint32_t random31() const;
 };
+
+/// A kFast state's 64-bit value: its first 8 bytes, big-endian.
+std::uint64_t fast_value(const NodeState& state);
+/// The kFast state of a 64-bit value (bytes 8-19 zero).
+NodeState fast_state(std::uint64_t value);
 
 /// State of the tree root for the given parameters.
 NodeState root_state(const Params& params);

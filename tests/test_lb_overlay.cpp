@@ -294,6 +294,25 @@ TEST(OverlayLb, SplitFractionsStayWellFormedUnderCrashes) {
   }
 }
 
+TEST(OverlayLb, OvertakenUpRequestDoesNotStallBtdTermination) {
+  // Regression: a child's kReqUp sent from its compute-done hook (no
+  // handling cost) was overtaken by the refresh it sent 328 ns later, and
+  // the parent overwrote the newer aggregates with the older ones. The
+  // root then read one receipt short of the sends forever: every peer
+  // idle, bridge requests circling, no probe wave. Seed 8 of this
+  // 1000-peer flowshop run hit it; a clean run takes 1.67 M events.
+  const auto inst = bb::FlowshopInstance::ta20x20_scaled(0, 12, 8);
+  const auto reference = bb::solve_sequential(inst, bb::BoundKind::kOneMachine);
+  bb::BBWorkload workload(inst, bb::BoundKind::kOneMachine, bb::CostModel{});
+  auto config = base_config(lb::Strategy::kOverlayBTD, 1000, 10, 8,
+                            /*event_limit=*/20'000'000);
+  config.chunk_units = 32;
+  const auto metrics = lb::run_distributed(workload, config);
+  ASSERT_TRUE(metrics.ok) << "event limit hit: termination never detected";
+  EXPECT_EQ(workload.best().makespan(), reference.optimum);
+  EXPECT_EQ(metrics.best_bound, reference.optimum);
+}
+
 TEST(OverlayLb, LargerDegreeNoSlowerOnBalancedLoad) {
   // Table I's qualitative claim at moderate scale: dmax=10 beats dmax=2.
   const auto params = uts_params(16, 400, 0.493);

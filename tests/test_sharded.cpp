@@ -152,10 +152,13 @@ TEST(ShardedRun, FourShardTrajectoryIsPinned) {
   EXPECT_EQ(m.sim_shards, 4);
   EXPECT_EQ(seq.units, 256'973u);
   EXPECT_EQ(m.total_units, seq.units);
-  EXPECT_EQ(m.events, 1'066'117u);
+  // Keeping the newest of a child's reported aggregates (OverlayPeer::
+  // on_req_up) lets the root see the balance 4.25 us sooner than when an
+  // overtaken kReqUp overwrote it: 38 events and 2 messages fewer.
+  EXPECT_EQ(m.events, 1'066'079u);
   EXPECT_EQ(m.sim_windows, 160u);
-  EXPECT_EQ(m.total_messages, 215'884u);
-  EXPECT_NEAR(m.exec_seconds, 0.031353559, 1e-9);
+  EXPECT_EQ(m.total_messages, 215'882u);
+  EXPECT_NEAR(m.exec_seconds, 0.031349308, 1e-9);
 }
 
 /// Forwards a hop-counted token to a peer drawn from its own RNG stream and

@@ -420,6 +420,44 @@ TEST(WorkCodec, MalformedBBIntervalRejected) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(WorkCodec, MalformedUtsNodeRejected) {
+  // encode_work writes a fast-hash node as its 8 state bytes, 12 zero
+  // bytes and a depth >= 0; anything else is rejected, not truncated.
+  auto workload = test_uts();
+  const auto codec = runtime::make_work_codec(*workload);
+  struct Row {
+    const char* what;
+    std::size_t byte;  ///< state byte set to 0xA5 (0: leave the state as is)
+    std::int32_t depth;
+    bool accepted;
+  };
+  const Row rows[] = {
+      {"well-formed", 0, 3, true},
+      {"negative depth", 0, -1, false},
+      {"nonzero state byte 8", 8, 3, false},
+      {"nonzero state byte 19", 19, 3, false},
+  };
+  for (const Row& row : rows) {
+    uts::NodeState state;
+    for (std::size_t i = 0; i < 8; ++i) state.bytes[i] = static_cast<std::uint8_t>(0x11 * i);
+    runtime::WireWriter w;
+    w.u64(5);  // nodes counted
+    w.u32(2);  // a well-formed node, then the row's
+    w.bytes(state.bytes.data(), state.bytes.size());
+    w.i32(2);
+    if (row.byte != 0) state.bytes[row.byte] = 0xA5;
+    w.bytes(state.bytes.data(), state.bytes.size());
+    w.i32(row.depth);
+    runtime::WireReader r(w.data());
+    const auto decoded = codec->decode_work(r);
+    EXPECT_EQ(decoded != nullptr, row.accepted) << row.what;
+    EXPECT_EQ(r.ok(), row.accepted) << row.what;
+    if (decoded != nullptr) {
+      EXPECT_EQ(decoded->amount(), 2.0) << row.what;
+    }
+  }
+}
+
 TEST(WorkCodec, EveryTruncatedMessagePrefixIsRejected) {
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
