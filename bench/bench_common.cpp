@@ -426,4 +426,58 @@ void print_preamble(const char* experiment, const std::string& notes) {
   std::printf("\n");
 }
 
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? std::string() : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string scaling_governor() {
+  std::ifstream in("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
+  std::string governor;
+  if (in.good()) std::getline(in, governor);
+  return governor.empty() ? "unknown" : governor;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string git_sha() {
+  std::string sha;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64] = {0};
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
+  return sha.empty() ? "unknown" : sha;
+}
+
+void write_fingerprint_json(std::ostream& out, const std::string& sha) {
+  out << "  \"git_sha\": \"" << json_escape(sha) << "\",\n"
+      << "  \"machine\": {\n"
+      << "    \"cpu\": \"" << json_escape(cpu_model()) << "\",\n"
+      << "    \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
+      << "    \"governor\": \"" << json_escape(scaling_governor()) << "\",\n"
+      << "    \"compiler\": \"" << json_escape(__VERSION__) << "\"\n"
+      << "  },\n";
+}
+
 }  // namespace olb::bench

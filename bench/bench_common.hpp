@@ -150,6 +150,19 @@ double sequential_seconds(lb::Workload& workload);
 /// Common header printed by every bench binary.
 void print_preamble(const char* experiment, const std::string& notes);
 
+/// The checkout a wall-clock number was measured from: `git describe
+/// --always --dirty` (a short sha when no tag is reachable, with "-dirty"
+/// when tracked files have uncommitted edits), or "unknown" outside a git
+/// checkout.
+std::string git_sha();
+
+/// Writes the `"git_sha"` field and the `"machine"` fingerprint object
+/// (CPU model, nproc, cpufreq governor, compiler), each at two-space
+/// indent and followed by a comma, into a JSON object being written to
+/// `out`. Every committed BENCH_*.json carries this block; a wall-clock
+/// rate compares only against another with the same fingerprint.
+void write_fingerprint_json(std::ostream& out, const std::string& sha);
+
 /// Comma-separated strategy names, aborting loudly on a typo. With
 /// `overlay_only`, non-overlay names abort too (for sweeps exercising
 /// overlay-only features: churn, service mode). `flag` names the flag in

@@ -5,13 +5,16 @@
 //
 // Every run's node count is checked against the sequential traversal — the
 // overlay on threads must explore exactly the tree, not approximately.
-// Results (medians over --trials) go to --json as BENCH_runtime.json.
+// Results go to --json as BENCH_runtime.json: the machine fingerprint, then
+// per thread count the medians over --trials and every trial's value.
+// BENCH_runtime.json is regenerated with
+//
+//   runtime_speedup --threads 1,2,4 --trials 5
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -81,7 +84,7 @@ std::uint64_t pool_nodes(lb::Workload& workload, unsigned threads,
   return nodes.load();
 }
 
-double median(std::vector<double>& xs) { return percentile(xs, 0.5); }
+double median(const std::vector<double>& xs) { return SortedSample(xs).median(); }
 
 }  // namespace
 
@@ -92,6 +95,7 @@ int main(int argc, char** argv) {
   spec.instance = false;
   spec.csv = false;
   spec.backend = false;  // this bench *is* the backend comparison
+  spec.shards = false;   // simulator shards mean nothing on threads
   define_run_flags(flags, spec);
   flags.define("strategy", "TD", "overlay strategy (TD|TR|BTD)")
       .define("uts_seed", std::to_string(Defaults::kUtsSmallSeed), "UTS root seed")
@@ -154,7 +158,8 @@ int main(int argc, char** argv) {
                "overlay_speedup", "pool_speedup"});
   struct Row {
     unsigned threads;
-    double overlay_done, overlay_wall, pool_wall;
+    double overlay_done, overlay_wall, pool_wall;  ///< medians over the trials
+    std::vector<double> overlay_done_trials, overlay_wall_trials, pool_wall_trials;
   };
   std::vector<Row> rows;
   double overlay_base = 0.0, pool_base = 0.0;
@@ -179,7 +184,8 @@ int main(int argc, char** argv) {
       OLB_CHECK_MSG(pool_count == seq_count, "pool traversal lost nodes");
       pool_wall.push_back(pw);
     }
-    Row row{t, median(overlay_done), median(overlay_wall), median(pool_wall)};
+    Row row{t, median(overlay_done), median(overlay_wall), median(pool_wall),
+            overlay_done, overlay_wall, pool_wall};
     if (rows.empty()) {
       overlay_base = row.overlay_done;
       pool_base = row.pool_wall;
@@ -195,21 +201,25 @@ int main(int argc, char** argv) {
 
   const std::string json_path = flags.get("json");
   if (!json_path.empty()) {
+    auto list = [](const std::vector<double>& xs) {
+      std::string out = "[";
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        out += (i > 0 ? ", " : "") + Table::cell(xs[i], 6);
+      }
+      return out + "]";
+    };
     std::ofstream out = open_output_file(json_path, "--json");
     out << "{\n  \"experiment\": \"runtime_speedup\",\n";
+    write_fingerprint_json(out, git_sha());
     out << "  \"strategy\": \"" << lb::strategy_name(strategy) << "\",\n";
-    out << "  \"hardware_concurrency\": " << hw << ",\n";
     out << "  \"single_core\": " << (single_core ? "true" : "false") << ",\n";
     out << "  \"trials\": " << trials << ",\n";
     out << "  \"uts\": {\"seed\": " << flags.get_int("uts_seed")
         << ", \"b0\": " << flags.get_int("b0") << ", \"q\": " << flags.get("q")
         << ", \"nodes\": " << seq_count << "},\n";
     out << "  \"sequential_wall_s\": " << seq_wall << ",\n";
-    // Provenance stamps shared with BENCH_overlay.json (docs/SCALING.md):
-    // the harness-level shard setting (this bench runs the threads backend,
-    // so it is informational here) and the host-side memory footprint —
-    // bytes_per_peer counts a "peer" as one thread of the largest row.
-    out << "  \"sim_shards\": " << rf.sim_shards << ",\n";
+    // Host-side memory footprint; bytes_per_peer counts a "peer" as one
+    // thread of the largest row.
     const std::uint64_t rss_peak = support::peak_rss_bytes();
     const unsigned max_threads =
         thread_counts.empty() ? 1 : *std::max_element(thread_counts.begin(),
@@ -226,7 +236,10 @@ int main(int argc, char** argv) {
           << ", \"overlay_wall_s\": " << r.overlay_wall
           << ", \"pool_wall_s\": " << r.pool_wall
           << ", \"overlay_speedup\": " << overlay_base / r.overlay_done
-          << ", \"pool_speedup\": " << pool_base / r.pool_wall << "}"
+          << ", \"pool_speedup\": " << pool_base / r.pool_wall
+          << ",\n     \"trials_overlay_done_s\": " << list(r.overlay_done_trials)
+          << ",\n     \"trials_overlay_wall_s\": " << list(r.overlay_wall_trials)
+          << ",\n     \"trials_pool_wall_s\": " << list(r.pool_wall_trials) << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
               "append every cell's merged event timeline to this NDJSON path "
               "(written cell by cell, so a FATAL keeps the failing cell)")
       .define("json", "",
-              "also write the per-class latency table as JSON (the "
-              "BENCH_runtime.json service section)");
+              "also write the per-class latency table as JSON");
   if (!flags.parse(argc, argv)) return 0;
   const RunFlags rf = parse_run_flags(flags);
   const lb::Strategy strategy = parse_strategy_flag(flags, "strategy");

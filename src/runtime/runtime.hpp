@@ -16,9 +16,9 @@
 // Performance: the per-message path is allocation-free in steady state
 // (sender-pooled mailbox nodes), receivers drain in batches with at most
 // one eventcount wake per batch, and the per-chunk loop performs no clock
-// reads unless a timer is armed — see thread_net.hpp and
-// docs/BENCHMARKING.md (`runtime_speedup` is the pinned metric; small
-// chunk_units puts a run in this messaging-bound regime).
+// reads unless a timer is armed — see thread_net.hpp, perfbench's
+// threads_uts_4 workload and bench/runtime_speedup (small chunk_units puts
+// a run in this messaging-bound regime).
 #pragma once
 
 #include <string>

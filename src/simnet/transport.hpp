@@ -75,8 +75,8 @@ class Transport {
   /// Number of peers in the cluster (dense ids 0..n-1).
   virtual int transport_num_peers() const = 0;
 
-  /// Trace sink events should go to; nullptr when tracing is off (always
-  /// nullptr on the thread backend — the sinks are single-threaded).
+  /// Trace sink events should go to; nullptr when tracing is off. The
+  /// thread backend's peers share one sink through trace::LockedSink.
   virtual trace::TraceSink* transport_tracer() const = 0;
 
   /// Delivers `m` to `dst`'s inbox/mailbox. Fills in src/dst and updates the

@@ -26,16 +26,15 @@ double Params::expected_size() const {
   return total;
 }
 
-double NodeState::uniform01() const {
-  return static_cast<double>(random31()) * 0x1.0p-31;
+double NodeState::uniform01(HashMode hash) const {
+  return static_cast<double>(random31(hash)) * 0x1.0p-31;
 }
 
-std::uint32_t NodeState::random31() const {
+std::uint32_t NodeState::random31(HashMode hash) const {
+  const std::size_t first = hash == HashMode::kSha1 ? 16 : 0;
   std::uint32_t v = 0;
-  // Big-endian read of the first 4 state bytes, truncated to 31 bits —
-  // the same convention as the reference benchmark's rng_rand().
-  for (int i = 0; i < 4; ++i) v = (v << 8) | bytes[static_cast<std::size_t>(i)];
-  return v >> 1;
+  for (std::size_t i = first; i < first + 4; ++i) v = (v << 8) | bytes[i];
+  return hash == HashMode::kSha1 ? v & 0x7fffffffu : v >> 1;
 }
 
 NodeState fast_state(std::uint64_t value) {
@@ -54,15 +53,15 @@ std::uint64_t fast_value(const NodeState& s) {
 
 NodeState root_state(const Params& params) {
   if (params.hash == HashMode::kSha1) {
-    // Hash the 4-byte big-endian seed, as the reference rng_init does in
-    // spirit: the root state is a digest of the seed alone.
-    std::array<std::uint8_t, 4> seed_bytes{};
+    // The reference rng_init: SHA-1 of a 20-byte block, 16 zero bytes and
+    // then the big-endian seed.
+    std::array<std::uint8_t, 20> block{};
     for (int i = 0; i < 4; ++i) {
-      seed_bytes[static_cast<std::size_t>(i)] =
+      block[static_cast<std::size_t>(16 + i)] =
           static_cast<std::uint8_t>(params.root_seed >> (24 - 8 * i));
     }
     NodeState s;
-    s.bytes = Sha1::hash(seed_bytes);
+    s.bytes = Sha1::hash(block);
     return s;
   }
   return fast_state(mix64(0x5554535f726f6f74ull ^ params.root_seed));
@@ -90,7 +89,7 @@ NodeState child_state(const Params& params, const NodeState& parent,
 int num_children(const Params& params, const NodeState& state, int depth) {
   if (params.shape == TreeShape::kBinomial) {
     if (depth == 0) return params.b0;
-    return state.uniform01() < params.q ? params.m : 0;
+    return state.uniform01(params.hash) < params.q ? params.m : 0;
   }
   // Geometric with linear shape.
   if (depth >= params.gen_mx) return 0;
@@ -99,7 +98,7 @@ int num_children(const Params& params, const NodeState& state, int depth) {
       (1.0 - static_cast<double>(depth) / static_cast<double>(params.gen_mx));
   if (b_d <= 0.0) return 0;
   const double p = 1.0 / (1.0 + b_d);  // geometric parameter with mean b_d
-  const double u = state.uniform01();
+  const double u = state.uniform01(params.hash);
   const int k = static_cast<int>(std::floor(std::log1p(-u) / std::log1p(-p)));
   return k;
 }

@@ -17,9 +17,12 @@
 //    zero beyond depth gen_mx.
 //
 // Hash modes:
-//  * kSha1 — child state = SHA-1(parent state || be32(child index)); matches
-//    the construction of the reference benchmark. It is the sequential
-//    reference mode: count_tree() runs it, the fidelity tests cover it.
+//  * kSha1 — the UTS release's generator: the root state is SHA-1 of 16
+//    zero bytes and the big-endian seed (rng_init), child state =
+//    SHA-1(parent state || be32(child index)) (rng_spawn), and a node's
+//    draw is its state bytes 16-19, big-endian, masked to 31 bits
+//    (rng_rand). It is the sequential reference mode: count_tree() runs it,
+//    and test_uts pins the release's sample tree T3 against it.
 //  * kFast — 64-bit splitmix mixing; ~20x faster, same statistics. Every
 //    distributed run uses it: the lb::Work adapter (uts_work.hpp) is
 //    fast-hash only.
@@ -52,10 +55,12 @@ struct Params {
 struct NodeState {
   std::array<std::uint8_t, 20> bytes{};
 
-  /// Uniform value in [0, 1) derived from the state.
-  double uniform01() const;
-  /// Raw 31-bit value (mirrors the reference benchmark's rng_rand()).
-  std::uint32_t random31() const;
+  /// Uniform value in [0, 1): random31(hash) / 2^31.
+  double uniform01(HashMode hash) const;
+  /// The node's 31-bit draw. kSha1 is the reference rng_rand(): bytes 16-19
+  /// big-endian, masked to 31 bits. kFast keeps the top 31 bits of its
+  /// 64-bit value (bytes 0-3 big-endian, shifted right by one).
+  std::uint32_t random31(HashMode hash) const;
 };
 
 /// A kFast state's 64-bit value: its first 8 bytes, big-endian.

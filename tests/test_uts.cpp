@@ -7,6 +7,7 @@
 
 #include "lb/work.hpp"
 #include "support/rng.hpp"
+#include "support/sha1.hpp"
 #include "uts/uts.hpp"
 #include "uts/uts_work.hpp"
 
@@ -93,8 +94,37 @@ TEST(Uts, Random31Is31Bits) {
   auto state = root_state(p);
   for (std::uint32_t i = 0; i < 200; ++i) {
     state = child_state(p, state, i % 3);
-    EXPECT_LT(state.random31(), 1u << 31);
+    EXPECT_LT(state.random31(HashMode::kSha1), 1u << 31);
+    EXPECT_LT(state.random31(HashMode::kFast), 1u << 31);
   }
+}
+
+TEST(Uts, DrawsReadTheirOwnStateBytes) {
+  NodeState s;
+  for (std::size_t i = 0; i < s.bytes.size(); ++i) {
+    s.bytes[i] = static_cast<std::uint8_t>(0x80 + i);
+  }
+  // SHA-1: bytes 16-19 big-endian, sign bit masked (the reference rng_rand).
+  EXPECT_EQ(s.random31(HashMode::kSha1), 0x90919293u & 0x7fffffffu);
+  // Fast: bytes 0-3 big-endian, shifted right by one.
+  EXPECT_EQ(s.random31(HashMode::kFast), 0x80818283u >> 1);
+}
+
+TEST(Uts, Sha1RootIsTheReferenceRngInit) {
+  // SHA-1 of 16 zero bytes followed by the big-endian seed 42.
+  const auto p = bin_params(HashMode::kSha1, 42);
+  EXPECT_EQ(to_hex(root_state(p).bytes), "a11dabbcec7aab309c890ab3dbc256eaeb582782");
+}
+
+// The UTS release's sample tree T3 (BIN, b0 2000, q 0.124875, m 8, r 42)
+// has 4 112 897 nodes and 3 599 034 leaves. Only the release's rng_init,
+// rng_spawn and rng_rand conventions together reproduce those counts.
+TEST(Uts, Sha1ModeCountsTheReferenceSampleTreeT3) {
+  Params p = bin_params(HashMode::kSha1, 42, 2000, 0.124875);
+  p.m = 8;
+  const TreeStats s = count_tree(p);
+  EXPECT_EQ(s.nodes, 4112897u);
+  EXPECT_EQ(s.leaves, 3599034u);
 }
 
 // ------------------------------------------------------------ work adapter ---

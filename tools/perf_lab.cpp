@@ -1,31 +1,29 @@
-// perf_lab — the repo's reproducible performance laboratory.
+// perf_lab — wall-clock micros of the two hot paths no end-to-end run
+// isolates: the simulator's event loop and the thread backend's mailbox.
 //
-// Runs a pinned suite of hot-path benchmarks with interleaved repetitions
-// (round-robin over the suite, best-of-N per item, so slow thermal / noise
-// drift hits every item equally instead of biasing whichever ran last) and
-// writes a machine-fingerprinted `BENCH_overlay.json`:
+// Runs the suite with interleaved repetitions (one pass over every item per
+// rep, so slow thermal / noise drift hits every item equally instead of
+// biasing whichever ran last) and writes a machine-fingerprinted
+// `BENCH_overlay.json`:
 //
 //   perf_lab                         # full suite -> BENCH_overlay.json
 //   perf_lab --suite smoke           # short CI leg
-//   perf_lab --compare old.json new.json [--threshold 0.15]
-//
-// The suite covers the three hot paths the ROADMAP's "fast as the hardware
-// allows" target cares about:
+//   perf_lab --compare old.json [--json new.json] [--threshold 0.15]
 //
 //   * BM_EngineEventThroughput — raw simulator event loop (ping-pong actors),
-//   * sim_fig5_uts_slice       — a fig5-style BTD/UTS simulation slice
-//                                (whole protocol stack over the engine),
-//   * runtime_speedup          — overlay-on-threads with a small chunk size,
-//                                i.e. the messaging-bound regime where
-//                                mailbox overhead dominates,
 //   * mailbox_throughput       — the MPSC mailbox alone, producer vs owner.
 //
-// All metrics are rates (higher is better). `--compare` prints a table of
-// old/new/ratio and exits non-zero if any metric regressed by more than
-// `--threshold` (default 15%). Comparisons across different machine
-// fingerprints are refused (exit 0 with a note) unless `--force` is given —
-// a rate measured on another box is not a baseline, it is a different
-// experiment. See docs/BENCHMARKING.md for pinning/governor guidance.
+// Whole UTS and B&B runs on every execution path are perfbench's workloads
+// (perfbench/README.md), and the large-n ladder is fig5_scalability
+// --big_scales (docs/SCALING.md); both verify every solve.
+//
+// Both metrics are rates (higher is better). `--compare` prints a table of
+// old/new/ratio and exits 1 if any metric regressed by more than
+// `--threshold` (default 15%, a fraction in (0, 1)). Comparisons across
+// different machine fingerprints are refused (exit 0 with a note) unless
+// `--force` is given — a rate measured on another box is not a baseline, it
+// is a different experiment. A bad flag or threshold, or an unreadable file,
+// exits 2. See docs/BENCHMARKING.md for pinning/governor guidance.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -40,10 +38,8 @@
 
 #include "bench_common.hpp"
 #include "runtime/mpsc_mailbox.hpp"
-#include "runtime/runtime.hpp"
 #include "simnet/engine.hpp"
 #include "support/check.hpp"
-#include "support/meminfo.hpp"
 #include "support/stats.hpp"
 
 using namespace olb;
@@ -55,61 +51,6 @@ double wall_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-// ------------------------------------------------------------ fingerprint ---
-
-std::string read_first_line(const char* path) {
-  std::ifstream in(path);
-  std::string line;
-  if (in.good()) std::getline(in, line);
-  return line;
-}
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        auto value = line.substr(colon + 1);
-        const auto start = value.find_first_not_of(" \t");
-        return start == std::string::npos ? value : value.substr(start);
-      }
-    }
-  }
-  return "unknown";
-}
-
-std::string scaling_governor() {
-  const std::string g =
-      read_first_line("/sys/devices/system/cpu/cpu0/cpufreq/scaling_governor");
-  return g.empty() ? "unknown" : g;
-}
-
-std::string git_sha() {
-  std::string sha;
-  if (FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64] = {0};
-    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
-    pclose(pipe);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) sha.pop_back();
-  return sha.empty() ? "unknown" : sha;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------- minimal JSON read ---
@@ -256,103 +197,6 @@ double engine_event_rate(std::uint64_t events) {
   return static_cast<double>(result.events) / wall;
 }
 
-double sim_slice_rate(int peers, std::uint32_t uts_seed, int b0, double q,
-                      std::uint64_t* nodes_out) {
-  auto workload = make_uts(uts_seed, b0, q);
-  auto config = uts_config(lb::Strategy::kOverlayBTD, peers, 1);
-  config.backend = lb::Backend::kSim;
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto metrics = lb::run_distributed(*workload, config);
-  const double wall = wall_since(t0);
-  OLB_CHECK_MSG(metrics.ok, "perf_lab sim slice did not terminate");
-  if (nodes_out != nullptr) {
-    OLB_CHECK_MSG(*nodes_out == 0 || *nodes_out == metrics.total_units,
-                  "sim slice node count drifted between reps");
-    *nodes_out = metrics.total_units;
-  }
-  return static_cast<double>(metrics.total_units) / wall;
-}
-
-double threads_rate(int threads, std::uint64_t chunk, std::uint32_t uts_seed,
-                    int b0, double q, std::uint64_t* nodes_out) {
-  auto workload = make_uts(uts_seed, b0, q);
-  auto config = uts_config(lb::Strategy::kOverlayTD, threads, 1);
-  config.backend = lb::Backend::kThreads;
-  config.chunk_units = chunk;
-  config.limits.time_limit = sim::seconds(300.0);
-  const auto metrics = runtime::run_threads(*workload, config);
-  OLB_CHECK_MSG(metrics.ok, "perf_lab threads slice did not terminate");
-  if (nodes_out != nullptr) {
-    OLB_CHECK_MSG(*nodes_out == 0 || *nodes_out == metrics.total_units,
-                  "threads slice lost or duplicated nodes");
-    *nodes_out = metrics.total_units;
-  }
-  return static_cast<double>(metrics.total_units) / metrics.done_seconds;
-}
-
-/// One sharded large-n run (the docs/SCALING.md regime): BTD over 10^5 peers
-/// on the conservatively-windowed engine. Gated — the full suite runs it
-/// once (not interleaved; a rep costs ~half a minute), smoke skips it.
-/// Beyond the nodes/s rate it captures the scale fingerprint the playbook
-/// budgets against: effective shard count, window count, peak RSS and bytes
-/// per peer, all stamped into the JSON's "scale" object.
-struct ScaleInfo {
-  int peers = 0;
-  int shards_requested = 0;
-  int shards = 0;  ///< effective (cluster alignment may clamp the request)
-  std::uint64_t windows = 0;
-  std::uint64_t nodes = 0;
-  double wall_seconds = 0.0;
-  double sim_seconds = 0.0;
-  std::uint64_t rss_peak_bytes = 0;
-  double bytes_per_peer = 0.0;
-};
-
-double scale_rate(int peers, int shards, std::uint32_t uts_seed, int b0,
-                  double q, ScaleInfo* info) {
-  // The exact node count the sharded run must reproduce, outside the timed
-  // region.
-  const std::uint64_t want = lb::run_sequential(*make_uts(uts_seed, b0, q)).units;
-  auto workload = make_uts(uts_seed, b0, q);
-  auto config = uts_config(lb::Strategy::kOverlayBTD, peers, 1);
-  config.backend = lb::Backend::kSim;
-  config.sim_shards = shards;
-  if (peers > 1000) {
-    // Large-n pacing (docs/SCALING.md): stretch the idle-retry timers in
-    // proportion to n, or termination is a request storm. Same rule as
-    // fig5_scalability's --scale-pacing.
-    const auto pace = static_cast<sim::Time>(peers / 1000);
-    config.overlay.retry_delay *= pace;
-    config.overlay.bridge_patience *= pace;
-    config.limits.event_limit = 4'000'000'000ull;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto metrics = lb::run_distributed(*workload, config);
-  const double wall = wall_since(t0);
-  OLB_CHECK_MSG(metrics.ok, "perf_lab scale slice did not terminate");
-  if (metrics.total_units != want) {
-    std::fprintf(stderr,
-                 "FATAL: perf_lab scale slice explored %llu units, the "
-                 "sequential count is %llu\n",
-                 static_cast<unsigned long long>(metrics.total_units),
-                 static_cast<unsigned long long>(want));
-    std::exit(1);
-  }
-  if (info != nullptr) {
-    info->peers = peers;
-    info->shards_requested = shards;
-    info->shards = metrics.sim_shards;
-    info->windows = metrics.sim_windows;
-    info->nodes = metrics.total_units;
-    info->wall_seconds = wall;
-    info->sim_seconds = metrics.exec_seconds;
-    info->rss_peak_bytes = support::peak_rss_bytes();
-    info->bytes_per_peer = static_cast<double>(info->rss_peak_bytes) /
-                           static_cast<double>(peers);
-  }
-  return static_cast<double>(metrics.total_units) / wall;
-}
-
 double mailbox_rate(std::uint64_t msgs) {
   // The production path: nodes come from the producer's bounded pool and
   // are recycled back to it by the consumer (ThreadNet does exactly this).
@@ -397,41 +241,20 @@ struct MetricResult {
 // ------------------------------------------------------------------ output ---
 
 void write_json(const std::string& path, const std::string& suite, int reps,
-                const std::string& sha, const std::vector<MetricResult>& results,
-                const ScaleInfo* scale) {
-  std::ofstream out(path);
-  OLB_CHECK_MSG(out.good(), "cannot open --json output path");
+                const std::string& sha, const std::vector<MetricResult>& results) {
+  std::ofstream out = open_output_file(path, "--json");
   out << "{\n";
   out << "  \"schema\": \"olb-perf-lab-v1\",\n";
   out << "  \"experiment\": \"perf_lab\",\n";
-  out << "  \"git_sha\": \"" << json_escape(sha) << "\",\n";
-  out << "  \"suite\": \"" << json_escape(suite) << "\",\n";
+  out << "  \"suite\": \"" << suite << "\",\n";
   out << "  \"reps\": " << reps << ",\n";
-  out << "  \"machine\": {\n";
-  out << "    \"cpu\": \"" << json_escape(cpu_model()) << "\",\n";
-  out << "    \"nproc\": " << std::thread::hardware_concurrency() << ",\n";
-  out << "    \"governor\": \"" << json_escape(scaling_governor()) << "\",\n";
-  out << "    \"compiler\": \"" << json_escape(__VERSION__) << "\"\n";
-  out << "  },\n";
-  if (scale != nullptr) {
-    // The docs/SCALING.md fingerprint: shard count and per-peer memory of
-    // the gated large-n slice. Absent when the slice did not run (smoke).
-    out << "  \"scale\": {\"peers\": " << scale->peers
-        << ", \"shards\": " << scale->shards
-        << ", \"shards_requested\": " << scale->shards_requested
-        << ", \"windows\": " << scale->windows
-        << ", \"nodes\": " << scale->nodes
-        << ", \"wall_seconds\": " << scale->wall_seconds
-        << ", \"sim_seconds\": " << scale->sim_seconds
-        << ", \"rss_peak_bytes\": " << scale->rss_peak_bytes
-        << ", \"bytes_per_peer\": " << scale->bytes_per_peer << "},\n";
-  }
+  write_fingerprint_json(out, sha);
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MetricResult& r = results[i];
-    out << "    {\"name\": \"" << json_escape(r.name) << "\", \"unit\": \""
-        << json_escape(r.unit) << "\", \"best\": " << r.best
-        << ", \"p50\": " << r.p50 << ", \"reps\": [";
+    out << "    {\"name\": \"" << r.name << "\", \"unit\": \"" << r.unit
+        << "\", \"best\": " << r.best << ", \"p50\": " << r.p50
+        << ", \"reps\": [";
     for (std::size_t j = 0; j < r.reps.size(); ++j) {
       out << r.reps[j] << (j + 1 < r.reps.size() ? ", " : "");
     }
@@ -541,109 +364,65 @@ int compare_main(const std::string& old_path, const std::string& new_path,
   return 0;
 }
 
+/// A flag value perf_lab cannot use: reported the way Flags reports one
+/// that does not parse, with exit status 2.
+int usage_error(const char* flag, const std::string& value, const char* expected) {
+  std::fprintf(stderr, "FATAL: --%s: '%s' is not %s\n", flag, value.c_str(), expected);
+  return 2;
+}
+
+/// Per-suite sizes: the full suite for committed numbers, smoke for CI.
+struct Suite {
+  int reps;
+  std::uint64_t engine_events;  ///< per BM_EngineEventThroughput rep
+  std::uint64_t mailbox_msgs;   ///< per mailbox_throughput rep
+};
+constexpr Suite kFullSuite{7, 2'000'000, 1'000'000};
+constexpr Suite kSmokeSuite{3, 200'000, 200'000};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--compare old.json new.json` is positional; hand-parse that mode before
-  // Flags (which only understands --name=value pairs).
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compare") != 0) continue;
-    std::vector<std::string> paths;
-    double threshold = 0.15;
-    bool force = false;
-    for (int j = 1; j < argc; ++j) {
-      const std::string arg = argv[j];
-      if (arg == "--compare") continue;
-      if (arg == "--force") {
-        force = true;
-      } else if (arg.rfind("--threshold=", 0) == 0) {
-        threshold = std::stod(arg.substr(12));
-      } else if (arg == "--threshold" && j + 1 < argc) {
-        threshold = std::stod(argv[++j]);
-      } else if (arg.rfind("--", 0) != 0) {
-        paths.push_back(arg);
-      } else {
-        std::fprintf(stderr, "FATAL: unknown compare flag '%s'\n", arg.c_str());
-        return 2;
-      }
-    }
-    if (paths.size() != 2) {
-      std::fprintf(stderr,
-                   "usage: perf_lab --compare old.json new.json "
-                   "[--threshold 0.15] [--force]\n");
-      return 2;
-    }
-    return compare_main(paths[0], paths[1], threshold, force);
-  }
-
   Flags flags;
   flags.define("suite", "full", "suite to run: full or smoke (short CI leg)")
       .define("reps", "0", "interleaved repetitions per metric (0 = suite default)")
-      .define("json", "BENCH_overlay.json", "result file")
-      .define("sha", "", "git sha to record (default: git rev-parse)")
-      .define("engine-events", "0", "events per engine-throughput rep (0 = suite default)")
-      .define("sim-peers", "0", "peers for the fig5-style sim slice (0 = suite default)")
-      .define("sim-uts-seed", "1", "UTS root seed of the sim slice")
-      .define("sim-uts-b0", "0", "UTS b0 of the sim slice (0 = suite default)")
-      .define("sim-uts-q", "0.4995", "UTS q of the sim slice")
-      .define("rt-threads", "2", "threads for the runtime_speedup slice")
-      .define("rt-chunk", "8", "chunk_units for the runtime_speedup slice "
-                               "(small = messaging-bound, the hot-path regime)")
-      .define("rt-uts-seed", "1", "UTS root seed of the runtime slice")
-      .define("rt-uts-b0", "0", "UTS b0 of the runtime slice (0 = suite default)")
-      .define("rt-uts-q", "0.4995", "UTS q of the runtime slice")
-      .define("mailbox-msgs", "0", "messages per mailbox rep (0 = suite default)")
-      .define("scale-peers", "-1",
-              "peers for the sharded large-n slice (-1 = suite default: "
-              "100000 full / off for smoke; 0 = off)")
-      .define("scale-shards", "8", "event-queue shards for the large-n slice")
-      .define("scale-uts-seed", "1", "UTS root seed of the large-n slice")
-      .define("scale-uts-b0", "2000", "UTS b0 of the large-n slice")
-      .define("scale-uts-q", "0.49995", "UTS q of the large-n slice");
-  if (!flags.parse(argc, argv)) return 0;
+      .define("json", "BENCH_overlay.json", "result file; with --compare, the new side")
+      .define("sha", "", "git sha to record (default: git describe --always --dirty)")
+      .define("compare", "",
+              "baseline JSON: compare --json against it instead of running")
+      .define("threshold", "0.15",
+              "--compare fails on a best rate below (1 - threshold) x baseline; "
+              "in (0, 1)")
+      .define("force", "false", "--compare across differing machine fingerprints");
+  // Exit 2, not 0: a mistyped gate invocation must not read as a pass.
+  if (!flags.parse(argc, argv)) return 2;
+
+  if (!flags.get("compare").empty()) {
+    const double threshold = flags.get_double("threshold");
+    if (!(threshold > 0.0 && threshold < 1.0)) {
+      return usage_error("threshold", flags.get("threshold"), "in (0, 1)");
+    }
+    return compare_main(flags.get("compare"), flags.get("json"), threshold,
+                        flags.get_bool("force"));
+  }
 
   const std::string suite = flags.get("suite");
-  OLB_CHECK_MSG(suite == "full" || suite == "smoke", "--suite must be full|smoke");
-  const bool smoke = suite == "smoke";
-  auto defaulted = [&](const char* name, std::int64_t full_default,
-                       std::int64_t smoke_default) {
-    const std::int64_t v = flags.get_int(name);
-    return v != 0 ? v : (smoke ? smoke_default : full_default);
-  };
-  const int reps = static_cast<int>(defaulted("reps", 7, 3));
-  const auto engine_events =
-      static_cast<std::uint64_t>(defaulted("engine-events", 2000000, 200000));
-  const int sim_peers = static_cast<int>(defaulted("sim-peers", 96, 32));
-  const int sim_b0 = static_cast<int>(defaulted("sim-uts-b0", 2000, 600));
-  const int rt_b0 = static_cast<int>(defaulted("rt-uts-b0", 2000, 600));
-  const auto mailbox_msgs =
-      static_cast<std::uint64_t>(defaulted("mailbox-msgs", 1000000, 200000));
-  const std::int64_t scale_flag = flags.get_int("scale-peers");
-  const int scale_peers =
-      static_cast<int>(scale_flag >= 0 ? scale_flag : (smoke ? 0 : 100000));
+  if (suite != "full" && suite != "smoke") {
+    return usage_error("suite", suite, "full or smoke");
+  }
+  const Suite& sizes = suite == "smoke" ? kSmokeSuite : kFullSuite;
+  const std::int64_t reps_flag = flags.get_int("reps");
+  if (reps_flag < 0) return usage_error("reps", flags.get("reps"), "0 or more");
+  const int reps = reps_flag > 0 ? static_cast<int>(reps_flag) : sizes.reps;
 
-  std::uint64_t sim_nodes = 0, rt_nodes = 0;
   std::vector<SuiteItem> items;
   items.push_back({"BM_EngineEventThroughput", "events/s",
-                   [&] { return engine_event_rate(engine_events); }});
-  items.push_back({"sim_fig5_uts_slice", "nodes/s", [&] {
-                     return sim_slice_rate(
-                         sim_peers,
-                         static_cast<std::uint32_t>(flags.get_int("sim-uts-seed")),
-                         sim_b0, flags.get_double("sim-uts-q"), &sim_nodes);
-                   }});
-  items.push_back({"runtime_speedup", "nodes/s", [&] {
-                     return threads_rate(
-                         static_cast<int>(flags.get_int("rt-threads")),
-                         static_cast<std::uint64_t>(flags.get_int("rt-chunk")),
-                         static_cast<std::uint32_t>(flags.get_int("rt-uts-seed")),
-                         rt_b0, flags.get_double("rt-uts-q"), &rt_nodes);
-                   }});
+                   [&] { return engine_event_rate(sizes.engine_events); }});
   items.push_back({"mailbox_throughput", "msgs/s",
-                   [&] { return mailbox_rate(mailbox_msgs); }});
+                   [&] { return mailbox_rate(sizes.mailbox_msgs); }});
 
   const std::string sha = flags.get("sha").empty() ? git_sha() : flags.get("sha");
-  print_preamble("perf_lab: pinned hot-path suite (interleaved best-of-N)",
+  print_preamble("perf_lab: engine and mailbox micros (interleaved best-of-N)",
                  "suite=" + suite + " reps=" + std::to_string(reps) +
                      " sha=" + sha);
 
@@ -677,42 +456,12 @@ int main(int argc, char** argv) {
     table.add_row({r.name, r.unit, Table::cell(r.best, 0), Table::cell(r.p50, 0),
                    Table::cell(spread, 1)});
   }
-  // Gated large-n slice: one shot after the interleave (a rep is ~half a
-  // minute at n = 10^5, too heavy to round-robin with the micros).
-  ScaleInfo scale;
-  if (scale_peers > 0) {
-    const double rate = scale_rate(
-        scale_peers, static_cast<int>(flags.get_int("scale-shards")),
-        static_cast<std::uint32_t>(flags.get_int("scale-uts-seed")),
-        static_cast<int>(flags.get_int("scale-uts-b0")),
-        flags.get_double("scale-uts-q"), &scale);
-    MetricResult r;
-    r.name = "sim_sharded_scale";
-    r.unit = "nodes/s";
-    r.best = r.p50 = rate;
-    r.reps = {rate};
-    results.push_back(r);
-    table.add_row({r.name, r.unit, Table::cell(r.best, 0), Table::cell(r.p50, 0),
-                   Table::cell(0.0, 1)});
-    std::printf("# scale slice: n=%d shards=%d (requested %d) windows=%llu "
-                "wall=%.1fs rss_peak=%.1fMB bytes/peer=%.0f\n",
-                scale.peers, scale.shards, scale.shards_requested,
-                static_cast<unsigned long long>(scale.windows),
-                scale.wall_seconds,
-                static_cast<double>(scale.rss_peak_bytes) / (1024.0 * 1024.0),
-                scale.bytes_per_peer);
-  }
-
   std::printf("\n");
   table.print(std::cout);
-  std::printf("\n# sim slice: %llu nodes; runtime slice: %llu nodes\n",
-              static_cast<unsigned long long>(sim_nodes),
-              static_cast<unsigned long long>(rt_nodes));
 
   const std::string json_path = flags.get("json");
   if (!json_path.empty()) {
-    write_json(json_path, suite, reps, sha, results,
-               scale_peers > 0 ? &scale : nullptr);
+    write_json(json_path, suite, reps, sha, results);
     std::printf("# wrote %s\n", json_path.c_str());
   }
   return 0;
