@@ -83,7 +83,6 @@ class JobBag final : public Work {
   /// The id/class of the bag's single slot; aborts unless exactly one slot
   /// (transfer pieces are single-job by construction).
   const Slot& sole_slot() const;
-  std::size_t num_jobs() const { return slots_.size(); }
   /// Amount currently held for `job` (0 when absent).
   double amount_of(std::uint64_t job) const;
   /// Visits (job, amount) for every non-empty slot, ascending job id.

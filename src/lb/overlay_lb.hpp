@@ -218,16 +218,6 @@ class OverlayPeer final : public PeerBase {
   // --- post-run inspection ---
   bool protocol_terminated() const { return terminated_; }
   sim::Time done_time() const { return done_time_; }
-  /// Current dynamic parent (-1 for the root); equals the static parent
-  /// until fault-driven re-parenting moves it.
-  int current_parent() const { return parent_; }
-  /// Number of crashed peers this peer has been notified about.
-  int known_crashes() const { return ft_ != nullptr ? ft_->crash_epoch : 0; }
-  /// Current overlay membership (false while dormant or after a leave).
-  bool is_member() const { return member_; }
-  /// This peer's current subtree-size estimate (tests: the incremental
-  /// delta machinery must keep it consistent across churn and crashes).
-  std::uint64_t subtree_size_estimate() const { return my_size_; }
   /// Membership events (joins accepted + leaves absorbed) witnessed here.
   std::uint64_t member_events() const {
     return churn_ != nullptr ? churn_->member_events : 0;

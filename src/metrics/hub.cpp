@@ -27,14 +27,8 @@ MetricsHub::MetricsHub(Options opts)
 
 MetricsHub::~MetricsHub() { stop_sampler(); }
 
-void MetricsHub::set_collect(std::function<void()> cb) {
-  std::lock_guard<std::mutex> lock(flush_mu_);
-  collect_ = std::move(cb);
-}
-
 void MetricsHub::flush(std::uint64_t t_ns) {
   std::lock_guard<std::mutex> lock(flush_mu_);
-  if (collect_) collect_();
   const MetricsSnapshot snap = registry_.snapshot(t_ns);
   if (format_ == Format::kPrometheus) {
     // Scrape semantics: each flush replaces the document.

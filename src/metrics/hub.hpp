@@ -7,8 +7,8 @@
 //    its hot loop whenever simulated time crosses the next interval, so the
 //    cadence is in *simulated* milliseconds and runs are deterministic.
 //  * runtime::ThreadNet::set_metrics(hub) — the net calls start_sampler(),
-//    which spawns one wall-clock thread that polls pull-gauges (via the
-//    collect callback) and flushes every interval of *wall* milliseconds.
+//    which spawns one wall-clock thread that flushes every interval of
+//    *wall* milliseconds.
 //
 // flush() is serialized by a mutex: the write path never blocks, but two
 // snapshots never interleave in the output file. Format is picked from the
@@ -50,17 +50,12 @@ class MetricsHub {
   const std::string& path() const { return opts_.path; }
   Format format() const { return format_; }
 
-  /// Pull-gauge hook, run inside flush() just before the snapshot (e.g.
-  /// ThreadNet sums mailbox-pool heap allocations into a gauge here).
-  /// Backends must clear it (nullptr) before they are destroyed.
-  void set_collect(std::function<void()> cb);
-
   /// Snapshots the registry at `t_ns` and writes it to the sink. Safe from
   /// any thread; serialized internally.
   void flush(std::uint64_t t_ns);
 
-  /// Spawns the wall-clock sampler thread: every interval it runs collect
-  /// and flush(now_ns()). Used by the thread backend, where no hot loop can
+  /// Spawns the wall-clock sampler thread: every interval it runs
+  /// flush(now_ns()). Used by the thread backend, where no hot loop can
   /// own the cadence. stop_sampler() performs one final flush and joins.
   void start_sampler(std::function<std::uint64_t()> now_ns);
   void stop_sampler();
@@ -75,7 +70,6 @@ class MetricsHub {
   Registry registry_;
 
   std::mutex flush_mu_;
-  std::function<void()> collect_;
   std::ofstream out_;  // NDJSON mode: held open across flushes
   std::atomic<std::uint64_t> flushes_{0};
 

@@ -10,9 +10,9 @@
 // Design constraints, in order:
 //
 //  * Zero cost when off. Every instrumentation site goes through the inline
-//    helpers at the bottom (inc/set_gauge/record), which test a pointer that
-//    is null unless a MetricsHub was attached — one predicted branch, the
-//    same discipline as trace::emit.
+//    helpers at the bottom (inc/record), which test a pointer that is null
+//    unless a MetricsHub was attached — one predicted branch, the same
+//    discipline as trace::emit.
 //  * One write path for both backends. A Registry is built with a shard
 //    count: 1 on the simulator (writes compile to plain load/store on an
 //    uncontended atomic — field cost), >1 on the thread backend (writers are
@@ -91,8 +91,8 @@ class Counter {
 };
 
 /// Point-in-time signed value. Gauges have a single writer by contract (the
-/// owning actor, the engine, or the hub's collect callback), so set() is a
-/// plain relaxed store; concurrent readers see the latest published value.
+/// owning actor or the engine), so set() is a plain relaxed store;
+/// concurrent readers see the latest published value.
 class Gauge {
  public:
   void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
@@ -251,10 +251,6 @@ struct ActorEventCounters {
 
 inline void inc(Counter* c, std::uint64_t n = 1) {
   if (c != nullptr) [[unlikely]] c->inc(n);
-}
-
-inline void set_gauge(Gauge* g, std::int64_t v) {
-  if (g != nullptr) [[unlikely]] g->set(v);
 }
 
 inline void record(Histogram* h, std::uint64_t v) {

@@ -14,11 +14,13 @@
 // rather than reproduced byte-for-byte.
 //
 // Performance: the per-message path is allocation-free in steady state
-// (sender-pooled mailbox nodes), receivers drain in batches with at most
-// one eventcount wake per batch, and the per-chunk loop performs no clock
-// reads unless a timer is armed — see thread_net.hpp, perfbench's
-// threads_uts_4 workload and bench/runtime_speedup (small chunk_units puts
-// a run in this messaging-bound regime).
+// (a receiver swaps its whole mailbox vector with its own batch vector, so
+// both keep their capacity), a sleeping receiver is notified once per
+// batch, and the per-chunk loop takes no lock while its mailbox is empty
+// and performs no clock reads unless a timer is armed — see
+// thread_net.hpp, perfbench's threads_uts_4 workload and
+// bench/runtime_speedup (small chunk_units puts a run in this
+// messaging-bound regime).
 #pragma once
 
 #include <string>

@@ -94,7 +94,6 @@ class SocketNet final : public sim::Transport {
   /// Installs this process's single actor; its id is Options::rank. Must be
   /// called before transport_start().
   void set_actor(std::unique_ptr<sim::Actor> actor);
-  sim::Actor& local_actor() { return *actor_; }
   const sim::ActorStats& stats() const;
 
   /// Lifecycle (transport.hpp contract): start binds, connects and runs the

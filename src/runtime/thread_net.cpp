@@ -8,18 +8,6 @@
 
 namespace olb::runtime {
 
-ThreadNet::~ThreadNet() {
-  // Mailbox nodes are returned to their *sender's* pool on pop, and hosts
-  // destruct one by one — so drain every mailbox while all pools are still
-  // alive, lest a late host's mailbox release into an already-dead pool.
-  // (run() already leaves mailboxes empty; this covers aborted setups.)
-  sim::Message m;
-  for (auto& host : hosts_) {
-    while (host->mailbox.pop(m)) {
-    }
-  }
-}
-
 int ThreadNet::add_actor(std::unique_ptr<sim::Actor> actor) {
   OLB_CHECK_MSG(!running_, "actors must be added before run()");
   const int id = static_cast<int>(hosts_.size());
@@ -59,7 +47,7 @@ void ThreadNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
 
   if (tracer_ != nullptr) [[unlikely]] {
     // Emitted *before* the mailbox push: the delivery emit happens-after the
-    // pop, which happens-after this push, so the (locked) sink records every
+    // take, which happens-after this push, so the (locked) sink records every
     // send ahead of its delivery — the stream order the oracles rely on.
     // Latency (b) is 0: there is no modelled network here.
     m.id = static_cast<std::uint32_t>(msg_id);
@@ -68,37 +56,13 @@ void ThreadNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
   }
 
   Host& to = *hosts_[static_cast<std::size_t>(dst)];
-  to.mailbox.push(std::move(m), sender.pool);
-  // Wake protocol (Dekker-style pairing with the receiver's sleep path):
-  // the push above is the store, the sleeping load below is seq_cst, and
-  // the receiver raises `sleeping` (seq_cst) before its final empty
-  // re-poll — so either we see the flag and bump the eventcount, or the
-  // receiver's re-poll sees our message. An awake receiver (the common
-  // case mid-batch) costs this path one load instead of a mutex+notify
-  // per message.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const bool receiver_sleeping = to.sleeping.load(std::memory_order_seq_cst);
-  if (receiver_sleeping) {
-    {
-      std::scoped_lock lock(to.wake_mutex);
-      ++to.wake_epoch;
-    }
-    to.wake_cv.notify_one();
-  }
-  // The wake/skip split is the direct measure of how well the Dekker gate
-  // amortizes eventcount rounds over drain batches.
+  const bool woke = to.mailbox.push(std::move(m));
   metrics::inc(nm_.sends);
-  metrics::inc(receiver_sleeping ? nm_.wakes : nm_.wakes_skipped);
+  metrics::inc(woke ? nm_.wakes : nm_.wakes_skipped);
 }
 
 void ThreadNet::wake_all_hosts() {
-  for (auto& h : hosts_) {
-    {
-      std::scoped_lock lock(h->wake_mutex);
-      ++h->wake_epoch;
-    }
-    h->wake_cv.notify_one();
-  }
+  for (auto& h : hosts_) h->mailbox.wake();
 }
 
 void ThreadNet::transport_set_timer(sim::Actor& from, sim::Time delay,
@@ -149,6 +113,9 @@ void ThreadNet::peer_loop(Host& host,
   a.on_start();
   const int total = num_actors();
   bool counted = false;
+  const auto stop = [&] {
+    return hosts_done_.load(std::memory_order_acquire) == total;
+  };
   // Counts this actor as done the first time the exit predicate holds, and
   // returns true once EVERY actor is done. The host must not stop at its
   // own actor's termination: simulator actors stay addressable for the
@@ -163,22 +130,17 @@ void ThreadNet::peer_loop(Host& host,
         wake_all_hosts();  // everyone else is idle-sleeping; end the run now
       }
     }
-    return hosts_done_.load(std::memory_order_acquire) == total;
+    return stop();
   };
-  sim::Message m;
+  std::vector<sim::Message> batch;
   while (!all_done()) {
     bool progress = false;
-    // Batched drain: every message queued so far is processed in one sweep,
-    // and senders see sleeping == false the whole time, so the batch costs
-    // at most one eventcount round (the wake that started it) instead of
-    // one per message.
-    const std::size_t drained = host.mailbox.drain([&](sim::Message&& msg) {
-      dispatch(host, std::move(msg));
-      return true;
-    });
-    if (drained > 0) {
+    // Every message queued so far, taken in one lock round.
+    host.mailbox.take(batch);
+    if (!batch.empty()) {
       progress = true;
-      metrics::record(nm_.drain_batch, drained);
+      metrics::record(nm_.drain_batch, batch.size());
+      for (sim::Message& msg : batch) dispatch(host, std::move(msg));
     }
     if (fire_due_timers(host)) progress = true;
     if (a.compute_pending_) {
@@ -200,35 +162,15 @@ void ThreadNet::peer_loop(Host& host,
     if (std::chrono::steady_clock::now() >= deadline) return;  // watchdog
     if (metrics_hub_ != nullptr) [[unlikely]] a.on_metrics_poll();
 
-    // Idle. Eventcount sleep: read the epoch, raise the sleep gate, re-poll
-    // once (a sender may have pushed between the drain above and the gate
-    // going up — the seq_cst store/load pairing with transport_send
-    // guarantees we see its message if it missed our flag), then block
-    // until the epoch moves or the next timer / safety poll is due.
-    std::uint64_t epoch;
-    {
-      std::scoped_lock lock(host.wake_mutex);
-      epoch = host.wake_epoch;
-    }
-    host.sleeping.store(true, std::memory_order_seq_cst);
-    if (host.mailbox.pop(m)) {
-      host.sleeping.store(false, std::memory_order_relaxed);
-      dispatch(host, std::move(m));
-      continue;
-    }
+    // Idle: sleep until a message arrives, the run ends, or the next timer
+    // or the safety poll is due.
     auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
     if (!host.timers.empty()) {
       const auto timer_at =
           start_ + std::chrono::nanoseconds(host.timers.front().deadline);
       until = std::min(until, timer_at);
     }
-    until = std::min(until, deadline);
-    {
-      std::unique_lock lock(host.wake_mutex);
-      host.wake_cv.wait_until(lock, until,
-                              [&] { return host.wake_epoch != epoch; });
-    }
-    host.sleeping.store(false, std::memory_order_relaxed);
+    host.mailbox.sleep_until(std::min(until, deadline), stop);
   }
 }
 
@@ -247,14 +189,6 @@ ThreadNet::RunResult ThreadNet::run(const ExitPredicate& exit_when,
     nm_.wakes = r.counter("olb_net_wakes_total");
     nm_.wakes_skipped = r.counter("olb_net_wakes_skipped_total");
     nm_.drain_batch = r.histogram("olb_net_drain_batch");
-    nm_.pool_heap = r.gauge("olb_net_pool_heap_nodes");
-    // Pull-gauge: pool exhaustion shows up as heap-spilled nodes. Summed at
-    // flush time from each pool's owner-thread tally (relaxed reads).
-    metrics_hub_->set_collect([this] {
-      std::uint64_t spilled = 0;
-      for (const auto& host : hosts_) spilled += host->pool.heap_allocs();
-      nm_.pool_heap->set(static_cast<std::int64_t>(spilled));
-    });
   }
   start_ = std::chrono::steady_clock::now();
   if (metrics_hub_ != nullptr) {
@@ -270,12 +204,10 @@ ThreadNet::RunResult ThreadNet::run(const ExitPredicate& exit_when,
   }
   for (auto& host : hosts_) host->thread.join();
   if (metrics_hub_ != nullptr) {
-    // All peer threads are gone: take one last gauge sample per actor, let
-    // the sampler write its final snapshot, then detach the collect hook
-    // (the hub may outlive this net).
+    // All peer threads are gone: take one last gauge sample per actor and
+    // let the sampler write its final snapshot.
     for (auto& host : hosts_) host->actor->on_metrics_poll();
     metrics_hub_->stop_sampler();
-    metrics_hub_->set_collect(nullptr);
   }
 
   RunResult result;
@@ -291,10 +223,11 @@ ThreadNet::RunResult ThreadNet::run(const ExitPredicate& exit_when,
   // termination wave (e.g. a bridge request to an already-finished peer).
   // None of them may carry work — lost payloads would mean an unexplored
   // part of the problem.
-  sim::Message leftover;
+  std::vector<sim::Message> leftover;
   for (auto& host : hosts_) {
-    while (host->mailbox.pop(leftover)) {
-      OLB_CHECK_MSG(leftover.payload == nullptr,
+    host->mailbox.take(leftover);
+    for (const sim::Message& m : leftover) {
+      OLB_CHECK_MSG(m.payload == nullptr,
                     "undelivered work transfer after termination");
     }
   }

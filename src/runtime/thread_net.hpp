@@ -1,14 +1,13 @@
 // Shared-memory execution substrate: the protocol actors of src/lb running
 // one-per-thread over real work, with sim::Engine's delivery machinery
-// replaced by lock-free MPSC mailboxes.
+// replaced by one mutex-guarded mailbox per peer (runtime/mailbox.hpp).
 //
 // The seam is sim::Transport (simnet/transport.hpp): protocol code calls
 // Actor's services exactly as under the simulator, but here
 //
 //   * now()            is the wall clock (ns since run start),
-//   * send()           pushes into the receiver's MpscMailbox (on a node
-//                      from the sender's pool) and wakes the receiver only
-//                      when its sleep gate says it might be blocked,
+//   * send()           pushes into the receiver's Mailbox, which wakes the
+//                      receiver only when it is asleep,
 //   * start_compute()  is pure bookkeeping — the work already burned real
 //                      CPU inside Work::step(); the flag makes the peer loop
 //                      drain its mailbox before the next chunk, preserving
@@ -31,15 +30,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "runtime/mpsc_mailbox.hpp"
+#include "runtime/mailbox.hpp"
 #include "simnet/engine.hpp"
 
 namespace olb::runtime {
@@ -52,7 +49,6 @@ class ThreadNet final : public sim::Transport {
   explicit ThreadNet(std::uint64_t seed) : seed_(seed) {
     time_is_free_ = false;  // now() is a real clock read here
   }
-  ~ThreadNet() override;
 
   /// Takes ownership; returns the actor's id (dense, starting at 0).
   /// All actors must be added before run().
@@ -95,10 +91,10 @@ class ThreadNet final : public sim::Transport {
   /// Attaches a live-metrics hub (not owned; must outlive run()). On this
   /// backend the hub's wall-clock sampler thread owns the flush cadence;
   /// run() arms every actor's instruments, registers the net's own (sends,
-  /// wake/wake-skip counts, drain-batch sizes, pool heap spill), starts the
-  /// sampler, and stops it after the join with one final snapshot. Call
-  /// before run(). nullptr (the default) leaves every instrument pointer
-  /// unarmed — the per-send cost is then two predicted branches.
+  /// wake/wake-skip counts, drain-batch sizes), starts the sampler, and
+  /// stops it after the join with one final snapshot. Call before run().
+  /// nullptr (the default) leaves every instrument pointer unarmed — the
+  /// per-send cost is then two predicted branches.
   void set_metrics(metrics::MetricsHub* hub) {
     OLB_CHECK_MSG(!running_, "metrics must be attached before run()");
     metrics_hub_ = hub;
@@ -115,35 +111,15 @@ class ThreadNet final : public sim::Transport {
     bool operator>(const Timer& o) const { return deadline > o.deadline; }
   };
 
-  /// Per-peer execution state. Everything except the mailbox and the wake
-  /// fields is touched only by the owning thread.
+  /// Per-peer execution state. Everything except the mailbox is touched
+  /// only by the owning thread.
   struct Host {
     std::unique_ptr<sim::Actor> actor;
-    MpscMailbox mailbox;
-    /// Nodes for messages this peer *sends* (only the owning thread
-    /// acquires; receivers release consumed nodes back — see MsgNodePool).
-    MsgNodePool pool;
+    Mailbox mailbox;
     std::vector<Timer> timers;  ///< min-heap; timers are self-addressed
     /// The actor's sends by message type (owner thread only until joined).
     std::vector<std::uint64_t> sent_by_type;
     std::thread thread;
-
-    // Eventcount-style sleep/wake: a sender bumps epoch under the mutex
-    // *after* its mailbox push, the owner re-polls after reading the epoch
-    // and only blocks while the epoch is unchanged — no lost wakeups.
-    //
-    // The mutex+notify is paid only when the receiver might actually be
-    // sleeping: `sleeping` is raised before the owner's final empty re-poll
-    // and checked by senders after their push, both seq_cst (Dekker-style
-    // store;load on each side), so either the sender observes the flag and
-    // wakes, or the owner's re-poll observes the message. While the owner
-    // is awake draining a batch, sends skip the wake entirely — one
-    // eventcount round amortized over the whole batch. The peer loop's
-    // bounded cv wait (safety poll) backstops the protocol besides.
-    std::atomic<bool> sleeping{false};
-    std::mutex wake_mutex;
-    std::condition_variable wake_cv;
-    std::uint64_t wake_epoch = 0;  ///< guarded by wake_mutex
 
     /// Owner-thread countdown to the next on_metrics_poll (metrics only).
     int metrics_countdown = 0;
@@ -168,8 +144,8 @@ class ThreadNet final : public sim::Transport {
   void dispatch(Host& host, sim::Message m);
   /// Fires every timer whose deadline has passed; returns true if any fired.
   bool fire_due_timers(Host& host);
-  /// Bumps every host's eventcount epoch so idle sleepers re-check the
-  /// global done count (used when the last actor terminates).
+  /// Wakes every sleeping host so it re-checks the global done count (used
+  /// when the last actor terminates).
   void wake_all_hosts();
 
   std::uint64_t seed_;
@@ -189,7 +165,6 @@ class ThreadNet final : public sim::Transport {
     metrics::Counter* wakes = nullptr;
     metrics::Counter* wakes_skipped = nullptr;
     metrics::Histogram* drain_batch = nullptr;
-    metrics::Gauge* pool_heap = nullptr;
   } nm_;
 };
 

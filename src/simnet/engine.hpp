@@ -207,7 +207,6 @@ class Engine final : public Transport {
   /// partition) means unsharded: every peer is local and num_peers() ==
   /// num_actors().
   void configure_shard(std::vector<int> bases, int shard);
-  int id_base() const { return id_base_; }
   bool is_local(int id) const {
     return id >= id_base_ && id < id_base_ + num_actors();
   }
@@ -253,7 +252,6 @@ class Engine final : public Transport {
                 std::uint64_t event_limit = ~std::uint64_t{0});
 
   Time now() const { return now_; }
-  Network& network() { return network_; }
 
   /// Installs a fault plan (validated against the actor count, so call
   /// after all actors are added and before run()). A disabled plan is a
@@ -263,7 +261,6 @@ class Engine final : public Transport {
     injector_.configure(plan, num_actors(), seed_);
     link_faults_on_ = injector_.link_active();
   }
-  const FaultPlan& fault_plan() const { return injector_.plan(); }
   bool peer_crashed(int id) const { return injector_.crashed(id); }
 
   /// Installs a schedule perturbation (see perturb.hpp): random tie-breaking

@@ -10,16 +10,18 @@
 //    per-event random priority instead of insertion order, so every
 //    same-time race is resolved differently per perturbation seed;
 //  * extra_jitter — every message's latency gains a uniform extra delay in
-//    [0, extra_jitter], creating new ties and cross-link overtakings that
-//    the base network model (fixed per-link latency + small jitter) never
-//    produces. Per-link delivery order is preserved (arrivals are clamped
-//    to stay behind the link's last scheduled one): the protocols'
-//    termination arguments assume non-overtaking links, an assumption the
-//    base network meets structurally because consecutive same-link sends
-//    are spaced by at least msg_handling_cost > latency_jitter. Jitter that
-//    reordered a link would explore schedules outside the protocol's
-//    contract — the fuzzer demonstrated a (legitimate) termination failure
-//    there, with a finished-signal overtaking the final work transfer.
+//    [0, extra_jitter], creating new ties and cross-link overtakings far
+//    beyond what the base network model (fixed per-link latency + small
+//    jitter) produces. Per-link delivery order is preserved for perturbed
+//    arrivals (they are clamped to stay behind the link's last scheduled
+//    one): the overlay's termination rules treat an upward request as the
+//    subtree-finished signal, and jitter that reordered a link let the
+//    fuzzer find a finished-signal overtaking the final work transfer.
+//    The base network itself does not keep links FIFO: sends from a
+//    compute-done hook pay no msg_handling_cost, so two sends on one link
+//    can leave less than latency_jitter apart and arrive swapped (see
+//    Engine::send_from in engine.cpp for the counts and why the protocols
+//    tolerate them).
 //
 // A disabled perturbation (seed == 0, the default) leaves the engine
 // byte-identical to one that never heard of this header: the tie key stays

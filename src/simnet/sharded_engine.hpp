@@ -118,7 +118,6 @@ class ShardedEngine {
   int crashes_applied() const;
   double work_lost_units() const;
   bool peer_crashed(int id) const { return owner(id).peer_crashed(id); }
-  const FaultPlan& fault_plan() const { return engines_[0]->fault_plan(); }
 
   // --- single-shard-only features ---
   // Tracing, metrics, faults, perturbation and bug plants all assume one

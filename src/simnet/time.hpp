@@ -20,6 +20,5 @@ constexpr Time milliseconds(std::int64_t n) { return n * 1'000'000; }
 constexpr Time seconds(double s) { return static_cast<Time>(s * 1e9); }
 
 constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-9; }
-constexpr double to_micros(Time t) { return static_cast<double>(t) * 1e-3; }
 
 }  // namespace olb::sim

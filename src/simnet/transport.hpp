@@ -8,8 +8,8 @@
 //    simulated, sends become queued arrival events, compute spans advance a
 //    virtual busy-clock. Deterministic; reproduces the paper's cluster model.
 //  * runtime::ThreadNet (src/runtime): real threads, one per peer. Time is
-//    the wall clock, sends push into lock-free MPSC mailboxes, compute spans
-//    are the actual CPU time of the application work.
+//    the wall clock, sends push into the receiver's mutex-guarded mailbox,
+//    compute spans are the actual CPU time of the application work.
 //  * runtime::SocketNet (src/runtime): real processes, one per peer, joined
 //    by TCP. Time is the wall clock relative to a bootstrap-synchronised
 //    epoch; sends are serialised through the versioned wire codec

@@ -10,6 +10,15 @@
 namespace olb {
 namespace {
 
+/// An unknown flag or a stray argument is a usage error: name it, print the
+/// usage and exit with status 2.
+[[noreturn]] void reject_argument(const Flags& flags, const char* program,
+                                  const char* what, const std::string& arg) {
+  std::fprintf(stderr, "%s: %s\n", what, arg.c_str());
+  flags.print_usage(program);
+  std::exit(2);
+}
+
 /// A flag value that does not parse is a usage error, like an unknown flag:
 /// name the flag and the value and exit with status 2.
 [[noreturn]] void reject_value(std::string_view name, const std::string& value,
@@ -74,9 +83,7 @@ bool Flags::parse(int argc, char** argv) {
       return false;
     }
     if (arg.size() < 3 || arg.substr(0, 2) != "--") {
-      std::fprintf(stderr, "unexpected argument: %s\n", argv[i]);
-      print_usage(argv[0]);
-      return false;
+      reject_argument(*this, argv[0], "unexpected argument", argv[i]);
     }
     arg.remove_prefix(2);
     std::string name;
@@ -94,9 +101,7 @@ bool Flags::parse(int argc, char** argv) {
     }
     Entry* entry = find(name);
     if (entry == nullptr) {
-      std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
-      print_usage(argv[0]);
-      return false;
+      reject_argument(*this, argv[0], "unknown flag", "--" + name);
     }
     entry->value = std::move(value);
   }

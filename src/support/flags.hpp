@@ -19,7 +19,8 @@ class Flags {
   Flags& define(std::string name, std::string default_value, std::string help);
 
   /// Parses argv. On `--help` prints usage and returns false (caller should
-  /// exit 0). Unknown flags are a hard error (prints usage, returns false).
+  /// exit 0). An unknown flag or a stray positional argument prints itself
+  /// and the usage and exits with status 2.
   bool parse(int argc, char** argv);
 
   /// True when a flag of this name was define()d (regardless of whether the

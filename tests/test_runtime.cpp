@@ -1,5 +1,5 @@
-// Tests for the shared-memory backend (src/runtime): MPSC mailbox
-// correctness under concurrency, and the overlay protocol on real threads
+// Tests for the shared-memory backend (src/runtime): mailbox correctness
+// under concurrency, and the overlay protocol on real threads
 // reproducing the simulator's execution-order-independent invariants —
 // exact UTS node counts and exact B&B optima — across strategies, thread
 // counts and seeds.
@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,7 +15,7 @@
 
 #include "bb/bb_work.hpp"
 #include "metrics/hub.hpp"
-#include "runtime/mpsc_mailbox.hpp"
+#include "runtime/mailbox.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/trace.hpp"
 #include "uts/uts_work.hpp"
@@ -22,139 +23,101 @@
 namespace olb {
 namespace {
 
-// ------------------------------------------------------------ MPSC mailbox ---
+// ----------------------------------------------------------------- mailbox ---
 
-TEST(MpscMailbox, FifoPerProducerSingleThread) {
-  runtime::MpscMailbox box;
+TEST(Mailbox, FifoAndPayloadOnOneThread) {
+  runtime::Mailbox box;
   for (int i = 0; i < 100; ++i) box.push(sim::Message(i, i * 10));
-  sim::Message m;
+  sim::Message with_payload(100);
+  with_payload.payload = std::make_unique<sim::MsgPayload>();
+  box.push(std::move(with_payload));
+  std::vector<sim::Message> batch;
+  box.take(batch);
+  ASSERT_EQ(batch.size(), 101u);
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(box.pop(m));
-    EXPECT_EQ(m.type, i);
-    EXPECT_EQ(m.a, i * 10);
+    EXPECT_EQ(batch[static_cast<std::size_t>(i)].type, i);
+    EXPECT_EQ(batch[static_cast<std::size_t>(i)].a, i * 10);
   }
-  EXPECT_FALSE(box.pop(m));
+  EXPECT_NE(batch.back().payload, nullptr);
+  box.take(batch);
+  EXPECT_TRUE(batch.empty());
 }
 
-TEST(MpscMailbox, PayloadSurvivesTransit) {
-  runtime::MpscMailbox box;
-  sim::Message in(3);
-  in.payload = std::make_unique<sim::MsgPayload>();
-  box.push(std::move(in));
-  sim::Message out;
-  ASSERT_TRUE(box.pop(out));
-  EXPECT_NE(out.payload, nullptr);
-}
-
-TEST(MpscMailbox, DropsNothingUnderConcurrentProducers) {
-  // N producers push a tagged sequence each while the consumer drains;
-  // every message must arrive exactly once and in per-producer order.
+TEST(Mailbox, NoLossAndPerProducerOrderUnderConcurrentProducers) {
+  // N producers push a tagged sequence each while the owner takes batches;
+  // every message must arrive exactly once and in per-producer order (run
+  // under TSan to check the locking too).
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 5000;
-  runtime::MpscMailbox box;
+  runtime::Mailbox box;
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&box, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        box.push(sim::Message(p, i));
-      }
-    });
-  }
-  std::vector<std::int64_t> next_expected(kProducers, 0);
-  int received = 0;
-  sim::Message m;
-  while (received < kProducers * kPerProducer) {
-    if (!box.pop(m)) continue;  // transient empty is fine, losing one is not
-    ASSERT_GE(m.type, 0);
-    ASSERT_LT(m.type, kProducers);
-    EXPECT_EQ(m.a, next_expected[static_cast<std::size_t>(m.type)]++);
-    ++received;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_FALSE(box.pop(m));
-}
-
-TEST(MpscMailbox, DrainPreservesPerProducerFifo) {
-  // The thread backend's batched consumption path: producers push through
-  // their own node pools while the consumer drains in batches. Per-producer
-  // order must survive batching (run under TSan to check the fences too).
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  runtime::MpscMailbox box;
-  std::vector<std::unique_ptr<runtime::MsgNodePool>> pools;
-  for (int p = 0; p < kProducers; ++p) {
-    pools.push_back(std::make_unique<runtime::MsgNodePool>());
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&box, pool = pools[static_cast<std::size_t>(p)].get(), p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        box.push(sim::Message(p, i), *pool);
-      }
+      for (int i = 0; i < kPerProducer; ++i) box.push(sim::Message(p, i));
     });
   }
   std::vector<std::int64_t> next_expected(kProducers, 0);
   int received = 0;
   std::size_t max_batch = 0;
+  std::vector<sim::Message> batch;
   while (received < kProducers * kPerProducer) {
-    const std::size_t n = box.drain([&](sim::Message&& m) {
-      EXPECT_GE(m.type, 0);
-      EXPECT_LT(m.type, kProducers);
+    box.take(batch);
+    for (const sim::Message& m : batch) {
+      ASSERT_GE(m.type, 0);
+      ASSERT_LT(m.type, kProducers);
       EXPECT_EQ(m.a, next_expected[static_cast<std::size_t>(m.type)]++);
       ++received;
-      return true;
-    });
-    max_batch = std::max(max_batch, n);
+    }
+    max_batch = std::max(max_batch, batch.size());
   }
   for (auto& t : producers) t.join();
-  sim::Message m;
-  EXPECT_FALSE(box.pop(m));
+  box.take(batch);
+  EXPECT_TRUE(batch.empty());
   EXPECT_GT(max_batch, 1u);  // batching actually happened at least once
-  // Pools must outlive the box: recycle-on-pop hands nodes back to them.
 }
 
-TEST(MpscMailbox, DrainHonoursMaxAndEarlyStop) {
-  runtime::MpscMailbox box;
-  for (int i = 0; i < 10; ++i) box.push(sim::Message(i, i));
-  int seen = 0;
-  EXPECT_EQ(box.drain([&](sim::Message&&) { ++seen; return true; }, 4), 4u);
-  EXPECT_EQ(seen, 4);
-  // Early stop via the callback: the stopping message still counts.
-  EXPECT_EQ(box.drain([&](sim::Message&& m) { return m.type < 6; }), 3u);
-  sim::Message m;
-  ASSERT_TRUE(box.pop(m));
-  EXPECT_EQ(m.type, 7);  // first drain took 0-3; second took 4,5,6 (6 stopped it)
-}
-
-TEST(MsgNodePool, RecycledNodesNeverAliasLiveMessages) {
-  // Arena canary: push through a tiny pool so nodes recycle constantly,
-  // holding every popped message alive. If a recycled node's storage
-  // aliased a live message, the held payloads would corrupt — each carries
-  // a unique_ptr, so ASan flags any double-touch and the canary values
-  // catch plain-build aliasing.
-  runtime::MsgNodePool pool(4);
-  runtime::MpscMailbox box;
-  std::vector<sim::Message> held;
-  for (int round = 0; round < 64; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      sim::Message m(round, round * 100 + i);
-      m.payload = std::make_unique<sim::MsgPayload>();
-      box.push(std::move(m), pool);
-    }
-    box.drain([&](sim::Message&& m) {
-      held.push_back(std::move(m));
-      return true;
+TEST(Mailbox, SleeperWakesPromptlyOnPushAndOnStop) {
+  // No lost wakeup: a push or a wake() that lands while the owner is blocked
+  // in sleep_until must end the sleep at once, not at its 10 s deadline.
+  // The owner's stop() runs under the mailbox lock just before it blocks,
+  // so once `checked` is set, the next push or wake() cannot get the lock
+  // until the owner is waiting.
+  using Clock = std::chrono::steady_clock;
+  runtime::Mailbox box;
+  std::atomic<bool> checked{false};
+  std::atomic<bool> stop{false};
+  Clock::time_point woke_at;
+  const auto start_sleeper = [&] {
+    checked.store(false);
+    return std::thread([&] {
+      box.sleep_until(Clock::now() + std::chrono::seconds(10), [&] {
+        checked.store(true);
+        return stop.load();
+      });
+      woke_at = Clock::now();
     });
-  }
-  ASSERT_EQ(held.size(), 64u * 8u);
-  for (int round = 0; round < 64; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      const sim::Message& m = held[static_cast<std::size_t>(round * 8 + i)];
-      EXPECT_EQ(m.type, round);
-      EXPECT_EQ(m.a, round * 100 + i);
-      EXPECT_NE(m.payload, nullptr);
-    }
-  }
+  };
+  const auto wait_until_asleep = [&] {
+    while (!checked.load()) std::this_thread::yield();
+  };
+
+  std::thread owner = start_sleeper();
+  wait_until_asleep();
+  const auto pushed_at = Clock::now();
+  EXPECT_TRUE(box.push(sim::Message(1)));  // found the owner asleep
+  owner.join();
+  EXPECT_LT(woke_at - pushed_at, std::chrono::milliseconds(500));
+  std::vector<sim::Message> batch;
+  box.take(batch);
+  EXPECT_EQ(batch.size(), 1u);
+
+  owner = start_sleeper();
+  wait_until_asleep();
+  const auto stopped_at = Clock::now();
+  stop.store(true);
+  box.wake();
+  owner.join();
+  EXPECT_LT(woke_at - stopped_at, std::chrono::milliseconds(500));
 }
 
 // ------------------------------------------- overlay protocol on threads ---

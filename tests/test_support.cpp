@@ -325,8 +325,16 @@ TEST(Flags, UnknownFlagRejected) {
       .define("x", "0.5", "")
       .define("on", "true", "")
       .define("list", "1,2", "");
+  // An unknown flag or a stray positional argument is a usage error: it
+  // exits 2 instead of returning, so a mistyped CI line cannot pass.
   const char* unknown[] = {"prog", "--bogus=3"};
-  EXPECT_FALSE(flags.parse(2, const_cast<char**>(unknown)));
+  EXPECT_EXIT(flags.parse(2, const_cast<char**>(unknown)),
+              testing::ExitedWithCode(2), "unknown flag: --bogus");
+  const char* stray[] = {"prog", "--n", "16", "extra"};
+  EXPECT_EXIT(flags.parse(4, const_cast<char**>(stray)),
+              testing::ExitedWithCode(2), "unexpected argument: extra");
+  const char* help[] = {"prog", "--help"};
+  EXPECT_FALSE(flags.parse(2, const_cast<char**>(help)));
 
   // Known flags whose value does not parse completely: the reader exits
   // naming the flag and the value instead of returning a prefix or 0.

@@ -149,13 +149,11 @@ void render(const Model& model, int top_n, bool clear) {
   }
   const std::int64_t net_sends = model.value("olb_net_sends_total", -1);
   if (net_sends > 0) {
-    std::printf("net: sends=%lld wakes=%lld wakes_skipped=%lld heap_nodes=%lld\n",
+    std::printf("net: sends=%lld wakes=%lld wakes_skipped=%lld\n",
                 static_cast<long long>(net_sends),
                 static_cast<long long>(model.value("olb_net_wakes_total", -1)),
                 static_cast<long long>(
-                    model.value("olb_net_wakes_skipped_total", -1)),
-                static_cast<long long>(
-                    model.value("olb_net_pool_heap_nodes", -1)));
+                    model.value("olb_net_wakes_skipped_total", -1)));
   }
   if (total_peers > peers.size()) {
     std::printf("(showing busiest %zu of %zu peers; --top to change)\n",

@@ -11,7 +11,7 @@
 //   perf_lab --compare old.json [--json new.json] [--threshold 0.15]
 //
 //   * BM_EngineEventThroughput — raw simulator event loop (ping-pong actors),
-//   * mailbox_throughput       — the MPSC mailbox alone, producer vs owner.
+//   * mailbox_throughput       — one peer's mailbox alone, producer vs owner.
 //
 // Whole UTS and B&B runs on every execution path are perfbench's workloads
 // (perfbench/README.md), and the large-n ladder is fig5_scalability
@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "runtime/mpsc_mailbox.hpp"
+#include "runtime/mailbox.hpp"
 #include "simnet/engine.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
@@ -198,26 +198,21 @@ double engine_event_rate(std::uint64_t events) {
 }
 
 double mailbox_rate(std::uint64_t msgs) {
-  // The production path: nodes come from the producer's bounded pool and
-  // are recycled back to it by the consumer (ThreadNet does exactly this).
-  // Pool before box: the mailbox's destructor recycles any leftover nodes
-  // into the pool, so the pool must outlive it.
-  runtime::MsgNodePool pool;
-  runtime::MpscMailbox box;
+  // The owner takes whole batches, as ThreadNet's peer loop does, and
+  // yields while the box is empty.
+  runtime::Mailbox box;
   const auto t0 = std::chrono::steady_clock::now();
-  std::thread producer([&box, &pool, msgs] {
+  std::thread producer([&box, msgs] {
     for (std::uint64_t i = 0; i < msgs; ++i) {
-      box.push(sim::Message(1, static_cast<std::int64_t>(i)), pool);
+      box.push(sim::Message(1, static_cast<std::int64_t>(i)));
     }
   });
-  sim::Message m;
+  std::vector<sim::Message> batch;
   std::uint64_t received = 0;
   while (received < msgs) {
-    if (box.pop(m)) {
-      ++received;
-    } else {
-      std::this_thread::yield();
-    }
+    box.take(batch);
+    if (batch.empty()) std::this_thread::yield();
+    received += batch.size();
   }
   producer.join();
   const double wall = wall_since(t0);
