@@ -1,6 +1,7 @@
 #include "bb/bounds.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -10,44 +11,81 @@ namespace olb::bb {
 
 namespace {
 
-std::int64_t one_machine_bound(const FlowshopInstance& inst,
-                               std::span<const std::int64_t> completion,
-                               std::span<const int> remaining) {
-  const int m = inst.machines();
-  std::int64_t best = completion[static_cast<std::size_t>(m - 1)];
-  for (int k = 0; k < m; ++k) {
-    std::int64_t load = 0;
-    std::int64_t min_tail = std::numeric_limits<std::int64_t>::max();
-    for (int j : remaining) {
-      load += inst.p(j, k);
-      min_tail = std::min(min_tail, inst.tail_after(j, k));
-    }
-    const std::int64_t lb = completion[static_cast<std::size_t>(k)] + load + min_tail;
-    best = std::max(best, lb);
-  }
-  return best;
+std::uint32_t job_bit(int j) { return std::uint32_t{1} << j; }
+
+/// The smallest tail_after(j, k) over the jobs j in `tail_ranks` (non-empty).
+std::uint32_t min_tail(const FlowshopInstance& inst, std::uint32_t tail_ranks, int k) {
+  return inst.ranked_tail(std::countr_zero(tail_ranks), k);
 }
 
 }  // namespace
 
+void set_remaining(const FlowshopInstance& inst, std::uint32_t remaining,
+                   std::uint32_t* row) {
+  const int m = inst.machines();
+  OLB_CHECK(inst.jobs() <= kMaxRowJobs);
+  OLB_CHECK(inst.jobs() == kMaxRowJobs || remaining >> inst.jobs() == 0);
+  for (int k = 0; k < m; ++k) {
+    std::uint32_t load = 0;
+    std::uint32_t tail_ranks = 0;
+    for (std::uint32_t rest = remaining; rest != 0; rest &= rest - 1) {
+      const int j = std::countr_zero(rest);
+      load += static_cast<std::uint32_t>(inst.p(j, k));
+      tail_ranks |= job_bit(inst.tail_rank(j, k));
+    }
+    row[m + k] = load;
+    row[2 * m + k] = tail_ranks;
+  }
+  row[3 * m] = remaining;
+}
+
+void append_job(const FlowshopInstance& inst, const std::uint32_t* parent, int job,
+                std::uint32_t* child) {
+  const int m = inst.machines();
+  std::uint32_t prev = 0;
+  for (int k = 0; k < m; ++k) {
+    const auto p = static_cast<std::uint32_t>(inst.p(job, k));
+    prev = std::max(prev, parent[k]) + p;
+    child[k] = prev;
+    child[m + k] = parent[m + k] - p;
+    child[2 * m + k] = parent[2 * m + k] & ~job_bit(inst.tail_rank(job, k));
+  }
+  child[3 * m] = parent[3 * m] & ~job_bit(job);
+}
+
+std::int64_t row_bound(const FlowshopInstance& inst, const std::uint32_t* row,
+                       BoundKind kind) {
+  const int m = inst.machines();
+  // One machine k: it cannot finish the remaining jobs before its prefix
+  // completion plus their load, and the last of them still needs the
+  // smallest remaining tail downstream.
+  std::uint32_t best = row[m - 1];
+  for (int k = 0; k < m; ++k) {
+    best = std::max(best, row[k] + row[m + k] + min_tail(inst, row[2 * m + k], k));
+  }
+  if (kind == BoundKind::kTwoMachine) {
+    // Each adjacent pair (k, k+1): Johnson's two-machine makespan of the
+    // remaining jobs, released at the prefix's completion on k.
+    const std::uint32_t remaining = row[3 * m];
+    for (int k = 0; k + 1 < m; ++k) {
+      std::uint32_t ta = 0;
+      std::uint32_t tb = 0;
+      for (int j : inst.johnson_order(k)) {
+        if ((remaining & job_bit(j)) == 0) continue;
+        ta += static_cast<std::uint32_t>(inst.p(j, k));
+        tb = std::max(tb, ta) + static_cast<std::uint32_t>(inst.p(j, k + 1));
+      }
+      best = std::max(best, row[k] + tb + min_tail(inst, row[2 * m + k + 1], k + 1));
+    }
+  }
+  return best;
+}
+
 std::int64_t johnson_cmax(const FlowshopInstance& inst, std::span<const int> jobs,
                           int ka, int kb) {
-  // Johnson's rule: jobs with p_a < p_b first in increasing p_a, then jobs
-  // with p_a >= p_b in decreasing p_b.
   std::vector<int> order(jobs.begin(), jobs.end());
-  std::sort(order.begin(), order.end(), [&](int x, int y) {
-    const std::int64_t key_x = std::min<std::int64_t>(inst.p(x, ka), inst.p(x, kb));
-    const std::int64_t key_y = std::min<std::int64_t>(inst.p(y, ka), inst.p(y, kb));
-    const bool x_first = inst.p(x, ka) < inst.p(x, kb);
-    const bool y_first = inst.p(y, ka) < inst.p(y, kb);
-    if (x_first != y_first) return x_first;
-    if (x_first) return inst.p(x, ka) < inst.p(y, ka) ||
-                        (inst.p(x, ka) == inst.p(y, ka) && x < y);
-    (void)key_x;
-    (void)key_y;
-    return inst.p(x, kb) > inst.p(y, kb) ||
-           (inst.p(x, kb) == inst.p(y, kb) && x < y);
-  });
+  std::sort(order.begin(), order.end(),
+            [&](int x, int y) { return inst.johnson_before(x, y, ka, kb); });
   std::int64_t ta = 0;
   std::int64_t tb = 0;
   for (int j : order) {
@@ -60,24 +98,23 @@ std::int64_t johnson_cmax(const FlowshopInstance& inst, std::span<const int> job
 std::int64_t lower_bound(const FlowshopInstance& inst,
                          std::span<const std::int64_t> completion,
                          std::span<const int> remaining, BoundKind kind) {
-  OLB_CHECK(static_cast<int>(completion.size()) == inst.machines());
-  if (remaining.empty()) {
-    return completion[static_cast<std::size_t>(inst.machines() - 1)];
+  const int m = inst.machines();
+  OLB_CHECK(static_cast<int>(completion.size()) == m);
+  if (remaining.empty()) return completion[static_cast<std::size_t>(m - 1)];
+  std::vector<std::uint32_t> row(prefix_row_words(m));
+  for (int k = 0; k < m; ++k) {
+    const std::int64_t c = completion[static_cast<std::size_t>(k)];
+    OLB_CHECK(c >= 0 && c <= std::numeric_limits<std::int32_t>::max());
+    row[static_cast<std::size_t>(k)] = static_cast<std::uint32_t>(c);
   }
-  std::int64_t best = one_machine_bound(inst, completion, remaining);
-  if (kind == BoundKind::kTwoMachine) {
-    const int m = inst.machines();
-    for (int k = 0; k + 1 < m; ++k) {
-      std::int64_t min_tail = std::numeric_limits<std::int64_t>::max();
-      for (int j : remaining) {
-        min_tail = std::min(min_tail, inst.tail_after(j, k + 1));
-      }
-      const std::int64_t lb = completion[static_cast<std::size_t>(k)] +
-                              johnson_cmax(inst, remaining, k, k + 1) + min_tail;
-      best = std::max(best, lb);
-    }
+  std::uint32_t mask = 0;
+  for (int j : remaining) {
+    OLB_CHECK(j >= 0 && j < inst.jobs() && j < kMaxRowJobs);
+    OLB_CHECK_MSG((mask & job_bit(j)) == 0, "remaining lists a job twice");
+    mask |= job_bit(j);
   }
-  return best;
+  set_remaining(inst, mask, row.data());
+  return row_bound(inst, row.data(), kind);
 }
 
 }  // namespace olb::bb

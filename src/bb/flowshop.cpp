@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <numeric>
 
 #include "support/check.hpp"
@@ -35,6 +36,11 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
             static_cast<std::size_t>(jobs_) * static_cast<std::size_t>(machines_));
   for (int v : processing_) OLB_CHECK(v >= 0);
 
+  const std::int64_t total = std::accumulate(processing_.begin(), processing_.end(),
+                                             std::int64_t{0});
+  OLB_CHECK_MSG(total <= std::numeric_limits<std::int32_t>::max(),
+                "total processing time must fit in 32 bits");
+
   tail_.assign(static_cast<std::size_t>(jobs_) * static_cast<std::size_t>(machines_ + 1), 0);
   for (int j = 0; j < jobs_; ++j) {
     for (int k = machines_ - 1; k >= 0; --k) {
@@ -45,6 +51,45 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
           p(j, k);
     }
   }
+
+  const auto n = static_cast<std::size_t>(jobs_);
+  const auto m = static_cast<std::size_t>(machines_);
+  std::vector<int> order(n);
+  tail_rank_.resize(n * m);
+  ranked_tail_.resize(m * n);
+  for (int k = 0; k < machines_; ++k) {
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int x, int y) {
+      return tail_after(x, k) < tail_after(y, k) ||
+             (tail_after(x, k) == tail_after(y, k) && x < y);
+    });
+    for (std::size_t r = 0; r < n; ++r) {
+      const int j = order[r];
+      tail_rank_[static_cast<std::size_t>(j) * m + static_cast<std::size_t>(k)] =
+          static_cast<int>(r);
+      ranked_tail_[static_cast<std::size_t>(k) * n + r] =
+          static_cast<std::uint32_t>(tail_after(j, k));
+    }
+  }
+
+  johnson_order_.resize((m - 1) * n);
+  for (int k = 0; k + 1 < machines_; ++k) {
+    const auto first = johnson_order_.begin() + static_cast<std::ptrdiff_t>(
+                                                    static_cast<std::size_t>(k) * n);
+    std::iota(first, first + static_cast<std::ptrdiff_t>(n), 0);
+    std::sort(first, first + static_cast<std::ptrdiff_t>(n),
+              [&](int x, int y) { return johnson_before(x, y, k, k + 1); });
+  }
+}
+
+bool FlowshopInstance::johnson_before(int x, int y, int ka, int kb) const {
+  // Jobs with p_a < p_b first in increasing p_a, then jobs with
+  // p_a >= p_b in decreasing p_b; ties by job id.
+  const bool x_first = p(x, ka) < p(x, kb);
+  const bool y_first = p(y, ka) < p(y, kb);
+  if (x_first != y_first) return x_first;
+  if (x_first) return p(x, ka) < p(y, ka) || (p(x, ka) == p(y, ka) && x < y);
+  return p(x, kb) > p(y, kb) || (p(x, kb) == p(y, kb) && x < y);
 }
 
 FlowshopInstance FlowshopInstance::taillard(std::string name, int jobs, int machines,
@@ -72,13 +117,15 @@ std::span<const std::int64_t> FlowshopInstance::ta20x20_seeds() {
 FlowshopInstance FlowshopInstance::ta20x20_scaled(int index, int jobs, int machines) {
   OLB_CHECK(index >= 0 && index < 10);
   OLB_CHECK(jobs >= 1 && jobs <= 20 && machines >= 1 && machines <= 20);
-  const FlowshopInstance full = taillard("full", 20, 20, ta20x20_seeds()[static_cast<std::size_t>(index)]);
-  std::vector<int> processing(static_cast<std::size_t>(jobs) *
-                              static_cast<std::size_t>(machines));
+  // The full instance's stream is machine-major, 20 draws per machine: keep
+  // the first `jobs` of each of the first `machines` rows.
+  TaillardRng rng(ta20x20_seeds()[static_cast<std::size_t>(index)]);
+  std::vector<int> processing;
+  processing.reserve(static_cast<std::size_t>(jobs) * static_cast<std::size_t>(machines));
   for (int k = 0; k < machines; ++k) {
-    for (int j = 0; j < jobs; ++j) {
-      processing[static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs) +
-                 static_cast<std::size_t>(j)] = full.p(j, k);
+    for (int j = 0; j < 20; ++j) {
+      const int v = rng.next(1, 99);
+      if (j < jobs) processing.push_back(v);
     }
   }
   std::string name = "Ta" + std::to_string(21 + index) + "s";

@@ -37,8 +37,10 @@ class TaillardRng {
 
 class FlowshopInstance {
  public:
+  /// `processing` is machine-major, p[k*jobs + j]. The total processing
+  /// time must stay below 2^31, so every makespan and bound fits in 32 bits.
   FlowshopInstance(std::string name, int jobs, int machines,
-                   std::vector<int> processing);  ///< machine-major p[k*jobs + j]
+                   std::vector<int> processing);
 
   /// Generates a jobs x machines instance from a Taillard time seed.
   static FlowshopInstance taillard(std::string name, int jobs, int machines,
@@ -77,12 +79,41 @@ class FlowshopInstance {
   /// Total processing time of job j across all machines.
   std::int64_t total_time(int j) const { return tail_after(j, -1); }
 
+  // --- tables for the incremental lower bound (bounds.hpp), built once ---
+
+  /// Rank of job j when all jobs are sorted by tail_after(·, k) ascending,
+  /// ties broken by job id.
+  int tail_rank(int j, int k) const {
+    return tail_rank_[static_cast<std::size_t>(j) * static_cast<std::size_t>(machines_) +
+                      static_cast<std::size_t>(k)];
+  }
+
+  /// tail_after(·, k) of the job at rank r on machine k.
+  std::uint32_t ranked_tail(int r, int k) const {
+    return ranked_tail_[static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs_) +
+                        static_cast<std::size_t>(r)];
+  }
+
+  /// Johnson's rule for the two-machine flowshop on machines (ka, kb): does
+  /// job x go before job y? A strict total order over job ids.
+  bool johnson_before(int x, int y, int ka, int kb) const;
+
+  /// All jobs in Johnson's order (johnson_before) for the machine pair
+  /// (k, k+1), k < machines() - 1.
+  std::span<const int> johnson_order(int k) const {
+    return {johnson_order_.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs_),
+            static_cast<std::size_t>(jobs_)};
+  }
+
  private:
   std::string name_;
   int jobs_;
   int machines_;
-  std::vector<int> processing_;      ///< machine-major
-  std::vector<std::int64_t> tail_;   ///< tail_[j*(m+1)+k] = sum of p(j, k..m-1)
+  std::vector<int> processing_;             ///< machine-major
+  std::vector<std::int64_t> tail_;          ///< tail_[j*(m+1)+k] = sum of p(j, k..m-1)
+  std::vector<int> tail_rank_;              ///< job-major [j*m + k]
+  std::vector<std::uint32_t> ranked_tail_;  ///< machine-major [k*n + rank]
+  std::vector<int> johnson_order_;          ///< [k*n + i], k < m-1
 };
 
 /// NEH constructive heuristic (Nawaz-Enscore-Ham 1983): returns a good

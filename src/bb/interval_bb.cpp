@@ -1,6 +1,6 @@
 #include "bb/interval_bb.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "support/check.hpp"
 
@@ -9,19 +9,18 @@ namespace olb::bb {
 IntervalExplorer::IntervalExplorer(std::shared_ptr<const FlowshopInstance> inst,
                                    std::uint64_t begin, std::uint64_t end,
                                    BoundKind bound_kind)
-    : inst_(std::move(inst)), bound_kind_(bound_kind), pos_(begin), end_(end) {
+    : inst_(std::move(inst)), bound_kind_(bound_kind), pos_(begin), end_(end),
+      row_words_(prefix_row_words(inst_->machines())) {
   const int n = inst_->jobs();
   OLB_CHECK(n <= kMaxFactorialArg);
   OLB_CHECK(begin <= end && end <= factorial(n));
   const auto depths = static_cast<std::size_t>(n) + 1;
-  remaining_.resize(depths);
-  completion_.resize(depths);
-  for (auto& c : completion_) c.assign(static_cast<std::size_t>(inst_->machines()), 0);
+  rows_.assign(depths * row_words_, 0);
+  const std::uint32_t all_jobs = (std::uint32_t{1} << n) - 1;
+  set_remaining(*inst_, all_jobs, row(0));
   path_.assign(static_cast<std::size_t>(n), -1);
-  remaining_[0].resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) remaining_[0][static_cast<std::size_t>(j)] = j;
   stack_.reserve(depths);
-  if (pos_ < end_) stack_.push_back(Frame{0, 0});
+  if (pos_ < end_) stack_.push_back(Frame{0, all_jobs, 0});
 }
 
 void IntervalExplorer::shrink_end(std::uint64_t new_end) {
@@ -34,44 +33,42 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
                                                  BestSolution* recorder) {
   Progress progress;
   const int n = inst_->jobs();
-  const int m = inst_->machines();
+  const auto m = static_cast<std::size_t>(inst_->machines());
 
   while (progress.nodes < max_nodes && !stack_.empty() && pos_ < end_) {
-    const int d = static_cast<int>(stack_.size()) - 1;
+    const std::size_t d = stack_.size() - 1;
     Frame& frame = stack_.back();
-    const int num_kids = n - d;
-    if (frame.next_child >= num_kids) {
+    if (frame.untried == 0) {
       stack_.pop_back();
       continue;
     }
-    const std::uint64_t child_width = factorial(n - d - 1);
+    // Children go lowest job first, so child i covers the i-th block of
+    // (n-d-1)! leaf ranks under this prefix.
+    const std::uint64_t child_width = factorial(n - static_cast<int>(d) - 1);
     const std::uint64_t child_lo =
         frame.lo + static_cast<std::uint64_t>(frame.next_child) * child_width;
     const std::uint64_t child_hi = child_lo + child_width;
+    const int job = std::countr_zero(frame.untried);
+    frame.untried &= frame.untried - 1;
+    ++frame.next_child;
     if (child_hi <= pos_) {
       // Entirely before our position: already handled (resume fast-forward).
-      ++frame.next_child;
       continue;
     }
     if (child_lo >= end_) {
       // This and all later siblings belong to a thief now.
-      frame.next_child = num_kids;
+      frame.untried = 0;
       continue;
     }
 
-    const auto child_idx = static_cast<std::size_t>(frame.next_child);
-    ++frame.next_child;
-    const int job = remaining_[static_cast<std::size_t>(d)][child_idx];
-    path_[static_cast<std::size_t>(d)] = job;
-
-    auto& child_completion = completion_[static_cast<std::size_t>(d + 1)];
-    child_completion = completion_[static_cast<std::size_t>(d)];
-    inst_->advance(child_completion, job);
+    path_[d] = job;
+    std::uint32_t* child = row(d + 1);
+    append_job(*inst_, row(d), job, child);
     ++progress.nodes;
 
-    if (d + 1 == n) {
+    if (d + 1 == static_cast<std::size_t>(n)) {
       // Complete permutation.
-      const std::int64_t mk = child_completion[static_cast<std::size_t>(m - 1)];
+      const std::int64_t mk = child[m - 1];
       if (mk < ub) {
         ub = mk;
         progress.improved = true;
@@ -81,16 +78,10 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
       continue;
     }
 
-    auto& child_remaining = remaining_[static_cast<std::size_t>(d + 1)];
-    child_remaining = remaining_[static_cast<std::size_t>(d)];
-    child_remaining.erase(child_remaining.begin() + static_cast<std::ptrdiff_t>(child_idx));
-
-    const std::int64_t lb =
-        lower_bound(*inst_, child_completion, child_remaining, bound_kind_);
-    if (lb >= ub) {
+    if (row_bound(*inst_, child, bound_kind_) >= ub) {
       pos_ = child_hi;  // prune the whole child subtree
     } else {
-      stack_.push_back(Frame{child_lo, 0});
+      stack_.push_back(Frame{child_lo, child[3 * m], 0});
     }
   }
 

@@ -11,7 +11,8 @@
 // best-first-free lexicographic branching and LB pruning. The right edge
 // (`end`) may shrink at any chunk boundary when a thief steals a
 // sub-interval; the DFS re-checks every child range against the current
-// edge, so stolen regions are never explored locally.
+// edge, so stolen regions are never explored locally. Each depth keeps one
+// prefix row (bounds.hpp), so a node costs O(m) for the one-machine bound.
 #pragma once
 
 #include <cstdint>
@@ -87,20 +88,23 @@ class IntervalExplorer {
 
  private:
   struct Frame {
-    std::uint64_t lo = 0;  ///< leaf rank of the first leaf under this prefix
-    int next_child = 0;    ///< index into the depth's remaining-jobs list
+    std::uint64_t lo = 0;       ///< leaf rank of the first leaf under this prefix
+    std::uint32_t untried = 0;  ///< remaining jobs not yet branched on (job mask)
+    int next_child = 0;         ///< sibling index of the lowest untried job
   };
+
+  std::uint32_t* row(std::size_t depth) { return rows_.data() + depth * row_words_; }
 
   std::shared_ptr<const FlowshopInstance> inst_;
   BoundKind bound_kind_;
   std::uint64_t pos_;  ///< lowest unexplored leaf rank
   std::uint64_t end_;
+  std::size_t row_words_;
 
-  // Per-depth scratch, preallocated once: remaining jobs (ascending, for
-  // lexicographic rank order), machine-completion vectors, chosen path.
+  // Per-depth scratch, preallocated once: the prefix row of every depth in
+  // one allocation, the DFS frames and the chosen path.
+  std::vector<std::uint32_t> rows_;
   std::vector<Frame> stack_;
-  std::vector<std::vector<int>> remaining_;
-  std::vector<std::vector<std::int64_t>> completion_;
   std::vector<int> path_;
 };
 

@@ -24,6 +24,12 @@ namespace {
 constexpr std::chrono::milliseconds kReconnectBase{50};
 constexpr std::chrono::milliseconds kReconnectCap{2000};
 constexpr int kMaxEpollEvents = 32;
+// A rank that is computing polls its sockets at most this often. One
+// non-blocking poll (pump_io(0): an epoll_wait plus two clock reads) takes
+// 260–290 ns on a 4-core Xeon VM, about 15 % of a 32-node B&B chunk; at one
+// poll per 20 µs it costs at most ~1.5 % of compute, and a request waits at
+// most 20 µs plus one chunk longer.
+constexpr std::chrono::microseconds kComputePollInterval{20};
 
 bool split_host_port(const std::string& addr, std::string* host, std::string* port) {
   const std::size_t colon = addr.rfind(':');
@@ -694,6 +700,7 @@ SocketNet::RunResult SocketNet::run(const ExitPredicate& exit_when,
   a.on_start();
 
   RunResult result;
+  auto last_poll = std::chrono::steady_clock::time_point{};
   while (true) {
     if (exit_when(a)) {
       result.completed = true;
@@ -722,6 +729,11 @@ SocketNet::RunResult SocketNet::run(const ExitPredicate& exit_when,
       a.compute_pending_ = false;
       a.on_compute_done();
       progress = true;
+      // While computing, go straight on to the next chunk unless the last
+      // poll is kComputePollInterval old.
+      const auto now = std::chrono::steady_clock::now();
+      if (now - last_poll < kComputePollInterval) continue;
+      last_poll = now;
     }
     pump_io(std::chrono::steady_clock::duration::zero());
     if (!inbox_.empty()) progress = true;

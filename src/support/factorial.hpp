@@ -18,12 +18,18 @@ namespace olb {
 /// Largest s with s! representable in uint64_t.
 inline constexpr int kMaxFactorialArg = 20;
 
+/// kFactorials[s] = s! for s in [0, 20].
+inline constexpr std::array<std::uint64_t, kMaxFactorialArg + 1> kFactorials = [] {
+  std::array<std::uint64_t, kMaxFactorialArg + 1> f{};
+  f[0] = 1;
+  for (std::size_t i = 1; i < f.size(); ++i) f[i] = f[i - 1] * i;
+  return f;
+}();
+
 /// s! for s in [0, 20].
 constexpr std::uint64_t factorial(int s) {
   OLB_CHECK(s >= 0 && s <= kMaxFactorialArg);
-  std::uint64_t f = 1;
-  for (int i = 2; i <= s; ++i) f *= static_cast<std::uint64_t>(i);
-  return f;
+  return kFactorials[static_cast<std::size_t>(s)];
 }
 
 /// Lexicographic rank of `perm` (a permutation of 0..s-1) in [0, s!).

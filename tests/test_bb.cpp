@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <span>
 
 #include "bb/bb_work.hpp"
 #include "bb/bounds.hpp"
@@ -210,6 +212,57 @@ TEST(Bounds, CompletePrefixReturnsMakespan) {
             inst.makespan(perm));
 }
 
+// The bound as a plain re-sum over explicit lists: every remaining job on
+// every machine, and johnson_cmax for each adjacent pair.
+std::int64_t reference_bound(const FlowshopInstance& inst,
+                             std::span<const std::int64_t> completion,
+                             std::span<const int> remaining, BoundKind kind) {
+  const int m = inst.machines();
+  if (remaining.empty()) return completion[static_cast<std::size_t>(m - 1)];
+  auto min_tail = [&](int k) {
+    std::int64_t t = std::numeric_limits<std::int64_t>::max();
+    for (int j : remaining) t = std::min(t, inst.tail_after(j, k));
+    return t;
+  };
+  std::int64_t best = completion[static_cast<std::size_t>(m - 1)];
+  for (int k = 0; k < m; ++k) {
+    std::int64_t load = 0;
+    for (int j : remaining) load += inst.p(j, k);
+    best = std::max(best, completion[static_cast<std::size_t>(k)] + load + min_tail(k));
+  }
+  if (kind == BoundKind::kTwoMachine) {
+    for (int k = 0; k + 1 < m; ++k) {
+      best = std::max(best, completion[static_cast<std::size_t>(k)] +
+                                johnson_cmax(inst, remaining, k, k + 1) + min_tail(k + 1));
+    }
+  }
+  return best;
+}
+
+TEST(Bounds, MatchesTheReSumAndJohnsonReference) {
+  // lower_bound reads the precomputed tail ranks and Johnson orders; the
+  // value must be the plain formula's on every prefix.
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng.below(12));
+    const int m = 1 + static_cast<int>(rng.below(7));
+    const auto inst = random_instance(n, m, 500 + static_cast<std::uint64_t>(trial));
+    std::vector<int> jobs(static_cast<std::size_t>(n));
+    std::iota(jobs.begin(), jobs.end(), 0);
+    for (std::size_t i = jobs.size(); i > 1; --i) std::swap(jobs[i - 1], jobs[rng.below(i)]);
+    const auto prefix_len = static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(n)));
+    std::vector<std::int64_t> completion(static_cast<std::size_t>(m), 0);
+    for (std::size_t i = 0; i < prefix_len; ++i) inst.advance(completion, jobs[i]);
+    const std::vector<int> remaining(jobs.begin() + static_cast<std::ptrdiff_t>(prefix_len),
+                                     jobs.end());
+    for (auto kind : {BoundKind::kOneMachine, BoundKind::kTwoMachine}) {
+      EXPECT_EQ(lower_bound(inst, completion, remaining, kind),
+                reference_bound(inst, completion, remaining, kind))
+          << "trial " << trial << " n " << n << " m " << m;
+    }
+  }
+}
+
 TEST(Bounds, JohnsonCmaxMatchesBruteForceOnTwoMachines) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const auto inst = random_instance(6, 2, seed * 7);
@@ -298,6 +351,157 @@ TEST(IntervalExplorer, RecorderCapturesOptimalPermutation) {
   const auto result = solve_sequential(inst, BoundKind::kOneMachine);
   ASSERT_EQ(static_cast<int>(result.permutation.size()), 7);
   EXPECT_EQ(inst.makespan(result.permutation), result.optimum);
+}
+
+// A plain interval DFS over explicit remaining lists that calls
+// lower_bound() from scratch at every node: the reference the explorer's
+// incremental rows must match node for node.
+class ReferenceDfs {
+ public:
+  ReferenceDfs(const FlowshopInstance& inst, std::uint64_t begin, std::uint64_t end,
+               BoundKind kind)
+      : inst_(inst), kind_(kind), pos_(begin), end_(end) {
+    const auto n = static_cast<std::size_t>(inst.jobs());
+    remaining_.resize(n + 1);
+    completion_.assign(n + 1, std::vector<std::int64_t>(
+                                  static_cast<std::size_t>(inst.machines()), 0));
+    remaining_[0].resize(n);
+    std::iota(remaining_[0].begin(), remaining_[0].end(), 0);
+    path_.assign(n, -1);
+    if (pos_ < end_) stack_.push_back(Frame{0, 0});
+  }
+
+  IntervalExplorer::Progress run(std::uint64_t max_nodes, std::int64_t& ub,
+                                 BestSolution* recorder) {
+    IntervalExplorer::Progress progress;
+    const int n = inst_.jobs();
+    while (progress.nodes < max_nodes && !stack_.empty() && pos_ < end_) {
+      const auto d = stack_.size() - 1;
+      Frame& frame = stack_.back();
+      if (frame.next_child >= remaining_[d].size()) {
+        stack_.pop_back();
+        continue;
+      }
+      const std::uint64_t width = factorial(n - static_cast<int>(d) - 1);
+      const std::uint64_t lo = frame.lo + frame.next_child * width;
+      const std::uint64_t hi = lo + width;
+      const std::size_t idx = frame.next_child++;
+      if (hi <= pos_) continue;
+      if (lo >= end_) {
+        frame.next_child = remaining_[d].size();
+        continue;
+      }
+      const int job = remaining_[d][idx];
+      path_[d] = job;
+      completion_[d + 1] = completion_[d];
+      inst_.advance(completion_[d + 1], job);
+      ++progress.nodes;
+      remaining_[d + 1] = remaining_[d];
+      remaining_[d + 1].erase(remaining_[d + 1].begin() + static_cast<std::ptrdiff_t>(idx));
+      if (remaining_[d + 1].empty()) {
+        const std::int64_t mk = completion_[d + 1].back();
+        if (mk < ub) {
+          ub = mk;
+          progress.improved = true;
+          if (recorder != nullptr) recorder->offer(mk, path_);
+        }
+        pos_ = hi;
+      } else if (lower_bound(inst_, completion_[d + 1], remaining_[d + 1], kind_) >= ub) {
+        pos_ = hi;
+      } else {
+        stack_.push_back(Frame{lo, 0});
+      }
+    }
+    if (stack_.empty()) pos_ = end_;
+    return progress;
+  }
+
+  std::uint64_t position() const { return pos_; }
+  std::uint64_t end() const { return end_; }
+  void shrink_end(std::uint64_t new_end) { end_ = new_end; }
+
+ private:
+  struct Frame {
+    std::uint64_t lo;
+    std::size_t next_child;
+  };
+  const FlowshopInstance& inst_;
+  BoundKind kind_;
+  std::uint64_t pos_;
+  std::uint64_t end_;
+  std::vector<Frame> stack_;
+  std::vector<std::vector<int>> remaining_;
+  std::vector<std::vector<std::int64_t>> completion_;
+  std::vector<int> path_;
+};
+
+TEST(IntervalExplorer, MatchesFromScratchReference) {
+  // Same nodes in the same order: every run() call of the explorer reports
+  // the reference's node count, position and incumbent, across random
+  // intervals, budgets and one steal part-way through.
+  Xoshiro256 rng(777);
+  for (int trial = 0; trial < 48; ++trial) {
+    const int n = 4 + static_cast<int>(rng.below(6));
+    const int m = 1 + static_cast<int>(rng.below(6));
+    const auto kind = trial % 2 == 0 ? BoundKind::kOneMachine : BoundKind::kTwoMachine;
+    auto inst = std::make_shared<const FlowshopInstance>(
+        random_instance(n, m, 9000 + static_cast<std::uint64_t>(trial)));
+    const std::uint64_t total = factorial(n);
+    std::uint64_t begin = rng.below(total);
+    std::uint64_t end = rng.below(total) + 1;
+    if (begin >= end) std::swap(begin, end);
+    if (begin == end) begin = 0;
+    // Half the trials start from an incumbent near NEH's, as stolen work
+    // does; it may lie below the optimum, so nothing is found.
+    const std::int64_t ub0 =
+        trial % 4 < 2 ? std::numeric_limits<std::int64_t>::max()
+                      : inst->makespan(neh_heuristic(*inst)) + 20 -
+                            static_cast<std::int64_t>(rng.below(40));
+
+    IntervalExplorer explorer(inst, begin, end, kind);
+    ReferenceDfs reference(*inst, begin, end, kind);
+    BestSolution got_best;
+    BestSolution want_best;
+    std::int64_t got_ub = ub0;
+    std::int64_t want_ub = ub0;
+    const int steal_at = static_cast<int>(rng.below(6));
+    for (int call = 0; !explorer.done(); ++call) {
+      ASSERT_LT(call, 1 << 20) << "trial " << trial;
+      if (call == steal_at && explorer.position() + 1 < explorer.end()) {
+        const std::uint64_t span = explorer.end() - explorer.position() - 1;
+        const std::uint64_t new_end = explorer.position() + 1 + rng.below(span);
+        explorer.shrink_end(new_end);
+        reference.shrink_end(new_end);
+      }
+      const std::uint64_t budget = 1 + rng.below(200);
+      const auto got = explorer.run(budget, got_ub, &got_best);
+      const auto want = reference.run(budget, want_ub, &want_best);
+      ASSERT_EQ(got.nodes, want.nodes) << "trial " << trial << " call " << call;
+      ASSERT_EQ(got.improved, want.improved) << "trial " << trial << " call " << call;
+      ASSERT_EQ(explorer.position(), reference.position())
+          << "trial " << trial << " call " << call;
+      ASSERT_EQ(got_ub, want_ub) << "trial " << trial << " call " << call;
+    }
+    EXPECT_GE(reference.position(), reference.end());
+    EXPECT_EQ(got_best.permutation(), want_best.permutation()) << "trial " << trial;
+  }
+}
+
+TEST(IntervalExplorer, PinnedNodeCountsOnScaledTaillard) {
+  // Counts of the from-scratch bound. Ta21s 13x8 from UB 1224 is the proof
+  // every perfbench sockets_bb_4 solve makes at least once.
+  const auto ta21 = FlowshopInstance::ta20x20_scaled(0, 13, 8);
+  const auto proof = solve_sequential(ta21, BoundKind::kOneMachine, 1224);
+  EXPECT_EQ(proof.nodes, 10751905u);
+  EXPECT_EQ(proof.optimum, 1224);
+
+  const auto ta24 = FlowshopInstance::ta20x20_scaled(3, 11, 7);
+  const auto one = solve_sequential(ta24, BoundKind::kOneMachine);
+  EXPECT_EQ(one.nodes, 461815u);
+  EXPECT_EQ(one.optimum, 933);
+  const auto two = solve_sequential(ta24, BoundKind::kTwoMachine);
+  EXPECT_EQ(two.nodes, 362979u);
+  EXPECT_EQ(two.optimum, 933);
 }
 
 // -------------------------------------------------------------- work adapter ---
