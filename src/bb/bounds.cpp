@@ -9,73 +9,43 @@
 
 namespace olb::bb {
 
-namespace {
-
-std::uint32_t job_bit(int j) { return std::uint32_t{1} << j; }
-
-/// The smallest tail_after(j, k) over the jobs j in `tail_ranks` (non-empty).
-std::uint32_t min_tail(const FlowshopInstance& inst, std::uint32_t tail_ranks, int k) {
-  return inst.ranked_tail(std::countr_zero(tail_ranks), k);
-}
-
-}  // namespace
-
 void set_remaining(const FlowshopInstance& inst, std::uint32_t remaining,
                    std::uint32_t* row) {
   const int m = inst.machines();
-  OLB_CHECK(inst.jobs() <= kMaxRowJobs);
   OLB_CHECK(inst.jobs() == kMaxRowJobs || remaining >> inst.jobs() == 0);
-  for (int k = 0; k < m; ++k) {
-    std::uint32_t load = 0;
-    std::uint32_t tail_ranks = 0;
-    for (std::uint32_t rest = remaining; rest != 0; rest &= rest - 1) {
-      const int j = std::countr_zero(rest);
-      load += static_cast<std::uint32_t>(inst.p(j, k));
-      tail_ranks |= job_bit(inst.tail_rank(j, k));
+  std::fill(row + m, row + 3 * m, 0);
+  for (std::uint32_t rest = remaining; rest != 0; rest &= rest - 1) {
+    const std::uint32_t* job_row = inst.job_row(std::countr_zero(rest));
+    for (int k = 0; k < m; ++k) {
+      row[m + k] += job_row[k];
+      row[2 * m + k] |= ~job_row[m + k];
     }
-    row[m + k] = load;
-    row[2 * m + k] = tail_ranks;
   }
   row[3 * m] = remaining;
-}
-
-void append_job(const FlowshopInstance& inst, const std::uint32_t* parent, int job,
-                std::uint32_t* child) {
-  const int m = inst.machines();
-  std::uint32_t prev = 0;
-  for (int k = 0; k < m; ++k) {
-    const auto p = static_cast<std::uint32_t>(inst.p(job, k));
-    prev = std::max(prev, parent[k]) + p;
-    child[k] = prev;
-    child[m + k] = parent[m + k] - p;
-    child[2 * m + k] = parent[2 * m + k] & ~job_bit(inst.tail_rank(job, k));
-  }
-  child[3 * m] = parent[3 * m] & ~job_bit(job);
 }
 
 std::int64_t row_bound(const FlowshopInstance& inst, const std::uint32_t* row,
                        BoundKind kind) {
   const int m = inst.machines();
-  // One machine k: it cannot finish the remaining jobs before its prefix
-  // completion plus their load, and the last of them still needs the
-  // smallest remaining tail downstream.
-  std::uint32_t best = row[m - 1];
+  std::uint32_t best = 0;
   for (int k = 0; k < m; ++k) {
-    best = std::max(best, row[k] + row[m + k] + min_tail(inst, row[2 * m + k], k));
+    best = std::max(best, bound_term(inst.ranked_tails(k), row[k], row[m + k], row[2 * m + k]));
   }
   if (kind == BoundKind::kTwoMachine) {
     // Each adjacent pair (k, k+1): Johnson's two-machine makespan of the
-    // remaining jobs, released at the prefix's completion on k.
+    // remaining jobs, released at the prefix's completion on k. A scheduled
+    // job adds 0 to both sums, and then max(tb, ta) is tb, because tb >= ta
+    // after every step; so the walk needs no branch.
     const std::uint32_t remaining = row[3 * m];
     for (int k = 0; k + 1 < m; ++k) {
       std::uint32_t ta = 0;
       std::uint32_t tb = 0;
-      for (int j : inst.johnson_order(k)) {
-        if ((remaining & job_bit(j)) == 0) continue;
-        ta += static_cast<std::uint32_t>(inst.p(j, k));
-        tb = std::max(tb, ta) + static_cast<std::uint32_t>(inst.p(j, k + 1));
+      for (const FlowshopInstance::JohnsonStep& step : inst.johnson_pair(k)) {
+        const std::uint32_t on = 0U - static_cast<std::uint32_t>((remaining & step.bit) != 0);
+        ta += step.pa & on;
+        tb = std::max(tb, ta) + (step.pb & on);
       }
-      best = std::max(best, row[k] + tb + min_tail(inst, row[2 * m + k + 1], k + 1));
+      best = std::max(best, bound_term(inst.ranked_tails(k + 1), row[k], tb, row[2 * m + k + 1]));
     }
   }
   return best;
@@ -109,9 +79,10 @@ std::int64_t lower_bound(const FlowshopInstance& inst,
   }
   std::uint32_t mask = 0;
   for (int j : remaining) {
-    OLB_CHECK(j >= 0 && j < inst.jobs() && j < kMaxRowJobs);
-    OLB_CHECK_MSG((mask & job_bit(j)) == 0, "remaining lists a job twice");
-    mask |= job_bit(j);
+    OLB_CHECK(j >= 0 && j < inst.jobs());
+    const std::uint32_t bit = std::uint32_t{1} << j;
+    OLB_CHECK_MSG((mask & bit) == 0, "remaining lists a job twice");
+    mask |= bit;
   }
   set_remaining(inst, mask, row.data());
   return row_bound(inst, row.data(), kind);

@@ -31,7 +31,7 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
                                    std::vector<int> processing)
     : name_(std::move(name)), jobs_(jobs), machines_(machines),
       processing_(std::move(processing)) {
-  OLB_CHECK(jobs_ >= 1 && machines_ >= 1);
+  OLB_CHECK(jobs_ >= 1 && jobs_ <= kMaxRowJobs && machines_ >= 1);
   OLB_CHECK(processing_.size() ==
             static_cast<std::size_t>(jobs_) * static_cast<std::size_t>(machines_));
   for (int v : processing_) OLB_CHECK(v >= 0);
@@ -54,31 +54,36 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
 
   const auto n = static_cast<std::size_t>(jobs_);
   const auto m = static_cast<std::size_t>(machines_);
+  job_rows_.resize(n * 2 * m);
+  ranked_tails_.assign(m * kRankedTailsStride, 0);
   std::vector<int> order(n);
-  tail_rank_.resize(n * m);
-  ranked_tail_.resize(m * n);
   for (int k = 0; k < machines_; ++k) {
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](int x, int y) {
       return tail_after(x, k) < tail_after(y, k) ||
              (tail_after(x, k) == tail_after(y, k) && x < y);
     });
+    const auto ks = static_cast<std::size_t>(k);
     for (std::size_t r = 0; r < n; ++r) {
       const int j = order[r];
-      tail_rank_[static_cast<std::size_t>(j) * m + static_cast<std::size_t>(k)] =
-          static_cast<int>(r);
-      ranked_tail_[static_cast<std::size_t>(k) * n + r] =
-          static_cast<std::uint32_t>(tail_after(j, k));
+      std::uint32_t* row = job_rows_.data() + static_cast<std::size_t>(j) * 2 * m;
+      row[ks] = static_cast<std::uint32_t>(p(j, k));
+      row[m + ks] = ~(std::uint32_t{1} << r);
+      ranked_tails_[ks * kRankedTailsStride + r] = static_cast<std::uint32_t>(tail_after(j, k));
     }
   }
 
-  johnson_order_.resize((m - 1) * n);
+  johnson_pairs_.resize((m - 1) * n);
   for (int k = 0; k + 1 < machines_; ++k) {
-    const auto first = johnson_order_.begin() + static_cast<std::ptrdiff_t>(
-                                                    static_cast<std::size_t>(k) * n);
-    std::iota(first, first + static_cast<std::ptrdiff_t>(n), 0);
-    std::sort(first, first + static_cast<std::ptrdiff_t>(n),
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
               [&](int x, int y) { return johnson_before(x, y, k, k + 1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      const int j = order[i];
+      johnson_pairs_[static_cast<std::size_t>(k) * n + i] = {
+          std::uint32_t{1} << j, static_cast<std::uint32_t>(p(j, k)),
+          static_cast<std::uint32_t>(p(j, k + 1))};
+    }
   }
 }
 

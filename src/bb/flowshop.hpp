@@ -13,12 +13,21 @@
 // 20x20 instance — the paper's workload at a size solvable on one host.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace olb::bb {
+
+/// Most jobs an instance may have: the bound keeps job sets as bit masks in
+/// 32-bit words (bounds.hpp).
+inline constexpr int kMaxRowJobs = 32;
+
+/// Words per machine in FlowshopInstance::ranked_tails: a tail per rank and
+/// the zero pad.
+inline constexpr std::size_t kRankedTailsStride = kMaxRowJobs + 1;
 
 /// Taillard's portable uniform generator. Reproduces his published streams
 /// exactly; also reusable wherever the repo needs his RNG.
@@ -37,8 +46,9 @@ class TaillardRng {
 
 class FlowshopInstance {
  public:
-  /// `processing` is machine-major, p[k*jobs + j]. The total processing
-  /// time must stay below 2^31, so every makespan and bound fits in 32 bits.
+  /// `processing` is machine-major, p[k*jobs + j]. At most kMaxRowJobs
+  /// jobs, and the total processing time must stay below 2^31, so every
+  /// makespan and bound fits in 32 bits.
   FlowshopInstance(std::string name, int jobs, int machines,
                    std::vector<int> processing);
 
@@ -81,27 +91,36 @@ class FlowshopInstance {
 
   // --- tables for the incremental lower bound (bounds.hpp), built once ---
 
-  /// Rank of job j when all jobs are sorted by tail_after(·, k) ascending,
-  /// ties broken by job id.
-  int tail_rank(int j, int k) const {
-    return tail_rank_[static_cast<std::size_t>(j) * static_cast<std::size_t>(machines_) +
-                      static_cast<std::size_t>(k)];
+  /// Job j's row: p(j, 0..m-1), then for each machine k the mask of all
+  /// bits but j's tail rank on k, ~(1 << rank), where rank orders all jobs
+  /// by tail_after(·, k) ascending, ties by job id. 2m words.
+  const std::uint32_t* job_row(int j) const {
+    return job_rows_.data() + static_cast<std::size_t>(j) * 2 * static_cast<std::size_t>(machines_);
   }
 
-  /// tail_after(·, k) of the job at rank r on machine k.
-  std::uint32_t ranked_tail(int r, int k) const {
-    return ranked_tail_[static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs_) +
-                        static_cast<std::size_t>(r)];
+  /// Machine k's tails by rank: entry r is tail_after(·, k) of the job at
+  /// rank r. Entry kMaxRowJobs is a zero pad, the smallest tail of an empty
+  /// rank mask; entries jobs() to kMaxRowJobs - 1 are never read. Machine
+  /// k + 1's table starts kRankedTailsStride words after machine k's.
+  const std::uint32_t* ranked_tails(int k) const {
+    return ranked_tails_.data() + static_cast<std::size_t>(k) * kRankedTailsStride;
   }
 
   /// Johnson's rule for the two-machine flowshop on machines (ka, kb): does
   /// job x go before job y? A strict total order over job ids.
   bool johnson_before(int x, int y, int ka, int kb) const;
 
+  /// One job of a machine pair's Johnson table.
+  struct JohnsonStep {
+    std::uint32_t bit;  ///< 1 << j
+    std::uint32_t pa;   ///< p(j, k)
+    std::uint32_t pb;   ///< p(j, k + 1)
+  };
+
   /// All jobs in Johnson's order (johnson_before) for the machine pair
   /// (k, k+1), k < machines() - 1.
-  std::span<const int> johnson_order(int k) const {
-    return {johnson_order_.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs_),
+  std::span<const JohnsonStep> johnson_pair(int k) const {
+    return {johnson_pairs_.data() + static_cast<std::size_t>(k) * static_cast<std::size_t>(jobs_),
             static_cast<std::size_t>(jobs_)};
   }
 
@@ -109,11 +128,11 @@ class FlowshopInstance {
   std::string name_;
   int jobs_;
   int machines_;
-  std::vector<int> processing_;             ///< machine-major
-  std::vector<std::int64_t> tail_;          ///< tail_[j*(m+1)+k] = sum of p(j, k..m-1)
-  std::vector<int> tail_rank_;              ///< job-major [j*m + k]
-  std::vector<std::uint32_t> ranked_tail_;  ///< machine-major [k*n + rank]
-  std::vector<int> johnson_order_;          ///< [k*n + i], k < m-1
+  std::vector<int> processing_;              ///< machine-major
+  std::vector<std::int64_t> tail_;           ///< tail_[j*(m+1)+k] = sum of p(j, k..m-1)
+  std::vector<std::uint32_t> job_rows_;      ///< job-major [j*2m + word]
+  std::vector<std::uint32_t> ranked_tails_;  ///< machine-major [k*kRankedTailsStride + rank]
+  std::vector<JohnsonStep> johnson_pairs_;   ///< [k*n + i], k < m-1
 };
 
 /// NEH constructive heuristic (Nawaz-Enscore-Ham 1983): returns a good

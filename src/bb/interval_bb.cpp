@@ -63,7 +63,7 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
 
     path_[d] = job;
     std::uint32_t* child = row(d + 1);
-    append_job(*inst_, row(d), job, child);
+    std::int64_t bound = append_job(*inst_, row(d), job, child);
     ++progress.nodes;
 
     if (d + 1 == static_cast<std::size_t>(n)) {
@@ -78,7 +78,12 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
       continue;
     }
 
-    if (row_bound(*inst_, child, bound_kind_) >= ub) {
+    // The pair walk costs O(m·n): skip it when the one-machine bound
+    // already prunes.
+    if (bound_kind_ == BoundKind::kTwoMachine && bound < ub) {
+      bound = row_bound(*inst_, child, bound_kind_);
+    }
+    if (bound >= ub) {
       pos_ = child_hi;  // prune the whole child subtree
     } else {
       stack_.push_back(Frame{child_lo, child[3 * m], 0});

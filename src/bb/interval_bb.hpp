@@ -12,7 +12,8 @@
 // (`end`) may shrink at any chunk boundary when a thief steals a
 // sub-interval; the DFS re-checks every child range against the current
 // edge, so stolen regions are never explored locally. Each depth keeps one
-// prefix row (bounds.hpp), so a node costs O(m) for the one-machine bound.
+// prefix row (bounds.hpp); a child is one inlined pass over the machines
+// that writes its row and returns its one-machine bound, so a node costs O(m).
 #pragma once
 
 #include <cstdint>

@@ -26,9 +26,9 @@ constexpr std::chrono::milliseconds kReconnectCap{2000};
 constexpr int kMaxEpollEvents = 32;
 // A rank that is computing polls its sockets at most this often. One
 // non-blocking poll (pump_io(0): an epoll_wait plus two clock reads) takes
-// 260–290 ns on a 4-core Xeon VM, about 15 % of a 32-node B&B chunk; at one
-// poll per 20 µs it costs at most ~1.5 % of compute, and a request waits at
-// most 20 µs plus one chunk longer.
+// 240–300 ns on a 4-core Xeon VM, a sixth to a third of a 32-node B&B
+// chunk at 28–47 ns a node; at one poll per 20 µs it costs at most ~1.5 %
+// of compute, and a request waits at most 20 µs plus one chunk longer.
 constexpr std::chrono::microseconds kComputePollInterval{20};
 
 bool split_host_port(const std::string& addr, std::string* host, std::string* port) {

@@ -263,6 +263,66 @@ TEST(Bounds, MatchesTheReSumAndJohnsonReference) {
   }
 }
 
+// The row of a prefix built directly: advance over the prefix, then
+// set_remaining for the other jobs.
+std::vector<std::uint32_t> direct_row(const FlowshopInstance& inst,
+                                       std::span<const int> prefix) {
+  const auto m = static_cast<std::size_t>(inst.machines());
+  std::vector<std::int64_t> completion(m, 0);
+  std::uint32_t remaining = inst.jobs() == 32 ? ~std::uint32_t{0}
+                                              : (std::uint32_t{1} << inst.jobs()) - 1;
+  for (int j : prefix) {
+    inst.advance(completion, j);
+    remaining &= ~(std::uint32_t{1} << j);
+  }
+  std::vector<std::uint32_t> row(prefix_row_words(inst.machines()));
+  for (std::size_t k = 0; k < m; ++k) row[k] = static_cast<std::uint32_t>(completion[k]);
+  set_remaining(inst, remaining, row.data());
+  return row;
+}
+
+TEST(Bounds, AppendJobReturnsTheRowBound) {
+  // Along random permutations, every child of every prefix: append_job's
+  // child row is the row built directly, and its return value is the
+  // child's one-machine bound, or for a leaf (empty masks, so the zero pad
+  // of ranked_tails) the makespan.
+  Xoshiro256 rng(4242);
+  std::vector<FlowshopInstance> instances;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int n = 1 + static_cast<int>(rng.below(20));
+    const int m = 1 + static_cast<int>(rng.below(8));
+    instances.push_back(random_instance(n, m, 7000 + static_cast<std::uint64_t>(trial)));
+  }
+  instances.push_back(FlowshopInstance::ta20x20_scaled(0, 20, 20));
+  int leaves = 0;
+  for (const auto& inst : instances) {
+    const int n = inst.jobs();
+    const int m = inst.machines();
+    std::vector<int> perm(static_cast<std::size_t>(n));
+    std::iota(perm.begin(), perm.end(), 0);
+    for (std::size_t i = perm.size(); i > 1; --i) std::swap(perm[i - 1], perm[rng.below(i)]);
+    std::vector<std::uint32_t> child(prefix_row_words(m));
+    for (int d = 0; d < n; ++d) {
+      std::vector<int> prefix(perm.begin(), perm.begin() + d);
+      const auto parent = direct_row(inst, prefix);
+      for (auto it = perm.begin() + d; it != perm.end(); ++it) {
+        prefix.push_back(*it);
+        const std::int64_t bound = append_job(inst, parent.data(), *it, child.data());
+        ASSERT_EQ(child, direct_row(inst, prefix)) << inst.name() << " n " << n << " m " << m;
+        if (d + 1 == n) {
+          EXPECT_EQ(bound, inst.makespan(prefix)) << "n " << n << " m " << m;
+          ++leaves;
+        } else {
+          EXPECT_EQ(bound, row_bound(inst, child.data(), BoundKind::kOneMachine))
+              << inst.name() << " n " << n << " m " << m << " depth " << d;
+        }
+        prefix.pop_back();
+      }
+    }
+  }
+  EXPECT_EQ(leaves, static_cast<int>(instances.size()));
+}
+
 TEST(Bounds, JohnsonCmaxMatchesBruteForceOnTwoMachines) {
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const auto inst = random_instance(6, 2, seed * 7);
