@@ -63,14 +63,7 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
   auto oc = std::make_shared<const lb::OverlayConfig>(lb::make_overlay_config(config));
 
   ThreadNet net(config.seed);
-  // Any caller-supplied sink is wrapped for thread safety: peers emit from
-  // their own threads. The wrapper also serialises each send ahead of its
-  // delivery in the recorded stream (see thread_net.cpp).
-  std::unique_ptr<trace::LockedSink> locked;
-  if (config.tracer != nullptr) {
-    locked = std::make_unique<trace::LockedSink>(config.tracer);
-    net.set_tracer(locked.get());
-  }
+  net.set_tracer(config.tracer);
   if (config.metrics != nullptr) net.set_metrics(config.metrics);
   std::vector<lb::OverlayPeer*> peers;
   for (int i = 0; i < config.num_peers; ++i) {

@@ -61,8 +61,8 @@ lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config);
 
 /// Runs `workload` under `config` on one thread per peer. Requires
 /// unsupported_reason(kThreads, config) to be empty (OLB_CHECK). A tracer in
-/// the config is wrapped in a trace::LockedSink, since peers emit from their
-/// own threads. `config.num_peers` is the thread count;
+/// the config need not be thread-safe: ThreadNet::set_tracer makes it so.
+/// `config.num_peers` is the thread count;
 /// `config.limits.time_limit` caps the wall clock (a watchdog — a correct
 /// run finishes long before it).
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config);

@@ -15,7 +15,6 @@
 
 #include "lb/work.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 #include "trace/export.hpp"
 
 namespace olb::runtime {
@@ -62,26 +61,12 @@ SocketNet::SocketNet(Options options, const WorkCodec* codec)
   }
 }
 
-SocketNet::~SocketNet() { transport_shutdown(); }
+SocketNet::~SocketNet() { shutdown(); }
 
 void SocketNet::set_actor(std::unique_ptr<sim::Actor> actor) {
-  OLB_CHECK_MSG(actor_ == nullptr, "SocketNet hosts exactly one actor");
+  OLB_CHECK_MSG(!host_.has_value(), "SocketNet hosts exactly one actor");
   OLB_CHECK(options_.rank >= 0);
-  actor_ = std::move(actor);
-  actor_->transport_ = this;
-  actor_->id_ = options_.rank;
-  // Same stream derivation as the other backends, so protocol randomness
-  // matches across backends per (seed, id).
-  actor_->rng_ = Xoshiro256(mix64(options_.seed + 0x9e3779b9u) ^
-                            mix64(static_cast<std::uint64_t>(options_.rank)));
-}
-
-const sim::ActorStats& SocketNet::stats() const { return actor_->stats_; }
-
-std::uint64_t SocketNet::sent_of_type(int type) const {
-  OLB_CHECK(type >= 0);
-  const auto idx = static_cast<std::size_t>(type);
-  return idx < sent_by_type_.size() ? sent_by_type_[idx] : 0;
+  host_.emplace(std::move(actor), *this, options_.rank, options_.seed);
 }
 
 sim::Time SocketNet::transport_now() const {
@@ -96,77 +81,21 @@ sim::Time SocketNet::transport_now() const {
 // ---------------------------------------------------------------------------
 
 void SocketNet::transport_send(sim::Actor& from, int dst, sim::Message m) {
-  OLB_CHECK(dst >= 0 && dst < transport_num_peers());
-  OLB_CHECK_MSG(m.type >= 0, "application message types must be >= 0");
-  m.src = from.id_;
-  m.dst = dst;
-  ++from.stats_.msgs_sent;
-  const auto type_idx = static_cast<std::size_t>(m.type);
-  if (sent_by_type_.size() <= type_idx) sent_by_type_.resize(type_idx + 1, 0);
-  ++sent_by_type_[type_idx];
-  // Globally unique 31-bit id: ranks interleave the id space so the merged
-  // trace's conservation oracle never sees two flights under one id.
-  const auto n = static_cast<std::uint64_t>(transport_num_peers());
-  m.id = static_cast<std::uint32_t>(
-      (seq_ * n + static_cast<std::uint64_t>(options_.rank) + 1) & 0x7fffffffu);
-  ++seq_;
-  if (tracer_ != nullptr) [[unlikely]] {
-    // Recorded before the enqueue, so this process's stream orders every
-    // send ahead of any later local event — the causal order the merge in
-    // src/check relies on. Latency (b) is 0: it is not locally observable.
-    trace::emit(tracer_.get(), transport_now(), trace::EventKind::kMsgSend,
-                from.id_, dst, m.type, static_cast<std::int64_t>(m.id), 0);
-  }
+  (void)from;  // one actor per process
+  // Traced before the enqueue, so this process's stream orders every send
+  // ahead of any later local event — the causal order the merge in
+  // src/check relies on. The per-sender id keeps ids unique across ranks,
+  // so the merged trace's conservation oracle never sees two flights under
+  // one id.
+  host_->count_send(m, dst);
   if (dst == options_.rank) {
-    m.arrived_at = transport_now();
+    if (tracer_ != nullptr) [[unlikely]] m.arrived_at = transport_now();
     inbox_.push_back(std::move(m));
     return;
   }
   WireWriter body;
   encode_message(m, codec_, body);
   queue_frame(dst, FrameType::kMsg, body);
-}
-
-void SocketNet::transport_set_timer(sim::Actor& from, sim::Time delay,
-                                    std::int64_t tag) {
-  (void)from;  // timers are always self-addressed; one actor per process
-  timers_.push_back(Timer{transport_now() + delay, tag});
-  std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
-}
-
-// ---------------------------------------------------------------------------
-// Local dispatch
-// ---------------------------------------------------------------------------
-
-void SocketNet::dispatch(sim::Message m) {
-  sim::Actor& a = *actor_;
-  ++a.stats_.msgs_received;
-  OLB_CHECK(m.type >= 0);
-  if (tracer_ != nullptr) [[unlikely]] {
-    const sim::Time now = transport_now();
-    trace::emit(tracer_.get(), now, trace::EventKind::kMsgDeliver, a.id_, m.src,
-                m.type, static_cast<std::int64_t>(m.id),
-                now - std::max<sim::Time>(m.arrived_at, 0));
-  }
-  a.on_message(std::move(m));
-}
-
-bool SocketNet::fire_due_timers() {
-  if (timers_.empty()) return false;
-  const sim::Time now = transport_now();
-  bool fired = false;
-  while (!timers_.empty() && timers_.front().deadline <= now) {
-    const std::int64_t tag = timers_.front().tag;
-    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
-    timers_.pop_back();
-    actor_->on_timer(tag);
-    fired = true;
-  }
-  return fired;
-}
-
-sim::Time SocketNet::next_timer_deadline() const {
-  return timers_.empty() ? kNoDeadline : timers_.front().deadline;
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +416,9 @@ void SocketNet::handle_app_message(WireReader& r) {
   sim::Message m;
   const bool ok = decode_message(r, codec_, &m) && r.exhausted();
   OLB_CHECK_MSG(ok, "malformed application message frame from peer");
+  // Only a traced delivery reads the stamp (its inbox wait); before the
+  // start barrier the clock reads 0.
+  if (tracer_ != nullptr) [[unlikely]] m.arrived_at = transport_now();
   if (!accept_app_msgs_) {
     // A straggler racing the termination wave. Work may never be lost, but
     // the message itself is still delivered to the (terminated, hence
@@ -497,11 +429,9 @@ void SocketNet::handle_app_message(WireReader& r) {
     OLB_CHECK_MSG(
         dynamic_cast<const lb::WorkPayload*>(m.payload.get()) == nullptr,
         "undelivered work transfer after termination");
-    m.arrived_at = started_clock_ ? transport_now() : 0;
-    dispatch(std::move(m));
+    host_->deliver(std::move(m));
     return;
   }
-  m.arrived_at = started_clock_ ? transport_now() : 0;
   inbox_.push_back(std::move(m));
 }
 
@@ -651,8 +581,8 @@ void SocketNet::flush_sends(std::chrono::steady_clock::time_point deadline,
 // Lifecycle
 // ---------------------------------------------------------------------------
 
-void SocketNet::transport_start() {
-  OLB_CHECK_MSG(actor_ != nullptr, "set_actor() before transport_start()");
+void SocketNet::start() {
+  OLB_CHECK_MSG(host_.has_value(), "set_actor() before start()");
   const int n = transport_num_peers();
   OLB_CHECK(options_.rank >= 0 && options_.rank < n);
   links_.resize(static_cast<std::size_t>(n));
@@ -690,45 +620,25 @@ void SocketNet::transport_start() {
   }
 }
 
-SocketNet::RunResult SocketNet::run(const ExitPredicate& exit_when,
-                                    sim::Time wall_limit) {
-  OLB_CHECK_MSG(started_clock_, "transport_start() before run()");
+RunResult SocketNet::run(const ExitPredicate& exit_when, sim::Time wall_limit) {
+  OLB_CHECK_MSG(started_clock_, "start() before run()");
   OLB_CHECK(wall_limit > 0);
   const auto deadline = start_ + std::chrono::nanoseconds(wall_limit);
-  sim::Actor& a = *actor_;
-  a.started_ = true;
-  a.on_start();
+  Host& host = *host_;
+  host.start();
 
   RunResult result;
+  std::vector<sim::Message> batch;
   auto last_poll = std::chrono::steady_clock::time_point{};
   while (true) {
-    if (exit_when(a)) {
+    if (exit_when(host.actor())) {
       result.completed = true;
       break;
     }
-    bool progress = false;
-    bool exited = false;
-    while (!inbox_.empty()) {
-      sim::Message m = std::move(inbox_.front());
-      inbox_.pop_front();
-      dispatch(std::move(m));
-      progress = true;
-      if (exit_when(a)) {
-        exited = true;
-        break;
-      }
-    }
-    if (exited) {
-      result.completed = true;
-      break;
-    }
-    if (fire_due_timers()) progress = true;
-    if (a.compute_pending_) {
-      // As on ThreadNet: the chunk's CPU time was spent inside Work::step();
-      // the flag only delayed on_compute_done until the inbox was drained.
-      a.compute_pending_ = false;
-      a.on_compute_done();
-      progress = true;
+    // Self-sends made while the batch is delivered wait for the next pass.
+    batch.swap(inbox_);
+    bool progress = host.step(batch);
+    if (host.computing()) {
       // While computing, go straight on to the next chunk unless the last
       // poll is kComputePollInterval old.
       const auto now = std::chrono::steady_clock::now();
@@ -741,12 +651,10 @@ SocketNet::RunResult SocketNet::run(const ExitPredicate& exit_when,
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;  // watchdog; completed stays false
     // Idle: block in epoll until traffic, the next timer, or the safety poll.
-    auto until = now + std::chrono::milliseconds(10);
-    const sim::Time timer_at = next_timer_deadline();
-    if (timer_at != kNoDeadline) {
-      until = std::min(until, start_ + std::chrono::nanoseconds(timer_at));
-    }
-    until = std::min(until, deadline);
+    const sim::Time wake_at =
+        std::min(host.next_timer(), transport_now() + sim::milliseconds(10));
+    const auto until =
+        std::min(start_ + std::chrono::nanoseconds(wake_at), deadline);
     if (until > now) pump_io(until - now);
   }
   // The termination fan-out (and any trailing control chatter) must reach
@@ -771,14 +679,14 @@ std::vector<std::vector<std::uint8_t>> SocketNet::exchange_results(
   // like late arrivals in handle_app_message — they are delivered to the
   // terminated actor, not dropped, so membership stragglers get their
   // kTerminate echoes.
-  while (!inbox_.empty()) {
-    sim::Message m = std::move(inbox_.front());
-    inbox_.pop_front();
+  for (std::size_t i = 0; i < inbox_.size(); ++i) {
+    sim::Message m = std::move(inbox_[i]);  // delivering may append self-sends
     OLB_CHECK_MSG(
         dynamic_cast<const lb::WorkPayload*>(m.payload.get()) == nullptr,
         "undelivered work transfer after termination");
-    dispatch(std::move(m));
+    host_->deliver(std::move(m));
   }
+  inbox_.clear();
 
   const int n = transport_num_peers();
   const auto deadline = std::chrono::steady_clock::now() +
@@ -811,7 +719,7 @@ std::vector<std::vector<std::uint8_t>> SocketNet::exchange_results(
   return result_blobs_;
 }
 
-void SocketNet::transport_shutdown() {
+void SocketNet::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
   if (epoll_fd_ >= 0) {

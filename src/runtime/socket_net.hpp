@@ -14,8 +14,15 @@
 //                      FIFO, so per-link ordering matches the other
 //                      backends' mailbox semantics,
 //   * start_compute()  is pure bookkeeping, exactly as on ThreadNet,
-//   * set_timer()      goes to a process-local min-heap serviced between
+//   * set_timer()      goes to the actor's own timer heap, serviced between
 //                      socket polls.
+//
+// The actor lives in a runtime::Host (runtime/host.hpp), which keeps its
+// timers and send counts and runs the poll-between-chunks pass exactly as
+// on ThreadNet; SocketNet adds what is specific to sockets: TCP, the
+// bootstrap, frames, the pacing of polls while the actor computes, and the
+// result exchange. A traced rank stamps each arrival, so its deliveries
+// record their inbox wait (kMsgDeliver b).
 //
 // ## Connection topology
 //
@@ -42,10 +49,13 @@
 //   4. rank 0: after n-1 readys, stamps its epoch and broadcasts kStart;
 //      each receiver stamps its epoch on receipt — the time-0 barrier.
 //
+// start() runs the bootstrap; run() then hosts the actor until it is done.
 // After the run, exchange_results() inverts the fan-in: every rank sends
 // rank 0 an opaque result blob (kResult), rank 0 broadcasts the full set
 // (kSummary), and every process returns the same by-rank vector — so all
 // processes print identical aggregate metrics and the merged B&B incumbent.
+// shutdown() flushes what is still queued, writes the trace and closes
+// every socket.
 //
 // What SocketNet does NOT provide: determinism (interleavings are real),
 // fault injection (but see the DESIGN.md mapping onto real drops), and
@@ -57,12 +67,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "runtime/host.hpp"
 #include "runtime/work_codec.hpp"
-#include "simnet/engine.hpp"
 
 namespace olb::runtime {
 
@@ -71,8 +82,8 @@ class SocketNet final : public sim::Transport {
   struct Options {
     int rank = -1;
     std::vector<std::string> peers;  ///< "host:port" per rank, index = rank
-    /// Run seed; feeds the local actor's RNG stream (same derivation as the
-    /// other backends) and is cross-checked by the bootstrap config frame.
+    /// Run seed; feeds the local actor's RNG stream (sim::Actor::bind) and
+    /// is cross-checked by the bootstrap config frame.
     std::uint64_t seed = 0;
     /// Digest of the run configuration; all ranks must agree (bootstrap
     /// aborts otherwise). Computed by run_sockets from the RunConfig.
@@ -82,7 +93,7 @@ class SocketNet final : public sim::Transport {
     std::vector<int> overlay_parent;
     sim::Time bootstrap_timeout = sim::seconds(30.0);
     /// When non-empty, protocol trace events are recorded and written to
-    /// this NDJSON file at transport_shutdown().
+    /// this NDJSON file at shutdown().
     std::string trace_path;
   };
 
@@ -92,27 +103,22 @@ class SocketNet final : public sim::Transport {
   ~SocketNet() override;
 
   /// Installs this process's single actor; its id is Options::rank. Must be
-  /// called before transport_start().
+  /// called before start().
   void set_actor(std::unique_ptr<sim::Actor> actor);
-  const sim::ActorStats& stats() const;
 
-  /// Lifecycle (transport.hpp contract): start binds, connects and runs the
-  /// bootstrap barrier; shutdown flushes queues, writes the trace file and
-  /// closes every socket (idempotent; the destructor calls it too).
-  void transport_start() override;
-  void transport_shutdown() override;
-
-  using ExitPredicate = std::function<bool(const sim::Actor&)>;
-
-  struct RunResult {
-    double wall_seconds = 0.0;  ///< this process, start barrier to exit
-    bool completed = false;     ///< exited via the predicate, not the watchdog
-  };
+  /// Binds, connects and runs the bootstrap barrier: afterwards the clock,
+  /// the cluster size and sends are fully operational, and every process
+  /// observes time 0 together.
+  void start();
+  /// Flushes outbound queues (best effort), writes the trace file and
+  /// closes every socket. Idempotent; the destructor calls it too, so an
+  /// exceptional exit still releases OS resources.
+  void shutdown();
 
   /// Runs the local actor until `exit_when(actor)` holds or `wall_limit`
   /// elapses, then flushes outbound queues (the termination fan-out must
-  /// reach the other processes). Call between transport_start() and
-  /// exchange_results().
+  /// reach the other processes). Call between start() and
+  /// exchange_results(). The wall time runs from the start barrier.
   RunResult run(const ExitPredicate& exit_when, sim::Time wall_limit);
 
   /// Post-run all-gather of opaque per-rank result blobs via rank 0.
@@ -123,17 +129,12 @@ class SocketNet final : public sim::Transport {
       std::vector<std::uint8_t> mine);
 
   int rank() const { return options_.rank; }
-  std::uint64_t messages_sent() const { return stats().msgs_sent; }
-  /// The local actor's sends of one message type (call after run()).
-  std::uint64_t sent_of_type(int type) const;
+  /// The local actor's sends, in all and of one message type (call after
+  /// run()).
+  std::uint64_t messages_sent() const { return host_->sent(); }
+  std::uint64_t sent_of_type(int type) const { return host_->sent_of_type(type); }
 
  private:
-  struct Timer {
-    sim::Time deadline;
-    std::int64_t tag;
-    bool operator>(const Timer& o) const { return deadline > o.deadline; }
-  };
-
   /// One TCP connection (inbound or outbound, identified or not yet).
   struct Conn {
     int fd = -1;
@@ -163,11 +164,9 @@ class SocketNet final : public sim::Transport {
   trace::TraceSink* transport_tracer() const override { return tracer_.get(); }
   void transport_send(sim::Actor& from, int dst, sim::Message m) override;
   void transport_set_timer(sim::Actor& from, sim::Time delay,
-                           std::int64_t tag) override;
-  void transport_compute_started(sim::Actor& from, sim::Time duration) override {
-    // As on ThreadNet: the span is CPU time Work::step() already consumed.
-    (void)from;
-    (void)duration;
+                           std::int64_t tag) override {
+    (void)from;  // timers are always self-addressed; one actor per process
+    host_->set_timer(delay, tag);
   }
 
   // --- event loop ---
@@ -206,17 +205,9 @@ class SocketNet final : public sim::Transport {
   WireWriter make_hello() const;
   WireWriter make_config() const;
 
-  // --- local dispatch ---
-  void dispatch(sim::Message m);
-  bool fire_due_timers();
-  sim::Time next_timer_deadline() const;  ///< kNoDeadline when none armed
-
-  static constexpr sim::Time kNoDeadline = -1;
-
   Options options_;
   const WorkCodec* codec_;
-  std::unique_ptr<sim::Actor> actor_;
-  std::vector<std::uint64_t> sent_by_type_;  ///< the actor's sends, by type
+  std::optional<Host> host_;  ///< set by set_actor
   std::unique_ptr<trace::VectorTracer> tracer_;  ///< non-null iff trace_path
 
   int epoll_fd_ = -1;
@@ -236,9 +227,8 @@ class SocketNet final : public sim::Transport {
   /// False once the run is over: late kMsg frames must be payload-free.
   bool accept_app_msgs_ = true;
 
-  std::deque<sim::Message> inbox_;
-  std::vector<Timer> timers_;  ///< min-heap; timers are self-addressed
-  std::uint64_t seq_ = 0;      ///< local message sequence for global ids
+  /// Arrived messages (and self-sends) awaiting the next pass, in order.
+  std::vector<sim::Message> inbox_;
 
   bool started_clock_ = false;
   std::chrono::steady_clock::time_point start_{};

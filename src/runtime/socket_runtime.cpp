@@ -26,22 +26,19 @@ namespace {
 /// Everything a rank reports about its own run; exchanged as an opaque blob
 /// via kResult/kSummary and decoded identically everywhere.
 struct RankResult {
-  int rank = -1;
   bool completed = false;
-  std::uint64_t units_done = 0;
   std::int64_t best_bound = lb::kNoBound;
   std::uint64_t msgs_sent = 0;
   std::uint64_t work_requests = 0;
   std::uint64_t work_transfers = 0;
-  lb::StateTap tap;
+  lb::StateTap tap;  ///< tap.peer is the rank
   std::int64_t done_ns = -1;  ///< root's termination time; -1 on other ranks
   std::vector<std::uint8_t> solution;  ///< codec solution blob (may be empty)
 };
 
 void encode_rank_result(const RankResult& r, WireWriter& w) {
-  w.i32(r.rank);
+  w.i32(r.tap.peer);
   w.u8(r.completed ? 1 : 0);
-  w.u64(r.units_done);
   w.i64(r.best_bound);
   w.u64(r.msgs_sent);
   w.u64(r.work_requests);
@@ -56,21 +53,20 @@ void encode_rank_result(const RankResult& r, WireWriter& w) {
   w.u64(r.tap.transfers_sent);
   w.u64(r.tap.transfers_recv);
   w.u64(r.tap.pending_requests);
+  w.u64(r.tap.subtree_size);
   w.i64(r.done_ns);
   w.blob(r.solution);
 }
 
 RankResult decode_rank_result(WireReader& r) {
   RankResult out;
-  out.rank = r.i32();
+  out.tap.peer = r.i32();
   out.completed = r.u8() != 0;
-  out.units_done = r.u64();
   out.best_bound = r.i64();
   out.msgs_sent = r.u64();
   out.work_requests = r.u64();
   out.work_transfers = r.u64();
   const std::uint8_t flags = r.u8();
-  out.tap.peer = out.rank;
   out.tap.crashed = (flags & 1) != 0;
   out.tap.holds_work = (flags & 2) != 0;
   out.tap.terminated = (flags & 4) != 0;
@@ -81,6 +77,7 @@ RankResult decode_rank_result(WireReader& r) {
   out.tap.transfers_sent = r.u64();
   out.tap.transfers_recv = r.u64();
   out.tap.pending_requests = r.u64();
+  out.tap.subtree_size = r.u64();
   out.done_ns = r.i64();
   out.solution = r.blob();
   OLB_CHECK_MSG(r.exhausted(), "malformed rank result blob");
@@ -161,17 +158,15 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   lb::OverlayPeer* peer = owned.get();
   net.set_actor(std::move(owned));
 
-  net.transport_start();
-  const SocketNet::RunResult run = net.run(
+  net.start();
+  const RunResult run = net.run(
       [](const sim::Actor& a) {
         return static_cast<const lb::PeerBase&>(a).saw_terminate();
       },
       config.limits.time_limit);
 
   RankResult mine;
-  mine.rank = options.rank;
   mine.completed = run.completed;
-  mine.units_done = peer->units_done();
   mine.best_bound = peer->best_bound();
   mine.msgs_sent = net.messages_sent();
   mine.work_requests = net.sent_of_type(lb::kReqDown) +
@@ -198,8 +193,8 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   for (int rank = 0; rank < config.num_peers; ++rank) {
     WireReader reader(blobs[static_cast<std::size_t>(rank)]);
     RankResult r = decode_rank_result(reader);
-    OLB_CHECK_MSG(r.rank == rank, "result blobs out of rank order");
-    metrics.total_units += r.units_done;
+    OLB_CHECK_MSG(r.tap.peer == rank, "result blobs out of rank order");
+    metrics.total_units += r.tap.units_done;
     metrics.best_bound = std::min(metrics.best_bound, r.best_bound);
     metrics.total_messages += r.msgs_sent;
     metrics.work_requests += r.work_requests;
@@ -215,7 +210,7 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   }
   metrics.done_seconds = sim::to_seconds(std::max<std::int64_t>(done_ns, 0));
   metrics.ok = all_done && done_ns >= 0;
-  net.transport_shutdown();
+  net.shutdown();
   return metrics;
 }
 

@@ -9,43 +9,42 @@
 //   * send()           pushes into the receiver's Mailbox, which wakes the
 //                      receiver only when it is asleep,
 //   * start_compute()  is pure bookkeeping — the work already burned real
-//                      CPU inside Work::step(); the flag makes the peer loop
-//                      drain its mailbox before the next chunk, preserving
-//                      the simulator's poll-between-chunks semantics,
-//   * set_timer()      goes to a thread-local min-heap (timers are always
-//                      self-addressed) serviced by the peer's own loop.
+//                      CPU inside Work::step(),
+//   * set_timer()      goes to the actor's own timer heap.
 //
-// Each hook still runs exclusively on the actor's own thread, so protocol
-// classes need no locking — the same single-threaded contract the simulator
-// gives them.
+// Each actor lives in a runtime::Host (runtime/host.hpp), which keeps its
+// timers and send counts and runs the poll-between-chunks pass; ThreadNet
+// adds what is specific to threads: the mailboxes, one thread per peer, the
+// count of peers done, and the wake and drain-batch metrics. Each hook
+// still runs exclusively on the actor's own thread, so protocol classes
+// need no locking — the same single-threaded contract the simulator gives
+// them.
 //
 // What ThreadNet does NOT provide: fault injection, heterogeneity speed
 // scaling (speed is whatever the hardware does), or determinism — message
 // interleavings are real. Runs are checked for protocol invariants instead
-// of byte-reproducibility. Tracing IS available via set_tracer() with a
-// thread-safe sink (trace::LockedSink): timestamps are wall-clock ns and
-// the recorded *stream order* is causal per message (send before deliver),
-// which is what the conformance oracles consume.
+// of byte-reproducibility. Tracing IS available via set_tracer(), which
+// makes the sink thread-safe itself (trace::LockedSink): timestamps are
+// wall-clock ns, the recorded *stream order* is causal per message (send
+// before deliver), which is what the conformance oracles consume, and a
+// delivery's inbox wait (kMsgDeliver b) reads 0.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "runtime/host.hpp"
 #include "runtime/mailbox.hpp"
-#include "simnet/engine.hpp"
 
 namespace olb::runtime {
 
 class ThreadNet final : public sim::Transport {
  public:
-  /// `seed` feeds the per-actor RNG streams with the same derivation the
-  /// simulator uses, so seed-dependent protocol choices (random child
-  /// order, bridge partners) cover the same space on both backends.
+  /// `seed` feeds the per-actor RNG streams (sim::Actor::bind).
   explicit ThreadNet(std::uint64_t seed) : seed_(seed) {
     time_is_free_ = false;  // now() is a real clock read here
   }
@@ -54,39 +53,25 @@ class ThreadNet final : public sim::Transport {
   /// All actors must be added before run().
   int add_actor(std::unique_ptr<sim::Actor> actor);
 
-  int num_actors() const { return static_cast<int>(hosts_.size()); }
-  sim::Actor& actor(int id) { return *hosts_[static_cast<std::size_t>(id)]->actor; }
-  const sim::ActorStats& stats(int id) const {
-    return hosts_[static_cast<std::size_t>(id)]->actor->stats_;
-  }
-
-  /// A peer's thread exits once this returns true for its actor (checked
-  /// between handler invocations, on the actor's own thread).
-  using ExitPredicate = std::function<bool(const sim::Actor&)>;
-
-  struct RunResult {
-    double wall_seconds = 0.0;  ///< start of run() to last thread joined
-    bool completed = false;     ///< every peer exited via the predicate
-  };
+  int num_actors() const { return static_cast<int>(peers_.size()); }
 
   /// Starts one thread per actor, runs each until `exit_when(actor)` holds
   /// (or `wall_limit` elapses — the watchdog for protocol bugs), joins them
   /// all, then validates that no undelivered message carried work.
   RunResult run(const ExitPredicate& exit_when, sim::Time wall_limit);
 
-  std::uint64_t total_messages() const {
-    return total_messages_.load(std::memory_order_relaxed);
-  }
+  /// Sends by all actors, in all and of one message type (call after run()).
+  std::uint64_t total_messages() const;
+  std::uint64_t total_sent_of_type(int type) const;
 
-  /// Attaches a trace sink (not owned; must outlive run()). The sink is hit
-  /// concurrently from every peer thread, so pass a thread-safe one — wrap
-  /// anything single-threaded in trace::LockedSink. Call before run().
+  /// Attaches a trace sink (not owned; must outlive run()). Peers emit from
+  /// their own threads, so ThreadNet wraps it in a trace::LockedSink, whose
+  /// lock also records each send ahead of its delivery. Call before run().
   void set_tracer(trace::TraceSink* tracer) {
     OLB_CHECK_MSG(!running_, "tracer must be attached before run()");
-    tracer_ = tracer;
+    tracer_ = tracer != nullptr ? std::make_unique<trace::LockedSink>(tracer)
+                                : nullptr;
   }
-  /// Sum of a message-type counter over all actors (call after run()).
-  std::uint64_t total_sent_of_type(int type) const;
 
   /// Attaches a live-metrics hub (not owned; must outlive run()). On this
   /// backend the hub's wall-clock sampler thread owns the flush cadence;
@@ -105,59 +90,47 @@ class ThreadNet final : public sim::Transport {
   /// iterations (and once before each sleep), so sampling costs no clock
   /// reads and stays off the per-message path.
   static constexpr int kMetricsPollStride = 64;
-  struct Timer {
-    sim::Time deadline;
-    std::int64_t tag;
-    bool operator>(const Timer& o) const { return deadline > o.deadline; }
-  };
 
-  /// Per-peer execution state. Everything except the mailbox is touched
-  /// only by the owning thread.
-  struct Host {
-    std::unique_ptr<sim::Actor> actor;
+  /// One peer's thread state. Everything except the mailbox is touched only
+  /// by the owning thread (until it is joined).
+  struct Peer {
+    explicit Peer(Host h) : host(std::move(h)) {}
+    Host host;
     Mailbox mailbox;
-    std::vector<Timer> timers;  ///< min-heap; timers are self-addressed
-    /// The actor's sends by message type (owner thread only until joined).
-    std::vector<std::uint64_t> sent_by_type;
     std::thread thread;
-
     /// Owner-thread countdown to the next on_metrics_poll (metrics only).
     int metrics_countdown = 0;
   };
 
+  Host& host(const sim::Actor& a) {
+    return peers_[static_cast<std::size_t>(a.id())]->host;
+  }
+
   // Transport services (see transport.hpp).
   sim::Time transport_now() const override;
   int transport_num_peers() const override { return num_actors(); }
-  trace::TraceSink* transport_tracer() const override { return tracer_; }
+  trace::TraceSink* transport_tracer() const override { return tracer_.get(); }
   void transport_send(sim::Actor& from, int dst, sim::Message m) override;
   void transport_set_timer(sim::Actor& from, sim::Time delay,
-                           std::int64_t tag) override;
-  void transport_compute_started(sim::Actor& from, sim::Time duration) override {
-    // Nothing to account: the span is CPU time Work::step() already spent,
-    // and compute_time was accrued by Actor::start_compute itself.
-    (void)from;
-    (void)duration;
+                           std::int64_t tag) override {
+    host(from).set_timer(delay, tag);
   }
 
-  void peer_loop(Host& host, const ExitPredicate& exit_when,
+  void peer_loop(Peer& peer, const ExitPredicate& exit_when,
                  std::chrono::steady_clock::time_point deadline);
-  void dispatch(Host& host, sim::Message m);
-  /// Fires every timer whose deadline has passed; returns true if any fired.
-  bool fire_due_timers(Host& host);
-  /// Wakes every sleeping host so it re-checks the global done count (used
+  /// Wakes every sleeping peer so it re-checks the global done count (used
   /// when the last actor terminates).
-  void wake_all_hosts();
+  void wake_all_peers();
 
   std::uint64_t seed_;
-  std::vector<std::unique_ptr<Host>> hosts_;
+  std::vector<std::unique_ptr<Peer>> peers_;
   std::chrono::steady_clock::time_point start_{};
   bool running_ = false;
-  std::atomic<std::uint64_t> total_messages_{0};
-  /// Hosts whose actor has satisfied the exit predicate; the run ends when
-  /// this reaches num_actors() (see peer_loop — a host whose own actor is
+  /// Peers whose actor has satisfied the exit predicate; the run ends when
+  /// this reaches num_actors() (see peer_loop — a peer whose own actor is
   /// done keeps serving its mailbox until then).
-  std::atomic<int> hosts_done_{0};
-  trace::TraceSink* tracer_ = nullptr;  ///< must be thread-safe (LockedSink)
+  std::atomic<int> peers_done_{0};
+  std::unique_ptr<trace::LockedSink> tracer_;  ///< null when not tracing
   // Live metrics (unarmed and cost-free unless set_metrics was called).
   metrics::MetricsHub* metrics_hub_ = nullptr;
   struct NetInstruments {

@@ -6,6 +6,12 @@
 
 namespace olb::sim {
 
+void Actor::bind(Transport& transport, int id, std::uint64_t seed) {
+  transport_ = &transport;
+  id_ = id;
+  rng_ = Xoshiro256(mix64(seed + 0x9e3779b9u) ^ mix64(static_cast<std::uint64_t>(id)));
+}
+
 Time Actor::now() const { return transport_->transport_now(); }
 
 void Actor::send(int dst, Message m) {
@@ -105,9 +111,7 @@ int Engine::add_actor(std::unique_ptr<Actor> actor) {
   const int id = id_base_ + static_cast<int>(actors_.size());
   OLB_CHECK_MSG(global_peers_ < 0 || id < global_peers_,
                 "shard overfilled beyond its global peer count");
-  actor->transport_ = this;
-  actor->id_ = id;
-  actor->rng_ = Xoshiro256(mix64(seed_ + 0x9e3779b9u) ^ mix64(static_cast<std::uint64_t>(id)));
+  actor->bind(*this, id, seed_);
   actors_.push_back(std::move(actor));
   return id;
 }

@@ -34,8 +34,7 @@
 #include "trace/trace.hpp"
 
 namespace olb::runtime {
-class ThreadNet;  // the shared-memory backend (src/runtime), befriended below
-class SocketNet;  // the TCP multi-process backend (src/runtime), ditto
+class Host;  // one actor hosted in real time (src/runtime), befriended below
 }
 
 namespace olb::metrics {
@@ -57,8 +56,8 @@ struct ActorStats {
 /// Base class for protocol peers. Subclasses implement the protocol by
 /// overriding the on_* hooks and calling send()/start_compute()/set_timer()
 /// from inside them. All hooks run with the actor exclusively scheduled
-/// (simulator) or on the actor's own thread (runtime::ThreadNet); either
-/// way no locking is ever needed inside a hook.
+/// (simulator) or on the actor's own thread of control (runtime::Host);
+/// either way no locking is ever needed inside a hook.
 class Actor {
  public:
   virtual ~Actor() = default;
@@ -153,8 +152,13 @@ class Actor {
 
  private:
   friend class Engine;
-  friend class olb::runtime::ThreadNet;
-  friend class olb::runtime::SocketNet;
+  friend class olb::runtime::Host;
+
+  /// Attaches this actor to `transport` as peer `id`, with its RNG stream
+  /// derived from (seed, id) — the one derivation every backend shares, so
+  /// protocol randomness (child order, bridge partners) matches across
+  /// backends per (seed, id).
+  void bind(Transport& transport, int id, std::uint64_t seed);
 
   // Field order packs id_ against the flag block: one 8-byte line holds the
   // id plus all four bools instead of two half-empty ones — 8 bytes per

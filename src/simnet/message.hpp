@@ -27,10 +27,11 @@ struct MsgPayload {
 
 struct Message {
   int type = 0;
-  /// Engine-assigned sequence number; pairs the send/deliver trace events of
-  /// one message (31 bits keep Message at its pre-tracing size — ids recycle
-  /// after 2^31 sends, far beyond any run's event watchdog). Only written
-  /// when a tracer is attached; 0 otherwise.
+  /// Pairs the send/deliver trace events of one message (31 bits keep
+  /// Message at its pre-tracing size — ids recycle after 2^31 sends, far
+  /// beyond any run's event watchdog). The engine writes its sequence
+  /// number only when a tracer is attached (0 otherwise); the real-time
+  /// backends always write a per-sender id (runtime/host.hpp).
   std::uint32_t id : 31 = 0;
   /// Set by the engine when a payload-carrying message reached a crashed
   /// peer and was returned to its sender (fault injection only). A bounce
@@ -43,10 +44,12 @@ struct Message {
   std::int64_t c = 0;
   std::unique_ptr<MsgPayload> payload;
 
-  // Filled in by the engine on send / arrival.
+  // Filled in by the transport on send / arrival.
   int src = -1;
   int dst = -1;
-  Time arrived_at = 0;  ///< when the message entered the receiver's inbox
+  /// When the message entered the receiver's inbox; -1 while unstamped (the
+  /// engine stamps every arrival, sockets only when tracing, threads never).
+  Time arrived_at = -1;
 
   Message() = default;
   Message(int type_, std::int64_t a_ = 0, std::int64_t b_ = 0, std::int64_t c_ = 0)

@@ -18,32 +18,20 @@
 // Protocol classes (OverlayPeer and friends) are written once against Actor's
 // services and run unmodified on any substrate — the point of the split.
 // Methods carry a transport_ prefix so Engine can implement them while
-// keeping its richer public API (now(), tracer(), ...) unshadowed.
+// keeping its richer public API (now(), tracer(), ...) unshadowed. The two
+// real-time backends host each actor in a runtime::Host (runtime/host.hpp),
+// which keeps the actor's timers, send counts and deliveries the same way
+// on both.
 //
-// ## Actor/transport lifecycle contract
+// ## The actor-hook contract
 //
-// A transport moves through three explicit stages, driven by its harness
-// (sim::Engine::run, runtime::run_threads, runtime::run_sockets):
-//
-//  1. transport_start() — acquire external resources and rendezvous with
-//     the rest of the cluster. After it returns, transport_now(),
-//     transport_num_peers() and transport_send() are fully operational.
-//     In-process backends need nothing here (the default no-op); SocketNet
-//     binds its listener, connects to every peer and runs the bootstrap
-//     barrier, so actors on all processes observe time 0 together.
-//  2. The run: each actor gets on_start() exactly once, then an arbitrary
-//     interleaving of on_message / on_timer / on_compute_done, always on
-//     its own logical thread of control (no hook ever needs locking).
-//     Actors may call send()/set_timer()/start_compute() from any hook.
-//  3. transport_shutdown() — flush and release external resources
-//     (SocketNet: drain outbound queues, write the NDJSON trace, close
-//     sockets). Idempotent; also invoked by the transport's destructor, so
-//     an exceptional exit still releases OS resources. After shutdown no
-//     actor hook will run and transport_send() must not be called.
-//
-// Only SocketNet needs stages 1 and 3, so only its harness
-// (runtime::run_sockets) calls the pair; the in-process backends inherit the
-// no-ops and their harnesses skip them.
+// Each actor gets on_start() exactly once, then an arbitrary interleaving of
+// on_message / on_timer / on_compute_done, always on its own logical thread
+// of control (no hook ever needs locking). Actors may call send(),
+// set_timer() and start_compute() from any hook. Everything a backend must
+// do before the first hook or after the last one (SocketNet's bootstrap
+// barrier and its socket teardown) stays on the concrete backend, driven by
+// its own harness (runtime::run_sockets).
 #pragma once
 
 #include <cstdint>
@@ -59,15 +47,6 @@ class Actor;
 class Transport {
  public:
   virtual ~Transport() = default;
-
-  /// Lifecycle stage 1 (see the contract above): acquire external
-  /// resources and rendezvous with the cluster. No-op for in-process
-  /// backends.
-  virtual void transport_start() {}
-
-  /// Lifecycle stage 3: flush and release external resources. Must be
-  /// idempotent (destructors call it too). No-op for in-process backends.
-  virtual void transport_shutdown() {}
 
   /// Current time in nanoseconds (simulated or wall, see above).
   virtual Time transport_now() const = 0;
@@ -91,9 +70,13 @@ class Transport {
 
   /// Notification that `from` started a compute span of (speed-scaled)
   /// `duration`. The simulator advances the actor's busy-clock and
-  /// utilisation histogram here; the thread backend needs no bookkeeping —
-  /// the span *is* the CPU time the work already consumed.
-  virtual void transport_compute_started(Actor& from, Time duration) = 0;
+  /// utilisation histogram here; the real-time backends need no bookkeeping
+  /// — the span *is* the CPU time the work already consumed, and
+  /// compute_time was accrued by Actor::start_compute itself.
+  virtual void transport_compute_started(Actor& from, Time duration) {
+    (void)from;
+    (void)duration;
+  }
 
   /// Whether reading the clock is effectively free on this substrate. True
   /// for the simulator (now() is a field read); false for the thread

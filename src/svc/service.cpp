@@ -166,10 +166,9 @@ ServiceMetrics run_service(const ServiceConfig& config) {
   const JobGate& gate = *gate_owner;
   fleet.push_back(std::move(gate_owner));
 
-  // Only the substrate differs by backend: how it is built, how the trace
-  // sink is wrapped, and the run call. It owns the fleet, so it is declared
-  // here and outlives the harvest below.
-  std::unique_ptr<trace::LockedSink> locked;
+  // Only the substrate differs by backend: how it is built and the run
+  // call. It owns the fleet, so it is declared here and outlives the
+  // harvest below.
   std::optional<sim::Engine> engine;
   std::optional<runtime::ThreadNet> net;
   bool completed = false;
@@ -183,11 +182,7 @@ ServiceMetrics run_service(const ServiceConfig& config) {
     out.work_transfers = engine->total_sent_of_type(lb::kWork);
   } else {
     net.emplace(rc.seed);
-    // Peers emit from their own threads; see runtime::run_threads.
-    if (rc.tracer != nullptr) {
-      locked = std::make_unique<trace::LockedSink>(rc.tracer);
-      net->set_tracer(locked.get());
-    }
+    net->set_tracer(rc.tracer);
     net->set_metrics(rc.metrics);
     for (auto& actor : fleet) net->add_actor(std::move(actor));
     const auto result = net->run(

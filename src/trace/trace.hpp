@@ -19,7 +19,7 @@
 //  kind          | actor      | peer      | type       | a            | b
 //  --------------+------------+-----------+------------+--------------+---------
 //  kMsgSend      | sender     | dst       | msg type   | msg id       | latency
-//  kMsgDeliver   | receiver   | src       | msg type   | msg id       | inbox wait
+//  kMsgDeliver   | receiver   | src       | msg type   | msg id       | inbox wait (w)
 //  kComputeSpan  | actor      | —         | —          | duration     | units
 //  kTimerSet     | actor      | —         | —          | tag          | delay
 //  kTimerFire    | actor      | —         | —          | tag          | —
@@ -53,6 +53,8 @@
 //  (**) 0 = link fault, 1 = destination crashed, 2 = bounce destroyed.
 //  (***) raw fraction saturated into [-1000, 1000] before the ppm encoding
 //        (stale subtree aggregates can produce absurd magnitudes).
+//  (w) 0 on the thread backend, which does not stamp arrivals
+//      (runtime/host.hpp); the simulator and traced socket ranks do.
 //  (+) only the overlay's upward request (kReqUp) carries the subtree's
 //      aggregated transfer counters; other kRequest emissions leave a/b = 0.
 //  (m) work amounts in kJob* events travel as milli-units

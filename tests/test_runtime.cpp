@@ -1,5 +1,6 @@
 // Tests for the shared-memory backend (src/runtime): mailbox correctness
-// under concurrency, and the overlay protocol on real threads
+// under concurrency, the real-time Host's pass order and send ids, and the
+// overlay protocol on real threads
 // reproducing the simulator's execution-order-independent invariants —
 // exact UTS node counts and exact B&B optima — across strategies, thread
 // counts and seeds.
@@ -9,12 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bb/bb_work.hpp"
 #include "metrics/hub.hpp"
+#include "runtime/host.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/runtime.hpp"
 #include "trace/trace.hpp"
@@ -118,6 +121,185 @@ TEST(Mailbox, SleeperWakesPromptlyOnPushAndOnStop) {
   box.wake();
   owner.join();
   EXPECT_LT(woke_at - stopped_at, std::chrono::milliseconds(500));
+}
+
+// -------------------------------------------------------------------- host ---
+
+/// A transport whose clock the test sets. Sends and timers go through the
+/// Host of the sending actor, as on the real-time backends; sent messages
+/// are kept for inspection.
+class FakeTransport final : public sim::Transport {
+ public:
+  explicit FakeTransport(int n) : n_(n) {}
+
+  sim::Time now = 0;
+  trace::TraceSink* tracer = nullptr;
+  std::vector<runtime::Host*> hosts;  ///< by actor id
+  std::vector<sim::Message> sent;
+
+  sim::Time transport_now() const override { return now; }
+  int transport_num_peers() const override { return n_; }
+  trace::TraceSink* transport_tracer() const override { return tracer; }
+  void transport_send(sim::Actor& from, int dst, sim::Message m) override {
+    hosts[static_cast<std::size_t>(from.id())]->count_send(m, dst);
+    sent.push_back(std::move(m));
+  }
+  void transport_set_timer(sim::Actor& from, sim::Time delay,
+                           std::int64_t tag) override {
+    hosts[static_cast<std::size_t>(from.id())]->set_timer(delay, tag);
+  }
+
+ private:
+  int n_;
+};
+
+/// Logs every hook it gets ("m<a>", "t<tag>", "c") and lets the test call
+/// its services.
+class LoggingActor final : public sim::Actor {
+ public:
+  explicit LoggingActor(std::vector<std::string>& log) : log_(log) {}
+  using sim::Actor::send;
+  using sim::Actor::set_timer;
+  using sim::Actor::start_compute;
+
+ protected:
+  void on_message(sim::Message m) override {
+    log_.push_back("m" + std::to_string(m.a));
+  }
+  void on_timer(std::int64_t tag) override {
+    log_.push_back("t" + std::to_string(tag));
+  }
+  void on_compute_done() override { log_.push_back("c"); }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+/// One LoggingActor per id 0..n-1, each in its Host on `net`.
+struct HostedActors {
+  HostedActors(FakeTransport& net, int n) {
+    hosts.reserve(static_cast<std::size_t>(n));
+    for (int id = 0; id < n; ++id) {
+      auto actor = std::make_unique<LoggingActor>(log);
+      actors.push_back(actor.get());
+      hosts.emplace_back(std::move(actor), net, id, /*seed=*/1);
+    }
+    for (runtime::Host& h : hosts) net.hosts.push_back(&h);
+    for (runtime::Host& h : hosts) h.start();
+  }
+  std::vector<std::string> log;
+  std::vector<LoggingActor*> actors;
+  std::vector<runtime::Host> hosts;
+};
+
+std::vector<sim::Message> batch_of(std::initializer_list<int> tags) {
+  std::vector<sim::Message> batch;
+  for (int tag : tags) batch.emplace_back(0, tag);
+  return batch;
+}
+
+TEST(Host, StepDeliversThenFiresDueTimersInDeadlineOrderThenEndsTheSpan) {
+  FakeTransport net(1);
+  HostedActors h(net, 1);
+  LoggingActor& actor = *h.actors[0];
+  actor.set_timer(30, 2);
+  actor.set_timer(10, 1);
+  actor.set_timer(100, 3);
+  actor.start_compute(5);
+  std::vector<sim::Message> batch = batch_of({1, 2, 3});
+
+  net.now = 50;
+  EXPECT_TRUE(h.hosts[0].step(batch));
+  EXPECT_EQ(h.log, (std::vector<std::string>{"m1", "m2", "m3", "t1", "t2", "c"}));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_FALSE(h.hosts[0].computing());
+}
+
+TEST(Host, TimersNotYetDueStayArmed) {
+  FakeTransport net(1);
+  HostedActors h(net, 1);
+  runtime::Host& host = h.hosts[0];
+  h.actors[0]->set_timer(100, 7);
+  h.actors[0]->set_timer(40, 6);
+  EXPECT_EQ(host.next_timer(), 40);
+  std::vector<sim::Message> batch;
+
+  net.now = 39;
+  EXPECT_FALSE(host.step(batch));
+  EXPECT_TRUE(h.log.empty());
+  net.now = 40;  // due exactly at its deadline
+  EXPECT_TRUE(host.step(batch));
+  EXPECT_EQ(h.log, (std::vector<std::string>{"t6"}));
+  EXPECT_EQ(host.next_timer(), 100);
+  net.now = 99;
+  EXPECT_FALSE(host.step(batch));
+  net.now = 1000;
+  EXPECT_TRUE(host.step(batch));
+  EXPECT_EQ(h.log, (std::vector<std::string>{"t6", "t7"}));
+  EXPECT_EQ(host.next_timer(), sim::kTimeMax);
+}
+
+TEST(Host, StepReturnsFalseWhenNothingRan) {
+  FakeTransport net(1);
+  HostedActors h(net, 1);
+  std::vector<sim::Message> batch;
+  EXPECT_FALSE(h.hosts[0].step(batch));
+  h.actors[0]->start_compute(5);
+  EXPECT_TRUE(h.hosts[0].computing());
+  EXPECT_TRUE(h.hosts[0].step(batch));  // ending the span counts
+  EXPECT_FALSE(h.hosts[0].step(batch));
+  batch = batch_of({4});
+  EXPECT_TRUE(h.hosts[0].step(batch));
+  EXPECT_EQ(h.log, (std::vector<std::string>{"c", "m4"}));
+}
+
+TEST(Host, SendIdsFromSeveralHostsNeverCollide) {
+  constexpr int kPeers = 3;
+  FakeTransport net(kPeers);
+  HostedActors h(net, kPeers);
+  // Uneven and interleaved: peer p sends 50 * (p + 1) messages.
+  for (int round = 0; round < 150; ++round) {
+    for (int p = 0; p < kPeers; ++p) {
+      if (round >= 50 * (p + 1)) continue;
+      h.actors[static_cast<std::size_t>(p)]->send((p + 1) % kPeers,
+                                                  sim::Message(p));
+    }
+  }
+  ASSERT_EQ(net.sent.size(), 300u);
+  std::set<std::uint32_t> ids;
+  for (const sim::Message& m : net.sent) {
+    EXPECT_NE(m.id, 0u);
+    EXPECT_EQ(m.type, m.src);
+    EXPECT_EQ(m.dst, (m.src + 1) % kPeers);
+    ids.insert(m.id);
+  }
+  EXPECT_EQ(ids.size(), net.sent.size());
+  for (int p = 0; p < kPeers; ++p) {
+    const runtime::Host& host = h.hosts[static_cast<std::size_t>(p)];
+    EXPECT_EQ(host.sent(), 50u * static_cast<unsigned>(p + 1));
+    EXPECT_EQ(host.sent_of_type(p), host.sent());
+    EXPECT_EQ(host.sent_of_type(p + 1), 0u);
+  }
+}
+
+TEST(Host, DeliveryTracesTheInboxWaitOnlyOfStampedArrivals) {
+  // Threads never stamp arrivals, so their deliveries must read a wait of
+  // 0; a socket arrival stamped at the epoch (before the start barrier)
+  // still reads its whole wait.
+  trace::VectorTracer tracer;
+  FakeTransport net(1);
+  net.tracer = &tracer;
+  HostedActors h(net, 1);
+  std::vector<sim::Message> batch = batch_of({1, 2, 3});
+  batch[1].arrived_at = 0;
+  batch[2].arrived_at = 20;
+  net.now = 50;
+  h.hosts[0].step(batch);
+  std::vector<std::int64_t> waits;
+  for (const trace::TraceEvent& e : tracer.events()) {
+    if (e.kind == trace::EventKind::kMsgDeliver) waits.push_back(e.b);
+  }
+  EXPECT_EQ(waits, (std::vector<std::int64_t>{0, 50, 30}));
 }
 
 // ------------------------------------------- overlay protocol on threads ---

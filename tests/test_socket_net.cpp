@@ -125,6 +125,9 @@ TEST(SocketNet, UtsExactNodeCountAcrossFourRanks) {
       EXPECT_TRUE(tap.terminated);
       EXPECT_FALSE(tap.holds_work);
     }
+    // The root's subtree-size estimate crosses the result exchange too: at
+    // quiescence it is the live weight of the whole overlay.
+    EXPECT_EQ(m.final_state[0].subtree_size, 4u);
   }
 }
 
