@@ -30,7 +30,7 @@ int TaillardRng::next(int low, int high) {
 FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
                                    std::vector<int> processing)
     : name_(std::move(name)), jobs_(jobs), machines_(machines),
-      processing_(std::move(processing)) {
+      lanes_(machine_lanes(machines)), processing_(std::move(processing)) {
   OLB_CHECK(jobs_ >= 1 && jobs_ <= kMaxRowJobs && machines_ >= 1);
   OLB_CHECK(processing_.size() ==
             static_cast<std::size_t>(jobs_) * static_cast<std::size_t>(machines_));
@@ -54,8 +54,21 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
 
   const auto n = static_cast<std::size_t>(jobs_);
   const auto m = static_cast<std::size_t>(machines_);
-  job_rows_.resize(n * 2 * m);
-  ranked_tails_.assign(m * kRankedTailsStride, 0);
+  const std::size_t lanes = lanes_;
+  // Pad lanes: P stays at the job's total, p at 0, the mask clears nothing.
+  job_rows_.assign(n * 3 * lanes, ~std::uint32_t{0});
+  ranked_tails_.assign(lanes * kRankedTailsStride, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    std::uint32_t* row = job_rows_.data() + j * 3 * lanes;
+    std::uint32_t sum = 0;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::uint32_t pk =
+          k < m ? static_cast<std::uint32_t>(p(static_cast<int>(j), static_cast<int>(k))) : 0;
+      sum += pk;
+      row[k] = sum;
+      row[lanes + k] = pk;
+    }
+  }
   std::vector<int> order(n);
   for (int k = 0; k < machines_; ++k) {
     std::iota(order.begin(), order.end(), 0);
@@ -66,10 +79,9 @@ FlowshopInstance::FlowshopInstance(std::string name, int jobs, int machines,
     const auto ks = static_cast<std::size_t>(k);
     for (std::size_t r = 0; r < n; ++r) {
       const int j = order[r];
-      std::uint32_t* row = job_rows_.data() + static_cast<std::size_t>(j) * 2 * m;
-      row[ks] = static_cast<std::uint32_t>(p(j, k));
-      row[m + ks] = ~(std::uint32_t{1} << r);
-      ranked_tails_[ks * kRankedTailsStride + r] = static_cast<std::uint32_t>(tail_after(j, k));
+      job_rows_[static_cast<std::size_t>(j) * 3 * lanes + 2 * lanes + ks] =
+          ~(std::uint32_t{1} << r);
+      ranked_tails_[ks * kRankedTailsStride + 1 + r] = static_cast<std::uint32_t>(tail_after(j, k));
     }
   }
 

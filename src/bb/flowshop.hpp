@@ -25,9 +25,20 @@ namespace olb::bb {
 /// 32-bit words (bounds.hpp).
 inline constexpr int kMaxRowJobs = 32;
 
-/// Words per machine in FlowshopInstance::ranked_tails: a tail per rank and
-/// the zero pad.
+/// Words per machine in FlowshopInstance::ranked_tails: the zero pad and a
+/// tail per rank.
 inline constexpr std::size_t kRankedTailsStride = kMaxRowJobs + 1;
+
+/// Machines per block of the bound's vector pass (bounds.hpp).
+inline constexpr int kMachineBlock = 8;
+
+/// Words in one per-machine section of a bound row or a job row: the
+/// machines rounded up to whole blocks. The words past the last machine are
+/// pad lanes.
+constexpr std::size_t machine_lanes(int machines) {
+  return static_cast<std::size_t>((machines + kMachineBlock - 1) / kMachineBlock *
+                                  kMachineBlock);
+}
 
 /// Taillard's portable uniform generator. Reproduces his published streams
 /// exactly; also reusable wherever the repo needs his RNG.
@@ -66,6 +77,8 @@ class FlowshopInstance {
   const std::string& name() const { return name_; }
   int jobs() const { return jobs_; }
   int machines() const { return machines_; }
+  /// machine_lanes(machines()): the length of each section of job_row().
+  std::size_t lanes() const { return lanes_; }
 
   /// Processing time of job j on machine k.
   int p(int j, int k) const {
@@ -91,17 +104,23 @@ class FlowshopInstance {
 
   // --- tables for the incremental lower bound (bounds.hpp), built once ---
 
-  /// Job j's row: p(j, 0..m-1), then for each machine k the mask of all
-  /// bits but j's tail rank on k, ~(1 << rank), where rank orders all jobs
-  /// by tail_after(·, k) ascending, ties by job id. 2m words.
+  /// Job j's row: three sections of lanes() words, one word per machine k.
+  ///   [0, L)    P: p(j, 0) + ... + p(j, k), job j's prefix sum
+  ///   [L, 2L)   p: p(j, k)
+  ///   [2L, 3L)  the mask of all bits but j's tail rank on k, ~(1 << rank),
+  ///             where rank orders all jobs by tail_after(·, k) ascending,
+  ///             ties by job id
+  /// A pad lane k >= machines() holds P = p(j, 0) + ... + p(j, m-1), p = 0
+  /// and a mask that clears nothing.
   const std::uint32_t* job_row(int j) const {
-    return job_rows_.data() + static_cast<std::size_t>(j) * 2 * static_cast<std::size_t>(machines_);
+    return job_rows_.data() + static_cast<std::size_t>(j) * 3 * lanes_;
   }
 
-  /// Machine k's tails by rank: entry r is tail_after(·, k) of the job at
-  /// rank r. Entry kMaxRowJobs is a zero pad, the smallest tail of an empty
-  /// rank mask; entries jobs() to kMaxRowJobs - 1 are never read. Machine
-  /// k + 1's table starts kRankedTailsStride words after machine k's.
+  /// Machine k's tails by rank: entry 0 is a zero pad, the smallest tail of
+  /// an empty rank mask, and entry r + 1 is tail_after(·, k) of the job at
+  /// rank r; entries past jobs() are never read. Machine k + 1's table
+  /// starts kRankedTailsStride words after machine k's. Pad lanes have
+  /// all-zero tables, so every lane < lanes() has one.
   const std::uint32_t* ranked_tails(int k) const {
     return ranked_tails_.data() + static_cast<std::size_t>(k) * kRankedTailsStride;
   }
@@ -128,10 +147,11 @@ class FlowshopInstance {
   std::string name_;
   int jobs_;
   int machines_;
+  std::size_t lanes_;
   std::vector<int> processing_;              ///< machine-major
   std::vector<std::int64_t> tail_;           ///< tail_[j*(m+1)+k] = sum of p(j, k..m-1)
-  std::vector<std::uint32_t> job_rows_;      ///< job-major [j*2m + word]
-  std::vector<std::uint32_t> ranked_tails_;  ///< machine-major [k*kRankedTailsStride + rank]
+  std::vector<std::uint32_t> job_rows_;      ///< job-major [j*3*lanes + word]
+  std::vector<std::uint32_t> ranked_tails_;  ///< lane-major [k*kRankedTailsStride + 1 + rank]
   std::vector<JohnsonStep> johnson_pairs_;   ///< [k*n + i], k < m-1
 };
 

@@ -28,12 +28,15 @@ void IntervalExplorer::shrink_end(std::uint64_t new_end) {
   end_ = new_end;
 }
 
-IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
-                                                 std::int64_t& ub,
-                                                 BestSolution* recorder) {
+// The DFS loop is always inlined, so each instance is compiled for the
+// target of the function it lands in.
+template <IntervalExplorer::ChildPassFn kAppendJob>
+[[gnu::always_inline]] inline IntervalExplorer::Progress IntervalExplorer::dfs(
+    std::uint64_t max_nodes, std::int64_t& ub, BestSolution* recorder) {
   Progress progress;
   const int n = inst_->jobs();
   const auto m = static_cast<std::size_t>(inst_->machines());
+  const std::size_t lanes = inst_->lanes();
 
   while (progress.nodes < max_nodes && !stack_.empty() && pos_ < end_) {
     const std::size_t d = stack_.size() - 1;
@@ -63,7 +66,7 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
 
     path_[d] = job;
     std::uint32_t* child = row(d + 1);
-    std::int64_t bound = append_job(*inst_, row(d), job, child);
+    std::int64_t bound = kAppendJob(*inst_, row(d), job, child);
     ++progress.nodes;
 
     if (d + 1 == static_cast<std::size_t>(n)) {
@@ -86,7 +89,7 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
     if (bound >= ub) {
       pos_ = child_hi;  // prune the whole child subtree
     } else {
-      stack_.push_back(Frame{child_lo, child[3 * m], 0});
+      stack_.push_back(Frame{child_lo, child[3 * lanes], 0});
     }
   }
 
@@ -95,6 +98,30 @@ IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes,
     pos_ = end_;
   }
   return progress;
+}
+
+#if defined(__x86_64__)
+struct IntervalExplorer::Avx2 {
+  // flatten: append_job_avx2 cannot be always_inline, since tests call it
+  // from code built without AVX2; this inlines it here at every -O level.
+  __attribute__((target("avx2"), flatten)) static Progress run(IntervalExplorer& e,
+                                                               std::uint64_t max_nodes,
+                                                               std::int64_t& ub,
+                                                               BestSolution* recorder) {
+    return e.dfs<append_job_avx2>(max_nodes, ub, recorder);
+  }
+};
+#endif
+
+IntervalExplorer::Progress IntervalExplorer::run(std::uint64_t max_nodes, std::int64_t& ub,
+                                                 BestSolution* recorder, ChildPass pass) {
+  if (pass == ChildPass::kAvx2) {
+    OLB_CHECK_MSG(native_child_pass() == ChildPass::kAvx2, "the AVX2 pass needs a CPU with AVX2");
+#if defined(__x86_64__)
+    return Avx2::run(*this, max_nodes, ub, recorder);
+#endif
+  }
+  return dfs<append_job>(max_nodes, ub, recorder);
 }
 
 SequentialResult solve_sequential(const FlowshopInstance& inst, BoundKind bound_kind,

@@ -14,6 +14,8 @@
 // edge, so stolen regions are never explored locally. Each depth keeps one
 // prefix row (bounds.hpp); a child is one inlined pass over the machines
 // that writes its row and returns its one-machine bound, so a node costs O(m).
+// The DFS loop is written once and built twice, around either child pass:
+// run() takes the AVX2 pass on CPUs that have AVX2 (native_child_pass).
 #pragma once
 
 #include <cstdint>
@@ -76,7 +78,14 @@ class IntervalExplorer {
 
   /// Runs up to max_nodes evaluations. `ub` is the caller's incumbent
   /// (in-out); improvements are also offered to `recorder` if non-null.
-  Progress run(std::uint64_t max_nodes, std::int64_t& ub, BestSolution* recorder);
+  Progress run(std::uint64_t max_nodes, std::int64_t& ub, BestSolution* recorder) {
+    return run(max_nodes, ub, recorder, native_child_pass());
+  }
+
+  /// run() on the given child pass, which gives the same nodes, bounds and
+  /// Progress on either; tests compare the two. kAvx2 needs a CPU with AVX2.
+  Progress run(std::uint64_t max_nodes, std::int64_t& ub, BestSolution* recorder,
+               ChildPass pass);
 
   std::uint64_t position() const { return pos_; }
   std::uint64_t end() const { return end_; }
@@ -93,6 +102,14 @@ class IntervalExplorer {
     std::uint32_t untried = 0;  ///< remaining jobs not yet branched on (job mask)
     int next_child = 0;         ///< sibling index of the lowest untried job
   };
+
+  using ChildPassFn = std::int64_t (*)(const FlowshopInstance&, const std::uint32_t*, int,
+                                       std::uint32_t*);
+  /// run()'s DFS loop on one child pass (append_job or append_job_avx2).
+  template <ChildPassFn kAppendJob>
+  Progress dfs(std::uint64_t max_nodes, std::int64_t& ub, BestSolution* recorder);
+  /// dfs() on the AVX2 pass, compiled for AVX2 (interval_bb.cpp).
+  struct Avx2;
 
   std::uint32_t* row(std::size_t depth) { return rows_.data() + depth * row_words_; }
 

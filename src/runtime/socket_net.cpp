@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 
 #include "lb/work.hpp"
@@ -23,12 +24,28 @@ namespace {
 constexpr std::chrono::milliseconds kReconnectBase{50};
 constexpr std::chrono::milliseconds kReconnectCap{2000};
 constexpr int kMaxEpollEvents = 32;
-// A rank that is computing polls its sockets at most this often. One
-// non-blocking poll (pump_io(0): an epoll_wait plus two clock reads) takes
-// 240–300 ns on a 4-core Xeon VM, a sixth to a third of a 32-node B&B
-// chunk at 28–47 ns a node; at one poll per 20 µs it costs at most ~1.5 %
-// of compute, and a request waits at most 20 µs plus one chunk longer.
+// A rank that is computing polls its sockets about this often. One
+// non-blocking poll (pump_io(0): an epoll_pwait2 plus two clock reads) takes
+// 240–300 ns on a 4-core Xeon VM, a third to a half of a 32-node B&B chunk
+// at 19–24 ns a node; at one poll per 20 µs it costs ~1.5 % of compute, and a
+// request waits about 20 µs plus one chunk longer. The rank reads no clock
+// between polls: it counts chunks, and each poll sets the next count from
+// the chunk time its own clock reads show (next_chunks_per_poll).
 constexpr std::chrono::microseconds kComputePollInterval{20};
+
+/// The chunks to run before the next poll, after `chunks` chunks took
+/// `elapsed`: as many as fill kComputePollInterval at that pace, at least 1
+/// and at most twice `chunks`, so a burst of short chunks cannot run the
+/// count away.
+std::uint64_t next_chunks_per_poll(std::uint64_t chunks,
+                                   std::chrono::steady_clock::duration elapsed) {
+  const std::chrono::nanoseconds interval = kComputePollInterval;
+  const auto ns = std::max<std::int64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count(), 1);
+  const auto fill = static_cast<std::uint64_t>(interval.count()) * chunks /
+                    static_cast<std::uint64_t>(ns);
+  return std::clamp<std::uint64_t>(fill, 1, 2 * chunks);
+}
 
 bool split_host_port(const std::string& addr, std::string* host, std::string* port) {
   const std::size_t colon = addr.rfind(':');
@@ -508,7 +525,8 @@ bool SocketNet::sendqs_empty() const {
   return true;
 }
 
-bool SocketNet::pump_io(std::chrono::steady_clock::duration wait) {
+std::chrono::steady_clock::time_point SocketNet::pump_io(
+    std::chrono::steady_clock::duration wait) {
   // Opportunistic flush: adoption/backlog may have armed queues since the
   // last round.
   for (int rank = 0; rank < transport_num_peers(); ++rank) {
@@ -522,15 +540,15 @@ bool SocketNet::pump_io(std::chrono::steady_clock::duration wait) {
   for (const PeerLink& link : links_) {
     if (link.retry_pending) until = std::min(until, link.retry_at);
   }
-  int timeout_ms = 0;
-  if (until > now) {
-    const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-        until - now);
-    timeout_ms = static_cast<int>(std::max<std::int64_t>(ms.count(), 1));
-  }
-
+  // epoll_pwait2 takes the wait to the nanosecond; epoll_wait's whole
+  // milliseconds would stretch a 100 µs timer to 1 ms.
+  const auto timeout = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::max(until - now, std::chrono::steady_clock::duration::zero()));
+  const timespec ts{static_cast<time_t>(timeout.count() / 1'000'000'000),
+                    static_cast<long>(timeout.count() % 1'000'000'000)};
   epoll_event events[kMaxEpollEvents];
-  const int n = ::epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout_ms);
+  const int n = ::epoll_pwait2(epoll_fd_, events, kMaxEpollEvents, &ts, nullptr);
+  OLB_CHECK_MSG(n >= 0 || errno != ENOSYS, "epoll_pwait2 needs Linux 5.11 or later");
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
     if (fd == listen_fd_) {
@@ -560,7 +578,7 @@ bool SocketNet::pump_io(std::chrono::steady_clock::duration wait) {
       start_connect(rank);
     }
   }
-  return n > 0;
+  return after;
 }
 
 void SocketNet::pump_until(const std::function<bool()>& done,
@@ -629,7 +647,11 @@ RunResult SocketNet::run(const ExitPredicate& exit_when, sim::Time wall_limit) {
 
   RunResult result;
   std::vector<sim::Message> batch;
-  auto last_poll = std::chrono::steady_clock::time_point{};
+  // While computing, the rank polls once per `chunks_per_poll` chunks; the
+  // end of the last poll round is `polled`.
+  std::uint64_t chunks_per_poll = 1;
+  std::uint64_t until_poll = 1;
+  auto polled = std::chrono::steady_clock::now();
   while (true) {
     if (exit_when(host.actor())) {
       result.completed = true;
@@ -638,24 +660,23 @@ RunResult SocketNet::run(const ExitPredicate& exit_when, sim::Time wall_limit) {
     // Self-sends made while the batch is delivered wait for the next pass.
     batch.swap(inbox_);
     bool progress = host.step(batch);
-    if (host.computing()) {
-      // While computing, go straight on to the next chunk unless the last
-      // poll is kComputePollInterval old.
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_poll < kComputePollInterval) continue;
-      last_poll = now;
-    }
-    pump_io(std::chrono::steady_clock::duration::zero());
+    const bool computing = host.computing();
+    // While computing, go straight on to the next chunk until the count is
+    // up.
+    if (computing && --until_poll != 0) continue;
+    const auto now = pump_io(std::chrono::steady_clock::duration::zero());
+    if (computing) chunks_per_poll = next_chunks_per_poll(chunks_per_poll, now - polled);
+    until_poll = chunks_per_poll;
+    polled = now;
     if (!inbox_.empty()) progress = true;
     if (progress) continue;
-    const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;  // watchdog; completed stays false
     // Idle: block in epoll until traffic, the next timer, or the safety poll.
     const sim::Time wake_at =
         std::min(host.next_timer(), transport_now() + sim::milliseconds(10));
     const auto until =
         std::min(start_ + std::chrono::nanoseconds(wake_at), deadline);
-    if (until > now) pump_io(until - now);
+    if (until > now) polled = pump_io(until - now);
   }
   // The termination fan-out (and any trailing control chatter) must reach
   // the other processes before the result exchange.

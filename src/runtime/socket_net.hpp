@@ -171,9 +171,10 @@ class SocketNet final : public sim::Transport {
 
   // --- event loop ---
   /// One poll round: flushes writable queues, waits up to `wait` for socket
-  /// events (0 = non-blocking), services reads/accepts/connects and due
-  /// reconnects. Returns true if any frame or connection event happened.
-  bool pump_io(std::chrono::steady_clock::duration wait);
+  /// events (0 = non-blocking; the wait is kept to the nanosecond),
+  /// services reads/accepts/connects and due reconnects. Returns the clock
+  /// read at the end of the round.
+  std::chrono::steady_clock::time_point pump_io(std::chrono::steady_clock::duration wait);
   /// Pumps until `done()` or `deadline`; OLB_CHECK-aborts on timeout with
   /// `what` in the message.
   void pump_until(const std::function<bool()>& done,

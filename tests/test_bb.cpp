@@ -267,8 +267,7 @@ TEST(Bounds, MatchesTheReSumAndJohnsonReference) {
 // set_remaining for the other jobs.
 std::vector<std::uint32_t> direct_row(const FlowshopInstance& inst,
                                        std::span<const int> prefix) {
-  const auto m = static_cast<std::size_t>(inst.machines());
-  std::vector<std::int64_t> completion(m, 0);
+  std::vector<std::int64_t> completion(static_cast<std::size_t>(inst.machines()), 0);
   std::uint32_t remaining = inst.jobs() == 32 ? ~std::uint32_t{0}
                                               : (std::uint32_t{1} << inst.jobs()) - 1;
   for (int j : prefix) {
@@ -276,51 +275,101 @@ std::vector<std::uint32_t> direct_row(const FlowshopInstance& inst,
     remaining &= ~(std::uint32_t{1} << j);
   }
   std::vector<std::uint32_t> row(prefix_row_words(inst.machines()));
-  for (std::size_t k = 0; k < m; ++k) row[k] = static_cast<std::uint32_t>(completion[k]);
+  set_completion(inst, completion, row.data());
   set_remaining(inst, remaining, row.data());
   return row;
 }
 
-TEST(Bounds, AppendJobReturnsTheRowBound) {
-  // Along random permutations, every child of every prefix: append_job's
-  // child row is the row built directly, and its return value is the
-  // child's one-machine bound, or for a leaf (empty masks, so the zero pad
-  // of ranked_tails) the makespan.
+// Calls visit(inst, parent, job, prefix) for every child of every prefix
+// along one random permutation of each of 150 random instances (1-32 jobs x
+// 1-20 machines, so rows of one to three 8-lane blocks) and of the full
+// 20x20 Ta21: `parent` is the prefix's row built directly, `prefix` the
+// child's jobs. A 32-job permutation ends with job 31, which is the last
+// rank on the last machine (every tail there is 0, so ranks follow job ids):
+// the child that leaves job 31 alone has bit 31 alone in a mask.
+template <class Visit>
+void for_each_child(Visit visit) {
   Xoshiro256 rng(4242);
   std::vector<FlowshopInstance> instances;
-  for (int trial = 0; trial < 120; ++trial) {
-    const int n = 1 + static_cast<int>(rng.below(20));
-    const int m = 1 + static_cast<int>(rng.below(8));
+  for (int trial = 0; trial < 150; ++trial) {
+    const int n = trial % 10 == 0 ? 32 : 1 + static_cast<int>(rng.below(32));
+    const int m = 1 + static_cast<int>(rng.below(20));
     instances.push_back(random_instance(n, m, 7000 + static_cast<std::uint64_t>(trial)));
   }
   instances.push_back(FlowshopInstance::ta20x20_scaled(0, 20, 20));
-  int leaves = 0;
   for (const auto& inst : instances) {
     const int n = inst.jobs();
-    const int m = inst.machines();
     std::vector<int> perm(static_cast<std::size_t>(n));
     std::iota(perm.begin(), perm.end(), 0);
     for (std::size_t i = perm.size(); i > 1; --i) std::swap(perm[i - 1], perm[rng.below(i)]);
-    std::vector<std::uint32_t> child(prefix_row_words(m));
+    if (n == 32) std::swap(*std::find(perm.begin(), perm.end(), 31), perm.back());
     for (int d = 0; d < n; ++d) {
       std::vector<int> prefix(perm.begin(), perm.begin() + d);
       const auto parent = direct_row(inst, prefix);
       for (auto it = perm.begin() + d; it != perm.end(); ++it) {
         prefix.push_back(*it);
-        const std::int64_t bound = append_job(inst, parent.data(), *it, child.data());
-        ASSERT_EQ(child, direct_row(inst, prefix)) << inst.name() << " n " << n << " m " << m;
-        if (d + 1 == n) {
-          EXPECT_EQ(bound, inst.makespan(prefix)) << "n " << n << " m " << m;
-          ++leaves;
-        } else {
-          EXPECT_EQ(bound, row_bound(inst, child.data(), BoundKind::kOneMachine))
-              << inst.name() << " n " << n << " m " << m << " depth " << d;
-        }
+        visit(inst, parent, *it, prefix);
         prefix.pop_back();
       }
     }
   }
-  EXPECT_EQ(leaves, static_cast<int>(instances.size()));
+}
+
+TEST(Bounds, AppendJobReturnsTheRowBound) {
+  // append_job's child row is the row built directly, pad lanes included,
+  // and its return value is the child's one-machine bound, or for a leaf
+  // (empty masks, so the zero pad of ranked_tails) the makespan.
+  int leaves = 0;
+  int bit31_alone = 0;
+  std::vector<std::uint32_t> child;
+  for_each_child([&](const FlowshopInstance& inst, const std::vector<std::uint32_t>& parent,
+                     int job, const std::vector<int>& prefix) {
+    const int n = inst.jobs();
+    const int m = inst.machines();
+    child.assign(prefix_row_words(m), 0xdeadbeef);
+    const std::int64_t bound = append_job(inst, parent.data(), job, child.data());
+    ASSERT_EQ(child, direct_row(inst, prefix)) << inst.name() << " n " << n << " m " << m;
+    if (static_cast<int>(prefix.size()) == n) {
+      EXPECT_EQ(bound, inst.makespan(prefix)) << "n " << n << " m " << m;
+      ++leaves;
+    } else {
+      EXPECT_EQ(bound, row_bound(inst, child.data(), BoundKind::kOneMachine))
+          << inst.name() << " n " << n << " m " << m << " depth " << prefix.size();
+    }
+    for (int k = 0; k < m; ++k) {
+      if (child[2 * inst.lanes() + static_cast<std::size_t>(k)] == std::uint32_t{1} << 31) {
+        ++bit31_alone;
+      }
+    }
+  });
+  EXPECT_EQ(leaves, 151);
+  EXPECT_GT(bit31_alone, 0);
+}
+
+TEST(Bounds, AppendJobAvx2EqualsTheScalarPass) {
+  // The AVX2 pass writes the scalar pass's child row, pad lanes included,
+  // and returns its bound, on every child of the instances above.
+#if defined(__x86_64__)
+  if (native_child_pass() != ChildPass::kAvx2) GTEST_SKIP() << "this CPU has no AVX2";
+  std::vector<std::uint32_t> want;
+  std::vector<std::uint32_t> got;
+  int children = 0;
+  for_each_child([&](const FlowshopInstance& inst, const std::vector<std::uint32_t>& parent,
+                     int job, const std::vector<int>& prefix) {
+    want.assign(prefix_row_words(inst.machines()), 0xdeadbeef);
+    got.assign(want.size(), 0xdeadbeef);
+    const std::int64_t want_bound = append_job(inst, parent.data(), job, want.data());
+    const std::int64_t got_bound = append_job_avx2(inst, parent.data(), job, got.data());
+    ASSERT_EQ(got, want) << inst.name() << " n " << inst.jobs() << " m " << inst.machines()
+                         << " depth " << prefix.size();
+    ASSERT_EQ(got_bound, want_bound) << inst.name() << " n " << inst.jobs() << " m "
+                                     << inst.machines() << " depth " << prefix.size();
+    ++children;
+  });
+  EXPECT_GT(children, 0);
+#else
+  GTEST_SKIP() << "the AVX2 pass is x86-64 only";
+#endif
 }
 
 TEST(Bounds, JohnsonCmaxMatchesBruteForceOnTwoMachines) {
@@ -495,10 +544,10 @@ class ReferenceDfs {
   std::vector<int> path_;
 };
 
-TEST(IntervalExplorer, MatchesFromScratchReference) {
-  // Same nodes in the same order: every run() call of the explorer reports
-  // the reference's node count, position and incumbent, across random
-  // intervals, budgets and one steal part-way through.
+// Same nodes in the same order: every run() call of the explorer on `pass`
+// reports the reference's node count, position and incumbent, across random
+// intervals, budgets and one steal part-way through.
+void expect_matches_reference(ChildPass pass) {
   Xoshiro256 rng(777);
   for (int trial = 0; trial < 48; ++trial) {
     const int n = 4 + static_cast<int>(rng.below(6));
@@ -534,7 +583,7 @@ TEST(IntervalExplorer, MatchesFromScratchReference) {
         reference.shrink_end(new_end);
       }
       const std::uint64_t budget = 1 + rng.below(200);
-      const auto got = explorer.run(budget, got_ub, &got_best);
+      const auto got = explorer.run(budget, got_ub, &got_best, pass);
       const auto want = reference.run(budget, want_ub, &want_best);
       ASSERT_EQ(got.nodes, want.nodes) << "trial " << trial << " call " << call;
       ASSERT_EQ(got.improved, want.improved) << "trial " << trial << " call " << call;
@@ -547,21 +596,47 @@ TEST(IntervalExplorer, MatchesFromScratchReference) {
   }
 }
 
-TEST(IntervalExplorer, PinnedNodeCountsOnScaledTaillard) {
-  // Counts of the from-scratch bound. Ta21s 13x8 from UB 1224 is the proof
-  // every perfbench sockets_bb_4 solve makes at least once.
+TEST(IntervalExplorer, MatchesFromScratchReference) {
+  expect_matches_reference(ChildPass::kScalar);
+}
+
+TEST(IntervalExplorer, Avx2PassMatchesFromScratchReference) {
+  if (native_child_pass() != ChildPass::kAvx2) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_matches_reference(ChildPass::kAvx2);
+}
+
+// solve_sequential on `pass`: the optimum and the nodes explored.
+std::pair<std::int64_t, std::uint64_t> solve_on(ChildPass pass, const FlowshopInstance& inst,
+                                                BoundKind kind,
+                                                std::int64_t ub = std::numeric_limits<std::int64_t>::max()) {
+  IntervalExplorer explorer(std::make_shared<const FlowshopInstance>(inst), 0,
+                            factorial(inst.jobs()), kind);
+  std::uint64_t nodes = 0;
+  while (!explorer.done()) nodes += explorer.run(1 << 20, ub, nullptr, pass).nodes;
+  return {ub, nodes};
+}
+
+// Counts of the from-scratch bound. Ta21s 13x8 from UB 1224 is the proof
+// every perfbench sockets_bb_4 solve makes at least once.
+void expect_pinned_node_counts(ChildPass pass) {
   const auto ta21 = FlowshopInstance::ta20x20_scaled(0, 13, 8);
-  const auto proof = solve_sequential(ta21, BoundKind::kOneMachine, 1224);
-  EXPECT_EQ(proof.nodes, 10751905u);
-  EXPECT_EQ(proof.optimum, 1224);
+  EXPECT_EQ(solve_on(pass, ta21, BoundKind::kOneMachine, 1224),
+            std::make_pair(std::int64_t{1224}, std::uint64_t{10751905}));
 
   const auto ta24 = FlowshopInstance::ta20x20_scaled(3, 11, 7);
-  const auto one = solve_sequential(ta24, BoundKind::kOneMachine);
-  EXPECT_EQ(one.nodes, 461815u);
-  EXPECT_EQ(one.optimum, 933);
-  const auto two = solve_sequential(ta24, BoundKind::kTwoMachine);
-  EXPECT_EQ(two.nodes, 362979u);
-  EXPECT_EQ(two.optimum, 933);
+  EXPECT_EQ(solve_on(pass, ta24, BoundKind::kOneMachine),
+            std::make_pair(std::int64_t{933}, std::uint64_t{461815}));
+  EXPECT_EQ(solve_on(pass, ta24, BoundKind::kTwoMachine),
+            std::make_pair(std::int64_t{933}, std::uint64_t{362979}));
+}
+
+TEST(IntervalExplorer, PinnedNodeCountsOnScaledTaillard) {
+  expect_pinned_node_counts(ChildPass::kScalar);
+}
+
+TEST(IntervalExplorer, Avx2PassPinnedNodeCountsOnScaledTaillard) {
+  if (native_child_pass() != ChildPass::kAvx2) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_pinned_node_counts(ChildPass::kAvx2);
 }
 
 // -------------------------------------------------------------- work adapter ---

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "lb/driver.hpp"
 #include "lb/messages.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/socket_net.hpp"
 #include "runtime/wire.hpp"
 #include "trace/export.hpp"
 #include "uts/uts_work.hpp"
@@ -330,6 +332,54 @@ TEST(SocketNet, RogueConnectionKilledMidFrameDoesNotDisturbTheCluster) {
     EXPECT_TRUE(m.ok);
     EXPECT_EQ(m.total_units, seq.units);
   }
+}
+
+/// Arms a 200 µs timer, and again from each firing, `fires` times in all.
+class TimerChain final : public sim::Actor {
+ public:
+  static constexpr sim::Time kDelay = sim::microseconds(200);
+
+  explicit TimerChain(int fires) : left_(fires) {}
+  int left() const { return left_; }
+  const std::vector<sim::Time>& fired_at() const { return fired_at_; }
+
+ private:
+  void on_start() override { set_timer(kDelay, 0); }
+  void on_message(sim::Message m) override { (void)m; }
+  void on_timer(std::int64_t tag) override {
+    (void)tag;
+    fired_at_.push_back(now());
+    if (--left_ > 0) set_timer(kDelay, 0);
+  }
+
+  int left_;
+  std::vector<sim::Time> fired_at_;
+};
+
+TEST(SocketNet, IdleRankWaitsForTimersBelowAMillisecond) {
+  // A lone idle rank blocks in epoll until its next timer; the wait must
+  // keep its sub-millisecond length, not round up to a whole millisecond.
+  runtime::SocketNet::Options options;
+  options.rank = 0;
+  options.peers = loopback_address_table(1);
+  runtime::SocketNet net(options, nullptr);
+  auto owned = std::make_unique<TimerChain>(21);
+  const TimerChain& chain = *owned;
+  net.set_actor(std::move(owned));
+  net.start();
+  const auto result = net.run(
+      [](const sim::Actor& a) { return static_cast<const TimerChain&>(a).left() == 0; },
+      sim::seconds(30.0));
+  ASSERT_TRUE(result.completed);
+  std::vector<sim::Time> gaps;
+  for (std::size_t i = 1; i < chain.fired_at().size(); ++i) {
+    gaps.push_back(chain.fired_at()[i] - chain.fired_at()[i - 1]);
+  }
+  ASSERT_EQ(gaps.size(), 20u);
+  std::sort(gaps.begin(), gaps.end());
+  EXPECT_GE(gaps.front(), TimerChain::kDelay);
+  EXPECT_LT(gaps[gaps.size() / 2], sim::microseconds(600))
+      << "median gap between 200 us timers";
 }
 
 }  // namespace
