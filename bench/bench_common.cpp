@@ -59,7 +59,7 @@ Flags& define_run_flags(Flags& flags, const RunFlagSpec& spec) {
     flags
         .define("backend", "sim",
                 "execution backend (sim|threads|sockets); real-time "
-                "backends cover overlay strategies only")
+                "backends run fault-free, homogeneous configs")
         .define("rank", "-1", "socket backend: this process's rank")
         .define("peer-addrs", "",
                 "socket backend: comma-separated host:port listen address "
@@ -305,25 +305,14 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax) {
 
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what) {
+  // A table must not mix simulated and wall seconds, so a config the
+  // backend declines is an error, not a quiet simulator run.
   const std::string why = runtime::unsupported_reason(config.backend, config);
   if (!why.empty()) {
-    // Only the real-time backends can decline a config (the simulator
-    // accepts everything). Fall back to the simulator with a one-time note
-    // so sweeps mixing overlay and non-overlay strategies keep working —
-    // and, on the socket backend, so every rank of a uniform multi-process
-    // launch makes the identical fallback decision in lockstep.
-    static bool noted = false;
-    if (!noted) {
-      noted = true;
-      std::fprintf(stderr,
-                   "# note: --backend=%s cannot run %s (%s): %s; using the "
-                   "simulator\n",
-                   lb::backend_name(config.backend), what,
-                   lb::strategy_name(config.strategy), why.c_str());
-    }
-    lb::RunConfig sim_config = config;
-    sim_config.backend = lb::Backend::kSim;
-    return run_checked(workload, sim_config, what);
+    std::fprintf(stderr, "FATAL: --backend=%s cannot run %s (%s): %s\n",
+                 lb::backend_name(config.backend), what,
+                 lb::strategy_name(config.strategy), why.c_str());
+    std::abort();
   }
   const lb::RunMetrics metrics = runtime::run(workload, config);
   if (!metrics.ok) {

@@ -137,10 +137,9 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax = 1
 
 /// Runs and aborts loudly if the protocol failed to complete — a bench must
 /// never silently report a broken run. Dispatches through runtime::run on
-/// config.backend; when runtime::unsupported_reason says the backend cannot
-/// run the config, it falls back to the simulator with a one-time stderr
-/// note naming the reason. Real-time exec time = wall time to the root's
-/// termination; sim-only metrics stay zero.
+/// config.backend, and aborts with runtime::unsupported_reason's text when
+/// the backend cannot run the config. Real-time exec time = wall time to
+/// the declaring peer's termination; sim-only metrics stay zero.
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what);
 

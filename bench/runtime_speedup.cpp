@@ -1,10 +1,10 @@
-// Shared-memory backend benchmark: the overlay protocol on real threads
-// (runtime::run_threads) vs a raw work-stealing pool (steal::WorkStealingPool,
-// the shared-memory analogue of the paper's RWS baseline) on one UTS tree,
-// at 1..hardware_concurrency threads.
+// Shared-memory backend benchmark: an overlay protocol against the paper's
+// random work stealing (RWS), both on the thread backend
+// (runtime::run_threads), on one UTS tree at 1..hardware_concurrency
+// threads.
 //
-// Every run's node count is checked against the sequential traversal — the
-// overlay on threads must explore exactly the tree, not approximately. The
+// Every run's node count is checked against the sequential traversal — a
+// run on threads must explore exactly the tree, not approximately. The
 // default tree (BIN, b0 2000, q 0.499995, root seed 4) has 247 297 411
 // nodes: 2-3 s on one thread, so a 4-thread run lasts long enough that its
 // speedup does not follow the host's momentary load.
@@ -14,7 +14,6 @@
 //
 //   runtime_speedup --threads 1,2,4 --trials 5
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -24,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "runtime/runtime.hpp"
-#include "steal/work_stealing_pool.hpp"
 #include "support/meminfo.hpp"
 
 using namespace olb;
@@ -49,42 +47,19 @@ std::uint64_t sequential_nodes(lb::Workload& workload, double* wall_out) {
   return nodes;
 }
 
-/// Raw work-stealing traversal: tasks step bounded chunks and feed the pool
-/// by splitting half of their frontier off into a child task while it is
-/// large enough to be worth sharing.
-struct PoolTraversal {
-  std::atomic<std::uint64_t>* nodes;
-  std::uint64_t chunk;
-
-  void run(steal::WorkStealingPool& pool, const std::shared_ptr<lb::Work>& w) const {
-    while (!w->empty()) {
-      if (w->amount() >= 16.0) {
-        if (auto half = w->split(0.5)) {
-          // shared_ptr only because TaskFn must be copyable; each piece
-          // still has exactly one owner task.
-          std::shared_ptr<lb::Work> piece(std::move(half));
-          const PoolTraversal self = *this;
-          pool.spawn([self, piece](steal::WorkStealingPool& p) { self.run(p, piece); });
-        }
-      }
-      nodes->fetch_add(w->step(chunk).units_done, std::memory_order_relaxed);
-    }
-  }
-};
-
-std::uint64_t pool_nodes(lb::Workload& workload, unsigned threads,
-                         std::uint64_t chunk, double* wall_out) {
-  std::shared_ptr<lb::Work> root(workload.make_root_work());
-  std::atomic<std::uint64_t> nodes{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    steal::WorkStealingPool pool(threads);
-    const PoolTraversal traversal{&nodes, chunk};
-    pool.spawn([&traversal, root](steal::WorkStealingPool& p) { traversal.run(p, root); });
-    pool.wait_idle();
-  }
-  *wall_out = wall_since(t0);
-  return nodes.load();
+/// One thread-backend run of `strategy`; its node count must be the
+/// sequential traversal's exactly.
+runtime::ThreadRunMetrics run_on_threads(lb::Strategy strategy, unsigned threads,
+                                         std::uint64_t seed, std::uint64_t chunk,
+                                         lb::Workload& workload,
+                                         std::uint64_t seq_count) {
+  auto config = uts_config(strategy, static_cast<int>(threads), seed);
+  config.chunk_units = chunk;
+  config.limits.time_limit = sim::seconds(300.0);  // wall watchdog
+  const auto m = runtime::run_threads(workload, config);
+  OLB_CHECK_MSG(m.ok, "threads run did not terminate cleanly");
+  OLB_CHECK_MSG(m.total_units == seq_count, "threads run lost or duplicated nodes");
+  return m;
 }
 
 double median(const std::vector<double>& xs) { return SortedSample(xs).median(); }
@@ -141,7 +116,7 @@ int main(int argc, char** argv) {
     thread_counts.push_back(hw);
   }
 
-  print_preamble("runtime_speedup: overlay-on-threads vs raw work stealing",
+  print_preamble("runtime_speedup: overlay vs random work stealing on threads",
                  "Real threads, real UTS work; wall-clock seconds.");
   std::printf("# hardware_concurrency=%u strategy=%s trials=%d\n\n", hw,
               lb::strategy_name(strategy), trials);
@@ -157,48 +132,44 @@ int main(int argc, char** argv) {
   std::printf("sequential: %llu nodes in %.3fs\n\n",
               static_cast<unsigned long long>(seq_count), seq_wall);
 
-  Table table({"threads", "overlay_done_s", "overlay_wall_s", "pool_wall_s",
-               "overlay_speedup", "pool_speedup"});
+  Table table({"threads", "overlay_done_s", "overlay_wall_s", "rws_done_s",
+               "rws_wall_s", "overlay_speedup", "rws_speedup"});
   struct Row {
     unsigned threads;
-    double overlay_done, overlay_wall, pool_wall;  ///< medians over the trials
-    std::vector<double> overlay_done_trials, overlay_wall_trials, pool_wall_trials;
+    /// Medians over the trials.
+    double overlay_done, overlay_wall, rws_done, rws_wall;
+    std::vector<double> overlay_done_trials, overlay_wall_trials, rws_done_trials,
+        rws_wall_trials;
   };
   std::vector<Row> rows;
-  double overlay_base = 0.0, pool_base = 0.0;
+  double overlay_base = 0.0, rws_base = 0.0;
+  const auto chunk = static_cast<std::uint64_t>(flags.get_int("chunk"));
   for (unsigned t : thread_counts) {
-    std::vector<double> overlay_done, overlay_wall, pool_wall;
+    std::vector<double> overlay_done, overlay_wall, rws_done, rws_wall;
     for (int trial = 0; trial < trials; ++trial) {
+      const std::uint64_t seed = rf.seed + static_cast<std::uint64_t>(trial);
       auto w = make_workload();
-      auto config = uts_config(strategy, static_cast<int>(t),
-                               rf.seed + static_cast<std::uint64_t>(trial));
-      config.chunk_units = static_cast<std::uint64_t>(flags.get_int("chunk"));
-      config.limits.time_limit = sim::seconds(300.0);  // wall watchdog
-      const auto m = runtime::run_threads(*w, config);
-      OLB_CHECK_MSG(m.ok, "overlay threads run did not terminate cleanly");
-      OLB_CHECK_MSG(m.total_units == seq_count,
-                    "overlay threads run lost or duplicated nodes");
+      const auto m = run_on_threads(strategy, t, seed, chunk, *w, seq_count);
       overlay_done.push_back(m.done_seconds);
       overlay_wall.push_back(m.wall_seconds);
 
       auto w2 = make_workload();
-      double pw = 0.0;
-      const std::uint64_t pool_count = pool_nodes(*w2, t, 4096, &pw);
-      OLB_CHECK_MSG(pool_count == seq_count, "pool traversal lost nodes");
-      pool_wall.push_back(pw);
+      const auto r = run_on_threads(lb::Strategy::kRWS, t, seed, chunk, *w2, seq_count);
+      rws_done.push_back(r.done_seconds);
+      rws_wall.push_back(r.wall_seconds);
     }
-    Row row{t, median(overlay_done), median(overlay_wall), median(pool_wall),
-            overlay_done, overlay_wall, pool_wall};
+    Row row{t, median(overlay_done), median(overlay_wall), median(rws_done),
+            median(rws_wall), overlay_done, overlay_wall, rws_done, rws_wall};
     if (rows.empty()) {
       overlay_base = row.overlay_done;
-      pool_base = row.pool_wall;
+      rws_base = row.rws_done;
     }
     rows.push_back(row);
     table.add_row({Table::cell(static_cast<std::int64_t>(t)),
                    Table::cell(row.overlay_done, 4), Table::cell(row.overlay_wall, 4),
-                   Table::cell(row.pool_wall, 4),
+                   Table::cell(row.rws_done, 4), Table::cell(row.rws_wall, 4),
                    Table::cell(overlay_base / row.overlay_done, 2),
-                   Table::cell(pool_base / row.pool_wall, 2)});
+                   Table::cell(rws_base / row.rws_done, 2)});
   }
   table.print(std::cout);
 
@@ -237,12 +208,14 @@ int main(int argc, char** argv) {
       out << "    {\"threads\": " << r.threads
           << ", \"overlay_done_s\": " << r.overlay_done
           << ", \"overlay_wall_s\": " << r.overlay_wall
-          << ", \"pool_wall_s\": " << r.pool_wall
+          << ", \"rws_done_s\": " << r.rws_done
+          << ", \"rws_wall_s\": " << r.rws_wall
           << ", \"overlay_speedup\": " << overlay_base / r.overlay_done
-          << ", \"pool_speedup\": " << pool_base / r.pool_wall
+          << ", \"rws_speedup\": " << rws_base / r.rws_done
           << ",\n     \"trials_overlay_done_s\": " << list(r.overlay_done_trials)
           << ",\n     \"trials_overlay_wall_s\": " << list(r.overlay_wall_trials)
-          << ",\n     \"trials_pool_wall_s\": " << list(r.pool_wall_trials) << "}"
+          << ",\n     \"trials_rws_done_s\": " << list(r.rws_done_trials)
+          << ",\n     \"trials_rws_wall_s\": " << list(r.rws_wall_trials) << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -2,8 +2,8 @@
 // config.backend with the invariant oracles (oracles.hpp) attached to the
 // trace stream, adds end-of-run checks that need the sequential reference
 // (exact node counts, B&B optimum, transfer-counter balance, per-peer final
-// state), and — for overlay strategies — cross-checks the simulator backend
-// against the threads backend on the same configuration.
+// state), and — for fault-free configurations — cross-checks the simulator
+// backend against the threads backend on the same configuration.
 //
 // This is the programmatic layer under tools/olb_fuzz and tests/test_check:
 // on the simulator everything here is deterministic given the config

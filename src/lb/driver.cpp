@@ -263,19 +263,14 @@ FtTiming ft_timing(const RunConfig& config) {
   return t;
 }
 
-struct BuiltCluster {
-  std::vector<PeerBase*> peers;          ///< all PeerBase-derived actors
-  MwMaster* mw_master = nullptr;         ///< set for Strategy::kMW
-  OverlayPeer* overlay_root = nullptr;   ///< set for overlay strategies
-  RwsPeer* rws_initiator = nullptr;      ///< set for Strategy::kRWS
-  AhmwPeer* ahmw_root = nullptr;         ///< set for Strategy::kAHMW
-};
+}  // namespace
 
-BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
-                           const RunConfig& config) {
-  BuiltCluster built;
+std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
+                                                     const RunConfig& config) {
+  std::vector<std::unique_ptr<PeerBase>> peers;
   const int n = config.num_peers;
   OLB_CHECK(n >= 1);
+  peers.reserve(static_cast<std::size_t>(n));
   PeerConfig peer_config{config.chunk_units, config.diffuse_bounds,
                          config.min_split_amount};
 
@@ -297,6 +292,11 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
     return std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(speeds[static_cast<std::size_t>(i)] * 100.0));
   };
+  // Appends the next peer with its speed, while it is still in cache.
+  auto add = [&](std::unique_ptr<PeerBase> peer) {
+    peer->set_speed(speeds[peers.size()]);
+    peers.push_back(std::move(peer));
+  };
 
   switch (config.strategy) {
     case Strategy::kOverlayTD:
@@ -306,11 +306,8 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
           std::make_shared<const overlay::TreeOverlay>(make_overlay_tree(config));
       auto oc = std::make_shared<const OverlayConfig>(make_overlay_config(config));
       for (int i = 0; i < n; ++i) {
-        auto peer = std::make_unique<OverlayPeer>(
-            tree, oc, i == 0 ? workload.make_root_work() : nullptr, weight_of(i));
-        if (i == 0) built.overlay_root = peer.get();
-        built.peers.push_back(peer.get());
-        engine.add_actor(std::move(peer));
+        add(std::make_unique<OverlayPeer>(
+            tree, oc, i == 0 ? workload.make_root_work() : nullptr, weight_of(i)));
       }
       break;
     }
@@ -323,11 +320,8 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       // The paper pushes the application to a random node for RWS.
       const int initiator = rws_initiator(config.seed, n);
       for (int i = 0; i < n; ++i) {
-        auto peer = std::make_unique<RwsPeer>(
-            rc, i == initiator ? workload.make_root_work() : nullptr);
-        if (i == initiator) built.rws_initiator = peer.get();
-        built.peers.push_back(peer.get());
-        engine.add_actor(std::move(peer));
+        add(std::make_unique<RwsPeer>(
+            rc, i == initiator ? workload.make_root_work() : nullptr));
       }
       break;
     }
@@ -340,14 +334,8 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       mc.checkpoint_period = config.mw_checkpoint_period;
       mc.fault_tolerant = ft;
       mc.request_timeout = timing.request_timeout;
-      auto master = std::make_unique<MwMaster>(mc, factory);
-      built.mw_master = master.get();
-      engine.add_actor(std::move(master));
-      for (int i = 1; i < n; ++i) {
-        auto worker = std::make_unique<MwWorker>(mc);
-        built.peers.push_back(worker.get());
-        engine.add_actor(std::move(worker));
-      }
+      add(std::make_unique<MwMaster>(mc, factory));
+      for (int i = 1; i < n; ++i) add(std::make_unique<MwWorker>(mc));
       break;
     }
     case Strategy::kAHMW: {
@@ -363,20 +351,40 @@ BuiltCluster build_cluster(sim::ShardedEngine& engine, Workload& workload,
       ac.request_timeout = timing.request_timeout;
       ac.lease_interval = timing.lease_interval;
       for (int i = 0; i < n; ++i) {
-        auto peer = std::make_unique<AhmwPeer>(
-            tree, ac, i == 0 ? workload.make_root_work() : nullptr);
-        if (i == 0) built.ahmw_root = peer.get();
-        built.peers.push_back(peer.get());
-        engine.add_actor(std::move(peer));
+        add(std::make_unique<AhmwPeer>(
+            tree, ac, i == 0 ? workload.make_root_work() : nullptr));
       }
       break;
     }
   }
-  for (int i = 0; i < engine.num_actors(); ++i) {
-    engine.actor(i).set_speed(speeds[static_cast<std::size_t>(i)]);
-  }
-  return built;
+  return peers;
 }
+
+RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report) {
+  RunMetrics metrics;
+  metrics.final_state.reserve(static_cast<std::size_t>(n));
+  sim::Time done_time = -1;
+  bool all_done = true;
+  for (int i = 0; i < n; ++i) {
+    const PeerReport r = report(i);
+    metrics.total_units += r.tap.units_done;
+    metrics.best_bound = std::min(metrics.best_bound, r.best_bound);
+    metrics.retries += r.retries;
+    if (r.done_time >= 0) {
+      OLB_CHECK_MSG(done_time < 0, "two peers declared termination");
+      done_time = r.done_time;
+    }
+    // A crashed peer neither finishes its work nor hears kTerminate; the
+    // work it held is accounted in work_lost_units instead.
+    if (!r.tap.crashed && (r.tap.holds_work || !r.tap.terminated)) all_done = false;
+    metrics.final_state.push_back(r.tap);
+  }
+  metrics.exec_seconds = sim::to_seconds(std::max<sim::Time>(done_time, 0));
+  metrics.ok = all_done && done_time >= 0;
+  return metrics;
+}
+
+namespace {
 
 /// The shard count a run uses: config.sim_shards, at least 1, capped to one
 /// shard when a feature needs one global event order (or per-link state
@@ -454,7 +462,9 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
                             effective_sim_shards(config));
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
-  BuiltCluster built = build_cluster(engine, workload, config);
+  for (std::unique_ptr<PeerBase>& peer : build_cluster(workload, config)) {
+    engine.add_actor(std::move(peer));
+  }
   if (config.faults.enabled()) engine.set_faults(config.faults);
   engine.set_perturbation(config.perturb);
   if (config.plant.kind == PlantedBug::Kind::kLostWork) {
@@ -463,14 +473,15 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
 
   const auto result = engine.run(config.limits.time_limit, config.limits.event_limit);
 
-  RunMetrics metrics;
+  RunMetrics metrics = fold_reports(engine.num_actors(), [&](int i) {
+    return static_cast<const PeerBase&>(engine.actor(i)).report();
+  });
+  metrics.ok = metrics.ok && result.quiesced;
+  metrics.last_compute_seconds = sim::to_seconds(engine.last_compute_done());
   metrics.events = result.events;
   metrics.total_messages = engine.total_messages();
-  metrics.work_requests = engine.total_sent_of_type(kReqDown) +
-                          engine.total_sent_of_type(kReqUp) +
-                          engine.total_sent_of_type(kReqBridge) +
-                          engine.total_sent_of_type(kSteal) +
-                          engine.total_sent_of_type(kMWRequest);
+  metrics.work_requests =
+      work_requests([&](int type) { return engine.total_sent_of_type(type); });
   metrics.work_transfers = engine.total_sent_of_type(kWork);
   metrics.sent_by_type.resize(kNumMsgTypes);
   for (int t = 0; t < kNumMsgTypes; ++t) {
@@ -482,43 +493,6 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
         (static_cast<double>(config.num_peers) *
          static_cast<double>(sim::Engine::kBusyBucket)));
   }
-
-  sim::Time last_compute = 0;
-  bool all_done = true;
-  for (PeerBase* peer : built.peers) {
-    metrics.total_units += peer->units_done();
-    metrics.best_bound = std::min(metrics.best_bound, peer->best_bound());
-    last_compute = std::max(last_compute, peer->last_active());
-    metrics.retries += peer->retries();
-    // A crashed peer neither finishes its work nor hears kTerminate; the
-    // work it held is accounted in work_lost_units instead.
-    if (engine.peer_crashed(peer->id())) continue;
-    if (peer->holds_work() || !peer->saw_terminate()) all_done = false;
-  }
-  metrics.last_compute_seconds = sim::to_seconds(last_compute);
-
-  sim::Time done_time = -1;
-  switch (config.strategy) {
-    case Strategy::kOverlayTD:
-    case Strategy::kOverlayTR:
-    case Strategy::kOverlayBTD:
-      done_time = built.overlay_root->done_time();
-      break;
-    case Strategy::kRWS:
-      done_time = built.rws_initiator->done_time();
-      break;
-    case Strategy::kMW:
-      done_time = built.mw_master->done_time();
-      metrics.best_bound = std::min(metrics.best_bound, built.mw_master->best_bound());
-      if (!built.mw_master->protocol_terminated()) all_done = false;
-      break;
-    case Strategy::kAHMW:
-      done_time = built.ahmw_root->done_time();
-      break;
-  }
-  metrics.exec_seconds = sim::to_seconds(std::max<sim::Time>(done_time, 0));
-  metrics.ok = result.quiesced && all_done && done_time >= 0;
-
   for (int i = 0; i < engine.num_actors(); ++i) {
     metrics.msgs_per_peer.push_back(engine.stats(i).msgs_sent);
   }
@@ -532,21 +506,7 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
   metrics.latency_spikes = engine.latency_spikes();
   metrics.work_bounced = engine.work_bounced();
   metrics.work_lost_units = engine.work_lost_units();
-  for (int i = 0; i < engine.num_actors(); ++i) {
-    if (engine.peer_crashed(i)) ++metrics.peers_crashed;
-  }
-
-  // Per-peer state taps for the conformance oracles, in peer-id order (the
-  // MW master is engine actor 0 and not in built.peers).
-  if (built.mw_master != nullptr) {
-    metrics.final_state.push_back(built.mw_master->state_tap());
-  }
-  for (PeerBase* peer : built.peers) {
-    metrics.final_state.push_back(peer->state_tap());
-  }
-  for (StateTap& tap : metrics.final_state) {
-    tap.crashed = engine.peer_crashed(tap.peer);
-  }
+  metrics.peers_crashed = static_cast<std::uint64_t>(engine.crashes_applied());
 
   if (config.tracer != nullptr) {
     const auto events = config.tracer->snapshot();

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,8 +31,7 @@ enum class Strategy {
 
 const char* strategy_name(Strategy s);
 
-/// True for the overlay family (TD/TR/BTD) — the strategies the thread
-/// backend (runtime::run_threads) can execute.
+/// True for the overlay family (TD/TR/BTD).
 bool strategy_is_overlay(Strategy s);
 
 /// Execution backend for a run. kSim is the discrete-event simulator
@@ -242,7 +243,7 @@ struct RunMetrics {
   double last_compute_seconds = 0.0;
   std::uint64_t total_units = 0;
   std::uint64_t total_messages = 0;
-  std::uint64_t work_requests = 0;   ///< steal/request messages injected
+  std::uint64_t work_requests = 0;   ///< lb::work_requests of the sends
   std::uint64_t work_transfers = 0;  ///< kWork messages
   std::vector<std::uint64_t> msgs_per_peer;  ///< sent, indexed by peer id
   std::vector<std::uint64_t> sent_by_type;   ///< indexed by lb::MsgType
@@ -291,6 +292,23 @@ struct RunMetrics {
     return seq_seconds / (static_cast<double>(num_peers) * exec_seconds);
   }
 };
+
+/// Builds the cluster `config` describes: one peer per id, in id order (the
+/// MW master is peer 0), with `workload`'s root work at the peer the
+/// strategy starts from. Every backend runs these same actors: the
+/// simulator and the thread backend add them all, a socket rank keeps its
+/// own.
+std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
+                                                     const RunConfig& config);
+
+/// Folds a run's peer reports (`report(i)` for peer i in [0, n), e.g.
+/// PeerBase::report) into its metrics, the same on every backend: units,
+/// best bound, retries, the state taps, exec_seconds from the declaring
+/// peer's done_time, and ok — one peer declared termination and every live
+/// peer terminated holding no work. The backend adds what only it counts
+/// (messages, events, ...). Reports are taken one at a time, so a 10^6-peer
+/// run never holds them all.
+RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report);
 
 /// Runs the workload under the given configuration. Aborts (OLB_CHECK) on
 /// protocol invariant violations; returns ok=false if a watchdog fired.

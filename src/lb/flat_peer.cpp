@@ -107,6 +107,7 @@ void FlatPeer::maybe_detach() {
   if (parent >= 0) {
     send(parent, make_msg(kSignal));
   } else {
+    done_time_ = now();
     declare_termination();
   }
 }
@@ -127,13 +128,9 @@ void FlatPeer::on_poll_tick() {
 void FlatPeer::conclude_poll() {
   const CounterReading reading = poll_.reading(work_sent_, work_recv_, crash_epoch_);
   if (poll_rule_.settle(poll_.all_passive() && passive(), reading) == Settle::kStable) {
+    done_time_ = now();
     declare_termination();
   }
-}
-
-void FlatPeer::stop() {
-  terminated_ = true;
-  done_time_ = now();
 }
 
 void FlatPeer::on_peer_down(int peer) {

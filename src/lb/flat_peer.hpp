@@ -27,8 +27,6 @@ namespace olb::lb {
 
 class FlatPeer : public PeerBase {
  public:
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
   /// Number of crashed peers this peer has been notified about.
   int known_crashes() const { return crash_epoch_; }
 
@@ -77,9 +75,8 @@ class FlatPeer : public PeerBase {
   /// One lease tick of the initiator's poll (timer kTermPollTimer).
   void on_poll_tick();
 
-  /// Marks this peer terminated.
-  void stop();
-  /// Stops here and broadcasts kTerminate to the protocol's audience.
+  /// Stops here and broadcasts kTerminate to the protocol's audience. The
+  /// initiator stamps done_time_ before it calls this.
   virtual void declare_termination() = 0;
 
   void on_peer_down(int peer) override;
@@ -100,7 +97,6 @@ class FlatPeer : public PeerBase {
   sim::Time request_timeout_;
   sim::Time lease_interval_;
   DsTermination ds_;
-  sim::Time done_time_ = -1;
   int request_target_ = -1;
   int crash_epoch_ = 0;
   std::vector<char> peer_down_;

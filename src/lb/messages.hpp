@@ -111,6 +111,15 @@ inline const char* msg_type_name(int type) {
   }
 }
 
+/// The work requests among a run's sends — kReqDown + kReqUp + kReqBridge +
+/// kSteal + kMWRequest, RunMetrics::work_requests on every backend.
+/// `sent_of_type(type)` returns the sends of one type.
+template <typename SentOfType>
+std::uint64_t work_requests(const SentOfType& sent_of_type) {
+  return sent_of_type(kReqDown) + sent_of_type(kReqUp) + sent_of_type(kReqBridge) +
+         sent_of_type(kSteal) + sent_of_type(kMWRequest);
+}
+
 /// Timer tags, namespaced per subsystem (high byte = subsystem) so a timer
 /// added to a shared base class — e.g. a future periodic trace-flush in
 /// PeerBase — can never alias a protocol timer of a subclass.

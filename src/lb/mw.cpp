@@ -9,12 +9,14 @@ namespace olb::lb {
 // ---------------------------------------------------------------- master ---
 
 MwMaster::MwMaster(MwConfig config, IntervalWorkload* factory)
-    : config_(config), factory_(factory) {
+    : PeerBase(config.peer), config_(config), factory_(factory) {
   OLB_CHECK_MSG(factory_ != nullptr,
                 "MW requires an interval-encoded workload (B&B)");
 }
 
 void MwMaster::on_metrics(metrics::Registry& registry) {
+  // The Actor's funnel counters only: PeerBase's per-peer instruments track
+  // held work and compute spans, which the master never has.
   sim::Actor::on_metrics(registry);
   m_pool_ = registry.gauge("olb_mw_pool_unowned", id());
   m_parked_ = registry.gauge("olb_mw_parked_workers", id());
@@ -136,8 +138,8 @@ void MwMaster::maybe_terminate() {
   const int live_workers = num_peers() - 1 - crashed_workers_;
   if (static_cast<int>(parked_.size()) != live_workers) return;
   for (const Entry& e : pool_) OLB_CHECK(e.length() == 0);
-  terminated_ = true;
   done_time_ = now();
+  stop();
   for (int w = 1; w < num_peers(); ++w) {
     if (config_.fault_tolerant && worker_down_[w] != 0) continue;
     send(w, sim::Message(kTerminate, bound_));
@@ -312,7 +314,7 @@ void MwWorker::on_message(sim::Message m) {
       break;  // absorbed by note_bound above
     case kTerminate:
       OLB_CHECK_MSG(!holds_work(), "terminate reached a worker still holding work");
-      terminated_ = true;
+      stop();
       break;
     default:
       OLB_CHECK_MSG(false, "unexpected message type for MwWorker");

@@ -44,25 +44,19 @@ struct MwConfig {
   sim::Time request_timeout = sim::milliseconds(1);
 };
 
-/// The master: peer 0. Does not explore; owns the interval pool.
-class MwMaster final : public sim::Actor {
+/// The master: peer 0. Does not explore; owns the interval pool. It is a
+/// PeerBase for the harvest's sake (bound, termination, state tap) but
+/// never holds work or computes.
+class MwMaster final : public PeerBase {
  public:
   MwMaster(MwConfig config, IntervalWorkload* factory);
 
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
-  std::int64_t best_bound() const { return bound_; }
-
-  /// Conformance-harness snapshot (the master is not a PeerBase, so this is
-  /// a plain method, not an override). holds_work reports *unowned* pool
-  /// entries — reclaimed intervals no live worker is exploring. parked_ is
-  /// legitimately non-empty at termination (workers park, then the master
-  /// terminates them), so it is exposed but not an invariant.
-  StateTap state_tap() const {
-    StateTap t;
-    t.peer = id();
-    t.terminated = terminated_;
-    t.computing = computing();
+  /// holds_work reports *unowned* pool entries — reclaimed intervals no
+  /// live worker is exploring. parked_ is legitimately non-empty at
+  /// termination (workers park, then the master terminates them), so it is
+  /// exposed but not an invariant.
+  StateTap state_tap() const override {
+    StateTap t = PeerBase::state_tap();
     for (const Entry& e : pool_) {
       if (e.owner == -1 && e.length() > 0) {
         t.holds_work = true;
@@ -77,6 +71,7 @@ class MwMaster final : public sim::Actor {
   void on_start() override;
   void on_message(sim::Message m) override;
   void on_peer_down(int peer) override;
+  void became_idle() override {}  // never holds work
   /// Adds the master's pool gauges (unowned backlog, parked workers) on top
   /// of the funnel counters the Actor base arms.
   void on_metrics(metrics::Registry& registry) override;
@@ -102,9 +97,6 @@ class MwMaster final : public sim::Actor {
   std::vector<Entry> pool_;
   std::vector<int> parked_;  ///< workers waiting for work
   bool assigned_initial_ = false;
-  std::int64_t bound_ = kNoBound;
-  bool terminated_ = false;
-  sim::Time done_time_ = -1;
 
   // Live metrics (null unless a hub is attached; see on_metrics).
   metrics::Gauge* m_pool_ = nullptr;    ///< olb_mw_pool_unowned
@@ -121,8 +113,6 @@ class MwMaster final : public sim::Actor {
 class MwWorker final : public PeerBase {
  public:
   explicit MwWorker(MwConfig config) : PeerBase(config.peer), config_(config) {}
-
-  bool protocol_terminated() const { return terminated_; }
 
   StateTap state_tap() const override {
     StateTap t = PeerBase::state_tap();

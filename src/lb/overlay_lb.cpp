@@ -885,11 +885,7 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
       break;
     }
     case kTerminate:
-      if (!terminated_) {
-        terminated_ = true;
-        done_time_ = now();
-        emit_trace(trace::EventKind::kTerminated);
-      }
+      if (!terminated_) stop();
       break;
     case kJoinReq:
       send(parent_, std::move(m));  // pass strays towards the member side
@@ -935,11 +931,7 @@ void OverlayPeer::dormant_dispatch(sim::Message m) {
     case kTerminate:
       // The run ended before (or raced) our join: a kJoinReq reaching a
       // terminated member is answered with kTerminate addressed to us.
-      if (!terminated_) {
-        terminated_ = true;
-        done_time_ = now();
-        emit_trace(trace::EventKind::kTerminated);
-      }
+      if (!terminated_) stop();
       break;
     default:
       break;  // e.g. a bridge request sampled towards a non-member
@@ -1281,9 +1273,8 @@ void OverlayPeer::finish_probe_at_root() {
 
 void OverlayPeer::declare_termination() {
   OLB_CHECK(is_root());
-  terminated_ = true;
   done_time_ = now();
-  emit_trace(trace::EventKind::kTerminated);
+  stop();
   for (const Child& c : children_) send(c.id, make_msg(kTerminate));
   for (const PhantomChild& ph : phantoms()) send(ph.peer, make_msg(kTerminate));
   // The gate sits outside the tree; tell it directly so it can exit.
@@ -1293,9 +1284,7 @@ void OverlayPeer::declare_termination() {
 void OverlayPeer::on_terminate() {
   OLB_CHECK_MSG(!holds_work(), "terminate reached a peer still holding work");
   OLB_CHECK_MSG(!computing(), "terminate reached a peer still computing");
-  terminated_ = true;
-  done_time_ = now();
-  emit_trace(trace::EventKind::kTerminated);
+  stop();
   idle_ = false;
   pending_bridges_.clear();
   for (const Child& c : children_) send(c.id, make_msg(kTerminate));

@@ -216,8 +216,6 @@ class OverlayPeer final : public PeerBase {
               std::unique_ptr<Work> initial_work, std::uint64_t capacity_weight = 1);
 
   // --- post-run inspection ---
-  bool protocol_terminated() const { return terminated_; }
-  sim::Time done_time() const { return done_time_; }
   /// Membership events (joins accepted + leaves absorbed) witnessed here.
   std::uint64_t member_events() const {
     return churn_ != nullptr ? churn_->member_events : 0;
@@ -511,8 +509,6 @@ class OverlayPeer final : public PeerBase {
   // kProbe wave state (any node)
   WaveNode probe_;
   CounterReading probe_sum_;  ///< this subtree's reading of the current wave
-
-  sim::Time done_time_ = -1;
 
   // cold, mode-specific state (null unless the mode is on / on the root)
   std::unique_ptr<Churn> churn_;

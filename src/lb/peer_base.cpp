@@ -70,10 +70,6 @@ bool PeerBase::note_bound(std::int64_t b) {
 }
 
 void PeerBase::on_compute_done() {
-  // last_active_ only feeds the sim driver's last_compute_seconds metric;
-  // on the thread backend nothing reads it, and a clock syscall per chunk
-  // is exactly the overhead the chunk loop must not pay.
-  if (time_is_free()) last_active_ = now();
   maybe_diffuse();
   after_chunk();
   if (holds_work()) {
@@ -92,6 +88,7 @@ void PeerBase::on_compute_done() {
 StateTap PeerBase::state_tap() const {
   StateTap t;
   t.peer = id();
+  t.crashed = crashed();
   t.departed = departed_;
   t.holds_work = holds_work();
   t.work_amount = holds_work() ? work_->amount() : 0.0;

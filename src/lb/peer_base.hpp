@@ -51,13 +51,27 @@ struct StateTap {
   std::uint64_t subtree_size = 0;
 };
 
+/// What one peer reports after a run, the same on every backend;
+/// lb::fold_reports turns a run's reports into its metrics. Socket ranks
+/// exchange theirs on the wire (runtime/socket_runtime.cpp).
+struct PeerReport {
+  StateTap tap;
+  std::int64_t best_bound = kNoBound;
+  std::uint64_t retries = 0;
+  /// When this peer declared the run complete; -1 unless it did.
+  sim::Time done_time = -1;
+};
+
 class PeerBase : public sim::Actor {
  public:
   // --- post-run inspection (harness side) ---
   std::uint64_t units_done() const { return units_done_; }
   std::int64_t best_bound() const { return bound_; }
-  sim::Time last_active() const { return last_active_; }
   bool saw_terminate() const { return terminated_; }
+  /// When this peer declared the run complete; -1 unless it is the peer
+  /// whose protocol detects termination (the overlay root, the RWS
+  /// initiator, the MW master, the AHMW top master).
+  sim::Time done_time() const { return done_time_; }
   bool holds_work() const { return work_ != nullptr && !work_->empty(); }
   /// The installed work object, null when none. The service layer downcasts
   /// this to lb::JobBag after a run to harvest per-job tallies.
@@ -70,6 +84,11 @@ class PeerBase : public sim::Actor {
   /// Snapshot for the conformance oracles; subclasses extend it with their
   /// transfer counters and pending-request state.
   virtual StateTap state_tap() const;
+
+  /// This peer's post-run report.
+  PeerReport report() const {
+    return PeerReport{state_tap(), bound_, retries_, done_time_};
+  }
 
  protected:
   explicit PeerBase(PeerConfig config) : config_(config) {}
@@ -109,6 +128,13 @@ class PeerBase : public sim::Actor {
   /// Records one request retransmission (counter + kRetry trace event).
   void count_retry(int target, int msg_type, std::int64_t attempt);
 
+  /// Marks this peer terminated and traces it (kTerminated). The declaring
+  /// peer stamps done_time_ first.
+  void stop() {
+    terminated_ = true;
+    emit_trace(trace::EventKind::kTerminated);
+  }
+
   /// Live metrics: per-peer queue-depth / in-flight gauges, a units counter,
   /// and the sojourn-time histogram (idle-to-work latency), on top of the
   /// protocol-event counters the Actor base arms.
@@ -122,8 +148,8 @@ class PeerBase : public sim::Actor {
   std::int64_t bound_ = kNoBound;
   std::int64_t diffused_bound_ = kNoBound;  ///< last value handed to diffuse_bound
   std::uint64_t units_done_ = 0;
-  sim::Time last_active_ = 0;
   std::uint64_t retries_ = 0;
+  sim::Time done_time_ = -1;
   bool terminated_ = false;
   bool departed_ = false;  ///< set by the overlay's graceful-leave path
 

@@ -1,8 +1,8 @@
 #include "runtime/runtime.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "lb/messages.hpp"
 #include "runtime/thread_net.hpp"
@@ -12,11 +12,8 @@ namespace olb::runtime {
 
 std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config) {
   if (backend == lb::Backend::kSim) return "";
-  // The real-time backends run the overlay protocol objects directly and
-  // have no simulator to model faults, per-peer speed or a lossy network.
-  if (!lb::strategy_is_overlay(config.strategy)) {
-    return "only overlay strategies (TD/TR/BTD)";
-  }
+  // The real-time backends have no simulator to model faults, per-peer
+  // speed or a lossy network.
   if (config.faults.enabled()) return "fault injection is a simulator concept";
   if (config.het.fraction != 0.0) return "speed scaling is a simulator concept";
   if (config.plant.kind == lb::PlantedBug::Kind::kLostWork) {
@@ -56,19 +53,12 @@ lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config) {
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config) {
   const std::string why = unsupported_reason(lb::Backend::kThreads, config);
   OLB_CHECK_MSG(why.empty(), why.c_str());
-  OLB_CHECK(config.num_peers >= 1);
-
-  auto tree = std::make_shared<const overlay::TreeOverlay>(
-      lb::make_overlay_tree(config));
-  auto oc = std::make_shared<const lb::OverlayConfig>(lb::make_overlay_config(config));
 
   ThreadNet net(config.seed);
   net.set_tracer(config.tracer);
   if (config.metrics != nullptr) net.set_metrics(config.metrics);
-  std::vector<lb::OverlayPeer*> peers;
-  for (int i = 0; i < config.num_peers; ++i) {
-    auto peer = std::make_unique<lb::OverlayPeer>(
-        tree, oc, i == 0 ? workload.make_root_work() : nullptr);
+  std::vector<const lb::PeerBase*> peers;
+  for (std::unique_ptr<lb::PeerBase>& peer : lb::build_cluster(workload, config)) {
     peers.push_back(peer.get());
     net.add_actor(std::move(peer));
   }
@@ -79,26 +69,20 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
       },
       config.limits.time_limit);
 
+  lb::RunMetrics folded = lb::fold_reports(config.num_peers, [&](int i) {
+    return peers[static_cast<std::size_t>(i)]->report();
+  });
   ThreadRunMetrics metrics;
   metrics.wall_seconds = result.wall_seconds;
+  metrics.done_seconds = folded.exec_seconds;
+  metrics.total_units = folded.total_units;
+  metrics.best_bound = folded.best_bound;
   metrics.total_messages = net.total_messages();
-  metrics.work_requests = net.total_sent_of_type(lb::kReqDown) +
-                          net.total_sent_of_type(lb::kReqUp) +
-                          net.total_sent_of_type(lb::kReqBridge);
+  metrics.work_requests =
+      lb::work_requests([&](int type) { return net.total_sent_of_type(type); });
   metrics.work_transfers = net.total_sent_of_type(lb::kWork);
-
-  bool all_done = result.completed;
-  for (lb::OverlayPeer* peer : peers) {
-    metrics.total_units += peer->units_done();
-    metrics.best_bound = std::min(metrics.best_bound, peer->best_bound());
-    if (peer->holds_work() || !peer->saw_terminate()) all_done = false;
-  }
-  const sim::Time done = peers.front()->done_time();
-  metrics.done_seconds = sim::to_seconds(std::max<sim::Time>(done, 0));
-  metrics.ok = all_done && done >= 0;
-  for (lb::OverlayPeer* peer : peers) {
-    metrics.final_state.push_back(peer->state_tap());
-  }
+  metrics.ok = folded.ok && result.completed;
+  metrics.final_state = std::move(folded.final_state);
   return metrics;
 }
 

@@ -72,7 +72,6 @@ void set_nodelay(int fd) {
 
 SocketNet::SocketNet(Options options, const WorkCodec* codec)
     : options_(std::move(options)), codec_(codec) {
-  time_is_free_ = false;  // now() is a real clock read here
   if (!options_.trace_path.empty()) {
     tracer_ = std::make_unique<trace::VectorTracer>();
   }

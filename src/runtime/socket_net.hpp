@@ -88,8 +88,9 @@ class SocketNet final : public sim::Transport {
     /// Digest of the run configuration; all ranks must agree (bootstrap
     /// aborts otherwise). Computed by run_sockets from the RunConfig.
     std::uint64_t config_digest = 0;
-    /// Locally derived overlay shape (parent per peer, parent[0] == -1);
-    /// cross-checked against rank 0's authoritative copy during bootstrap.
+    /// Locally derived overlay shape (parent per peer, parent[0] == -1;
+    /// empty for the flat strategies); cross-checked against rank 0's
+    /// authoritative copy during bootstrap.
     std::vector<int> overlay_parent;
     sim::Time bootstrap_timeout = sim::seconds(30.0);
     /// When non-empty, protocol trace events are recorded and written to

@@ -1,16 +1,17 @@
-// run_sockets: the per-process harness of the socket backend. Builds this
-// rank's single OverlayPeer from the shared RunConfig (the overlay tree and
-// peer config are derived locally and cross-checked during bootstrap), runs
-// it on a SocketNet, then all-gathers per-rank result blobs through rank 0
-// so every process returns identical cluster-wide metrics — including the
-// merged B&B incumbent, so every process prints the globally best solution.
+// run_sockets: the per-process harness of the socket backend. Keeps this
+// rank's peer of the cluster lb::build_cluster derives from the shared
+// RunConfig (an overlay's tree is cross-checked during bootstrap), runs it
+// on a SocketNet, then all-gathers per-rank results through rank 0 and
+// folds them with lb::fold_reports, so every process returns identical
+// cluster-wide metrics — including the merged B&B incumbent, so every
+// process prints the globally best solution.
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "lb/messages.hpp"
 #include "runtime/runtime.hpp"
@@ -23,62 +24,63 @@
 namespace olb::runtime {
 namespace {
 
-/// Everything a rank reports about its own run; exchanged as an opaque blob
-/// via kResult/kSummary and decoded identically everywhere.
+/// Everything a rank reports about its own run, exchanged as an opaque blob
+/// via kResult/kSummary and decoded identically everywhere: its peer report
+/// (what lb::fold_reports folds on every backend) and what only this
+/// harness counts.
 struct RankResult {
-  bool completed = false;
-  std::int64_t best_bound = lb::kNoBound;
+  lb::PeerReport report;  ///< report.tap.peer is the rank
   std::uint64_t msgs_sent = 0;
   std::uint64_t work_requests = 0;
   std::uint64_t work_transfers = 0;
-  lb::StateTap tap;  ///< tap.peer is the rank
-  std::int64_t done_ns = -1;  ///< root's termination time; -1 on other ranks
   std::vector<std::uint8_t> solution;  ///< codec solution blob (may be empty)
 };
 
 void encode_rank_result(const RankResult& r, WireWriter& w) {
-  w.i32(r.tap.peer);
-  w.u8(r.completed ? 1 : 0);
-  w.i64(r.best_bound);
+  const lb::StateTap& tap = r.report.tap;
+  w.i32(tap.peer);
+  w.i64(r.report.best_bound);
+  w.u64(r.report.retries);
+  w.i64(r.report.done_time);
   w.u64(r.msgs_sent);
   w.u64(r.work_requests);
   w.u64(r.work_transfers);
   const std::uint8_t flags = static_cast<std::uint8_t>(
-      (r.tap.crashed ? 1 : 0) | (r.tap.holds_work ? 2 : 0) |
-      (r.tap.terminated ? 4 : 0) | (r.tap.computing ? 8 : 0) |
-      (r.tap.departed ? 16 : 0));
+      (tap.crashed ? 1 : 0) | (tap.holds_work ? 2 : 0) |
+      (tap.terminated ? 4 : 0) | (tap.computing ? 8 : 0) |
+      (tap.departed ? 16 : 0));
   w.u8(flags);
-  w.f64(r.tap.work_amount);
-  w.u64(r.tap.units_done);
-  w.u64(r.tap.transfers_sent);
-  w.u64(r.tap.transfers_recv);
-  w.u64(r.tap.pending_requests);
-  w.u64(r.tap.subtree_size);
-  w.i64(r.done_ns);
+  w.f64(tap.work_amount);
+  w.u64(tap.units_done);
+  w.u64(tap.transfers_sent);
+  w.u64(tap.transfers_recv);
+  w.u64(tap.pending_requests);
+  w.u64(tap.subtree_size);
   w.blob(r.solution);
 }
 
 RankResult decode_rank_result(WireReader& r) {
   RankResult out;
-  out.tap.peer = r.i32();
-  out.completed = r.u8() != 0;
-  out.best_bound = r.i64();
+  lb::StateTap& tap = out.report.tap;
+  tap.peer = r.i32();
+  out.report.best_bound = r.i64();
+  out.report.retries = r.u64();
+  out.report.done_time = r.i64();
   out.msgs_sent = r.u64();
   out.work_requests = r.u64();
   out.work_transfers = r.u64();
   const std::uint8_t flags = r.u8();
-  out.tap.crashed = (flags & 1) != 0;
-  out.tap.holds_work = (flags & 2) != 0;
-  out.tap.terminated = (flags & 4) != 0;
-  out.tap.computing = (flags & 8) != 0;
-  out.tap.departed = (flags & 16) != 0;
-  out.tap.work_amount = r.f64();
-  out.tap.units_done = r.u64();
-  out.tap.transfers_sent = r.u64();
-  out.tap.transfers_recv = r.u64();
-  out.tap.pending_requests = r.u64();
-  out.tap.subtree_size = r.u64();
-  out.done_ns = r.i64();
+  tap.crashed = (flags & 1) != 0;
+  tap.holds_work = (flags & 2) != 0;
+  tap.terminated = (flags & 4) != 0;
+  tap.computing = (flags & 8) != 0;
+  tap.departed = (flags & 16) != 0;
+  tap.work_amount = r.f64();
+  tap.units_done = r.u64();
+  tap.transfers_sent = r.u64();
+  tap.transfers_recv = r.u64();
+  tap.pending_requests = r.u64();
+  tap.subtree_size = r.u64();
   out.solution = r.blob();
   OLB_CHECK_MSG(r.exhausted(), "malformed rank result blob");
   return out;
@@ -130,12 +132,7 @@ std::string next_trace_path(const std::string& prefix, int rank) {
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config) {
   const std::string why = unsupported_reason(lb::Backend::kSockets, config);
   OLB_CHECK_MSG(why.empty(), why.c_str());
-  OLB_CHECK(config.num_peers >= 1);
   OLB_CHECK(config.sockets.rank < config.num_peers);
-
-  auto tree = std::make_shared<const overlay::TreeOverlay>(
-      lb::make_overlay_tree(config));
-  auto oc = std::make_shared<const lb::OverlayConfig>(lb::make_overlay_config(config));
   const std::unique_ptr<WorkCodec> codec = make_work_codec(workload);
 
   SocketNet::Options options;
@@ -143,9 +140,11 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   options.peers = config.sockets.peers;
   options.seed = config.seed;
   options.config_digest = config_digest(config);
-  options.overlay_parent.reserve(static_cast<std::size_t>(tree->size()));
-  for (int i = 0; i < tree->size(); ++i) {
-    options.overlay_parent.push_back(tree->parent(i));
+  if (lb::strategy_is_overlay(config.strategy)) {
+    const overlay::TreeOverlay tree = lb::make_overlay_tree(config);
+    for (int i = 0; i < tree.size(); ++i) {
+      options.overlay_parent.push_back(tree.parent(i));
+    }
   }
   if (!config.sockets.trace_prefix.empty()) {
     options.trace_path =
@@ -153,9 +152,10 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   }
 
   SocketNet net(options, codec.get());
-  auto owned = std::make_unique<lb::OverlayPeer>(
-      tree, oc, options.rank == 0 ? workload.make_root_work() : nullptr);
-  lb::OverlayPeer* peer = owned.get();
+  // This rank's peer of the cluster every backend builds; the rest go.
+  std::unique_ptr<lb::PeerBase> owned = std::move(
+      lb::build_cluster(workload, config)[static_cast<std::size_t>(options.rank)]);
+  const lb::PeerBase* peer = owned.get();
   net.set_actor(std::move(owned));
 
   net.start();
@@ -166,15 +166,11 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
       config.limits.time_limit);
 
   RankResult mine;
-  mine.completed = run.completed;
-  mine.best_bound = peer->best_bound();
+  mine.report = peer->report();
   mine.msgs_sent = net.messages_sent();
-  mine.work_requests = net.sent_of_type(lb::kReqDown) +
-                       net.sent_of_type(lb::kReqUp) +
-                       net.sent_of_type(lb::kReqBridge);
+  mine.work_requests =
+      lb::work_requests([&](int type) { return net.sent_of_type(type); });
   mine.work_transfers = net.sent_of_type(lb::kWork);
-  mine.tap = peer->state_tap();
-  mine.done_ns = options.rank == 0 ? peer->done_time() : -1;
   {
     WireWriter sol;
     codec->encode_solution(sol);
@@ -188,28 +184,31 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
 
   ThreadRunMetrics metrics;
   metrics.wall_seconds = run.wall_seconds;
-  bool all_done = true;
-  std::int64_t done_ns = -1;
+  std::vector<lb::PeerReport> reports;
   for (int rank = 0; rank < config.num_peers; ++rank) {
     WireReader reader(blobs[static_cast<std::size_t>(rank)]);
     RankResult r = decode_rank_result(reader);
-    OLB_CHECK_MSG(r.tap.peer == rank, "result blobs out of rank order");
-    metrics.total_units += r.tap.units_done;
-    metrics.best_bound = std::min(metrics.best_bound, r.best_bound);
+    OLB_CHECK_MSG(r.report.tap.peer == rank, "result blobs out of rank order");
+    reports.push_back(r.report);
     metrics.total_messages += r.msgs_sent;
     metrics.work_requests += r.work_requests;
     metrics.work_transfers += r.work_transfers;
-    metrics.final_state.push_back(r.tap);
-    if (!r.completed || !r.tap.terminated || r.tap.holds_work) all_done = false;
-    if (rank == 0) done_ns = r.done_ns;
     if (!r.solution.empty()) {
       WireReader sol(r.solution);
       OLB_CHECK_MSG(codec->merge_solution(sol) && sol.exhausted(),
                     "malformed solution blob in rank result");
     }
   }
-  metrics.done_seconds = sim::to_seconds(std::max<std::int64_t>(done_ns, 0));
-  metrics.ok = all_done && done_ns >= 0;
+  // A rank's clock starts at its own receipt of the start barrier, so the
+  // run's time is the declaring rank's, never a minimum over ranks.
+  lb::RunMetrics folded = lb::fold_reports(config.num_peers, [&](int rank) {
+    return reports[static_cast<std::size_t>(rank)];
+  });
+  metrics.done_seconds = folded.exec_seconds;
+  metrics.total_units = folded.total_units;
+  metrics.best_bound = folded.best_bound;
+  metrics.ok = folded.ok;
+  metrics.final_state = std::move(folded.final_state);
   net.shutdown();
   return metrics;
 }

@@ -45,9 +45,7 @@ namespace olb::runtime {
 class ThreadNet final : public sim::Transport {
  public:
   /// `seed` feeds the per-actor RNG streams (sim::Actor::bind).
-  explicit ThreadNet(std::uint64_t seed) : seed_(seed) {
-    time_is_free_ = false;  // now() is a real clock read here
-  }
+  explicit ThreadNet(std::uint64_t seed) : seed_(seed) {}
 
   /// Takes ownership; returns the actor's id (dense, starting at 0).
   /// All actors must be added before run().

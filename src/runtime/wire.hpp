@@ -36,9 +36,11 @@ namespace olb::runtime {
 
 inline constexpr std::uint32_t kWireMagic = 0x4F4C4257u;  // "OLBW" (LE "WBLO")
 /// v2: job-layer payload kinds (kJobInject work, kJobProbe/Ack stat waves)
-/// joined the message codec. Peers of different versions refuse to talk —
-/// a v1 peer cannot silently drop job tags it does not understand.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// joined the message codec. v3: the rank result blob carries the peer's
+/// lb::PeerReport (retries and the declaration time for every strategy).
+/// Peers of different versions refuse to talk — a v1 peer cannot silently
+/// drop job tags it does not understand.
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Upper bound on a frame body; anything larger is a corrupt or hostile
 /// header, not a real message (the largest legitimate frames are work
 /// transfers of a few hundred KB).

@@ -335,6 +335,7 @@ void Engine::service(Actor& a, Time t) {
     }
   } else if (a.compute_pending_) {
     a.compute_pending_ = false;
+    last_compute_done_ = t;
     a.on_compute_done();
   }
 

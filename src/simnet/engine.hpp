@@ -130,10 +130,6 @@ class Actor {
   bool computing() const { return compute_pending_; }
   void set_timer(Time delay, std::int64_t tag);
   Xoshiro256& rng() { return rng_; }
-  /// True when now() is a field read (simulator); false when it is a real
-  /// clock syscall (thread backend). Per-chunk bookkeeping that only feeds
-  /// reporting checks this before stamping timestamps.
-  bool time_is_free() const { return transport_->transport_time_is_free(); }
   /// Cluster size (peer ids are dense 0..num_peers()-1 on both backends).
   int num_peers() const;
   const ActorStats& stats() const { return stats_; }
@@ -311,6 +307,10 @@ class Engine final : public Transport {
   static constexpr Time kBusyBucket = milliseconds(1);
   const std::vector<Time>& busy_histogram() const { return busy_buckets_; }
 
+  /// When the last compute span ended (the last on_compute_done call): the
+  /// end of a run's work, before its termination-detection tail.
+  Time last_compute_done() const { return last_compute_done_; }
+
   /// Attaches a trace sink (not owned; must outlive run()). nullptr (the
   /// default) disables tracing at the cost of one branch per event site.
   void set_tracer(trace::TraceSink* tracer) { tracer_ = tracer; }
@@ -398,6 +398,7 @@ class Engine final : public Transport {
   std::uint64_t total_messages_ = 0;
   std::vector<std::uint64_t> sent_by_type_;  ///< indexed by message type
   Time now_ = 0;
+  Time last_compute_done_ = 0;
   bool running_ = false;
   // Shard state (see configure_shard; inert in unsharded engines).
   int id_base_ = 0;

@@ -221,6 +221,12 @@ const std::vector<Time>& ShardedEngine::busy_histogram() const {
   return merged_busy_;
 }
 
+Time ShardedEngine::last_compute_done() const {
+  Time t = 0;
+  for (const auto& e : engines_) t = std::max(t, e->last_compute_done());
+  return t;
+}
+
 Time ShardedEngine::queueing_delay_max() const {
   Time m = 0;
   for (const auto& e : engines_) m = std::max(m, e->queueing_delay_max());

@@ -109,6 +109,8 @@ class ShardedEngine {
   std::uint64_t total_sent_of_type(int type) const;
   /// Bucket-wise sum of the per-shard busy histograms (same kBusyBucket).
   const std::vector<Time>& busy_histogram() const;
+  /// The latest Engine::last_compute_done over the shards.
+  Time last_compute_done() const;
   Time queueing_delay_max() const;
   double queueing_delay_mean() const;
   std::uint64_t msgs_dropped() const;

@@ -77,16 +77,6 @@ class Transport {
     (void)from;
     (void)duration;
   }
-
-  /// Whether reading the clock is effectively free on this substrate. True
-  /// for the simulator (now() is a field read); false for the thread
-  /// backend, where it is a real clock syscall. Per-chunk bookkeeping that
-  /// only feeds reporting (PeerBase::last_active) consults this so the
-  /// thread backend's chunk loop stays clock-free.
-  bool transport_time_is_free() const { return time_is_free_; }
-
- protected:
-  bool time_is_free_ = true;  ///< cleared by the real-time backends' ctors
 };
 
 }  // namespace olb::sim

@@ -199,18 +199,14 @@ ServiceMetrics run_service(const ServiceConfig& config) {
     out.work_transfers = net->total_sent_of_type(lb::kWork);
   }
 
-  bool all_done = completed && gate.saw_terminate();
   harvest_gate(gate, out);
   harvest_tallies(peers, out.jobs);
-  for (lb::OverlayPeer* peer : peers) {
-    if (peer->holds_work() || !peer->saw_terminate()) all_done = false;
-    out.final_state.push_back(peer->state_tap());
-  }
-  const sim::Time done_time = peers.front()->done_time();
-
-  out.exec_seconds = sim::to_seconds(std::max<sim::Time>(done_time, 0));
-  out.ok = all_done && done_time >= 0 && out.completed == out.admitted &&
-           out.submitted == out.jobs.size();
+  lb::RunMetrics folded = lb::fold_reports(
+      n, [&](int i) { return peers[static_cast<std::size_t>(i)]->report(); });
+  out.final_state = std::move(folded.final_state);
+  out.exec_seconds = folded.exec_seconds;
+  out.ok = folded.ok && completed && gate.saw_terminate() &&
+           out.completed == out.admitted && out.submitted == out.jobs.size();
   return out;
 }
 

@@ -9,8 +9,8 @@
 // per-job completion is detected by the root's epoch-tagged accounting
 // waves (see overlay_lb.cpp, "multi-job service mode").
 //
-// Scope mirrors the thread backend's: overlay strategies only, fault-free,
-// churn-free, homogeneous; backends sim and threads. Single-job runs are
+// Scope: overlay strategies only, fault-free, churn-free, homogeneous;
+// backends sim and threads. Single-job runs are
 // untouched — service mode only exists behind OverlayConfig::service.
 #pragma once
 

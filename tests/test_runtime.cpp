@@ -1,9 +1,8 @@
 // Tests for the shared-memory backend (src/runtime): mailbox correctness
 // under concurrency, the real-time Host's pass order and send ids, and the
-// overlay protocol on real threads
-// reproducing the simulator's execution-order-independent invariants —
-// exact UTS node counts and exact B&B optima — across strategies, thread
-// counts and seeds.
+// protocols on real threads reproducing the simulator's
+// execution-order-independent invariants — exact UTS node counts and exact
+// B&B optima — across strategies, thread counts and seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -341,7 +340,7 @@ TEST(RuntimeThreads, UtsNodeCountsExact) {
     thread_counts.push_back(hw);
   }
   for (auto strategy : {lb::Strategy::kOverlayTD, lb::Strategy::kOverlayTR,
-                        lb::Strategy::kOverlayBTD}) {
+                        lb::Strategy::kOverlayBTD, lb::Strategy::kRWS}) {
     for (int threads : thread_counts) {
       for (std::uint64_t seed : {1u, 2u, 3u}) {
         const auto params = small_uts(static_cast<std::uint32_t>(seed * 5 + 3));
@@ -361,17 +360,24 @@ TEST(RuntimeThreads, UtsNodeCountsExact) {
 
 TEST(RuntimeThreads, FlowshopOptimumExact) {
   // B&B on threads: the proved optimum must match the sequential reference
-  // whatever the work distribution was.
+  // whatever the work distribution was, for every strategy. MW needs a
+  // master and a worker, so it starts at two threads.
   const auto inst = bb::FlowshopInstance::ta20x20_scaled(0, 9, 5);
   const auto reference = bb::solve_sequential(inst, bb::BoundKind::kOneMachine);
-  for (int threads : {1, 2, 4}) {
-    for (std::uint64_t seed : {1u, 2u, 3u}) {
-      bb::BBWorkload workload(inst, bb::BoundKind::kOneMachine, bb::CostModel{});
-      const auto m = runtime::run_threads(
-          workload, threads_config(lb::Strategy::kOverlayBTD, threads, seed));
-      ASSERT_TRUE(m.ok) << "threads=" << threads << " seed=" << seed;
-      EXPECT_EQ(workload.best().makespan(), reference.optimum);
-      EXPECT_EQ(m.best_bound, reference.optimum);
+  for (lb::Strategy strategy : lb::all_strategies()) {
+    for (int threads : {1, 2, 4}) {
+      if (strategy == lb::Strategy::kMW && threads < 2) continue;
+      for (std::uint64_t seed : {1u, 2u, 3u}) {
+        bb::BBWorkload workload(inst, bb::BoundKind::kOneMachine, bb::CostModel{});
+        const auto m = runtime::run_threads(
+            workload, threads_config(strategy, threads, seed));
+        ASSERT_TRUE(m.ok) << lb::strategy_name(strategy) << " threads=" << threads
+                          << " seed=" << seed;
+        EXPECT_EQ(workload.best().makespan(), reference.optimum)
+            << lb::strategy_name(strategy) << " threads=" << threads;
+        EXPECT_EQ(m.best_bound, reference.optimum)
+            << lb::strategy_name(strategy) << " threads=" << threads;
+      }
     }
   }
 }
@@ -405,22 +411,13 @@ TEST(RuntimeThreads, MessageAccountingIsCoherent) {
   EXPECT_GE(m.wall_seconds, m.done_seconds);
 }
 
-TEST(RuntimeThreadsDeathTest, RejectsNonOverlayStrategies) {
+TEST(RuntimeThreadsDeathTest, RejectsTheLostWorkPlant) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto params = small_uts(1);
   uts::UtsWorkload workload(params, uts::CostModel{});
   auto lost_work = threads_config(lb::Strategy::kOverlayBTD, 2, 1);
   lost_work.plant.kind = lb::PlantedBug::Kind::kLostWork;
-  const struct {
-    lb::RunConfig config;
-    const char* message;
-  } rows[] = {
-      {threads_config(lb::Strategy::kRWS, 2, 1), "overlay"},
-      {lost_work, "lost-work plant"},
-  };
-  for (const auto& row : rows) {
-    EXPECT_DEATH(runtime::run_threads(workload, row.config), row.message);
-  }
+  EXPECT_DEATH(runtime::run_threads(workload, lost_work), "lost-work plant");
 }
 
 TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
@@ -453,6 +450,8 @@ TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
   ranked_traced.tracer = &tracer;
   lb::RunConfig ranked_metered = ranked;
   ranked_metered.metrics = &hub;
+  lb::RunConfig ranked_rws = ranked;
+  ranked_rws.strategy = lb::Strategy::kRWS;
   lb::RunConfig wrong_table = ranked;
   wrong_table.num_peers = 3;
 
@@ -470,9 +469,9 @@ TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
       {B::kSim, lost_work, "lost_work", true},
       {B::kSim, traced, "traced", true},
       {B::kSim, metered, "metered", true},
-      // Real-time backends: overlay strategies, no simulator concepts.
+      // Real-time backends: every strategy, no simulator concepts.
       {B::kThreads, overlay, "overlay", true},
-      {B::kThreads, rws, "rws", false},
+      {B::kThreads, rws, "rws", true},
       {B::kThreads, faults, "faults", false},
       {B::kThreads, slow, "slow", false},
       {B::kThreads, lost_work, "lost_work", false},
@@ -480,7 +479,7 @@ TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
       {B::kThreads, traced, "traced", true},
       {B::kThreads, metered, "metered", true},
       {B::kSockets, ranked, "ranked", true},
-      {B::kSockets, rws, "rws", false},
+      {B::kSockets, ranked_rws, "rws", true},
       {B::kSockets, faults, "faults", false},
       {B::kSockets, slow, "slow", false},
       {B::kSockets, lost_work, "lost_work", false},

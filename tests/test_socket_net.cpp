@@ -2,9 +2,10 @@
 // runtime::run_sockets): a real multi-rank cluster over loopback TCP —
 // ranks as in-process threads, each with its own workload instance and
 // transport, exactly as separate processes would be — must reproduce the
-// execution-order-independent invariants: exact UTS node counts, exact B&B
-// optima, identical aggregate metrics on every rank, and per-rank traces
-// that pass the conformance oracles after a causal merge.
+// execution-order-independent invariants for every strategy: exact UTS
+// node counts, exact B&B optima, identical aggregate metrics on every rank,
+// and per-rank traces that pass the conformance oracles after a causal
+// merge.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -35,24 +36,41 @@
 namespace olb {
 namespace {
 
-/// Kernel-chosen free loopback ports. The bind-then-close race against
-/// other processes is acceptable for a test.
-std::vector<std::string> loopback_address_table(int n) {
-  std::vector<std::string> table;
-  for (int i = 0; i < n; ++i) {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-    socklen_t len = sizeof addr;
-    EXPECT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    table.push_back("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
-    close(fd);
+/// Kernel-chosen free loopback ports, one per rank. Each stays bound by a
+/// holder socket (SO_REUSEADDR, never listening) while the table lives, so
+/// no connection the cluster opens can take it as its ephemeral port before
+/// the rank's listener, which sets SO_REUSEADDR too, binds beside the
+/// holder. Other processes can still race for a port; for a test that is
+/// acceptable.
+class LoopbackTable {
+ public:
+  explicit LoopbackTable(int n) {
+    for (int i = 0; i < n; ++i) {
+      const int fd = socket(AF_INET, SOCK_STREAM, 0);
+      EXPECT_GE(fd, 0);
+      const int one = 1;
+      EXPECT_EQ(setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one), 0);
+      sockaddr_in addr{};
+      addr.sin_family = AF_INET;
+      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+      EXPECT_EQ(bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+      socklen_t len = sizeof addr;
+      EXPECT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+      addresses.push_back("127.0.0.1:" + std::to_string(ntohs(addr.sin_port)));
+      holders_.push_back(fd);
+    }
   }
-  return table;
-}
+  ~LoopbackTable() {
+    for (int fd : holders_) close(fd);
+  }
+  LoopbackTable(const LoopbackTable&) = delete;
+  LoopbackTable& operator=(const LoopbackTable&) = delete;
+
+  std::vector<std::string> addresses;
+
+ private:
+  std::vector<int> holders_;
+};
 
 lb::RunConfig socket_config(lb::Strategy strategy, int rank,
                             const std::vector<std::string>& table,
@@ -88,7 +106,8 @@ std::vector<runtime::ThreadRunMetrics> run_cluster(
     const MakeWorkload& make_workload, const std::string& trace_prefix = "",
     std::vector<std::unique_ptr<lb::Workload>>* keep_workloads = nullptr,
     const std::function<void(lb::RunConfig&)>& tweak = {}) {
-  const auto table = loopback_address_table(n);
+  const LoopbackTable ports(n);
+  const std::vector<std::string>& table = ports.addresses;
   std::vector<runtime::ThreadRunMetrics> results(static_cast<std::size_t>(n));
   std::vector<std::unique_ptr<lb::Workload>> workloads;
   for (int rank = 0; rank < n; ++rank) workloads.push_back(make_workload());
@@ -177,6 +196,45 @@ TEST(SocketNet, BBOptimumAndSolutionMergeAcrossRanks) {
   }
 }
 
+TEST(SocketNet, BaselinesExactAcrossFourRanks) {
+  // The paper's baselines on TCP ranks, built by the simulator's own
+  // builder: TR and RWS count the tree exactly, and every strategy the
+  // other tests leave out proves the B&B optimum. The run's time is the
+  // declaring rank's, whichever rank that is.
+  uts::UtsWorkload uts_reference(small_uts_params(), uts::CostModel{});
+  const auto uts_seq = lb::run_sequential(uts_reference);
+  for (auto strategy : {lb::Strategy::kOverlayTR, lb::Strategy::kRWS}) {
+    const auto results = run_cluster(4, strategy, 64, [] {
+      return std::make_unique<uts::UtsWorkload>(small_uts_params(),
+                                                uts::CostModel{});
+    });
+    for (const auto& m : results) {
+      EXPECT_TRUE(m.ok) << lb::strategy_name(strategy);
+      EXPECT_EQ(m.total_units, uts_seq.units) << lb::strategy_name(strategy);
+      EXPECT_GT(m.done_seconds, 0.0) << lb::strategy_name(strategy);
+      EXPECT_GT(m.work_requests, 0u) << lb::strategy_name(strategy);
+    }
+  }
+
+  auto make_bb = [] {
+    return std::make_unique<bb::BBWorkload>(
+        bb::FlowshopInstance::ta20x20_scaled(0, 8, 5),
+        bb::BoundKind::kOneMachine, bb::CostModel{});
+  };
+  const auto bb_seq = lb::run_sequential(*make_bb());
+  ASSERT_NE(bb_seq.bound, lb::kNoBound);
+  for (auto strategy : {lb::Strategy::kOverlayTD, lb::Strategy::kOverlayTR,
+                        lb::Strategy::kRWS, lb::Strategy::kMW,
+                        lb::Strategy::kAHMW}) {
+    for (const auto& m : run_cluster(4, strategy, 32, make_bb)) {
+      EXPECT_TRUE(m.ok) << lb::strategy_name(strategy);
+      EXPECT_EQ(m.best_bound, bb_seq.bound) << lb::strategy_name(strategy);
+      ASSERT_EQ(m.final_state.size(), 4u);
+      for (const auto& tap : m.final_state) EXPECT_TRUE(tap.terminated);
+    }
+  }
+}
+
 TEST(SocketNet, PerRankTracesPassOraclesAfterCausalMerge) {
   const std::string prefix = testing::TempDir() + "socket_trace";
   const int n = 4;
@@ -256,7 +314,8 @@ TEST(SocketNet, RogueConnectionKilledMidFrameDoesNotDisturbTheCluster) {
   const auto seq = lb::run_sequential(reference);
 
   const int n = 3;
-  const auto table = loopback_address_table(n);
+  const LoopbackTable ports(n);
+  const std::vector<std::string>& table = ports.addresses;
   const std::string& target = table[0];
   const auto port = static_cast<std::uint16_t>(
       std::stoi(target.substr(target.find(':') + 1)));
@@ -361,7 +420,8 @@ TEST(SocketNet, IdleRankWaitsForTimersBelowAMillisecond) {
   // keep its sub-millisecond length, not round up to a whole millisecond.
   runtime::SocketNet::Options options;
   options.rank = 0;
-  options.peers = loopback_address_table(1);
+  const LoopbackTable ports(1);
+  options.peers = ports.addresses;
   runtime::SocketNet net(options, nullptr);
   auto owned = std::make_unique<TimerChain>(21);
   const TimerChain& chain = *owned;

@@ -172,8 +172,8 @@ int main(int argc, char** argv) {
               "(.ndjson -> NDJSON, else Perfetto)")
       .define("no-shrink", "false", "report the raw failing case unshrunk")
       .define("diff", "false",
-              "differential-check fault-free overlay cases against the "
-              "threads backend")
+              "differential-check fault-free cases against the threads "
+              "backend")
       .define("out-dir", "",
               "on failure, write repro.txt + trace.json here (CI artifacts)")
       .define("start-index", "0",
