@@ -325,8 +325,18 @@ lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
   return metrics;
 }
 
-double sequential_seconds(lb::Workload& workload) {
-  return lb::run_sequential(workload).exec_seconds;
+lb::SequentialMetrics run_sequential_on(lb::Workload& workload, lb::Backend backend) {
+  const auto start = std::chrono::steady_clock::now();
+  lb::SequentialMetrics m = lb::run_sequential(workload);
+  if (backend != lb::Backend::kSim) {
+    m.exec_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  }
+  return m;
+}
+
+const char* clock_unit(lb::Backend backend) {
+  return backend == lb::Backend::kSim ? "sim-s" : "wall-s";
 }
 
 std::ofstream open_output_file(const std::string& path, const char* what) {

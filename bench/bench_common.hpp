@@ -143,8 +143,14 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax = 1
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what);
 
-/// Sequential simulated time (seconds) of a workload, for PE columns.
-double sequential_seconds(lb::Workload& workload);
+/// lb::run_sequential with exec_seconds on the clock `backend`'s runs are
+/// timed by — the t_seq of PE columns: simulated seconds on the simulator,
+/// and the wall seconds of the same call on threads and sockets, whose
+/// exec_seconds are wall seconds.
+lb::SequentialMetrics run_sequential_on(lb::Workload& workload, lb::Backend backend);
+
+/// "sim-s" or "wall-s": the clock of `backend`'s times, for table headers.
+const char* clock_unit(lb::Backend backend);
 
 /// Common header printed by every bench binary.
 void print_preamble(const char* experiment, const std::string& notes);

@@ -1,8 +1,10 @@
 // Fig. 5 — execution time AND parallel efficiency of BTD vs RWS:
 //   top    : B&B instances Ta21s and Ta23s, n = 200..1000,
 //   bottom : UTS (binomial), n = 128..512.
-// PE(n) = t_seq / (n * t_par) with t_seq the sequential simulated time of the
-// same instance, as in the paper.
+// PE(n) = t_seq / (n * t_par) with t_seq the sequential time of the same
+// instance, as in the paper: simulated seconds on the simulator, and on
+// threads and sockets the wall seconds of the same sequential run, so both
+// times of a PE cell come from one clock (the section headers name it).
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -53,15 +55,16 @@ int main(int argc, char** argv) {
     auto workload = make_bb(which == 0 ? 0 : 2,
                             static_cast<int>(flags.get_int(which == 0 ? "jobs21" : "jobs23")),
                             machines);
-    seq[which] = sequential_seconds(*workload);
+    seq[which] = run_sequential_on(*workload, rf.backend).exec_seconds;
   }
+  const char* unit = clock_unit(rf.backend);
 
   for (int which = 0; which < 2; ++which) {
     const int idx = which == 0 ? 0 : 2;
     const int jobs =
         static_cast<int>(flags.get_int(which == 0 ? "jobs21" : "jobs23"));
-    std::printf("== B&B Ta%ds (%dx%d, t_seq = %.2f sim-s) ==\n", 21 + idx, jobs,
-                machines, seq[which]);
+    std::printf("== B&B Ta%ds (%dx%d, t_seq = %.2f %s) ==\n", 21 + idx, jobs,
+                machines, seq[which], unit);
     Table table({"n", "BTD_sec", "BTD_PE%", "RWS_sec", "RWS_PE%"});
     for (std::int64_t n : flags.get_int_list("scales")) {
       std::vector<std::string> row = {Table::cell(n)};
@@ -87,10 +90,10 @@ int main(int argc, char** argv) {
   auto uts_ref = make_uts(static_cast<std::uint32_t>(flags.get_int("uts_seed")));
   // The sequential run also gives the exact node count every distributed
   // run of this instance must reproduce (checked on the scale ladder).
-  const lb::SequentialMetrics uts_seq_run = lb::run_sequential(*uts_ref);
+  const lb::SequentialMetrics uts_seq_run = run_sequential_on(*uts_ref, rf.backend);
   const double uts_seq = uts_seq_run.exec_seconds;
-  std::printf("== UTS binomial (b0=2000, m=2, q=0.49995, r=%s; t_seq = %.2f sim-s) ==\n",
-              flags.get("uts_seed").c_str(), uts_seq);
+  std::printf("== UTS binomial (b0=2000, m=2, q=0.49995, r=%s; t_seq = %.2f %s) ==\n",
+              flags.get("uts_seed").c_str(), uts_seq, unit);
   Table uts_table({"n", "BTD_sec", "BTD_PE%", "RWS_sec", "RWS_PE%", "BTD_qmean_us"});
   double worst_btd_pe = 2.0;
   lb::RunConfig worst_btd_config;

@@ -126,6 +126,6 @@ int main(int argc, char** argv) {
               out_path.c_str());
   std::printf("  derived timeline: %zu buckets of %.1f ms\n",
               metrics.work_in_flight.size(),
-              static_cast<double>(sim::Engine::kBusyBucket) / 1e6);
+              static_cast<double>(sim::Tally::kBusyBucket) / 1e6);
   return 0;
 }

@@ -162,9 +162,8 @@ bool parse_case(std::string_view text, FuzzCase* out) {
     return false;
   }
   if (c.jobs_id < 0 || c.jobs_id >= kNumJobPlans) return false;
-  // Service mode is overlay-only and fault/churn-free (validate_service),
-  // and run_service does not apply schedule perturbation — reject tuples
-  // that would silently drop one of their dimensions.
+  // Service mode is overlay-only and fault/churn/perturbation-free
+  // (validate_service) — reject tuples it would refuse.
   if (c.jobs_id != 0 &&
       (c.fault_id != 0 || c.churn_id != 0 || c.sched_seed != 0 ||
        !lb::strategy_is_overlay(c.strategy))) {
@@ -358,14 +357,10 @@ svc::ServiceConfig make_case_service(const FuzzCase& c) {
   return sc;
 }
 
-namespace {
-
-/// Service-mode counterpart of run_case: runs the job plan with every
-/// oracle armed (jobs = true), then checks the end-of-run job properties —
-/// completion, admission bounds, and each job's exact unit count / optimum
-/// against its own sequential reference.
-ConformanceReport run_job_case(const FuzzCase& c, trace::TraceSink* tracer) {
+ConformanceReport run_job_case(const FuzzCase& c, lb::Backend backend,
+                               trace::TraceSink* tracer) {
   svc::ServiceConfig sc = make_case_service(c);
+  sc.run.backend = backend;
   OracleOptions options = oracle_options_for(sc.run);
   options.jobs = true;
   OracleSet oracles(options);
@@ -416,14 +411,12 @@ ConformanceReport run_job_case(const FuzzCase& c, trace::TraceSink* tracer) {
   return report;
 }
 
-}  // namespace
-
 ConformanceReport run_case(const FuzzCase& c, const lb::PlantedBug& plant,
                            trace::TraceSink* tracer) {
   if (c.jobs_id != 0) {
     // Planted bugs mutate the single-job protocol paths (validate_service
     // rejects them), so job cases run the service sweep unplanted.
-    return run_job_case(c, tracer);
+    return run_job_case(c, lb::Backend::kSim, tracer);
   }
   const auto workload = make_case_workload(c);
   lb::RunConfig config = make_case_config(c);

@@ -88,6 +88,14 @@ lb::RunConfig make_case_config(const FuzzCase& c);
 /// case seed) over the case's workload shapes. Requires jobs_id != 0.
 svc::ServiceConfig make_case_service(const FuzzCase& c);
 
+/// Service-mode counterpart of run_case for a job case (jobs_id != 0): runs
+/// the job plan on `backend` (sim or threads) with every oracle armed, then
+/// checks the end-of-run job properties — completion, admission bounds, and
+/// each job's exact unit count / optimum against its own sequential
+/// reference.
+ConformanceReport run_job_case(const FuzzCase& c, lb::Backend backend,
+                               trace::TraceSink* tracer = nullptr);
+
 /// Runs the case with every oracle attached. `plant` optionally mutates
 /// the protocol (the harness self-test: a planted bug must be caught);
 /// `tracer` tees off the full event stream for --trace replays. Job cases

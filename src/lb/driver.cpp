@@ -360,7 +360,8 @@ std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
   return peers;
 }
 
-RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report) {
+RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report,
+                        const sim::Tally& tally) {
   RunMetrics metrics;
   metrics.final_state.reserve(static_cast<std::size_t>(n));
   sim::Time done_time = -1;
@@ -381,6 +382,32 @@ RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report) {
   }
   metrics.exec_seconds = sim::to_seconds(std::max<sim::Time>(done_time, 0));
   metrics.ok = all_done && done_time >= 0;
+
+  metrics.total_messages = tally.messages;
+  OLB_CHECK(tally.sent_by_type.size() <= static_cast<std::size_t>(kNumMsgTypes));
+  metrics.sent_by_type = tally.sent_by_type;
+  metrics.sent_by_type.resize(kNumMsgTypes, 0);
+  metrics.work_requests = work_requests(metrics.sent_by_type);
+  metrics.work_transfers = metrics.sent_by_type[kWork];
+  metrics.last_compute_seconds = sim::to_seconds(tally.last_compute_done);
+  for (sim::Time busy : tally.busy) {
+    metrics.utilization.push_back(
+        static_cast<double>(busy) /
+        (static_cast<double>(n) * static_cast<double>(sim::Tally::kBusyBucket)));
+  }
+  if (tally.queue_delay_samples > 0) {
+    // ns -> s, without truncating
+    metrics.queueing_delay_mean = static_cast<double>(tally.queue_delay_sum) /
+                                  static_cast<double>(tally.queue_delay_samples) /
+                                  1e9;
+  }
+  metrics.queueing_delay_max = sim::to_seconds(tally.queue_delay_max);
+  metrics.msgs_dropped = tally.msgs_dropped;
+  metrics.msgs_duplicated = tally.msgs_duplicated;
+  metrics.latency_spikes = tally.latency_spikes;
+  metrics.work_bounced = tally.work_bounced;
+  metrics.peers_crashed = tally.crashes;
+  metrics.work_lost_units = tally.work_lost_units;
   return metrics;
 }
 
@@ -453,16 +480,25 @@ OverlayConfig make_overlay_config(const RunConfig& config) {
 }
 
 RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
+  return run_distributed(build_cluster(workload, config), config);
+}
+
+RunMetrics run_distributed(std::vector<std::unique_ptr<PeerBase>> peers,
+                           const RunConfig& config,
+                           const std::function<void()>& harvest) {
   OLB_CHECK_MSG(config.backend == Backend::kSim,
                 "run_distributed is the simulator backend; runtime::run "
                 "dispatches threads/sockets runs");
+  OLB_CHECK(static_cast<int>(peers.size()) >= config.num_peers);
   validate_faults_for_strategy(config);
   validate_churn(config);
-  sim::ShardedEngine engine(config.net, config.seed, config.num_peers,
+  sim::ShardedEngine engine(config.net, config.seed, static_cast<int>(peers.size()),
                             effective_sim_shards(config));
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
-  for (std::unique_ptr<PeerBase>& peer : build_cluster(workload, config)) {
+  // The engine owns the peers from here on; their vector (8 bytes a peer)
+  // is freed before the run, not held through it.
+  for (std::unique_ptr<PeerBase>& peer : std::vector(std::move(peers))) {
     engine.add_actor(std::move(peer));
   }
   if (config.faults.enabled()) engine.set_faults(config.faults);
@@ -473,53 +509,29 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
 
   const auto result = engine.run(config.limits.time_limit, config.limits.event_limit);
 
-  RunMetrics metrics = fold_reports(engine.num_actors(), [&](int i) {
-    return static_cast<const PeerBase&>(engine.actor(i)).report();
-  });
+  RunMetrics metrics = fold_reports(
+      config.num_peers,
+      [&](int i) { return static_cast<const PeerBase&>(engine.actor(i)).report(); },
+      engine.tally());
   metrics.ok = metrics.ok && result.quiesced;
-  metrics.last_compute_seconds = sim::to_seconds(engine.last_compute_done());
   metrics.events = result.events;
-  metrics.total_messages = engine.total_messages();
-  metrics.work_requests =
-      work_requests([&](int type) { return engine.total_sent_of_type(type); });
-  metrics.work_transfers = engine.total_sent_of_type(kWork);
-  metrics.sent_by_type.resize(kNumMsgTypes);
-  for (int t = 0; t < kNumMsgTypes; ++t) {
-    metrics.sent_by_type[static_cast<std::size_t>(t)] = engine.total_sent_of_type(t);
-  }
-  for (sim::Time busy : engine.busy_histogram()) {
-    metrics.utilization.push_back(
-        static_cast<double>(busy) /
-        (static_cast<double>(config.num_peers) *
-         static_cast<double>(sim::Engine::kBusyBucket)));
-  }
-  for (int i = 0; i < engine.num_actors(); ++i) {
+  for (int i = 0; i < config.num_peers; ++i) {
     metrics.msgs_per_peer.push_back(engine.stats(i).msgs_sent);
   }
-
-  metrics.queueing_delay_mean =
-      engine.queueing_delay_mean() / 1e9;  // ns -> s, without truncating
-  metrics.queueing_delay_max = sim::to_seconds(engine.queueing_delay_max());
-
-  metrics.msgs_dropped = engine.msgs_dropped();
-  metrics.msgs_duplicated = engine.msgs_duplicated();
-  metrics.latency_spikes = engine.latency_spikes();
-  metrics.work_bounced = engine.work_bounced();
-  metrics.work_lost_units = engine.work_lost_units();
-  metrics.peers_crashed = static_cast<std::uint64_t>(engine.crashes_applied());
 
   if (config.tracer != nullptr) {
     const auto events = config.tracer->snapshot();
     metrics.trace_events = events.size();
     metrics.trace_dropped = config.tracer->dropped();
     const trace::Timeline tl =
-        trace::derive_timeline(events, sim::Engine::kBusyBucket, kWork);
+        trace::derive_timeline(events, sim::Tally::kBusyBucket, kWork);
     metrics.work_in_flight = tl.work_in_flight;
     metrics.idle_peers = tl.idle_peers;
     metrics.pending_depth = tl.pending_depth;
   }
   metrics.sim_shards = engine.num_shards();
   metrics.sim_windows = engine.windows_run();
+  if (harvest) harvest();
   return metrics;
 }
 

@@ -16,6 +16,7 @@
 #include "simnet/faults.hpp"
 #include "simnet/network.hpp"
 #include "simnet/perturb.hpp"
+#include "simnet/tally.hpp"
 #include "trace/trace.hpp"
 
 namespace olb::lb {
@@ -182,7 +183,8 @@ struct RunConfig {
   /// but a different (equally valid) timeline than the single-queue run.
   /// Features that assume one global event order (tracing, live metrics,
   /// fault injection, perturbation, the lost-work plant) force a fallback
-  /// to one shard with a one-time stderr note.
+  /// to one shard with a one-time stderr note; service mode rejects >= 2
+  /// (svc::validate_service).
   int sim_shards = 0;
 
   /// Execution backend. runtime::run dispatches on it; run_distributed
@@ -302,17 +304,31 @@ std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
                                                      const RunConfig& config);
 
 /// Folds a run's peer reports (`report(i)` for peer i in [0, n), e.g.
-/// PeerBase::report) into its metrics, the same on every backend: units,
+/// PeerBase::report) and what the run counted outside its peers (`tally`)
+/// into its metrics, the same on every backend and in service mode: units,
 /// best bound, retries, the state taps, exec_seconds from the declaring
 /// peer's done_time, and ok — one peer declared termination and every live
-/// peer terminated holding no work. The backend adds what only it counts
-/// (messages, events, ...). Reports are taken one at a time, so a 10^6-peer
-/// run never holds them all.
-RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report);
+/// peer terminated holding no work; then the messages, sends by type, work
+/// requests and transfers, and what only the simulator counts (utilisation
+/// over n peers, last compute end, queueing delay, fault tallies). The
+/// backend adds events and traces. Reports are taken one at a time, so a
+/// 10^6-peer run never holds them all.
+RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report,
+                        const sim::Tally& tally);
 
-/// Runs the workload under the given configuration. Aborts (OLB_CHECK) on
-/// protocol invariant violations; returns ok=false if a watchdog fired.
+/// Runs the workload under the given configuration: build_cluster, then the
+/// runner below. Aborts (OLB_CHECK) on protocol invariant violations;
+/// returns ok=false if a watchdog fired.
 RunMetrics run_distributed(Workload& workload, const RunConfig& config);
+
+/// Runs an already-built cluster on the simulator: `peers[i]` is peer i.
+/// The first config.num_peers peers are folded; any beyond them (the
+/// service gate) are hosted but not folded. `harvest`, when set, runs after
+/// the run, while the peers still live (service mode reads its gate and job
+/// tallies there).
+RunMetrics run_distributed(std::vector<std::unique_ptr<PeerBase>> peers,
+                           const RunConfig& config,
+                           const std::function<void()>& harvest = {});
 
 /// Sequential reference: total simulated compute time of the whole problem
 /// on one peer (no engine, no messages).

@@ -56,13 +56,6 @@ const JobBag::Slot& JobBag::sole_slot() const {
   return slots_.front();
 }
 
-double JobBag::amount_of(std::uint64_t job) const {
-  for (const Slot& s : slots_) {
-    if (s.job == job) return s.work->amount();
-  }
-  return 0.0;
-}
-
 std::unique_ptr<Work> JobBag::split(double fraction) {
   if (slots_.empty()) return nullptr;
   const double target = fraction * amount();

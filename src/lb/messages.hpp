@@ -113,11 +113,11 @@ inline const char* msg_type_name(int type) {
 
 /// The work requests among a run's sends — kReqDown + kReqUp + kReqBridge +
 /// kSteal + kMWRequest, RunMetrics::work_requests on every backend.
-/// `sent_of_type(type)` returns the sends of one type.
-template <typename SentOfType>
-std::uint64_t work_requests(const SentOfType& sent_of_type) {
-  return sent_of_type(kReqDown) + sent_of_type(kReqUp) + sent_of_type(kReqBridge) +
-         sent_of_type(kSteal) + sent_of_type(kMWRequest);
+/// `sent_by_type` is indexed by message type and holds all kNumMsgTypes
+/// (RunMetrics::sent_by_type does).
+inline std::uint64_t work_requests(const std::vector<std::uint64_t>& sent_by_type) {
+  return sent_by_type[kReqDown] + sent_by_type[kReqUp] + sent_by_type[kReqBridge] +
+         sent_by_type[kSteal] + sent_by_type[kMWRequest];
 }
 
 /// Timer tags, namespaced per subsystem (high byte = subsystem) so a timer
@@ -127,7 +127,6 @@ enum TimerTag : std::int64_t {
   kOverlayRetryTimer = 0x0101,
   kMwCheckpointTimer = 0x0301,
   kAhmwRetryTimer = 0x0401,
-  kTraceFlushTimer = 0x0501,  ///< reserved for the trace layer
 
   // --- fault-tolerance timers (armed only when a FaultPlan is enabled; a
   // fault-free run never sets any of them). Several encode a generation

@@ -1,11 +1,11 @@
 // One actor hosted in real time: what the thread and socket backends do
 // alike for each actor they run, as sim::Engine does for a simulated one.
-// A Host binds the actor (sim::Actor::bind), stamps, counts and traces its
-// sends, keeps its timers, delivers its messages, and runs its
-// poll-between-chunks pass. How messages reach a batch (a mailbox, TCP
-// frames), when to poll or sleep and when the run ends stay with the
-// backend (runtime::ThreadNet, runtime::SocketNet). Every Host method runs
-// on the actor's own thread of control.
+// A Host binds the actor (sim::Actor::bind), stamps, counts (in a
+// sim::Tally) and traces its sends, keeps its timers, delivers its
+// messages, and runs its poll-between-chunks pass. How messages reach a
+// batch (a mailbox, TCP frames), when to poll or sleep and when the run
+// ends stay with the backend (runtime::ThreadNet, runtime::SocketNet).
+// Every Host method runs on the actor's own thread of control.
 #pragma once
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "metrics/metrics.hpp"
 #include "simnet/engine.hpp"
+#include "simnet/tally.hpp"
 #include "support/check.hpp"
 #include "trace/trace.hpp"
 
@@ -62,12 +63,9 @@ class Host {
     m.dst = dst;
     // 31 bits, like every Message id: they recycle after 2^31 / n sends.
     m.id = static_cast<std::uint32_t>(
-        (a.stats_.msgs_sent * n + static_cast<std::uint64_t>(a.id_) + 1) &
+        (tally_.messages * n + static_cast<std::uint64_t>(a.id_) + 1) &
         0x7fffffffu);
-    ++a.stats_.msgs_sent;
-    const auto type = static_cast<std::size_t>(m.type);
-    if (sent_by_type_.size() <= type) sent_by_type_.resize(type + 1, 0);
-    ++sent_by_type_[type];
+    tally_.count_send(m.type);
     if (trace::TraceSink* sink = a.transport_->transport_tracer();
         sink != nullptr) [[unlikely]] {
       // Latency (b) is 0: there is no modelled network here.
@@ -95,7 +93,6 @@ class Host {
   /// inbox would read as served out of arrival order.
   void deliver(sim::Message m) {
     sim::Actor& a = *actor_;
-    ++a.stats_.msgs_received;
     // Timers stay in the Host and faults exist only in the simulator, so
     // the reserved negative types never arrive here.
     OLB_CHECK(m.type >= 0);
@@ -136,13 +133,8 @@ class Host {
   void arm_metrics(metrics::Registry& registry) { actor_->on_metrics(registry); }
   void poll_metrics() { actor_->on_metrics_poll(); }
 
-  /// The actor's sends, in all and of one message type.
-  std::uint64_t sent() const { return actor_->stats_.msgs_sent; }
-  std::uint64_t sent_of_type(int type) const {
-    OLB_CHECK(type >= 0);
-    const auto idx = static_cast<std::size_t>(type);
-    return idx < sent_by_type_.size() ? sent_by_type_[idx] : 0;
-  }
+  /// The actor's sends, in all and by message type.
+  const sim::Tally& tally() const { return tally_; }
 
  private:
   struct Timer {
@@ -171,8 +163,8 @@ class Host {
   }
 
   std::unique_ptr<sim::Actor> actor_;
-  std::vector<Timer> timers_;                ///< min-heap by deadline
-  std::vector<std::uint64_t> sent_by_type_;  ///< the actor's sends, by type
+  std::vector<Timer> timers_;  ///< min-heap by deadline
+  sim::Tally tally_;
 };
 
 }  // namespace olb::runtime

@@ -44,22 +44,45 @@ lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config) {
   m.total_messages = t.total_messages;
   m.work_requests = t.work_requests;
   m.work_transfers = t.work_transfers;
+  m.sent_by_type = std::move(t.sent_by_type);
   m.best_bound = t.best_bound;
   m.ok = t.ok;
   m.final_state = std::move(t.final_state);
   return m;
 }
 
+ThreadRunMetrics thread_metrics(lb::RunMetrics folded, double wall_seconds) {
+  ThreadRunMetrics m;
+  m.wall_seconds = wall_seconds;
+  m.done_seconds = folded.exec_seconds;
+  m.total_units = folded.total_units;
+  m.best_bound = folded.best_bound;
+  m.total_messages = folded.total_messages;
+  m.work_requests = folded.work_requests;
+  m.work_transfers = folded.work_transfers;
+  m.sent_by_type = std::move(folded.sent_by_type);
+  m.ok = folded.ok;
+  m.final_state = std::move(folded.final_state);
+  return m;
+}
+
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config) {
+  return run_threads(lb::build_cluster(workload, config), config);
+}
+
+ThreadRunMetrics run_threads(std::vector<std::unique_ptr<lb::PeerBase>> peers,
+                             const lb::RunConfig& config,
+                             const std::function<void()>& harvest) {
   const std::string why = unsupported_reason(lb::Backend::kThreads, config);
   OLB_CHECK_MSG(why.empty(), why.c_str());
+  OLB_CHECK(static_cast<int>(peers.size()) >= config.num_peers);
 
   ThreadNet net(config.seed);
   net.set_tracer(config.tracer);
   if (config.metrics != nullptr) net.set_metrics(config.metrics);
-  std::vector<const lb::PeerBase*> peers;
-  for (std::unique_ptr<lb::PeerBase>& peer : lb::build_cluster(workload, config)) {
-    peers.push_back(peer.get());
+  std::vector<const lb::PeerBase*> hosted;
+  for (std::unique_ptr<lb::PeerBase>& peer : std::vector(std::move(peers))) {
+    hosted.push_back(peer.get());
     net.add_actor(std::move(peer));
   }
 
@@ -69,20 +92,14 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
       },
       config.limits.time_limit);
 
-  lb::RunMetrics folded = lb::fold_reports(config.num_peers, [&](int i) {
-    return peers[static_cast<std::size_t>(i)]->report();
-  });
-  ThreadRunMetrics metrics;
-  metrics.wall_seconds = result.wall_seconds;
-  metrics.done_seconds = folded.exec_seconds;
-  metrics.total_units = folded.total_units;
-  metrics.best_bound = folded.best_bound;
-  metrics.total_messages = net.total_messages();
-  metrics.work_requests =
-      lb::work_requests([&](int type) { return net.total_sent_of_type(type); });
-  metrics.work_transfers = net.total_sent_of_type(lb::kWork);
-  metrics.ok = folded.ok && result.completed;
-  metrics.final_state = std::move(folded.final_state);
+  ThreadRunMetrics metrics = thread_metrics(
+      lb::fold_reports(
+          config.num_peers,
+          [&](int i) { return hosted[static_cast<std::size_t>(i)]->report(); },
+          net.tally()),
+      result.wall_seconds);
+  metrics.ok = metrics.ok && result.completed;
+  if (harvest) harvest();
   return metrics;
 }
 

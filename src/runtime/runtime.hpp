@@ -4,7 +4,8 @@
 // the simulator's own actors, for any strategy — on real threads over real
 // work (runtime::ThreadNet) instead of the discrete-event simulator;
 // run_sockets runs one rank of it per OS process (runtime::SocketNet). Both
-// fold their peers' reports with lb::fold_reports, as the simulator does.
+// fold their peers' reports and their merged send tally with
+// lb::fold_reports, as the simulator does.
 // run() switches on config.backend over those two and lb::run_distributed,
 // and unsupported_reason() is the single list of what each backend cannot
 // run.
@@ -25,7 +26,10 @@
 // messaging-bound regime).
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "lb/driver.hpp"
 
@@ -43,6 +47,7 @@ struct ThreadRunMetrics {
   std::uint64_t total_messages = 0;
   std::uint64_t work_requests = 0;   ///< lb::work_requests of the sends
   std::uint64_t work_transfers = 0;  ///< kWork messages sent
+  std::vector<std::uint64_t> sent_by_type;  ///< indexed by lb::MsgType
   bool ok = false;  ///< terminated everywhere, no work left anywhere
   /// Post-run per-peer protocol snapshots (peer-id order) for the
   /// conformance oracles — the same taps the simulator backend reports.
@@ -63,13 +68,22 @@ std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config)
 /// delay, per-peer message vectors) stay zero or empty.
 lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config);
 
-/// Runs `workload` under `config` on one thread per peer. Requires
+/// Runs `workload` under `config` on one thread per peer: lb::build_cluster,
+/// then the runner below.
+ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config);
+
+/// Runs an already-built cluster on one thread per peer (`peers[i]` is peer
+/// i) until every peer saw termination. Requires
 /// unsupported_reason(kThreads, config) to be empty (OLB_CHECK). A tracer in
 /// the config need not be thread-safe: ThreadNet::set_tracer makes it so.
-/// `config.num_peers` is the thread count;
+/// The first config.num_peers peers are folded; any beyond them (the
+/// service gate) are hosted but not folded. `harvest`, when set, runs after
+/// the threads are joined, while the peers still live.
 /// `config.limits.time_limit` caps the wall clock (a watchdog — a correct
 /// run finishes long before it).
-ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config);
+ThreadRunMetrics run_threads(std::vector<std::unique_ptr<lb::PeerBase>> peers,
+                             const lb::RunConfig& config,
+                             const std::function<void()>& harvest = {});
 
 /// Socket-backend counterpart: runs THIS process's single peer
 /// (config.sockets.rank) of a multi-process cluster over TCP
@@ -80,5 +94,8 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
 /// config.sockets.trace_prefix. `config.limits.time_limit` caps the wall
 /// clock per process.
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config);
+
+/// A real-time run's metrics: its fold (lb::fold_reports) and its wall time.
+ThreadRunMetrics thread_metrics(lb::RunMetrics folded, double wall_seconds);
 
 }  // namespace olb::runtime

@@ -130,10 +130,8 @@ class SocketNet final : public sim::Transport {
       std::vector<std::uint8_t> mine);
 
   int rank() const { return options_.rank; }
-  /// The local actor's sends, in all and of one message type (call after
-  /// run()).
-  std::uint64_t messages_sent() const { return host_->sent(); }
-  std::uint64_t sent_of_type(int type) const { return host_->sent_of_type(type); }
+  /// The local actor's sends (call after run()).
+  const sim::Tally& tally() const { return host_->tally(); }
 
  private:
   /// One TCP connection (inbound or outbound, identified or not yet).

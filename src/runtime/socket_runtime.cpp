@@ -26,13 +26,11 @@ namespace {
 
 /// Everything a rank reports about its own run, exchanged as an opaque blob
 /// via kResult/kSummary and decoded identically everywhere: its peer report
-/// (what lb::fold_reports folds on every backend) and what only this
-/// harness counts.
+/// and its sends by type (what lb::fold_reports folds on every backend),
+/// and its share of the B&B incumbent.
 struct RankResult {
   lb::PeerReport report;  ///< report.tap.peer is the rank
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t work_requests = 0;
-  std::uint64_t work_transfers = 0;
+  sim::Tally sends;       ///< messages and sent_by_type only
   std::vector<std::uint8_t> solution;  ///< codec solution blob (may be empty)
 };
 
@@ -42,9 +40,8 @@ void encode_rank_result(const RankResult& r, WireWriter& w) {
   w.i64(r.report.best_bound);
   w.u64(r.report.retries);
   w.i64(r.report.done_time);
-  w.u64(r.msgs_sent);
-  w.u64(r.work_requests);
-  w.u64(r.work_transfers);
+  w.u32(static_cast<std::uint32_t>(r.sends.sent_by_type.size()));
+  for (std::uint64_t sent : r.sends.sent_by_type) w.u64(sent);
   const std::uint8_t flags = static_cast<std::uint8_t>(
       (tap.crashed ? 1 : 0) | (tap.holds_work ? 2 : 0) |
       (tap.terminated ? 4 : 0) | (tap.computing ? 8 : 0) |
@@ -66,9 +63,13 @@ RankResult decode_rank_result(WireReader& r) {
   out.report.best_bound = r.i64();
   out.report.retries = r.u64();
   out.report.done_time = r.i64();
-  out.msgs_sent = r.u64();
-  out.work_requests = r.u64();
-  out.work_transfers = r.u64();
+  const std::uint32_t types = r.u32();
+  OLB_CHECK_MSG(types <= static_cast<std::uint32_t>(lb::kNumMsgTypes),
+                "malformed rank result blob");
+  for (std::uint32_t type = 0; type < types; ++type) {
+    out.sends.sent_by_type.push_back(r.u64());
+    out.sends.messages += out.sends.sent_by_type.back();
+  }
   const std::uint8_t flags = r.u8();
   tap.crashed = (flags & 1) != 0;
   tap.holds_work = (flags & 2) != 0;
@@ -167,10 +168,7 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
 
   RankResult mine;
   mine.report = peer->report();
-  mine.msgs_sent = net.messages_sent();
-  mine.work_requests =
-      lb::work_requests([&](int type) { return net.sent_of_type(type); });
-  mine.work_transfers = net.sent_of_type(lb::kWork);
+  mine.sends.sent_by_type = net.tally().sent_by_type;
   {
     WireWriter sol;
     codec->encode_solution(sol);
@@ -182,17 +180,14 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   const std::vector<std::vector<std::uint8_t>> blobs =
       net.exchange_results(blob.take());
 
-  ThreadRunMetrics metrics;
-  metrics.wall_seconds = run.wall_seconds;
   std::vector<lb::PeerReport> reports;
+  sim::Tally sends;
   for (int rank = 0; rank < config.num_peers; ++rank) {
     WireReader reader(blobs[static_cast<std::size_t>(rank)]);
     RankResult r = decode_rank_result(reader);
     OLB_CHECK_MSG(r.report.tap.peer == rank, "result blobs out of rank order");
     reports.push_back(r.report);
-    metrics.total_messages += r.msgs_sent;
-    metrics.work_requests += r.work_requests;
-    metrics.work_transfers += r.work_transfers;
+    sends.merge(r.sends);
     if (!r.solution.empty()) {
       WireReader sol(r.solution);
       OLB_CHECK_MSG(codec->merge_solution(sol) && sol.exhausted(),
@@ -201,14 +196,11 @@ ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config
   }
   // A rank's clock starts at its own receipt of the start barrier, so the
   // run's time is the declaring rank's, never a minimum over ranks.
-  lb::RunMetrics folded = lb::fold_reports(config.num_peers, [&](int rank) {
-    return reports[static_cast<std::size_t>(rank)];
-  });
-  metrics.done_seconds = folded.exec_seconds;
-  metrics.total_units = folded.total_units;
-  metrics.best_bound = folded.best_bound;
-  metrics.ok = folded.ok;
-  metrics.final_state = std::move(folded.final_state);
+  ThreadRunMetrics metrics = thread_metrics(
+      lb::fold_reports(
+          config.num_peers,
+          [&](int rank) { return reports[static_cast<std::size_t>(rank)]; }, sends),
+      run.wall_seconds);
   net.shutdown();
   return metrics;
 }

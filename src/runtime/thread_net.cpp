@@ -145,15 +145,9 @@ RunResult ThreadNet::run(const ExitPredicate& exit_when, sim::Time wall_limit) {
   return result;
 }
 
-std::uint64_t ThreadNet::total_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& p : peers_) total += p->host.sent();
-  return total;
-}
-
-std::uint64_t ThreadNet::total_sent_of_type(int type) const {
-  std::uint64_t total = 0;
-  for (const auto& p : peers_) total += p->host.sent_of_type(type);
+sim::Tally ThreadNet::tally() const {
+  sim::Tally total;
+  for (const auto& p : peers_) total.merge(p->host.tally());
   return total;
 }
 

@@ -58,9 +58,8 @@ class ThreadNet final : public sim::Transport {
   /// all, then validates that no undelivered message carried work.
   RunResult run(const ExitPredicate& exit_when, sim::Time wall_limit);
 
-  /// Sends by all actors, in all and of one message type (call after run()).
-  std::uint64_t total_messages() const;
-  std::uint64_t total_sent_of_type(int type) const;
+  /// The hosts' tallies merged: every actor's sends (call after run()).
+  sim::Tally tally() const;
 
   /// Attaches a trace sink (not owned; must outlive run()). Peers emit from
   /// their own threads, so ThreadNet wraps it in a trace::LockedSink, whose

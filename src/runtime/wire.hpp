@@ -38,9 +38,11 @@ inline constexpr std::uint32_t kWireMagic = 0x4F4C4257u;  // "OLBW" (LE "WBLO")
 /// v2: job-layer payload kinds (kJobInject work, kJobProbe/Ack stat waves)
 /// joined the message codec. v3: the rank result blob carries the peer's
 /// lb::PeerReport (retries and the declaration time for every strategy).
-/// Peers of different versions refuse to talk — a v1 peer cannot silently
-/// drop job tags it does not understand.
-inline constexpr std::uint16_t kWireVersion = 3;
+/// v4: the rank result blob carries the rank's sends by message type, and
+/// the service message types left the codec (service mode never runs on
+/// sockets; a frame of one is malformed). Peers of different versions
+/// refuse to talk.
+inline constexpr std::uint16_t kWireVersion = 4;
 /// Upper bound on a frame body; anything larger is a corrupt or hostile
 /// header, not a real message (the largest legitimate frames are work
 /// transfers of a few hundred KB).

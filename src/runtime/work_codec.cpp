@@ -18,8 +18,6 @@ enum PayloadKind : std::uint8_t {
   kPayloadProbe = 1,
   kPayloadWork = 2,
   kPayloadLeave = 3,
-  kPayloadJob = 4,       ///< kJobInject: tagged root work of a fresh job
-  kPayloadJobProbe = 5,  ///< kJobProbe/kJobProbeAck: per-job stat vectors
 };
 
 /// The one payload kind each message type carries; a frame that pairs a
@@ -30,11 +28,14 @@ PayloadKind payload_kind_of(int type) {
     case lb::kProbe:
     case lb::kProbeAck: return kPayloadProbe;
     case lb::kLeave: return kPayloadLeave;
-    case lb::kJobInject: return kPayloadJob;
-    case lb::kJobProbe:
-    case lb::kJobProbeAck: return kPayloadJobProbe;
     default: return kPayloadNone;
   }
+}
+
+/// Service mode never runs on sockets (svc::validate_service), so a frame of
+/// a service message type (kJobInject through kSvcShutdown) is malformed.
+bool is_service_type(int type) {
+  return type >= lb::kJobInject && type <= lb::kSvcShutdown;
 }
 
 /// UTS work = nodes-counted tally + the frontier of pending (state, depth)
@@ -214,30 +215,6 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
     w.blob(body.data());
     return;
   }
-  if (const auto* jp = dynamic_cast<const lb::JobPayload*>(m.payload.get())) {
-    OLB_CHECK_MSG(codec != nullptr, "job payload needs a workload codec");
-    OLB_CHECK_MSG(jp->work != nullptr, "job payload without work");
-    w.u8(kPayloadJob);
-    w.u64(jp->job);
-    w.i32(jp->job_class);
-    WireWriter body;
-    codec->encode_work(*jp->work, body);
-    w.blob(body.data());
-    return;
-  }
-  if (const auto* jpp =
-          dynamic_cast<const lb::JobProbePayload*>(m.payload.get())) {
-    w.u8(kPayloadJobProbe);
-    w.u64(jpp->probe_id);
-    w.u32(static_cast<std::uint32_t>(jpp->stats.size()));
-    for (const lb::JobStat& st : jpp->stats) {
-      w.u64(st.job);
-      w.u64(st.sent);
-      w.u64(st.recv);
-      w.i64(st.holds_milli);
-    }
-    return;
-  }
   OLB_CHECK_MSG(false, "unknown payload type on the wire");
 }
 
@@ -253,7 +230,7 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
   m.b = r.i64();
   m.c = r.i64();
   const std::uint8_t kind = r.u8();
-  if (kind != payload_kind_of(m.type)) return false;
+  if (is_service_type(m.type) || kind != payload_kind_of(m.type)) return false;
   switch (kind) {
     case kPayloadNone:
       break;
@@ -301,34 +278,6 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
       std::unique_ptr<lb::Work> work = codec->decode_work(body_reader);
       if (work == nullptr || !body_reader.exhausted()) return false;
       m.payload = std::make_unique<lb::WorkPayload>(std::move(work));
-      break;
-    }
-    case kPayloadJob: {
-      if (codec == nullptr) return false;
-      auto job = std::make_unique<lb::JobPayload>();
-      job->job = r.u64();
-      job->job_class = r.i32();
-      const std::vector<std::uint8_t> body = r.blob();
-      if (!r.ok()) return false;
-      WireReader body_reader(body);
-      job->work = codec->decode_work(body_reader);
-      if (job->work == nullptr || !body_reader.exhausted()) return false;
-      m.payload = std::move(job);
-      break;
-    }
-    case kPayloadJobProbe: {
-      auto probe = std::make_unique<lb::JobProbePayload>();
-      probe->probe_id = r.u64();
-      const std::uint32_t n = r.u32();
-      for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-        lb::JobStat st;
-        st.job = r.u64();
-        st.sent = r.u64();
-        st.recv = r.u64();
-        st.holds_milli = r.i64();
-        probe->stats.push_back(st);
-      }
-      m.payload = std::move(probe);
       break;
     }
     default:

@@ -52,9 +52,10 @@ std::unique_ptr<WorkCodec> make_work_codec(lb::Workload& workload);
 void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w);
 
 /// Inverse of encode_message. Returns false (msg unspecified) on any
-/// malformed body — a payload kind the message type does not carry (each
-/// type carries exactly one: work, probe, leave, job, job-probe or none),
-/// truncated fields, codec rejection.
+/// malformed body — a service message type (service mode never runs on
+/// sockets), a payload kind the message type does not carry (each type
+/// carries exactly one: work, probe, leave or none), truncated fields,
+/// codec rejection.
 bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg);
 
 }  // namespace olb::runtime

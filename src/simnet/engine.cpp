@@ -85,15 +85,9 @@ void Engine::transport_compute_started(Actor& from, Time duration) {
   // occupied), which is why this lives behind the Transport seam.
   const Time base = from.busy_until_ > now_ ? from.busy_until_ : now_;
   from.busy_until_ = base + duration;
-  record_busy(base, duration);
+  tally_.record_busy(base, duration);
   trace::emit(tracer_, base, trace::EventKind::kComputeSpan, from.id_, -1, 0,
               duration);
-}
-
-void Engine::record_busy(Time start, Time duration) {
-  const auto bucket = static_cast<std::size_t>(start / kBusyBucket);
-  if (busy_buckets_.size() <= bucket) busy_buckets_.resize(bucket + 1, 0);
-  busy_buckets_[bucket] += duration;
 }
 
 void Engine::transport_set_timer(Actor& from, Time delay, std::int64_t tag) {
@@ -164,10 +158,7 @@ void Engine::send_from(Actor& from, int dst, Message m) {
   m.src = from.id_;
   m.dst = dst;
   ++from.stats_.msgs_sent;
-  ++total_messages_;
-  const auto type_idx = static_cast<std::size_t>(m.type);
-  if (sent_by_type_.size() <= type_idx) sent_by_type_.resize(type_idx + 1, 0);
-  ++sent_by_type_[type_idx];
+  tally_.count_send(m.type);
   Time latency = network_.latency(from.id_, dst);
   if (!is_local(dst)) [[unlikely]] {
     // Cross-shard send: all send-side effects (stats, latency draw) are
@@ -226,7 +217,7 @@ void Engine::send_from(Actor& from, int dst, Message m) {
     // The id store lives under the tracer check: writing a bit-field is a
     // read-modify-write of the whole type/id unit, too costly for a field
     // nothing reads in untraced runs.
-    m.id = static_cast<std::uint32_t>(total_messages_);
+    m.id = static_cast<std::uint32_t>(tally_.messages);
     trace::emit(tracer_, now_, trace::EventKind::kMsgSend, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), latency);
   }
@@ -245,23 +236,23 @@ void Engine::send_faulty(Actor& from, int dst, Message&& m, Time latency) {
   const FaultInjector::Fate fate = injector_.draw_fate();
   if (fate.extra_latency > 0) {
     latency += fate.extra_latency;
-    ++latency_spikes_;
+    ++tally_.latency_spikes;
   }
 
   if (tracer_ != nullptr) {
-    m.id = static_cast<std::uint32_t>(total_messages_);
+    m.id = static_cast<std::uint32_t>(tally_.messages);
     trace::emit(tracer_, now_, trace::EventKind::kMsgSend, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), latency);
   }
 
   if (fate.drop) {
-    ++msgs_dropped_;
+    ++tally_.msgs_dropped;
     trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), 0);
     return;
   }
   if (fate.duplicate) {
-    ++msgs_duplicated_;
+    ++tally_.msgs_duplicated;
     trace::emit(tracer_, now_, trace::EventKind::kMsgDup, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), 0);
     Message copy(m.type, m.a, m.b, m.c);
@@ -320,9 +311,7 @@ void Engine::service(Actor& a, Time t) {
     // the engine-reserved negative types pay the second. Only application
     // messages count towards the queueing delay.
     if (m.type >= 0) {
-      queue_delay_sum_ += inbox_wait;
-      ++queue_delay_samples_;
-      if (inbox_wait > queue_delay_max_) queue_delay_max_ = inbox_wait;
+      tally_.record_queue_delay(inbox_wait);
       trace::emit(tracer_, t, trace::EventKind::kMsgDeliver, a.id_, m.src,
                   m.type, static_cast<std::int64_t>(m.id), inbox_wait);
       a.on_message(std::move(m));
@@ -335,7 +324,7 @@ void Engine::service(Actor& a, Time t) {
     }
   } else if (a.compute_pending_) {
     a.compute_pending_ = false;
-    last_compute_done_ = t;
+    tally_.last_compute_done = t;
     a.on_compute_done();
   }
 
@@ -433,7 +422,7 @@ void Engine::arrival_at_crashed(Message m) {
   const int victim = m.dst;
   if (m.payload != nullptr && !m.bounced && m.src >= 0 && is_local(m.src) &&
       !actors_[static_cast<std::size_t>(m.src - id_base_)]->crashed_) {
-    ++work_bounced_;
+    ++tally_.work_bounced;
     const int sender = m.src;
     m.src = victim;
     m.dst = sender;
@@ -441,9 +430,9 @@ void Engine::arrival_at_crashed(Message m) {
     push_arrival(std::move(m), now_ + network_.latency(victim, sender));
     return;
   }
-  ++msgs_dropped_;
+  ++tally_.msgs_dropped;
   if (m.payload != nullptr) {
-    work_lost_units_ += m.payload->amount();
+    tally_.work_lost_units += m.payload->amount();
     trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
                 static_cast<std::int64_t>(m.id), 2);
   } else {
@@ -456,15 +445,14 @@ void Engine::apply_crash(int peer) {
   Actor& a = *local(peer);
   if (a.crashed_) return;
   a.crashed_ = true;
-  injector_.mark_crashed(peer);
-  ++crashes_applied_;
+  ++tally_.crashes;
   // Arrived-but-unserviced messages die with the peer; their payloads are
   // genuinely lost (the sender already considers them delivered).
   for (std::uint32_t s = a.inbox_head_; s != kNoSlot;) {
     Event& ev = queue_.slot(s);
     const std::uint32_t next = ev.next;
     if (ev.msg.payload != nullptr) {
-      work_lost_units_ += ev.msg.payload->amount();
+      tally_.work_lost_units += ev.msg.payload->amount();
       ev.msg.payload.reset();
     }
     queue_.release(s);
@@ -473,7 +461,7 @@ void Engine::apply_crash(int peer) {
   a.inbox_head_ = kNoSlot;
   a.inbox_tail_ = kNoSlot;
   const double held = a.on_crashed();
-  work_lost_units_ += held;
+  tally_.work_lost_units += held;
   trace::emit(tracer_, now_, trace::EventKind::kPeerCrash, peer, -1, 0,
               static_cast<std::int64_t>(held));
   // Failure detector: every survivor hears about it after detection_delay.
@@ -515,15 +503,15 @@ void Engine::flush_metrics(std::uint64_t events_so_far) {
   em_.events->inc(events_so_far - m_last_events_);
   m_last_events_ = events_so_far;
   em_.queue_len->set(static_cast<std::int64_t>(queue_.size()));
-  em_.dropped->inc(msgs_dropped_ - m_last_dropped_);
-  m_last_dropped_ = msgs_dropped_;
-  em_.duplicated->inc(msgs_duplicated_ - m_last_duplicated_);
-  m_last_duplicated_ = msgs_duplicated_;
-  em_.spikes->inc(latency_spikes_ - m_last_spikes_);
-  m_last_spikes_ = latency_spikes_;
-  em_.crashes->inc(static_cast<std::uint64_t>(crashes_applied_ - m_last_crashes_));
-  m_last_crashes_ = crashes_applied_;
-  em_.work_lost->set(static_cast<std::int64_t>(work_lost_units_));
+  em_.dropped->inc(tally_.msgs_dropped - m_last_dropped_);
+  m_last_dropped_ = tally_.msgs_dropped;
+  em_.duplicated->inc(tally_.msgs_duplicated - m_last_duplicated_);
+  m_last_duplicated_ = tally_.msgs_duplicated;
+  em_.spikes->inc(tally_.latency_spikes - m_last_spikes_);
+  m_last_spikes_ = tally_.latency_spikes;
+  em_.crashes->inc(tally_.crashes - m_last_crashes_);
+  m_last_crashes_ = tally_.crashes;
+  em_.work_lost->set(static_cast<std::int64_t>(tally_.work_lost_units));
   for (auto& a : actors_) {
     if (!a->crashed_) a->on_metrics_poll();
   }

@@ -27,6 +27,7 @@
 #include "simnet/message.hpp"
 #include "simnet/network.hpp"
 #include "simnet/perturb.hpp"
+#include "simnet/tally.hpp"
 #include "simnet/time.hpp"
 #include "simnet/transport.hpp"
 #include "support/check.hpp"
@@ -45,7 +46,8 @@ namespace olb::sim {
 
 class Engine;
 
-/// Per-actor accounting used for efficiency and message-load reports.
+/// Per-actor accounting used for efficiency and message-load reports (kept
+/// by the simulator; the real-time backends count sends in a sim::Tally).
 struct ActorStats {
   std::uint64_t msgs_sent = 0;
   std::uint64_t msgs_received = 0;
@@ -261,7 +263,6 @@ class Engine final : public Transport {
     injector_.configure(plan, num_actors(), seed_);
     link_faults_on_ = injector_.link_active();
   }
-  bool peer_crashed(int id) const { return injector_.crashed(id); }
 
   /// Installs a schedule perturbation (see perturb.hpp): random tie-breaking
   /// among simultaneous events and/or bounded extra latency jitter, driven
@@ -284,32 +285,9 @@ class Engine final : public Transport {
     planted_drop_nth_ = nth;
   }
 
-  // --- fault accounting (all zero in fault-free runs) ---
-  std::uint64_t msgs_dropped() const { return msgs_dropped_; }
-  std::uint64_t msgs_duplicated() const { return msgs_duplicated_; }
-  std::uint64_t latency_spikes() const { return latency_spikes_; }
-  std::uint64_t work_bounced() const { return work_bounced_; }
-  int crashes_applied() const { return crashes_applied_; }
-  /// Application units destroyed by crashes: work held by the victim plus
-  /// payloads in its inbox or addressed to it that could not be bounced.
-  double work_lost_units() const { return work_lost_units_; }
-
-  std::uint64_t total_messages() const { return total_messages_; }
-  /// Messages of one type sent by this engine's actors.
-  std::uint64_t total_sent_of_type(int type) const {
-    OLB_CHECK(type >= 0);
-    const auto idx = static_cast<std::size_t>(type);
-    return idx < sent_by_type_.size() ? sent_by_type_[idx] : 0;
-  }
-
-  /// Aggregate compute time per kBusyBucket window of simulated time —
-  /// cluster utilisation over time (bucket i covers [i, i+1) * kBusyBucket).
-  static constexpr Time kBusyBucket = milliseconds(1);
-  const std::vector<Time>& busy_histogram() const { return busy_buckets_; }
-
-  /// When the last compute span ended (the last on_compute_done call): the
-  /// end of a run's work, before its termination-detection tail.
-  Time last_compute_done() const { return last_compute_done_; }
+  /// What this engine counted: its actors' sends, their compute spans, the
+  /// inbox queueing delay of application messages and the fault tallies.
+  const Tally& tally() const { return tally_; }
 
   /// Attaches a trace sink (not owned; must outlive run()). nullptr (the
   /// default) disables tracing at the cost of one branch per event site.
@@ -325,13 +303,6 @@ class Engine final : public Transport {
   /// without a hub.
   void set_metrics(metrics::MetricsHub* hub);
   metrics::MetricsHub* metrics_hub() const { return metrics_hub_; }
-
-  /// Queueing delay: how long application messages sat in an inbox behind a
-  /// busy actor before being handled — the paper's Master-Worker collapse is
-  /// exactly this number exploding at the master. Always accounted.
-  Time queueing_delay_max() const { return queue_delay_max_; }
-  std::uint64_t queueing_delay_samples() const { return queue_delay_samples_; }
-  Time queueing_delay_sum() const { return queue_delay_sum_; }
 
  private:
   friend class Actor;
@@ -386,19 +357,14 @@ class Engine final : public Transport {
   void apply_crash(int peer);
   void apply_stall(int peer, Time duration);
 
-  void record_busy(Time start, Time duration);
-
   NetworkConfig config_;
   Network network_;
   std::uint64_t seed_;
-  std::vector<Time> busy_buckets_;
   std::vector<std::unique_ptr<Actor>> actors_;
   EventQueue queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t total_messages_ = 0;
-  std::vector<std::uint64_t> sent_by_type_;  ///< indexed by message type
+  Tally tally_;
   Time now_ = 0;
-  Time last_compute_done_ = 0;
   bool running_ = false;
   // Shard state (see configure_shard; inert in unsharded engines).
   int id_base_ = 0;
@@ -426,12 +392,6 @@ class Engine final : public Transport {
   // predicted-not-taken branch, and zero-fault runs take none of them).
   FaultInjector injector_;
   bool link_faults_on_ = false;
-  std::uint64_t msgs_dropped_ = 0;
-  std::uint64_t msgs_duplicated_ = 0;
-  std::uint64_t latency_spikes_ = 0;
-  std::uint64_t work_bounced_ = 0;
-  int crashes_applied_ = 0;
-  double work_lost_units_ = 0.0;
   // Schedule perturbation (off by default; the tie stamp is one
   // predicted-not-taken branch per event, the jitter one per send).
   bool perturb_ties_ = false;
@@ -446,9 +406,6 @@ class Engine final : public Transport {
   int planted_drop_nth_ = 0;
   int planted_payload_seen_ = 0;
   trace::TraceSink* tracer_ = nullptr;
-  Time queue_delay_sum_ = 0;
-  Time queue_delay_max_ = 0;
-  std::uint64_t queue_delay_samples_ = 0;
   // Live metrics: nothing below but metrics_next_ is touched unless a hub is
   // attached, and the run loop reads that one deadline per event.
   metrics::MetricsHub* metrics_hub_ = nullptr;
@@ -462,13 +419,13 @@ class Engine final : public Transport {
     metrics::Counter* crashes = nullptr;
     metrics::Gauge* work_lost = nullptr;
   } em_;
-  // Deltas since the last flush (the engine's own tallies are plain fields;
-  // the counters advance by difference at each snapshot).
+  // Deltas since the last flush (the tally holds plain counts; the
+  // counters advance by difference at each snapshot).
   std::uint64_t m_last_events_ = 0;
   std::uint64_t m_last_dropped_ = 0;
   std::uint64_t m_last_duplicated_ = 0;
   std::uint64_t m_last_spikes_ = 0;
-  int m_last_crashes_ = 0;
+  std::uint64_t m_last_crashes_ = 0;
 };
 
 }  // namespace olb::sim

@@ -87,8 +87,9 @@ struct FaultPlan {
 FaultPlan make_random_crashes(int count, int num_peers, Time from, Time to,
                               std::uint64_t seed);
 
-/// Engine-side fault decision maker. Owns the dedicated RNG stream and the
-/// crashed-peer bitmap; the engine consults it on every send and arrival.
+/// Engine-side fault decision maker. Owns the plan and the dedicated RNG
+/// stream the engine draws each faulty send's fate from. Crashed peers are
+/// marked on the actors themselves (sim::Actor::crashed).
 class FaultInjector {
  public:
   /// Must be called before the run when the plan is enabled.
@@ -97,10 +98,8 @@ class FaultInjector {
     plan_ = plan;
     active_ = plan.enabled();
     rng_ = Xoshiro256(mix64(engine_seed ^ 0x6661756c74ull) ^ mix64(plan.salt));
-    crashed_.assign(static_cast<std::size_t>(num_peers), 0);
   }
 
-  bool active() const { return active_; }
   bool link_active() const { return active_ && plan_.link.any(); }
   const FaultPlan& plan() const { return plan_; }
 
@@ -124,21 +123,10 @@ class FaultInjector {
     return f;
   }
 
-  bool crashed(int peer) const {
-    return !crashed_.empty() && crashed_[static_cast<std::size_t>(peer)] != 0;
-  }
-  void mark_crashed(int peer) { crashed_[static_cast<std::size_t>(peer)] = 1; }
-  int crash_count() const {
-    int n = 0;
-    for (char c : crashed_) n += c != 0;
-    return n;
-  }
-
  private:
   FaultPlan plan_;
   bool active_ = false;
   Xoshiro256 rng_;
-  std::vector<char> crashed_;
 };
 
 /// Upper bound on one message's in-flight time under this (network, plan)

@@ -193,90 +193,9 @@ void ShardedEngine::stop_workers() {
   stopping_ = false;
 }
 
-Time ShardedEngine::now() const {
-  Time t = 0;
-  for (const auto& e : engines_) t = std::max(t, e->now());
-  return t;
-}
-
-std::uint64_t ShardedEngine::total_messages() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->total_messages();
-  return total;
-}
-
-std::uint64_t ShardedEngine::total_sent_of_type(int type) const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->total_sent_of_type(type);
-  return total;
-}
-
-const std::vector<Time>& ShardedEngine::busy_histogram() const {
-  merged_busy_.clear();
-  for (const auto& e : engines_) {
-    const std::vector<Time>& h = e->busy_histogram();
-    if (h.size() > merged_busy_.size()) merged_busy_.resize(h.size(), 0);
-    for (std::size_t i = 0; i < h.size(); ++i) merged_busy_[i] += h[i];
-  }
-  return merged_busy_;
-}
-
-Time ShardedEngine::last_compute_done() const {
-  Time t = 0;
-  for (const auto& e : engines_) t = std::max(t, e->last_compute_done());
-  return t;
-}
-
-Time ShardedEngine::queueing_delay_max() const {
-  Time m = 0;
-  for (const auto& e : engines_) m = std::max(m, e->queueing_delay_max());
-  return m;
-}
-
-double ShardedEngine::queueing_delay_mean() const {
-  Time sum = 0;
-  std::uint64_t samples = 0;
-  for (const auto& e : engines_) {
-    sum += e->queueing_delay_sum();
-    samples += e->queueing_delay_samples();
-  }
-  return samples > 0 ? static_cast<double>(sum) / static_cast<double>(samples)
-                     : 0.0;
-}
-
-std::uint64_t ShardedEngine::msgs_dropped() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->msgs_dropped();
-  return total;
-}
-
-std::uint64_t ShardedEngine::msgs_duplicated() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->msgs_duplicated();
-  return total;
-}
-
-std::uint64_t ShardedEngine::latency_spikes() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->latency_spikes();
-  return total;
-}
-
-std::uint64_t ShardedEngine::work_bounced() const {
-  std::uint64_t total = 0;
-  for (const auto& e : engines_) total += e->work_bounced();
-  return total;
-}
-
-int ShardedEngine::crashes_applied() const {
-  int total = 0;
-  for (const auto& e : engines_) total += e->crashes_applied();
-  return total;
-}
-
-double ShardedEngine::work_lost_units() const {
-  double total = 0.0;
-  for (const auto& e : engines_) total += e->work_lost_units();
+Tally ShardedEngine::tally() const {
+  Tally total;
+  for (const auto& e : engines_) total.merge(e->tally());
   return total;
 }
 

@@ -46,11 +46,14 @@
 //
 // One shard: there is exactly one Engine, configured over the whole peer
 // range, and run() forwards to it verbatim, so every simulator run —
-// sim_shards 0 or 1 — takes this one path (lb::run_distributed builds no
-// other engine). With k >= 2 the timeline is deterministic but *different*
+// sim_shards 0 or 1, service mode included — takes this one path
+// (lb::run_distributed builds no other engine). With k >= 2 the timeline is deterministic but *different*
 // (each shard owns a jitter RNG stream), so only schedule-independent
 // outputs — e.g. exact UTS unit counts — are comparable across shard
 // counts.
+//
+// Counts: each shard's Engine keeps one sim::Tally; tally() merges them
+// once, in shard order, for lb::fold_reports.
 #pragma once
 
 #include <atomic>
@@ -102,24 +105,9 @@ class ShardedEngine {
   /// Number of conservative windows executed so far (1 window == 1 barrier).
   std::uint64_t windows_run() const { return windows_; }
 
-  // --- aggregated Engine mirrors (the lb driver's metric harvest reads
-  // these) ---
-  Time now() const;
-  std::uint64_t total_messages() const;
-  std::uint64_t total_sent_of_type(int type) const;
-  /// Bucket-wise sum of the per-shard busy histograms (same kBusyBucket).
-  const std::vector<Time>& busy_histogram() const;
-  /// The latest Engine::last_compute_done over the shards.
-  Time last_compute_done() const;
-  Time queueing_delay_max() const;
-  double queueing_delay_mean() const;
-  std::uint64_t msgs_dropped() const;
-  std::uint64_t msgs_duplicated() const;
-  std::uint64_t latency_spikes() const;
-  std::uint64_t work_bounced() const;
-  int crashes_applied() const;
-  double work_lost_units() const;
-  bool peer_crashed(int id) const { return owner(id).peer_crashed(id); }
+  /// The shards' tallies merged into one (Tally::merge, in shard order):
+  /// what lb::fold_reports turns into a run's metrics.
+  Tally tally() const;
 
   // --- single-shard-only features ---
   // Tracing, metrics, faults, perturbation and bug plants all assume one
@@ -183,8 +171,6 @@ class ShardedEngine {
   /// Set to 2k per window; each shard counts off once after taking its
   /// arrivals (k left: everyone may run) and once after running (0: done).
   alignas(64) std::atomic<int> pending_{0};
-
-  mutable std::vector<Time> merged_busy_;  ///< cache for busy_histogram()
 
   /// Workers for shards 1..k-1. Declared last: they use every member above,
   /// so those outlive them.

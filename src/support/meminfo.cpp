@@ -31,8 +31,6 @@ std::uint64_t status_field_kb(const char* field) {
 
 }  // namespace
 
-std::uint64_t rss_bytes() { return status_field_kb("VmRSS") * 1024; }
-
 std::uint64_t peak_rss_bytes() { return status_field_kb("VmHWM") * 1024; }
 
 }  // namespace olb::support

@@ -11,9 +11,6 @@
 
 namespace olb::support {
 
-/// Current resident set size (VmRSS) in bytes; 0 when unavailable.
-std::uint64_t rss_bytes();
-
 /// Peak resident set size (VmHWM) in bytes; 0 when unavailable. The peak is
 /// the honest denominator for bytes-per-peer: allocators rarely return freed
 /// pages, and the high-water mark is what capacity planning must fit.

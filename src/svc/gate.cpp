@@ -12,7 +12,8 @@ namespace olb::svc {
 JobGate::JobGate(std::vector<Arrival> schedule,
                  std::vector<lb::Workload*> factories,
                  AdmissionConfig admission, int root, int num_classes)
-    : schedule_(std::move(schedule)),
+    : PeerBase(lb::PeerConfig{}),
+      schedule_(std::move(schedule)),
       factories_(std::move(factories)),
       admission_(admission),
       root_(root),
@@ -157,7 +158,7 @@ void JobGate::on_message(sim::Message m) {
       if (!terminated_) on_job_done(static_cast<std::uint64_t>(m.c));
       break;
     case lb::kTerminate:
-      terminated_ = true;
+      terminated_ = true;  // not stop(): the gate traces no kTerminated
       break;
     default:
       OLB_CHECK_MSG(false, "unexpected message type for JobGate");

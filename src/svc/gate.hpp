@@ -20,15 +20,21 @@
 // the gate sends kSvcShutdown — only then may the root's ordinary
 // termination detection declare and broadcast kTerminate, which the gate
 // also receives (it sits outside the tree, the root notifies it directly).
+//
+// The gate is an lb::PeerBase, like the MW master, so every backend's runner
+// hosts it with the fleet and ends the run when every actor, the gate
+// included, saw_terminate(). It never holds work or computes. On kTerminate
+// it sets the flag without PeerBase::stop(), so service traces carry no
+// kTerminated line for it and the termination oracle never counts it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "lb/messages.hpp"
+#include "lb/peer_base.hpp"
 #include "lb/work.hpp"
 #include "metrics/metrics.hpp"
-#include "simnet/engine.hpp"
 
 namespace olb::svc {
 
@@ -37,7 +43,7 @@ struct AdmissionConfig {
   std::size_t queue_bound = 8;  ///< cap on the pending (admitted) queue
 };
 
-class JobGate final : public sim::Actor {
+class JobGate final : public lb::PeerBase {
  public:
   struct Arrival {
     sim::Time time = 0;
@@ -60,7 +66,6 @@ class JobGate final : public sim::Actor {
           AdmissionConfig admission, int root, int num_classes);
 
   // --- post-run inspection (harness side) ---
-  bool saw_terminate() const { return terminated_; }
   const std::vector<Outcome>& outcomes() const { return outcomes_; }
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t admitted() const { return admitted_; }
@@ -75,7 +80,11 @@ class JobGate final : public sim::Actor {
   void on_start() override;
   void on_message(sim::Message m) override;
   void on_timer(std::int64_t tag) override;
+  void became_idle() override {}  // never holds work
+  /// The Actor's funnel counters and the per-class latency histograms;
+  /// PeerBase's per-peer instruments track work the gate never holds.
   void on_metrics(metrics::Registry& registry) override;
+  void on_metrics_poll() override {}
 
  private:
   void process_arrivals();
@@ -100,7 +109,6 @@ class JobGate final : public sim::Actor {
   std::vector<int> class_of_;                      ///< by job id
   int in_service_ = 0;
   bool shutdown_sent_ = false;
-  bool terminated_ = false;
 
   std::vector<Outcome> outcomes_;
   std::uint64_t submitted_ = 0;

@@ -1,14 +1,12 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "bb/flowshop.hpp"
 #include "lb/job_work.hpp"
-#include "runtime/thread_net.hpp"
-#include "simnet/engine.hpp"
+#include "runtime/runtime.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -35,6 +33,8 @@ void validate_service(const ServiceConfig& config) {
                 "service mode requires an overlay strategy (TD/TR/BTD)");
   OLB_CHECK_MSG(rc.backend != lb::Backend::kSockets,
                 "service mode runs on the sim and thread backends");
+  OLB_CHECK_MSG(rc.sim_shards < 2, "service mode runs on one simulator shard");
+  OLB_CHECK_MSG(!rc.perturb.enabled(), "service mode runs unperturbed");
   OLB_CHECK_MSG(!rc.faults.enabled(), "service mode is fault-free");
   OLB_CHECK_MSG(!rc.churn.enabled(), "service mode is churn-free");
   OLB_CHECK_MSG(!rc.plant.enabled(),
@@ -153,8 +153,9 @@ ServiceMetrics run_service(const ServiceConfig& config) {
   svc_config.service.wave_interval = config.wave_interval;
   const auto oc = std::make_shared<const lb::OverlayConfig>(std::move(svc_config));
 
-  // The fleet: n pool peers, then the gate (id n, outside the tree).
-  std::vector<std::unique_ptr<sim::Actor>> fleet;
+  // The fleet: n pool peers, then the gate (id n, outside the tree). The
+  // runner for rc.backend hosts them all and folds the n pool peers.
+  std::vector<std::unique_ptr<lb::PeerBase>> fleet;
   std::vector<lb::OverlayPeer*> peers;
   for (int i = 0; i < n; ++i) {
     auto peer = std::make_unique<lb::OverlayPeer>(tree, oc, nullptr);
@@ -166,47 +167,25 @@ ServiceMetrics run_service(const ServiceConfig& config) {
   const JobGate& gate = *gate_owner;
   fleet.push_back(std::move(gate_owner));
 
-  // Only the substrate differs by backend: how it is built and the run
-  // call. It owns the fleet, so it is declared here and outlives the
-  // harvest below.
-  std::optional<sim::Engine> engine;
-  std::optional<runtime::ThreadNet> net;
-  bool completed = false;
+  bool gate_done = false;
+  const auto harvest = [&] {
+    harvest_gate(gate, out);
+    harvest_tallies(peers, out.jobs);
+    gate_done = gate.saw_terminate();
+  };
+  bool ok = false;
   if (rc.backend == lb::Backend::kSim) {
-    engine.emplace(rc.net, rc.seed);
-    engine->set_tracer(rc.tracer);
-    engine->set_metrics(rc.metrics);
-    for (auto& actor : fleet) engine->add_actor(std::move(actor));
-    completed = engine->run(rc.limits.time_limit, rc.limits.event_limit).quiesced;
-    out.total_messages = engine->total_messages();
-    out.work_transfers = engine->total_sent_of_type(lb::kWork);
+    const lb::RunMetrics m = lb::run_distributed(std::move(fleet), rc, harvest);
+    ok = m.ok;
+    out.exec_seconds = m.exec_seconds;
   } else {
-    net.emplace(rc.seed);
-    net->set_tracer(rc.tracer);
-    net->set_metrics(rc.metrics);
-    for (auto& actor : fleet) net->add_actor(std::move(actor));
-    const auto result = net->run(
-        [](const sim::Actor& a) {
-          if (const auto* p = dynamic_cast<const lb::PeerBase*>(&a)) {
-            return p->saw_terminate();
-          }
-          return static_cast<const JobGate&>(a).saw_terminate();
-        },
-        rc.limits.time_limit);
-    completed = result.completed;
-    out.wall_seconds = result.wall_seconds;
-    out.total_messages = net->total_messages();
-    out.work_transfers = net->total_sent_of_type(lb::kWork);
+    const runtime::ThreadRunMetrics m =
+        runtime::run_threads(std::move(fleet), rc, harvest);
+    ok = m.ok;
+    out.exec_seconds = m.done_seconds;
   }
-
-  harvest_gate(gate, out);
-  harvest_tallies(peers, out.jobs);
-  lb::RunMetrics folded = lb::fold_reports(
-      n, [&](int i) { return peers[static_cast<std::size_t>(i)]->report(); });
-  out.final_state = std::move(folded.final_state);
-  out.exec_seconds = folded.exec_seconds;
-  out.ok = folded.ok && completed && gate.saw_terminate() &&
-           out.completed == out.admitted && out.submitted == out.jobs.size();
+  out.ok = ok && gate_done && out.completed == out.admitted &&
+           out.submitted == out.jobs.size();
   return out;
 }
 

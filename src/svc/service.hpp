@@ -9,8 +9,14 @@
 // per-job completion is detected by the root's epoch-tagged accounting
 // waves (see overlay_lb.cpp, "multi-job service mode").
 //
-// Scope: overlay strategies only, fault-free, churn-free, homogeneous;
-// backends sim and threads. Single-job runs are
+// Service mode builds no engine of its own: it hands the fleet and the gate
+// to the runner of its backend — lb::run_distributed (a one-shard
+// sim::ShardedEngine) or runtime::run_threads — which hosts them all, folds
+// the fleet like any other run and lets run_service read the gate and the
+// per-job tallies before the peers are torn down.
+//
+// Scope: overlay strategies only, fault-free, churn-free, homogeneous,
+// unperturbed; backends sim (one shard) and threads. Single-job runs are
 // untouched — service mode only exists behind OverlayConfig::service.
 #pragma once
 
@@ -92,17 +98,12 @@ struct ServiceMetrics {
   std::uint64_t bad_rejects = 0;  ///< rejects with queue room (must be 0)
   std::vector<JobRecord> jobs;    ///< indexed by job id
   double exec_seconds = 0;  ///< until the root declared termination
-  double wall_seconds = 0;  ///< threads backend only
-  std::uint64_t total_messages = 0;
-  std::uint64_t work_transfers = 0;
-  /// Post-run per-peer protocol snapshots (fleet only, peer-id order) for
-  /// the conformance oracles.
-  std::vector<lb::StateTap> final_state;
 };
 
 /// Aborts (OLB_CHECK) unless the config is in service scope: overlay
-/// strategy, sim or threads backend, no faults/churn/heterogeneity/plants,
-/// at least one class, sane admission bounds.
+/// strategy, sim (one shard) or threads backend, no faults, churn,
+/// heterogeneity, perturbation or plants, at least one class, sane
+/// admission bounds.
 void validate_service(const ServiceConfig& config);
 
 /// Deterministic per-job workload factory — shared by run_service and the

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -275,9 +276,10 @@ TEST(Host, SendIdsFromSeveralHostsNeverCollide) {
   EXPECT_EQ(ids.size(), net.sent.size());
   for (int p = 0; p < kPeers; ++p) {
     const runtime::Host& host = h.hosts[static_cast<std::size_t>(p)];
-    EXPECT_EQ(host.sent(), 50u * static_cast<unsigned>(p + 1));
-    EXPECT_EQ(host.sent_of_type(p), host.sent());
-    EXPECT_EQ(host.sent_of_type(p + 1), 0u);
+    const sim::Tally& sends = host.tally();
+    EXPECT_EQ(sends.messages, 50u * static_cast<unsigned>(p + 1));
+    ASSERT_EQ(sends.sent_by_type.size(), static_cast<std::size_t>(p + 1));
+    EXPECT_EQ(sends.sent_by_type[static_cast<std::size_t>(p)], sends.messages);
   }
 }
 
@@ -328,6 +330,18 @@ lb::RunConfig threads_config(lb::Strategy s, int n, std::uint64_t seed) {
   return c;
 }
 
+/// The run's message counts come from one fold: its sends by type sum to
+/// its messages, and its requests and transfers are read off them.
+void expect_sends_folded(const runtime::ThreadRunMetrics& m, const std::string& what) {
+  ASSERT_EQ(m.sent_by_type.size(), static_cast<std::size_t>(lb::kNumMsgTypes)) << what;
+  EXPECT_EQ(std::accumulate(m.sent_by_type.begin(), m.sent_by_type.end(),
+                            std::uint64_t{0}),
+            m.total_messages)
+      << what;
+  EXPECT_EQ(lb::work_requests(m.sent_by_type), m.work_requests) << what;
+  EXPECT_EQ(m.sent_by_type[lb::kWork], m.work_transfers) << what;
+}
+
 TEST(RuntimeThreads, UtsNodeCountsExact) {
   // The tentpole acceptance check: node counts are execution-order
   // independent, so every (strategy, threads, seed) combination must
@@ -353,6 +367,7 @@ TEST(RuntimeThreads, UtsNodeCountsExact) {
         EXPECT_EQ(m.total_units, expected)
             << lb::strategy_name(strategy) << " threads=" << threads
             << " seed=" << seed;
+        expect_sends_folded(m, lb::strategy_name(strategy));
       }
     }
   }

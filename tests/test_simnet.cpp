@@ -267,8 +267,8 @@ TEST(Engine, BusyServerSerialisesDeliveries) {
   EXPECT_EQ(recorder->deliveries[1].at, microseconds(13));  // +handling cost
   // Queueing delay is accounted on a bare engine with nothing attached: the
   // second message waited one handling cost behind the first.
-  EXPECT_EQ(engine.queueing_delay_samples(), 2u);
-  EXPECT_EQ(engine.queueing_delay_max(), microseconds(3));
+  EXPECT_EQ(engine.tally().queue_delay_samples, 2u);
+  EXPECT_EQ(engine.tally().queue_delay_max, microseconds(3));
 }
 
 TEST(Engine, MessagesServicedAtComputeBoundary) {
@@ -400,7 +400,7 @@ TEST(Engine, BusyHistogramAccumulatesComputeTime) {
   engine.add_actor(std::move(r));
   engine.run();
   Time total = 0;
-  for (Time t : engine.busy_histogram()) total += t;
+  for (Time t : engine.tally().busy) total += t;
   EXPECT_EQ(total, milliseconds(3));
 }
 
@@ -560,9 +560,9 @@ TEST(Engine, CrashDestroysQueuedInboxAndAccountsItsPayloads) {
   engine.set_faults(plan);
   const auto result = engine.run();
   EXPECT_TRUE(result.quiesced);
-  EXPECT_EQ(engine.crashes_applied(), 1);
+  EXPECT_EQ(engine.tally().crashes, 1u);
   EXPECT_TRUE(v->got.empty());
-  EXPECT_DOUBLE_EQ(engine.work_lost_units(), 12.0);
+  EXPECT_DOUBLE_EQ(engine.tally().work_lost_units, 12.0);
   EXPECT_EQ(destroyed, 2);  // before the engine (and its slab) goes away
   EXPECT_EQ(f->peers_down, std::vector<int>{0});
   EXPECT_EQ(b->peers_down, std::vector<int>{0});

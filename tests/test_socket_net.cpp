@@ -18,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,6 +127,18 @@ std::vector<runtime::ThreadRunMetrics> run_cluster(
   return results;
 }
 
+/// The run's message counts come from one fold: its sends by type sum to
+/// its messages, and its requests and transfers are read off them.
+void expect_sends_folded(const runtime::ThreadRunMetrics& m, const std::string& what) {
+  ASSERT_EQ(m.sent_by_type.size(), static_cast<std::size_t>(lb::kNumMsgTypes)) << what;
+  EXPECT_EQ(std::accumulate(m.sent_by_type.begin(), m.sent_by_type.end(),
+                            std::uint64_t{0}),
+            m.total_messages)
+      << what;
+  EXPECT_EQ(lb::work_requests(m.sent_by_type), m.work_requests) << what;
+  EXPECT_EQ(m.sent_by_type[lb::kWork], m.work_transfers) << what;
+}
+
 TEST(SocketNet, UtsExactNodeCountAcrossFourRanks) {
   uts::UtsWorkload reference(small_uts_params(), uts::CostModel{});
   const auto seq = lb::run_sequential(reference);
@@ -213,6 +226,7 @@ TEST(SocketNet, BaselinesExactAcrossFourRanks) {
       EXPECT_EQ(m.total_units, uts_seq.units) << lb::strategy_name(strategy);
       EXPECT_GT(m.done_seconds, 0.0) << lb::strategy_name(strategy);
       EXPECT_GT(m.work_requests, 0u) << lb::strategy_name(strategy);
+      expect_sends_folded(m, lb::strategy_name(strategy));
     }
   }
 
@@ -231,6 +245,7 @@ TEST(SocketNet, BaselinesExactAcrossFourRanks) {
       EXPECT_EQ(m.best_bound, bb_seq.bound) << lb::strategy_name(strategy);
       ASSERT_EQ(m.final_state.size(), 4u);
       for (const auto& tap : m.final_state) EXPECT_TRUE(tap.terminated);
+      expect_sends_folded(m, lb::strategy_name(strategy));
     }
   }
 }

@@ -237,6 +237,15 @@ TEST(Service, ScheduleIdenticalAcrossBackends) {
   }
 }
 
+TEST(Service, RejectsMultipleSimShards) {
+  // Service runs take the simulator runner on one shard: the job oracles
+  // read one global trace stream, so a shard count >= 2 is refused.
+  svc::ServiceConfig sc = service_base();
+  sc.classes.push_back(uts_class(svc::ArrivalKind::kPoisson, 150));
+  sc.run.sim_shards = 2;
+  EXPECT_DEATH(svc::validate_service(sc), "one simulator shard");
+}
+
 // -------------------------------------------------------------- admission ---
 
 TEST(Service, ShedsOnlyWhenTheQueueIsFull) {

@@ -176,7 +176,8 @@ void expect_messages_equal(const sim::Message& in, const sim::Message& out) {
 TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
-  for (int type = 0; type < lb::kNumMsgTypes; ++type) {
+  // The socket vocabulary: every type but the service ones, which follow it.
+  for (int type = 0; type < lb::kJobInject; ++type) {
     sim::Message m(type);
     m.id = 0x7fffffffu;  // full 31-bit id next to the packed bounced bit
     m.bounced = 1;
@@ -201,15 +202,6 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
       auto leave = std::make_unique<lb::LeavePayload>();
       leave->sent = kU64Max;
       m.payload = std::move(leave);
-    } else if (type == lb::kJobInject) {
-      auto job = std::make_unique<lb::JobPayload>();
-      job->job = kU64Max;
-      job->work = workload->make_root_work();
-      m.payload = std::move(job);
-    } else if (type == lb::kJobProbe || type == lb::kJobProbeAck) {
-      auto probe = std::make_unique<lb::JobProbePayload>();
-      probe->probe_id = kU64Max;
-      m.payload = std::move(probe);
     }
 
     runtime::WireWriter w;
@@ -240,15 +232,6 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
       const auto* lp = dynamic_cast<const lb::LeavePayload*>(out.payload.get());
       ASSERT_NE(lp, nullptr);
       EXPECT_EQ(lp->sent, kU64Max);
-    } else if (type == lb::kJobInject) {
-      const auto* jp = dynamic_cast<const lb::JobPayload*>(out.payload.get());
-      ASSERT_NE(jp, nullptr);
-      EXPECT_EQ(jp->job, kU64Max);
-      ASSERT_NE(jp->work, nullptr);
-    } else if (type == lb::kJobProbe || type == lb::kJobProbeAck) {
-      const auto* jpp = dynamic_cast<const lb::JobProbePayload*>(out.payload.get());
-      ASSERT_NE(jpp, nullptr);
-      EXPECT_EQ(jpp->probe_id, kU64Max);
     } else {
       EXPECT_EQ(out.payload, nullptr);
     }
@@ -258,22 +241,24 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
 TEST(WorkCodec, PayloadMismatchedToItsTypeIsRejected) {
   // Each type carries exactly one payload kind. A kProbe frame without its
   // payload would otherwise reach OverlayPeer::on_probe as a null pointer.
+  // Service mode never runs on sockets, so a frame of any service type is
+  // rejected whatever it carries.
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
-  sim::Message probe_without_payload(lb::kProbe);
-  sim::Message job_ack_without_payload(lb::kJobProbeAck);
-  sim::Message work_carrying_probe(lb::kWork);
-  work_carrying_probe.payload = std::make_unique<lb::ProbePayload>();
-  sim::Message no_work_carrying_probe(lb::kNoWork);
-  no_work_carrying_probe.payload = std::make_unique<lb::ProbePayload>();
-  for (const sim::Message* m : {&probe_without_payload, &job_ack_without_payload,
-                                &work_carrying_probe, &no_work_carrying_probe}) {
+  std::vector<sim::Message> rows;
+  rows.emplace_back(lb::kProbe);
+  rows.emplace_back(lb::kWork).payload = std::make_unique<lb::ProbePayload>();
+  rows.emplace_back(lb::kNoWork).payload = std::make_unique<lb::ProbePayload>();
+  for (int type = lb::kJobInject; type <= lb::kSvcShutdown; ++type) {
+    rows.emplace_back(type);
+  }
+  for (const sim::Message& m : rows) {
     runtime::WireWriter w;
-    runtime::encode_message(*m, codec.get(), w);
+    runtime::encode_message(m, codec.get(), w);
     runtime::WireReader r(w.data());
     sim::Message out;
     EXPECT_FALSE(runtime::decode_message(r, codec.get(), &out))
-        << lb::msg_type_name(m->type);
+        << lb::msg_type_name(m.type);
   }
 }
 
@@ -480,94 +465,6 @@ TEST(WorkCodec, EveryTruncatedMessagePrefixIsRejected) {
           << lb::msg_type_name(type) << " prefix " << len;
     }
   }
-}
-
-TEST(WorkCodec, JobPayloadRoundTripsAndRejectsTruncation) {
-  auto workload = test_uts();
-  const auto codec = runtime::make_work_codec(*workload);
-  sim::Message m(lb::kJobInject, /*a=*/7);
-  m.id = 13;
-  m.src = 8;  // the gate sits one past the fleet
-  m.dst = 0;
-  auto jp = std::make_unique<lb::JobPayload>();
-  jp->job = kU64Max;  // job ids are dense in practice; the codec must not care
-  jp->job_class = 3;
-  jp->work = workload->make_root_work();
-  m.payload = std::move(jp);
-
-  runtime::WireWriter w;
-  runtime::encode_message(m, codec.get(), w);
-  runtime::WireReader r(w.data());
-  sim::Message out;
-  ASSERT_TRUE(runtime::decode_message(r, codec.get(), &out));
-  EXPECT_TRUE(r.exhausted());
-  expect_messages_equal(m, out);
-  const auto* jo = dynamic_cast<const lb::JobPayload*>(out.payload.get());
-  ASSERT_NE(jo, nullptr);
-  EXPECT_EQ(jo->job, kU64Max);
-  EXPECT_EQ(jo->job_class, 3);
-  ASSERT_NE(jo->work, nullptr);
-  EXPECT_EQ(jo->work->amount(), 1.0);  // the root as one pending node
-
-  const auto& full = w.data();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    runtime::WireReader tr(full.data(), len);
-    sim::Message o;
-    EXPECT_FALSE(runtime::decode_message(tr, codec.get(), &o))
-        << "prefix " << len;
-  }
-}
-
-TEST(WorkCodec, JobProbeStatsRoundTripAndRejectTruncation) {
-  auto workload = test_uts();
-  const auto codec = runtime::make_work_codec(*workload);
-  sim::Message m(lb::kJobProbeAck);
-  m.id = 21;
-  m.src = 3;
-  m.dst = 0;
-  auto probe = std::make_unique<lb::JobProbePayload>();
-  probe->probe_id = kU64Max;
-  probe->stats.push_back({/*job=*/0, /*sent=*/1, /*recv=*/2,
-                          /*holds_milli=*/kI64Max});
-  probe->stats.push_back({kU64Max, kU64Max, kU64Max - 1, /*holds_milli=*/-5});
-  m.payload = std::move(probe);
-
-  runtime::WireWriter w;
-  runtime::encode_message(m, codec.get(), w);
-  runtime::WireReader r(w.data());
-  sim::Message out;
-  ASSERT_TRUE(runtime::decode_message(r, codec.get(), &out));
-  EXPECT_TRUE(r.exhausted());
-  expect_messages_equal(m, out);
-  const auto* po = dynamic_cast<const lb::JobProbePayload*>(out.payload.get());
-  ASSERT_NE(po, nullptr);
-  EXPECT_EQ(po->probe_id, kU64Max);
-  ASSERT_EQ(po->stats.size(), 2u);
-  EXPECT_EQ(po->stats[0].holds_milli, kI64Max);
-  EXPECT_EQ(po->stats[1].job, kU64Max);
-  EXPECT_EQ(po->stats[1].sent, kU64Max);
-  EXPECT_EQ(po->stats[1].recv, kU64Max - 1);
-  EXPECT_EQ(po->stats[1].holds_milli, -5);
-
-  const auto& full = w.data();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    runtime::WireReader tr(full.data(), len);
-    sim::Message o;
-    EXPECT_FALSE(runtime::decode_message(tr, codec.get(), &o))
-        << "prefix " << len;
-  }
-
-  // An empty wave (no jobs in flight yet) still round-trips.
-  sim::Message empty(lb::kJobProbe);
-  empty.payload = std::make_unique<lb::JobProbePayload>();
-  runtime::WireWriter w2;
-  runtime::encode_message(empty, codec.get(), w2);
-  runtime::WireReader r2(w2.data());
-  sim::Message out2;
-  ASSERT_TRUE(runtime::decode_message(r2, codec.get(), &out2));
-  const auto* po2 = dynamic_cast<const lb::JobProbePayload*>(out2.payload.get());
-  ASSERT_NE(po2, nullptr);
-  EXPECT_TRUE(po2->stats.empty());
 }
 
 TEST(WorkCodec, UnknownPayloadKindRejected) {

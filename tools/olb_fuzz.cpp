@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
       .define("no-shrink", "false", "report the raw failing case unshrunk")
       .define("diff", "false",
               "differential-check fault-free cases against the threads "
-              "backend")
+              "backend, and run every job case on threads too")
       .define("out-dir", "",
               "on failure, write repro.txt + trace.json here (CI artifacts)")
       .define("start-index", "0",
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   const bool diff = flags.get_bool("diff");
 
   const bool verbose = flags.get_bool("verbose");
-  std::uint64_t cases = 0, diffed = 0;
+  std::uint64_t cases = 0, diffed = 0, thread_jobs = 0;
   for (std::uint64_t i = static_cast<std::uint64_t>(flags.get_int("start-index"));;
        ++i) {
     if (max_cases != 0 && cases >= max_cases) break;
@@ -258,15 +258,29 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    // The service path on threads: the same job plan, oracles armed, each
+    // job checked against its own sequential reference.
+    if (diff && c.jobs_id != 0) {
+      const auto t = check::run_job_case(c, lb::Backend::kThreads);
+      ++thread_jobs;
+      if (!t.passed()) {
+        std::printf("FAIL (thread job case) %s\n", check::format_case(c).c_str());
+        print_violations(t.violations);
+        return 1;
+      }
+    }
     if (cases % 50 == 0) {
-      std::printf("... %llu cases clean (%llu differential)\n",
+      std::printf("... %llu cases clean (%llu differential, %llu thread job)\n",
                   static_cast<unsigned long long>(cases),
-                  static_cast<unsigned long long>(diffed));
+                  static_cast<unsigned long long>(diffed),
+                  static_cast<unsigned long long>(thread_jobs));
       std::fflush(stdout);
     }
   }
-  std::printf("OK: %llu cases, %llu differential, no violations\n",
+  std::printf("OK: %llu cases, %llu differential, %llu thread job cases, "
+              "no violations\n",
               static_cast<unsigned long long>(cases),
-              static_cast<unsigned long long>(diffed));
+              static_cast<unsigned long long>(diffed),
+              static_cast<unsigned long long>(thread_jobs));
   return 0;
 }
