@@ -305,9 +305,9 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax) {
 
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what) {
-  // A table must not mix simulated and wall seconds, so a config the
-  // backend declines is an error, not a quiet simulator run.
-  const std::string why = runtime::unsupported_reason(config.backend, config);
+  // A table must not mix simulated and wall seconds, nor shard counts, so a
+  // config the list refuses is an error, not a quiet run of another kind.
+  const std::string why = lb::unsupported_reason(config);
   if (!why.empty()) {
     std::fprintf(stderr, "FATAL: --backend=%s cannot run %s (%s): %s\n",
                  lb::backend_name(config.backend), what,
@@ -356,6 +356,11 @@ void dump_trace_if_requested(const Flags& flags, lb::Workload& workload,
   trace::RingTracer tracer(
       static_cast<std::size_t>(std::max<std::int64_t>(1, flags.get_int("trace-limit"))));
   config.tracer = &tracer;
+  // A tracer needs one global event order, so the re-run takes one shard
+  // even when the measured rows took more (the trace line says so).
+  const int measured_shards =
+      config.backend == lb::Backend::kSim ? config.sim_shards : 1;
+  config.sim_shards = 1;
   // The event counts and derived timeline this reports are filled by the
   // simulator only.
   config.backend = lb::Backend::kSim;
@@ -378,10 +383,16 @@ void dump_trace_if_requested(const Flags& flags, lb::Workload& workload,
     opts.handling_cost = config.net.msg_handling_cost;
     trace::write_perfetto(out, events, opts);
   }
-  std::printf("# trace: %s (%s, %llu events, %llu dropped) -> %s\n", what,
+  std::string shards;
+  if (measured_shards >= 2) {
+    shards = ", re-run on one shard; the rows ran on " +
+             std::to_string(measured_shards);
+  }
+  std::printf("# trace: %s (%s, %llu events, %llu dropped%s) -> %s\n", what,
               ndjson ? "ndjson" : "perfetto",
               static_cast<unsigned long long>(metrics.trace_events),
-              static_cast<unsigned long long>(metrics.trace_dropped), path.c_str());
+              static_cast<unsigned long long>(metrics.trace_dropped),
+              shards.c_str(), path.c_str());
 }
 
 std::vector<lb::Strategy> parse_strategy_list(const std::string& spec,

@@ -137,9 +137,10 @@ lb::RunConfig uts_config(lb::Strategy s, int n, std::uint64_t seed, int dmax = 1
 
 /// Runs and aborts loudly if the protocol failed to complete — a bench must
 /// never silently report a broken run. Dispatches through runtime::run on
-/// config.backend, and aborts with runtime::unsupported_reason's text when
-/// the backend cannot run the config. Real-time exec time = wall time to
-/// the declaring peer's termination; sim-only metrics stay zero.
+/// config.backend, and aborts with lb::unsupported_reason's text when the
+/// config cannot run (on that backend, or on that many simulator shards).
+/// Real-time exec time = wall time to the declaring peer's termination;
+/// sim-only metrics stay zero.
 lb::RunMetrics run_checked(lb::Workload& workload, const lb::RunConfig& config,
                            const char* what);
 
@@ -193,7 +194,10 @@ std::ofstream open_output_file(const std::string& path, const char* what);
 /// events attached and writes the timeline to the requested path —
 /// NDJSON if it ends in `.ndjson`, Chrome/Perfetto trace JSON otherwise.
 /// Benches call this once on their most interesting (e.g. worst-seed) run;
-/// the measured runs themselves stay untraced. No-op without `--trace`.
+/// the measured runs themselves stay untraced. The re-run is on the
+/// simulator, on one shard and without the metrics hub; when the measured
+/// rows ran on more simulator shards, the `# trace:` line says so. No-op
+/// without `--trace`.
 void dump_trace_if_requested(const Flags& flags, lb::Workload& workload,
                              lb::RunConfig config, const char* what);
 

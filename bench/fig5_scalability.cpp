@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "support/meminfo.hpp"
@@ -58,13 +59,21 @@ int main(int argc, char** argv) {
     seq[which] = run_sequential_on(*workload, rf.backend).exec_seconds;
   }
   const char* unit = clock_unit(rf.backend);
+  // Simulated references are whole seconds; a wall-clock one can be
+  // milliseconds, so it keeps three significant digits.
+  const auto t_seq = [&](double seconds) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, rf.backend == lb::Backend::kSim ? "%.2f" : "%.3g",
+                  seconds);
+    return std::string(buf) + " " + unit;
+  };
 
   for (int which = 0; which < 2; ++which) {
     const int idx = which == 0 ? 0 : 2;
     const int jobs =
         static_cast<int>(flags.get_int(which == 0 ? "jobs21" : "jobs23"));
-    std::printf("== B&B Ta%ds (%dx%d, t_seq = %.2f %s) ==\n", 21 + idx, jobs,
-                machines, seq[which], unit);
+    std::printf("== B&B Ta%ds (%dx%d, t_seq = %s) ==\n", 21 + idx, jobs, machines,
+                t_seq(seq[which]).c_str());
     Table table({"n", "BTD_sec", "BTD_PE%", "RWS_sec", "RWS_PE%"});
     for (std::int64_t n : flags.get_int_list("scales")) {
       std::vector<std::string> row = {Table::cell(n)};
@@ -92,8 +101,8 @@ int main(int argc, char** argv) {
   // run of this instance must reproduce (checked on the scale ladder).
   const lb::SequentialMetrics uts_seq_run = run_sequential_on(*uts_ref, rf.backend);
   const double uts_seq = uts_seq_run.exec_seconds;
-  std::printf("== UTS binomial (b0=2000, m=2, q=0.49995, r=%s; t_seq = %.2f %s) ==\n",
-              flags.get("uts_seed").c_str(), uts_seq, unit);
+  std::printf("== UTS binomial (b0=2000, m=2, q=0.49995, r=%s; t_seq = %s) ==\n",
+              flags.get("uts_seed").c_str(), t_seq(uts_seq).c_str());
   Table uts_table({"n", "BTD_sec", "BTD_PE%", "RWS_sec", "RWS_PE%", "BTD_qmean_us"});
   double worst_btd_pe = 2.0;
   lb::RunConfig worst_btd_config;

@@ -54,6 +54,7 @@ runtime::ThreadRunMetrics run_on_threads(lb::Strategy strategy, unsigned threads
                                          lb::Workload& workload,
                                          std::uint64_t seq_count) {
   auto config = uts_config(strategy, static_cast<int>(threads), seed);
+  config.backend = lb::Backend::kThreads;
   config.chunk_units = chunk;
   config.limits.time_limit = sim::seconds(300.0);  // wall watchdog
   const auto m = runtime::run_threads(workload, config);

@@ -170,8 +170,7 @@ DifferentialReport run_differential(
   sim_config.backend = lb::Backend::kSim;
   lb::RunConfig threads_config = config;
   threads_config.backend = lb::Backend::kThreads;
-  const std::string why =
-      runtime::unsupported_reason(lb::Backend::kThreads, threads_config);
+  const std::string why = lb::unsupported_reason(threads_config);
   OLB_CHECK_MSG(why.empty(), why.c_str());
 
   DifferentialReport report;

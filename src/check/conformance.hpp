@@ -49,7 +49,7 @@ struct ConformanceReport {
 ///    exactly seq.bound; lossy (faulty) runs count at most seq.units;
 ///  * transfer balance — without crashes/bounces, the per-peer transfer
 ///    counters sum to the same total on the send and receive side.
-/// The backend must accept a tracer (runtime::unsupported_reason), which
+/// The backend must accept a tracer (lb::unsupported_reason), which
 /// rules out sockets; their per-process traces are checked after a causal
 /// merge instead (tools/olb_check_trace).
 ConformanceReport run_conformance(lb::Workload& workload,
@@ -62,7 +62,7 @@ ConformanceReport run_conformance(lb::Workload& workload,
 /// oracle verdict. `make_workload` supplies a *fresh* workload per backend
 /// (B&B workloads carry the shared incumbent and must not leak bounds from
 /// one run into the other). The threads backend must accept the config
-/// (runtime::unsupported_reason; OLB_CHECK).
+/// (lb::unsupported_reason; OLB_CHECK).
 struct DifferentialReport {
   ConformanceReport sim;
   ConformanceReport threads;

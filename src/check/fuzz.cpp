@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "bb/bb_work.hpp"
-#include "overlay/tree_overlay.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "uts/uts_work.hpp"
@@ -44,33 +43,32 @@ int max_crashes(const FuzzCase& c) {
   return std::max(0, c.peers - 1);
 }
 
-/// Draws up to `want` distinct strategy-legal crash victims. Bounded
-/// redraw: an illegal or repeated draw is retried a fixed number of times
+/// The case's cluster before its fault, churn and schedule plans: what
+/// the crash rule (lb::crash_refusal) reads.
+lb::RunConfig case_cluster(const FuzzCase& c) {
+  lb::RunConfig config;
+  config.strategy = c.strategy;
+  config.num_peers = c.peers;
+  config.dmax = c.dmax;
+  config.seed = c.seed;
+  config.net = lb::paper_network(c.peers);
+  return config;
+}
+
+/// Draws up to `want` distinct crash victims the strategy survives. Bounded
+/// redraw: a refused or repeated draw is retried a fixed number of times
 /// and then dropped, so the plan may end up with fewer crashes (still a
 /// valid plan) but victim selection stays a pure function of the RNG.
 std::vector<int> draw_victims(const FuzzCase& c, int want, Xoshiro256& rng) {
   want = std::min(want, max_crashes(c));
   std::vector<int> out;
   if (want <= 0) return out;
-  std::unique_ptr<overlay::TreeOverlay> hierarchy;
-  if (c.strategy == lb::Strategy::kAHMW) {
-    hierarchy = std::make_unique<overlay::TreeOverlay>(
-        overlay::TreeOverlay::deterministic(c.peers, c.dmax));
-  }
-  const int rws_init = c.strategy == lb::Strategy::kRWS
-                           ? lb::rws_initiator(c.seed, c.peers)
-                           : -1;
-  auto legal = [&](int p) {
-    if (c.strategy == lb::Strategy::kRWS) return p != rws_init;
-    if (p == 0) return false;  // overlay root / MW master / AHMW root
-    if (hierarchy != nullptr) return hierarchy->children(p).empty();
-    return true;
-  };
+  const lb::RunConfig cluster = case_cluster(c);
   for (int i = 0; i < want; ++i) {
     for (int tries = 0; tries < 64; ++tries) {
       const int p =
           static_cast<int>(rng.below(static_cast<std::uint64_t>(c.peers)));
-      if (!legal(p)) continue;
+      if (!lb::crash_refusal(cluster, p).empty()) continue;
       if (std::find(out.begin(), out.end(), p) != out.end()) continue;
       out.push_back(p);
       break;
@@ -150,25 +148,16 @@ bool parse_case(std::string_view text, FuzzCase* out) {
     }
   }
   if (c.peers < 1 || c.peers > 1024) return false;
-  if (c.peers < 2 && c.strategy == lb::Strategy::kMW) return false;
-  if (c.dmax < 1) return false;
   if (c.workload_id < 0 || c.workload_id >= kNumWorkloads) return false;
   if (c.fault_id < 0 || c.fault_id >= kNumFaultPlans) return false;
   if (c.churn_id < 0 || c.churn_id >= kNumChurnPlans) return false;
-  // Membership is an overlay feature, and churn + faults is rejected by
-  // validate_churn — keep the repro space identical to the legal space.
-  if (c.churn_id != 0 &&
-      (c.fault_id != 0 || !lb::strategy_is_overlay(c.strategy))) {
-    return false;
-  }
   if (c.jobs_id < 0 || c.jobs_id >= kNumJobPlans) return false;
-  // Service mode is overlay-only and fault/churn/perturbation-free
-  // (validate_service) — reject tuples it would refuse.
-  if (c.jobs_id != 0 &&
-      (c.fault_id != 0 || c.churn_id != 0 || c.sched_seed != 0 ||
-       !lb::strategy_is_overlay(c.strategy))) {
-    return false;
-  }
+  // The repro space is the legal space: a tuple parses only if the runs
+  // accept the config it denotes.
+  const std::string why = c.jobs_id == 0
+                              ? lb::unsupported_reason(make_case_config(c))
+                              : svc::unsupported_reason(make_case_service(c));
+  if (!why.empty()) return false;
   *out = c;
   return true;
 }
@@ -274,12 +263,7 @@ lb::ChurnPlan make_case_churn(const FuzzCase& c) {
 }
 
 lb::RunConfig make_case_config(const FuzzCase& c) {
-  lb::RunConfig config;
-  config.strategy = c.strategy;
-  config.num_peers = c.peers;
-  config.dmax = c.dmax;
-  config.seed = c.seed;
-  config.net = lb::paper_network(c.peers);
+  lb::RunConfig config = case_cluster(c);
   // Tight watchdogs: a correct fuzz-sized run quiesces in simulated
   // milliseconds; a stuck one must fail fast instead of eating the sweep's
   // wall-clock budget.
@@ -414,8 +398,8 @@ ConformanceReport run_job_case(const FuzzCase& c, lb::Backend backend,
 ConformanceReport run_case(const FuzzCase& c, const lb::PlantedBug& plant,
                            trace::TraceSink* tracer) {
   if (c.jobs_id != 0) {
-    // Planted bugs mutate the single-job protocol paths (validate_service
-    // rejects them), so job cases run the service sweep unplanted.
+    // Planted bugs mutate the single-job protocol paths (service mode
+    // refuses them), so job cases run the service sweep unplanted.
     return run_job_case(c, lb::Backend::kSim, tracer);
   }
   const auto workload = make_case_workload(c);
@@ -484,8 +468,9 @@ FuzzCase random_case(std::uint64_t base_seed, std::uint64_t index,
   // baseline must stay in the swept population, not just in unit tests.
   c.sched_seed = rng.below(4) == 0 ? 0 : 1 + rng.below(1'000'000);
   // Half the fault-free overlay cases churn: membership is the newest
-  // protocol surface, and validate_churn makes it mutually exclusive with
-  // fault plans, so only that slice of the population can carry it.
+  // protocol surface, and lb::unsupported_reason makes it mutually
+  // exclusive with fault plans, so only that slice of the population can
+  // carry it.
   if (c.fault_id == 0 && lb::strategy_is_overlay(c.strategy)) {
     c.churn_id = rng.below(2) == 0
                      ? 0

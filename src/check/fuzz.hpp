@@ -32,14 +32,14 @@ struct FuzzCase {
   int fault_id = 0;              ///< [0, kNumFaultPlans); 0 = fault-free
   std::uint64_t sched_seed = 0;  ///< schedule perturbation; 0 = unperturbed
   /// [0, kNumChurnPlans); 0 = no churn. Overlay strategies only, and
-  /// mutually exclusive with fault_id (validate_churn's rule) — parse_case
+  /// mutually exclusive with fault_id (lb::unsupported_reason) — parse_case
   /// rejects tuples that mix them.
   int churn_id = 0;
   /// [0, kNumJobPlans); 0 = classic single-job case. Nonzero runs the case
   /// as a multi-job service sweep (src/svc) with the job-conservation
   /// oracle armed. Overlay strategies only, and mutually exclusive with
-  /// fault_id, churn_id and sched_seed (service runs are fault-free and do
-  /// not apply schedule perturbation) — parse_case rejects mixed tuples.
+  /// fault_id, churn_id and sched_seed (svc::unsupported_reason: service
+  /// runs are fault-free and unperturbed) — parse_case rejects mixed tuples.
   int jobs_id = 0;
 };
 
@@ -54,7 +54,9 @@ std::string format_case(const FuzzCase& c);
 
 /// Parses format_case() output (order-insensitive, every key optional —
 /// missing keys keep their defaults). Returns false on unknown keys,
-/// malformed numbers or out-of-range values.
+/// malformed numbers, out-of-range values, or a tuple whose config
+/// (make_case_config, or make_case_service for a job case) the one list
+/// refuses (lb::unsupported_reason, svc::unsupported_reason).
 bool parse_case(std::string_view text, FuzzCase* out);
 
 /// Fresh workload for the case. Overlay/RWS strategies fuzz UTS trees;
@@ -66,9 +68,9 @@ std::unique_ptr<lb::Workload> make_case_workload(const FuzzCase& c);
 lb::SequentialMetrics case_reference(const FuzzCase& c);
 
 /// Fault plan `fault_id` under this case's cluster. Crash victims are
-/// redrawn (bounded) until legal for the strategy, and the crash count is
-/// capped to what the strategy survives, so the plan always passes
-/// validate_faults_for_strategy at any peer count the shrinker reaches.
+/// redrawn (bounded) until lb::crash_refusal accepts them, and the crash
+/// count is capped to what the strategy survives, so the plan always passes
+/// lb::unsupported_reason at any peer count the shrinker reaches.
 sim::FaultPlan make_case_faults(const FuzzCase& c);
 
 /// Churn plan `churn_id` under this case's cluster. Join/leave counts are

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <memory>
 
 #include "lb/ahmw.hpp"
@@ -97,88 +96,122 @@ int rws_initiator(std::uint64_t seed, int num_peers) {
                           static_cast<std::uint64_t>(num_peers));
 }
 
-void validate_faults_for_strategy(const RunConfig& config) {
-  if (!config.faults.enabled()) return;
-  config.faults.validate(config.num_peers);
-  if (config.faults.crashes.empty()) return;
+std::string_view crash_refusal(const RunConfig& config, int peer) {
   switch (config.strategy) {
     case Strategy::kOverlayTD:
     case Strategy::kOverlayTR:
     case Strategy::kOverlayBTD:
-      for (const auto& c : config.faults.crashes) {
-        OLB_CHECK_MSG(c.peer != 0, "the overlay root (peer 0) cannot crash");
-      }
-      break;
-    case Strategy::kRWS: {
-      const int initiator = rws_initiator(config.seed, config.num_peers);
-      for (const auto& c : config.faults.crashes) {
-        OLB_CHECK_MSG(c.peer != initiator,
-                      "the RWS initiator cannot crash (see rws_initiator())");
-      }
-      break;
-    }
+      return peer == 0 ? "the overlay root (peer 0) cannot crash" : "";
+    case Strategy::kRWS:
+      return peer == rws_initiator(config.seed, config.num_peers)
+                 ? "the RWS initiator cannot crash (see rws_initiator())"
+                 : "";
     case Strategy::kMW:
-      OLB_CHECK_MSG(static_cast<int>(config.faults.crashes.size()) <=
-                        config.num_peers - 2,
-                    "MW needs at least one surviving worker");
-      for (const auto& c : config.faults.crashes) {
-        OLB_CHECK_MSG(c.peer != 0, "the MW master (peer 0) cannot crash");
-      }
-      break;
-    case Strategy::kAHMW: {
-      const auto tree =
-          overlay::TreeOverlay::deterministic(config.num_peers, config.dmax);
-      for (const auto& c : config.faults.crashes) {
-        OLB_CHECK_MSG(c.peer != 0 && tree.children(c.peer).empty(),
-                      "AHMW only tolerates leaf crashes");
-      }
-      break;
-    }
+      return peer == 0 ? "the MW master (peer 0) cannot crash" : "";
+    case Strategy::kAHMW:
+      // Peer p of the dmax-ary hierarchy has children from p * dmax + 1 on.
+      return peer == 0 || std::int64_t{peer} * config.dmax + 1 < config.num_peers
+                 ? "AHMW only tolerates leaf crashes"
+                 : "";
   }
+  return "";
 }
 
-void validate_churn(const RunConfig& config) {
-  const ChurnPlan& plan = config.churn;
-  if (!plan.enabled()) return;
-  OLB_CHECK_MSG(strategy_is_overlay(config.strategy),
-                "elastic membership requires an overlay strategy (TD/TR/BTD)");
-  OLB_CHECK_MSG(!config.faults.enabled(),
-                "churn and fault injection are mutually exclusive");
-  OLB_CHECK_MSG(plan.initial_peers >= 1 &&
-                    plan.initial_peers <= config.num_peers,
-                "churn.initial_peers must be in [1, num_peers]");
-  std::vector<sim::Time> join_at(static_cast<std::size_t>(config.num_peers), -1);
-  std::vector<char> leaves(static_cast<std::size_t>(config.num_peers), 0);
-  for (const ChurnEvent& e : plan.events) {
-    OLB_CHECK_MSG(e.peer >= 0 && e.peer < config.num_peers,
-                  "churn event names an out-of-range peer");
-    OLB_CHECK_MSG(e.time >= 0, "churn event times must be non-negative");
-    const auto idx = static_cast<std::size_t>(e.peer);
-    if (e.join) {
-      OLB_CHECK_MSG(e.peer >= plan.initial_peers,
-                    "join events are for dormant peers (id >= initial_peers)");
-      OLB_CHECK_MSG(join_at[idx] < 0, "at most one join per peer");
-      join_at[idx] = e.time;
-    } else {
-      OLB_CHECK_MSG(e.peer != 0, "the overlay root (peer 0) cannot leave");
-      OLB_CHECK_MSG(leaves[idx] == 0, "at most one leave per peer");
-      leaves[idx] = 1;
+std::string unsupported_reason(const RunConfig& config) {
+  const int n = config.num_peers;
+  if (n < 1) return "a run needs at least one peer";
+  if (config.strategy == Strategy::kMW && n < 2) {
+    return "MW needs a master and at least one worker";
+  }
+  if (config.dmax < 1) return "dmax must be at least 1";
+
+  const std::vector<sim::CrashEvent>& crashes = config.faults.crashes;
+  if (config.strategy == Strategy::kMW && static_cast<int>(crashes.size()) > n - 2) {
+    return "MW needs at least one surviving worker";
+  }
+  for (const sim::CrashEvent& c : crashes) {
+    if (const std::string_view why = crash_refusal(config, c.peer); !why.empty()) {
+      return std::string(why);
     }
   }
-  for (const ChurnEvent& e : plan.events) {
-    if (e.join) continue;
-    const auto idx = static_cast<std::size_t>(e.peer);
-    if (e.peer >= plan.initial_peers) {
-      OLB_CHECK_MSG(join_at[idx] >= 0 && join_at[idx] < e.time,
-                    "a dormant peer's leave must follow its join");
+
+  if (const ChurnPlan& plan = config.churn; plan.enabled()) {
+    if (!strategy_is_overlay(config.strategy)) {
+      return "elastic membership requires an overlay strategy (TD/TR/BTD)";
+    }
+    if (config.faults.enabled()) {
+      return "churn and fault injection are mutually exclusive";
+    }
+    if (plan.initial_peers < 1 || plan.initial_peers > n) {
+      return "churn.initial_peers must be in [1, num_peers]";
+    }
+    std::vector<sim::Time> join_at(static_cast<std::size_t>(n), -1);
+    std::vector<sim::Time> leave_at(static_cast<std::size_t>(n), -1);
+    for (const ChurnEvent& e : plan.events) {
+      if (e.peer < 0 || e.peer >= n) return "churn event names an out-of-range peer";
+      if (e.time < 0) return "churn event times must be non-negative";
+      sim::Time& at = (e.join ? join_at : leave_at)[static_cast<std::size_t>(e.peer)];
+      if (at >= 0) return e.join ? "at most one join per peer" : "at most one leave per peer";
+      at = e.time;
+    }
+    for (int i = 0; i < n; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      const bool dormant = i >= plan.initial_peers;
+      if (!dormant && join_at[idx] >= 0) {
+        return "join events are for dormant peers (id >= initial_peers)";
+      }
+      // A dormant peer with no scheduled join would never activate and never
+      // hear the termination broadcast — the run could not complete.
+      if (dormant && join_at[idx] < 0) return "every dormant peer needs a scheduled join";
+      if (leave_at[idx] < 0) continue;
+      if (i == 0) return "the overlay root (peer 0) cannot leave";
+      if (dormant && leave_at[idx] <= join_at[idx]) {
+        return "a dormant peer's leave must follow its join";
+      }
     }
   }
-  // A dormant peer with no scheduled join would never activate and never
-  // hear the termination broadcast — the run could not complete.
-  for (int i = plan.initial_peers; i < config.num_peers; ++i) {
-    OLB_CHECK_MSG(join_at[static_cast<std::size_t>(i)] >= 0,
-                  "every dormant peer needs a scheduled join");
+
+  if (config.backend != Backend::kSim) {
+    // The real-time backends have no simulator to model faults, per-peer
+    // speed or a lossy network.
+    if (config.faults.enabled()) return "fault injection is a simulator concept";
+    if (config.het.fraction != 0.0) return "speed scaling is a simulator concept";
+    if (config.plant.kind == PlantedBug::Kind::kLostWork) {
+      return "the lost-work plant drops messages in the simulated network";
+    }
   }
+  if (config.backend == Backend::kSockets) {
+    if (config.tracer != nullptr || config.metrics != nullptr) {
+      return "socket runs trace via --socket-trace, not in-process sinks";
+    }
+    if (!config.sockets.configured()) return "needs --rank and a peer address table";
+    if (static_cast<int>(config.sockets.peers.size()) != n) {
+      return "address table size must equal --peers";
+    }
+    if (config.sockets.rank >= n) return "--rank must be below --peers";
+  }
+  if (config.backend == Backend::kSim && config.sim_shards >= 2) {
+    const char* single_order = config.tracer != nullptr    ? "tracing"
+                               : config.metrics != nullptr ? "live metrics"
+                               : config.faults.enabled()   ? "fault injection"
+                               : config.perturb.enabled()  ? "schedule perturbation"
+                               : config.plant.kind == PlantedBug::Kind::kLostWork
+                                   ? "the lost-work bug plant"
+                                   : nullptr;
+    if (single_order != nullptr) {
+      return std::string(single_order) +
+             " needs a single global event order: run it on one simulator shard";
+    }
+  }
+  return "";
+}
+
+void require_supported(const RunConfig& config, Backend runner) {
+  OLB_CHECK_MSG(config.backend == runner,
+                "each runner takes configs of its own backend; runtime::run "
+                "dispatches on config.backend");
+  const std::string why = unsupported_reason(config);
+  OLB_CHECK_MSG(why.empty(), why.c_str());
 }
 
 ChurnPlan make_random_churn(int joins, int leaves, int num_peers,
@@ -267,9 +300,9 @@ FtTiming ft_timing(const RunConfig& config) {
 
 std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
                                                      const RunConfig& config) {
+  require_supported(config, config.backend);
   std::vector<std::unique_ptr<PeerBase>> peers;
   const int n = config.num_peers;
-  OLB_CHECK(n >= 1);
   peers.reserve(static_cast<std::size_t>(n));
   PeerConfig peer_config{config.chunk_units, config.diffuse_bounds,
                          config.min_split_amount};
@@ -326,7 +359,6 @@ std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
       break;
     }
     case Strategy::kMW: {
-      OLB_CHECK_MSG(n >= 2, "MW needs a master and at least one worker");
       auto* factory = dynamic_cast<IntervalWorkload*>(&workload);
       OLB_CHECK_MSG(factory != nullptr, "MW requires an interval workload");
       MwConfig mc;
@@ -411,41 +443,6 @@ RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report,
   return metrics;
 }
 
-namespace {
-
-/// The shard count a run uses: config.sim_shards, at least 1, capped to one
-/// shard when a feature needs one global event order (or per-link state
-/// sized to the whole cluster), with a one-time note so sweeps are not
-/// silently reconfigured.
-int effective_sim_shards(const RunConfig& config) {
-  const int shards = config.sim_shards;
-  if (shards < 2) return 1;
-  const char* why = nullptr;
-  if (config.tracer != nullptr) {
-    why = "tracing";
-  } else if (config.metrics != nullptr) {
-    why = "live metrics";
-  } else if (config.faults.enabled()) {
-    why = "fault injection";
-  } else if (config.perturb.enabled()) {
-    why = "schedule perturbation";
-  } else if (config.plant.kind == PlantedBug::Kind::kLostWork) {
-    why = "the lost-work bug plant";
-  }
-  if (why == nullptr) return shards;
-  static bool noted = false;
-  if (!noted) {
-    noted = true;
-    std::fprintf(stderr,
-                 "note: %s needs a single global event order; running with "
-                 "sim_shards=1 instead of %d\n",
-                 why, shards);
-  }
-  return 1;
-}
-
-}  // namespace
-
 overlay::TreeOverlay make_overlay_tree(const RunConfig& config) {
   OLB_CHECK(strategy_is_overlay(config.strategy));
   return config.strategy == Strategy::kOverlayTR
@@ -466,7 +463,6 @@ OverlayConfig make_overlay_config(const RunConfig& config) {
   oc.retry_delay = config.overlay.retry_delay;
   oc.bridge_patience = config.overlay.bridge_patience;
   oc.capacity_weighted = config.het.capacity_weighted;
-  validate_churn(config);
   oc.churn = config.churn;
   oc.join_degree = std::max(1, config.dmax);
   oc.fault_tolerant = config.faults.enabled();
@@ -486,14 +482,10 @@ RunMetrics run_distributed(Workload& workload, const RunConfig& config) {
 RunMetrics run_distributed(std::vector<std::unique_ptr<PeerBase>> peers,
                            const RunConfig& config,
                            const std::function<void()>& harvest) {
-  OLB_CHECK_MSG(config.backend == Backend::kSim,
-                "run_distributed is the simulator backend; runtime::run "
-                "dispatches threads/sockets runs");
+  require_supported(config, Backend::kSim);
   OLB_CHECK(static_cast<int>(peers.size()) >= config.num_peers);
-  validate_faults_for_strategy(config);
-  validate_churn(config);
   sim::ShardedEngine engine(config.net, config.seed, static_cast<int>(peers.size()),
-                            effective_sim_shards(config));
+                            std::max(1, config.sim_shards));
   engine.set_tracer(config.tracer);
   engine.set_metrics(config.metrics);
   // The engine owns the peers from here on; their vector (8 bytes a peer)
@@ -516,7 +508,7 @@ RunMetrics run_distributed(std::vector<std::unique_ptr<PeerBase>> peers,
   metrics.ok = metrics.ok && result.quiesced;
   metrics.events = result.events;
   for (int i = 0; i < config.num_peers; ++i) {
-    metrics.msgs_per_peer.push_back(engine.stats(i).msgs_sent);
+    metrics.msgs_per_peer.push_back(engine.msgs_sent(i));
   }
 
   if (config.tracer != nullptr) {

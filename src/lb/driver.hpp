@@ -40,7 +40,7 @@ bool strategy_is_overlay(Strategy s);
 /// the same protocol objects on real threads (runtime::ThreadNet) over real
 /// shared-memory work; kSockets runs one peer per OS process joined by TCP
 /// (runtime::SocketNet). runtime::run dispatches on it, and
-/// runtime::unsupported_reason lists what each backend cannot run.
+/// lb::unsupported_reason lists what each backend cannot run.
 enum class Backend {
   kSim,
   kThreads,
@@ -143,14 +143,14 @@ struct RunConfig {
 
   /// Fault injection (default-constructed = disabled = exactly the
   /// fault-free run). When enabled() the driver switches every protocol
-  /// into its fault-tolerant mode and validates crash victims against the
-  /// strategy (see validate_for_strategy below).
+  /// into its fault-tolerant mode; crash victims must be recoverable under
+  /// the strategy (see crash_refusal below).
   sim::FaultPlan faults;
 
   /// Elastic membership (default-constructed = disabled = exactly the
   /// fixed-n run; zero-churn simulator timelines stay byte-identical).
   /// Overlay strategies only, mutually exclusive with fault injection —
-  /// see validate_churn. Works on all three backends: dormant peers are
+  /// see unsupported_reason. Works on all three backends: dormant peers are
   /// pre-provisioned actors/ranks that activate at their scheduled join.
   ChurnPlan churn;
 
@@ -182,14 +182,13 @@ struct RunConfig {
   /// cluster-aligned shards under conservative lookahead — deterministic,
   /// but a different (equally valid) timeline than the single-queue run.
   /// Features that assume one global event order (tracing, live metrics,
-  /// fault injection, perturbation, the lost-work plant) force a fallback
-  /// to one shard with a one-time stderr note; service mode rejects >= 2
-  /// (svc::validate_service).
+  /// fault injection, perturbation, the lost-work plant) refuse >= 2 (see
+  /// unsupported_reason), as does service mode (svc::unsupported_reason).
   int sim_shards = 0;
 
-  /// Execution backend. runtime::run dispatches on it; run_distributed
-  /// only accepts kSim (all three share this config type so flag parsing
-  /// and sweep code stay backend-agnostic).
+  /// Execution backend. runtime::run dispatches on it, and each runner only
+  /// accepts its own (all three share this config type so flag parsing and
+  /// sweep code stay backend-agnostic).
   Backend backend = Backend::kSim;
 
   /// Per-process bring-up for Backend::kSockets; ignored otherwise.
@@ -211,21 +210,32 @@ OverlayConfig make_overlay_config(const RunConfig& config);
 /// can avoid crashing it — RWS cannot survive losing its initiator.
 int rws_initiator(std::uint64_t seed, int num_peers);
 
-/// Aborts (OLB_CHECK) unless every crash victim in config.faults is
-/// recoverable under config.strategy: overlays and MW must keep peer 0
-/// (root / master), RWS must keep the initiator, MW must keep at least one
-/// worker, and AHMW only tolerates leaf crashes. Called by run_distributed;
-/// exposed for sweeps that want to pre-filter plans.
-void validate_faults_for_strategy(const RunConfig& config);
+/// Why `peer` must not crash under config.strategy, or "" when its crash
+/// is recoverable: overlays and MW must keep peer 0 (root / master), RWS
+/// must keep the initiator, and AHMW only tolerates leaf crashes. The one
+/// per-peer crash rule: unsupported_reason checks fault plans with it, and
+/// generators draw victims with it.
+std::string_view crash_refusal(const RunConfig& config, int peer);
 
-/// Aborts (OLB_CHECK) unless config.churn is well-formed: overlay strategy,
-/// no fault plan (churn and crash recovery compose in theory but are kept
-/// mutually exclusive until the combination has an oracle), 1 <=
-/// initial_peers <= num_peers, the root never leaves, every dormant peer
-/// [initial_peers, num_peers) has exactly one join, at most one leave per
-/// member, and a late joiner's leave follows its join. No-op when churn is
-/// disabled. Called by make_overlay_config, i.e. on every backend.
-void validate_churn(const RunConfig& config);
+/// Why `config` cannot run, or "" when it can: the first rule it breaks
+/// from the one list of which combinations of strategy, size, backend,
+/// shard count and mode exist. The list: n >= 1 (MW n >= 2) and dmax >= 1;
+/// crash victims pass crash_refusal and MW keeps a worker; a churn plan is
+/// well-formed (overlay strategy, no fault plan, 1 <= initial_peers <= n,
+/// the root never leaves, one join for each dormant peer and only for them,
+/// at most one leave a member, a late joiner's leave after its join); the
+/// real-time backends take no fault plan, speed scaling or lost-work plant;
+/// sockets take no in-process tracer or hub and need a configured bring-up
+/// whose table has n entries; and sim_shards >= 2 takes no tracer, hub,
+/// fault plan, perturbation or lost-work plant, which all need one global
+/// event order. svc::unsupported_reason adds service mode's rules.
+std::string unsupported_reason(const RunConfig& config);
+
+/// Aborts (OLB_CHECK) unless config.backend is `runner` and
+/// unsupported_reason(config) is empty, printing the reason: the check
+/// every runner makes at entry, before it builds an engine, a thread net or
+/// a socket.
+void require_supported(const RunConfig& config, Backend runner);
 
 /// Deterministic random churn schedule: the last `joins` peers of an
 /// n-peer run start dormant and join at times uniform in [from, to];
@@ -299,7 +309,7 @@ struct RunMetrics {
 /// MW master is peer 0), with `workload`'s root work at the peer the
 /// strategy starts from. Every backend runs these same actors: the
 /// simulator and the thread backend add them all, a socket rank keeps its
-/// own.
+/// own. Aborts on a config unsupported_reason refuses.
 std::vector<std::unique_ptr<PeerBase>> build_cluster(Workload& workload,
                                                      const RunConfig& config);
 
@@ -322,6 +332,8 @@ RunMetrics fold_reports(int n, const std::function<PeerReport(int)>& report,
 RunMetrics run_distributed(Workload& workload, const RunConfig& config);
 
 /// Runs an already-built cluster on the simulator: `peers[i]` is peer i.
+/// Requires config.backend == kSim and a config the list accepts
+/// (require_supported).
 /// The first config.num_peers peers are folded; any beyond them (the
 /// service gate) are hosted but not folded. `harvest`, when set, runs after
 /// the run, while the peers still live (service mode reads its gate and job

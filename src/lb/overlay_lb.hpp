@@ -172,7 +172,8 @@ struct OverlayConfig {
   double planted_split_bias = 0.0;
 
   // --- elastic membership (driver sets these iff a ChurnPlan is enabled;
-  // churn and fault injection are mutually exclusive — see validate_churn) ---
+  // churn and fault injection are mutually exclusive — see
+  // lb::unsupported_reason) ---
   ChurnPlan churn;
   /// A member with fewer than this many children accepts a join in place;
   /// otherwise it forwards the request to a child picked by a BON-style

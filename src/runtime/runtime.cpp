@@ -1,7 +1,6 @@
 #include "runtime/runtime.hpp"
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "lb/messages.hpp"
@@ -9,26 +8,6 @@
 #include "support/check.hpp"
 
 namespace olb::runtime {
-
-std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config) {
-  if (backend == lb::Backend::kSim) return "";
-  // The real-time backends have no simulator to model faults, per-peer
-  // speed or a lossy network.
-  if (config.faults.enabled()) return "fault injection is a simulator concept";
-  if (config.het.fraction != 0.0) return "speed scaling is a simulator concept";
-  if (config.plant.kind == lb::PlantedBug::Kind::kLostWork) {
-    return "the lost-work plant drops messages in the simulated network";
-  }
-  if (backend == lb::Backend::kThreads) return "";
-  if (config.tracer != nullptr || config.metrics != nullptr) {
-    return "socket runs trace via --socket-trace, not in-process sinks";
-  }
-  if (!config.sockets.configured()) return "needs --rank and a peer address table";
-  if (static_cast<int>(config.sockets.peers.size()) != config.num_peers) {
-    return "address table size must equal --peers";
-  }
-  return "";
-}
 
 lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config) {
   if (config.backend == lb::Backend::kSim) {
@@ -73,8 +52,7 @@ ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config
 ThreadRunMetrics run_threads(std::vector<std::unique_ptr<lb::PeerBase>> peers,
                              const lb::RunConfig& config,
                              const std::function<void()>& harvest) {
-  const std::string why = unsupported_reason(lb::Backend::kThreads, config);
-  OLB_CHECK_MSG(why.empty(), why.c_str());
+  lb::require_supported(config, lb::Backend::kThreads);
   OLB_CHECK(static_cast<int>(peers.size()) >= config.num_peers);
 
   ThreadNet net(config.seed);

@@ -6,9 +6,8 @@
 // run_sockets runs one rank of it per OS process (runtime::SocketNet). Both
 // fold their peers' reports and their merged send tally with
 // lb::fold_reports, as the simulator does.
-// run() switches on config.backend over those two and lb::run_distributed,
-// and unsupported_reason() is the single list of what each backend cannot
-// run.
+// run() switches on config.backend over those two and lb::run_distributed;
+// lb::unsupported_reason is the one list of what each backend cannot run.
 //
 // The real-time backends run every strategy (TD/TR/BTD, RWS, MW, AHMW),
 // fault-free and homogeneous — fault injection, speed scaling and the
@@ -28,7 +27,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "lb/driver.hpp"
@@ -54,14 +52,6 @@ struct ThreadRunMetrics {
   std::vector<lb::StateTap> final_state;
 };
 
-/// Why `backend` cannot run `config`, or "" when it can. The simulator runs
-/// everything; the real-time backends reject fault plans, speed scaling and
-/// the lost-work plant, and sockets additionally
-/// reject in-process trace sinks and metrics hubs and need a configured
-/// SocketBringup whose address table has exactly config.num_peers entries.
-/// run_threads and run_sockets abort (OLB_CHECK) on a non-empty reason.
-std::string unsupported_reason(lb::Backend backend, const lb::RunConfig& config);
-
 /// Runs `workload` on config.backend. Real-time results are converted to
 /// the simulator's RunMetrics shape: the declaring peer's termination time
 /// fills the timing fields and simulator-only series (events, utilisation, queueing
@@ -73,8 +63,8 @@ lb::RunMetrics run(lb::Workload& workload, const lb::RunConfig& config);
 ThreadRunMetrics run_threads(lb::Workload& workload, const lb::RunConfig& config);
 
 /// Runs an already-built cluster on one thread per peer (`peers[i]` is peer
-/// i) until every peer saw termination. Requires
-/// unsupported_reason(kThreads, config) to be empty (OLB_CHECK). A tracer in
+/// i) until every peer saw termination. Requires config.backend == kThreads
+/// and a config the list accepts (lb::require_supported). A tracer in
 /// the config need not be thread-safe: ThreadNet::set_tracer makes it so.
 /// The first config.num_peers peers are folded; any beyond them (the
 /// service gate) are hosted but not folded. `harvest`, when set, runs after
@@ -89,8 +79,8 @@ ThreadRunMetrics run_threads(std::vector<std::unique_ptr<lb::PeerBase>> peers,
 /// (config.sockets.rank) of a multi-process cluster over TCP
 /// (runtime::SocketNet), then all-gathers per-rank reports so the returned
 /// metrics are the cluster-wide fold — identical on every process.
-/// Requires unsupported_reason(kSockets, config) to be empty (OLB_CHECK);
-/// socket traces go to per-process NDJSON files via
+/// Requires config.backend == kSockets and a config the list accepts
+/// (lb::require_supported); socket traces go to per-process NDJSON files via
 /// config.sockets.trace_prefix. `config.limits.time_limit` caps the wall
 /// clock per process.
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config);

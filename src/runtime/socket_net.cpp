@@ -602,6 +602,13 @@ void SocketNet::start() {
   OLB_CHECK_MSG(host_.has_value(), "set_actor() before start()");
   const int n = transport_num_peers();
   OLB_CHECK(options_.rank >= 0 && options_.rank < n);
+  if (tracer_ != nullptr) {
+    // Opened before bring-up: an unwritable path fails now, not after the
+    // run, when shutdown() would have nowhere to put the trace.
+    trace_out_.open(options_.trace_path, std::ios::binary | std::ios::trunc);
+    const std::string why = "cannot open socket trace " + options_.trace_path;
+    OLB_CHECK_MSG(trace_out_.is_open(), why.c_str());
+  }
   links_.resize(static_cast<std::size_t>(n));
   result_blobs_.resize(static_cast<std::size_t>(n));
   result_seen_.assign(static_cast<std::size_t>(n), false);
@@ -751,9 +758,9 @@ void SocketNet::shutdown() {
       pump_io(std::chrono::milliseconds(5));
     }
   }
-  if (tracer_ != nullptr) {
-    std::ofstream os(options_.trace_path, std::ios::binary);
-    if (os) trace::write_ndjson(os, tracer_->events());
+  if (trace_out_.is_open()) {
+    trace::write_ndjson(trace_out_, tracer_->events());
+    trace_out_.close();
   }
   std::vector<Conn*> open;
   open.reserve(conns_.size());

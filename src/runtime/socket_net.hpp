@@ -65,6 +65,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -94,7 +95,8 @@ class SocketNet final : public sim::Transport {
     std::vector<int> overlay_parent;
     sim::Time bootstrap_timeout = sim::seconds(30.0);
     /// When non-empty, protocol trace events are recorded and written to
-    /// this NDJSON file at shutdown().
+    /// this NDJSON file, which start() opens (aborting if it cannot) and
+    /// shutdown() fills.
     std::string trace_path;
   };
 
@@ -209,6 +211,7 @@ class SocketNet final : public sim::Transport {
   const WorkCodec* codec_;
   std::optional<Host> host_;  ///< set by set_actor
   std::unique_ptr<trace::VectorTracer> tracer_;  ///< non-null iff trace_path
+  std::ofstream trace_out_;                      ///< opened by start()
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;

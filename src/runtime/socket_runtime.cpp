@@ -131,9 +131,7 @@ std::string next_trace_path(const std::string& prefix, int rank) {
 }  // namespace
 
 ThreadRunMetrics run_sockets(lb::Workload& workload, const lb::RunConfig& config) {
-  const std::string why = unsupported_reason(lb::Backend::kSockets, config);
-  OLB_CHECK_MSG(why.empty(), why.c_str());
-  OLB_CHECK(config.sockets.rank < config.num_peers);
+  lb::require_supported(config, lb::Backend::kSockets);
   const std::unique_ptr<WorkCodec> codec = make_work_codec(workload);
 
   SocketNet::Options options;

@@ -32,8 +32,9 @@ PayloadKind payload_kind_of(int type) {
   }
 }
 
-/// Service mode never runs on sockets (svc::validate_service), so a frame of
-/// a service message type (kJobInject through kSvcShutdown) is malformed.
+/// Service mode never runs on sockets (svc::unsupported_reason), so a
+/// frame of a service message type (kJobInject through kSvcShutdown) is
+/// malformed.
 bool is_service_type(int type) {
   return type >= lb::kJobInject && type <= lb::kSvcShutdown;
 }

@@ -27,7 +27,6 @@ void Actor::start_compute(Time duration) {
     duration = static_cast<Time>(static_cast<double>(duration) / speed_);
   }
   compute_pending_ = true;
-  stats_.compute_time += duration;
   transport_->transport_compute_started(*this, duration);
 }
 
@@ -157,7 +156,7 @@ void Engine::send_from(Actor& from, int dst, Message m) {
   OLB_CHECK_MSG(m.type >= 0, "application message types must be >= 0");
   m.src = from.id_;
   m.dst = dst;
-  ++from.stats_.msgs_sent;
+  ++from.msgs_sent_;
   tally_.count_send(m.type);
   Time latency = network_.latency(from.id_, dst);
   if (!is_local(dst)) [[unlikely]] {
@@ -303,9 +302,7 @@ void Engine::service(Actor& a, Time t) {
     a.on_start();
   } else if (a.inbox_head_ != kNoSlot) {
     Message m = pop_inbox(a);
-    ++a.stats_.msgs_received;
     a.busy_until_ = t + config_.msg_handling_cost;
-    a.stats_.overhead_time += config_.msg_handling_cost;
     const Time inbox_wait = t - m.arrived_at;
     // Application messages (type >= 0) first: one compare on the hot path,
     // the engine-reserved negative types pay the second. Only application

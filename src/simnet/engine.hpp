@@ -46,15 +46,6 @@ namespace olb::sim {
 
 class Engine;
 
-/// Per-actor accounting used for efficiency and message-load reports (kept
-/// by the simulator; the real-time backends count sends in a sim::Tally).
-struct ActorStats {
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  Time compute_time = 0;   ///< simulated time spent on application work
-  Time overhead_time = 0;  ///< simulated time spent handling messages
-};
-
 /// Base class for protocol peers. Subclasses implement the protocol by
 /// overriding the on_* hooks and calling send()/start_compute()/set_timer()
 /// from inside them. All hooks run with the actor exclusively scheduled
@@ -134,7 +125,6 @@ class Actor {
   Xoshiro256& rng() { return rng_; }
   /// Cluster size (peer ids are dense 0..num_peers()-1 on both backends).
   int num_peers() const;
-  const ActorStats& stats() const { return stats_; }
   /// Records a protocol-level trace event on this actor's track (no-op
   /// unless a tracer is attached to the engine).
   void emit_trace(trace::EventKind kind, int peer = -1, int type = 0,
@@ -177,7 +167,9 @@ class Actor {
   /// real-time backends keep their own mailboxes and never touch these.
   std::uint32_t inbox_head_ = kNoSlot;
   std::uint32_t inbox_tail_ = kNoSlot;
-  ActorStats stats_;
+  /// Messages this actor sent (the simulator's per-peer message load; the
+  /// real-time backends count sends in a sim::Tally).
+  std::uint64_t msgs_sent_ = 0;
   /// Armed by on_metrics, bumped at the emit_trace funnel (see engine.cpp);
   /// null until a hub attaches. Subclasses extend the struct (see
   /// set_instruments), so all of an actor's instruments sit behind this one
@@ -195,7 +187,7 @@ class Engine final : public Transport {
 
   int num_actors() const { return static_cast<int>(actors_.size()); }
   Actor& actor(int id) { return *local(id); }
-  const ActorStats& stats(int id) const { return local(id)->stats_; }
+  std::uint64_t msgs_sent(int id) const { return local(id)->msgs_sent_; }
 
   // --- shard support (ShardedEngine, sharded_engine.hpp) ---
 

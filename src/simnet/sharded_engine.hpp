@@ -92,7 +92,7 @@ class ShardedEngine {
   int add_actor(std::unique_ptr<Actor> actor);
   int num_actors() const { return next_id_; }
   Actor& actor(int id) { return owner(id).actor(id); }
-  const ActorStats& stats(int id) const { return owner(id).stats(id); }
+  std::uint64_t msgs_sent(int id) const { return owner(id).msgs_sent(id); }
 
   /// Runs the conservative-window loop until every shard quiesces or a
   /// limit trips. `event_limit` is enforced per window — each shard's

@@ -58,8 +58,8 @@ class Transport {
   /// thread backend's peers share one sink through trace::LockedSink.
   virtual trace::TraceSink* transport_tracer() const = 0;
 
-  /// Delivers `m` to `dst`'s inbox/mailbox. Fills in src/dst and updates the
-  /// sender's ActorStats.
+  /// Delivers `m` to `dst`'s inbox/mailbox, filling in src/dst, and counts
+  /// the send.
   virtual void transport_send(Actor& from, int dst, Message m) = 0;
 
   /// Arranges for `from.on_timer(tag)` after `delay`. Timers are always
@@ -71,8 +71,7 @@ class Transport {
   /// Notification that `from` started a compute span of (speed-scaled)
   /// `duration`. The simulator advances the actor's busy-clock and
   /// utilisation histogram here; the real-time backends need no bookkeeping
-  /// — the span *is* the CPU time the work already consumed, and
-  /// compute_time was accrued by Actor::start_compute itself.
+  /// — the span *is* the CPU time the work already consumed.
   virtual void transport_compute_started(Actor& from, Time duration) {
     (void)from;
     (void)duration;

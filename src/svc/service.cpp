@@ -27,23 +27,24 @@ std::unique_ptr<lb::Workload> make_job_workload(const JobClass& cls,
                                           cls.bb_costs);
 }
 
-void validate_service(const ServiceConfig& config) {
+std::string unsupported_reason(const ServiceConfig& config) {
   const lb::RunConfig& rc = config.run;
-  OLB_CHECK_MSG(lb::strategy_is_overlay(rc.strategy),
-                "service mode requires an overlay strategy (TD/TR/BTD)");
-  OLB_CHECK_MSG(rc.backend != lb::Backend::kSockets,
-                "service mode runs on the sim and thread backends");
-  OLB_CHECK_MSG(rc.sim_shards < 2, "service mode runs on one simulator shard");
-  OLB_CHECK_MSG(!rc.perturb.enabled(), "service mode runs unperturbed");
-  OLB_CHECK_MSG(!rc.faults.enabled(), "service mode is fault-free");
-  OLB_CHECK_MSG(!rc.churn.enabled(), "service mode is churn-free");
-  OLB_CHECK_MSG(!rc.plant.enabled(),
-                "planted bugs target single-job conformance runs");
-  OLB_CHECK_MSG(rc.het.fraction == 0.0, "service mode is homogeneous");
-  OLB_CHECK(rc.num_peers >= 1);
-  OLB_CHECK_MSG(!config.classes.empty(), "need at least one job class");
-  OLB_CHECK(config.admission.max_in_service >= 1);
-  OLB_CHECK(config.wave_interval > 0);
+  if (!lb::strategy_is_overlay(rc.strategy)) {
+    return "service mode requires an overlay strategy (TD/TR/BTD)";
+  }
+  if (rc.backend == lb::Backend::kSockets) {
+    return "service mode runs on the sim and thread backends";
+  }
+  if (rc.sim_shards >= 2) return "service mode runs on one simulator shard";
+  if (rc.perturb.enabled()) return "service mode runs unperturbed";
+  if (rc.faults.enabled()) return "service mode is fault-free";
+  if (rc.churn.enabled()) return "service mode is churn-free";
+  if (rc.plant.enabled()) return "planted bugs target single-job conformance runs";
+  if (rc.het.fraction != 0.0) return "service mode is homogeneous";
+  if (config.classes.empty()) return "need at least one job class";
+  if (config.admission.max_in_service < 1) return "admission.max_in_service must be at least 1";
+  if (config.wave_interval <= 0) return "wave_interval must be positive";
+  return lb::unsupported_reason(rc);
 }
 
 std::vector<JobGate::Arrival> make_schedule(const ServiceConfig& config) {
@@ -109,7 +110,8 @@ void harvest_gate(const JobGate& gate, ServiceMetrics& out) {
 }  // namespace
 
 ServiceMetrics run_service(const ServiceConfig& config) {
-  validate_service(config);
+  const std::string why = unsupported_reason(config);
+  OLB_CHECK_MSG(why.empty(), why.c_str());
   lb::RunConfig rc = config.run;
   // Peer-level bound diffusion is meaningless across jobs (the bags never
   // report a bound upward; per-job bounds travel inside split pieces), so

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bb/bb_work.hpp"
@@ -100,11 +101,12 @@ struct ServiceMetrics {
   double exec_seconds = 0;  ///< until the root declared termination
 };
 
-/// Aborts (OLB_CHECK) unless the config is in service scope: overlay
-/// strategy, sim (one shard) or threads backend, no faults, churn,
-/// heterogeneity, perturbation or plants, at least one class, sane
-/// admission bounds.
-void validate_service(const ServiceConfig& config);
+/// Why service mode cannot run `config`, or "" when it can: service mode's
+/// own rules — overlay strategy, sim (one shard) or threads backend, no
+/// faults, churn, heterogeneity, perturbation or plants, at least one
+/// class, sane admission bounds — then lb::unsupported_reason(config.run).
+/// run_service aborts (OLB_CHECK) on a non-empty reason.
+std::string unsupported_reason(const ServiceConfig& config);
 
 /// Deterministic per-job workload factory — shared by run_service and the
 /// sequential reference so both see the identical job.

@@ -500,8 +500,8 @@ TEST(FuzzCaseCodec, ParseRejectsIllegalChurnCombos) {
   EXPECT_FALSE(parse_case(
       "strategy=TD peers=8 dmax=3 workload=0 seed=1 fault=0 sched=0 churn=99",
       &c));
-  // Churn + faults is rejected (validate_churn's rule, mirrored by the codec
-  // so the repro space stays identical to the legal case space).
+  // Churn + faults is rejected (lb::unsupported_reason refuses the config
+  // the tuple denotes, so the repro space is the legal case space).
   EXPECT_FALSE(parse_case(
       "strategy=TD peers=8 dmax=3 workload=0 seed=1 fault=2 sched=0 churn=1",
       &c));
@@ -513,6 +513,22 @@ TEST(FuzzCaseCodec, ParseRejectsIllegalChurnCombos) {
   EXPECT_TRUE(parse_case(
       "strategy=MW peers=8 dmax=3 workload=0 seed=1 fault=0 sched=0 churn=0",
       &c));
+}
+
+TEST(FuzzCaseCodec, EveryRandomCaseParsesAndIsAccepted) {
+  // The sweep draws only from the legal space: every case round-trips
+  // through its repro string, and the list accepts the config it denotes.
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const FuzzCase c = random_case(20261020, i, lb::all_strategies());
+    const std::string repro = format_case(c);
+    FuzzCase parsed;
+    ASSERT_TRUE(parse_case(repro, &parsed)) << repro;
+    EXPECT_EQ(format_case(parsed), repro);
+    const std::string why = c.jobs_id == 0
+                                ? lb::unsupported_reason(make_case_config(c))
+                                : svc::unsupported_reason(make_case_service(c));
+    EXPECT_EQ(why, "") << repro;
+  }
 }
 
 TEST(FuzzCaseCodec, RandomCaseIsAPureFunctionOfSeedAndIndex) {

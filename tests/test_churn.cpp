@@ -106,10 +106,10 @@ TEST(MakeRandomChurn, PlansAreWellFormed) {
     }
     EXPECT_EQ(joins, 4);
     EXPECT_EQ(leaves, 3);
-    // validate_churn is the driver's gate; a generated plan must clear it.
+    // The one list is the runners' gate; a generated plan must clear it.
     auto config = base_config(lb::Strategy::kOverlayBTD, 16, 3, seed);
     config.churn = plan;
-    lb::validate_churn(config);
+    EXPECT_EQ(lb::unsupported_reason(config), "");
   }
 }
 

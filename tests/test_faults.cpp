@@ -248,23 +248,24 @@ TEST(FaultPlanDeathTest, RejectsProtocolCriticalVictims) {
   {
     auto config = base(lb::Strategy::kOverlayBTD);
     config.faults.add_crash(0, sim::milliseconds(1));  // overlay root
-    EXPECT_DEATH(lb::validate_faults_for_strategy(config), "");
+    EXPECT_DEATH(lb::require_supported(config, lb::Backend::kSim), "overlay root");
   }
   {
     auto config = base(lb::Strategy::kMW);
     config.faults.add_crash(0, sim::milliseconds(1));  // master
-    EXPECT_DEATH(lb::validate_faults_for_strategy(config), "");
+    EXPECT_DEATH(lb::require_supported(config, lb::Backend::kSim), "MW master");
   }
   {
     auto config = base(lb::Strategy::kRWS);
     config.faults.add_crash(lb::rws_initiator(config.seed, 16),
                             sim::milliseconds(1));
-    EXPECT_DEATH(lb::validate_faults_for_strategy(config), "");
+    EXPECT_DEATH(lb::require_supported(config, lb::Backend::kSim),
+                 "RWS initiator");
   }
   {
     auto config = base(lb::Strategy::kAHMW);
     config.faults.add_crash(1, sim::milliseconds(1));  // interior coordinator
-    EXPECT_DEATH(lb::validate_faults_for_strategy(config), "");
+    EXPECT_DEATH(lb::require_supported(config, lb::Backend::kSim), "leaf crashes");
   }
 }
 

@@ -477,6 +477,7 @@ TEST(MetricsEndToEnd, ThreadsRunExportsPerPeerTelemetry) {
 
   uts::UtsWorkload workload(small_uts(), uts::CostModel{});
   lb::RunConfig config = small_config(4);
+  config.backend = lb::Backend::kThreads;
   config.metrics = &hub;
   const auto run = runtime::run_threads(workload, config);
   ASSERT_TRUE(run.ok);

@@ -505,7 +505,9 @@ TEST(Runtime, UnsupportedReasonIsTheOneListOfBackendLimits) {
       {B::kSockets, wrong_table, "wrong_table", false},
   };
   for (const auto& row : rows) {
-    const std::string why = runtime::unsupported_reason(row.backend, row.config);
+    lb::RunConfig on_backend = row.config;
+    on_backend.backend = row.backend;
+    const std::string why = lb::unsupported_reason(on_backend);
     EXPECT_EQ(why.empty(), row.accepted)
         << lb::backend_name(row.backend) << " / " << row.name << ": '" << why
         << "'";

@@ -11,13 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "lb/overlay_lb.hpp"
+#include "metrics/hub.hpp"
 #include "simnet/engine.hpp"
 #include "simnet/event_queue.hpp"
 #include "simnet/sharded_engine.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 
 namespace olb {
 namespace {
@@ -127,8 +130,8 @@ TEST(ShardedRun, ExactUnitsAndDeterminism) {
 }
 
 TEST(ShardedRun, FourShardTrajectoryIsPinned) {
-  // Tracing forces one shard, so the pinned trace set never sees a
-  // multi-shard timeline. This pins one: any change to how windows are
+  // Tracing refuses more than one shard, so the pinned trace set never sees
+  // a multi-shard timeline. This pins one: any change to how windows are
   // cut, how cross-shard arrivals are handed over or in which order they
   // are stamped moves at least one of these numbers. 3000 peers on the
   // paper network are five 736-peer clusters, so four cluster-aligned
@@ -239,20 +242,46 @@ TEST(ShardedRun, RWSAcrossShardsKeepsExactUnits) {
   EXPECT_EQ(m.total_units, seq.units);
 }
 
-TEST(ShardedRun, SingleOrderFeaturesFallBackToOneShard) {
-  // Features needing one global event order (here: fault injection) force
-  // the sharded request down to one shard instead of running wrong.
+TEST(ShardedRunDeathTest, SingleOrderFeaturesRefuseShards) {
+  // Features needing one global event order refuse a sharded run instead of
+  // quietly running it on one shard: the runner aborts naming the feature.
+  // On one shard the list accepts the same configs.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  trace::VectorTracer tracer;
+  metrics::MetricsHub::Options hub_options;
+  hub_options.path = "never-written.prom";  // Prometheus hubs write on flush
+  metrics::MetricsHub hub(hub_options);
+  const auto base = base_config(lb::Strategy::kOverlayBTD, 12, 4, 3);
+  auto traced = base;
+  traced.tracer = &tracer;
+  auto metered = base;
+  metered.metrics = &hub;
+  auto faulty = base;
+  faulty.faults.link.drop_prob = 0.01;
+  auto perturbed = base;
+  perturbed.perturb.seed = 9;
+  perturbed.perturb.shuffle_ties = true;
+  auto lost_work = base;
+  lost_work.plant.kind = lb::PlantedBug::Kind::kLostWork;
+  const struct {
+    lb::RunConfig config;
+    const char* feature;
+  } rows[] = {
+      {traced, "tracing"},
+      {metered, "live metrics"},
+      {faulty, "fault injection"},
+      {perturbed, "schedule perturbation"},
+      {lost_work, "the lost-work bug plant"},
+  };
   const auto params = uts_params(4);
-  auto config = base_config(lb::Strategy::kOverlayBTD, 12, 4, 3,
-                            20'000'000);
-  config.sim_shards = 4;
-  config.faults.link.drop_prob = 0.01;
-  config.faults.salt = 5;
-  uts::UtsWorkload w(params, uts::CostModel{});
-  const auto m = lb::run_distributed(w, config);
-  EXPECT_TRUE(m.ok);
-  EXPECT_EQ(m.sim_shards, 1);
-  EXPECT_EQ(m.sim_windows, 0u);
+  for (auto row : rows) {
+    EXPECT_EQ(lb::unsupported_reason(row.config), "") << row.feature;
+    row.config.sim_shards = 4;
+    uts::UtsWorkload w(params, uts::CostModel{});
+    EXPECT_DEATH(lb::run_distributed(w, row.config),
+                 std::string(row.feature) + " needs a single global event order")
+        << row.feature;
+  }
 }
 
 // --------------------------------------------------------- cross-shard FIFO ---

@@ -430,6 +430,20 @@ class TimerChain final : public sim::Actor {
   std::vector<sim::Time> fired_at_;
 };
 
+TEST(SocketNetDeathTest, UnwritableTracePathAbortsBeforeBringUp) {
+  // The trace file is opened by start(), before bring-up: a prefix in a
+  // missing directory aborts naming the path instead of running untraced.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  runtime::SocketNet::Options options;
+  options.rank = 0;
+  const LoopbackTable ports(1);
+  options.peers = ports.addresses;
+  options.trace_path = "no-such-dir/t.run0.rank0.ndjson";
+  runtime::SocketNet net(options, nullptr);
+  net.set_actor(std::make_unique<TimerChain>(1));
+  EXPECT_DEATH(net.start(), "cannot open socket trace no-such-dir/t.run0.rank0.ndjson");
+}
+
 TEST(SocketNet, IdleRankWaitsForTimersBelowAMillisecond) {
   // A lone idle rank blocks in epoll until its next timer; the wait must
   // keep its sub-millisecond length, not round up to a whole millisecond.

@@ -243,7 +243,8 @@ TEST(Service, RejectsMultipleSimShards) {
   svc::ServiceConfig sc = service_base();
   sc.classes.push_back(uts_class(svc::ArrivalKind::kPoisson, 150));
   sc.run.sim_shards = 2;
-  EXPECT_DEATH(svc::validate_service(sc), "one simulator shard");
+  EXPECT_EQ(svc::unsupported_reason(sc), "service mode runs on one simulator shard");
+  EXPECT_DEATH(svc::run_service(sc), "one simulator shard");
 }
 
 // -------------------------------------------------------------- admission ---

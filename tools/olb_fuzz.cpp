@@ -24,7 +24,6 @@
 
 #include "check/fuzz.hpp"
 #include "lb/messages.hpp"
-#include "runtime/runtime.hpp"
 #include "support/flags.hpp"
 #include "trace/export.hpp"
 
@@ -242,8 +241,9 @@ int main(int argc, char** argv) {
     // backend accepts.
     lb::RunConfig config = check::make_case_config(c);
     config.plant = plant;
-    if (diff && c.jobs_id == 0 &&
-        runtime::unsupported_reason(lb::Backend::kThreads, config).empty()) {
+    lb::RunConfig on_threads = config;
+    on_threads.backend = lb::Backend::kThreads;
+    if (diff && c.jobs_id == 0 && lb::unsupported_reason(on_threads).empty()) {
       const auto d = check::run_differential(
           [&] { return check::make_case_workload(c); }, config,
           check::case_reference(c));

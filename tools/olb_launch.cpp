@@ -13,9 +13,10 @@
 // rank computes identical aggregates); other ranks log to
 // <logdir>/rank<i>.log, or stdout-to-/dev/null without --logdir.
 //
-// Exit status: 0 when every child exits 0; 1 when any child fails; 124 when
-// the deadline fires (all children are SIGKILLed first — a hung distributed
-// run must not hang the launcher, or CI).
+// Exit status: 0 when every child exits 0; 1 when any child fails; 2 on a
+// usage error or a rank log that cannot be opened (before any rank starts);
+// 124 when the deadline fires (all children are SIGKILLed first — a hung
+// distributed run must not hang the launcher, or CI).
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <signal.h>
@@ -104,22 +105,30 @@ int main(int argc, char** argv) {
     table += "127.0.0.1:" + std::to_string(port);
   }
 
+  // Every rank's log is opened before any rank starts: a log that cannot be
+  // opened fails the launch, instead of that rank writing to our stdout.
+  std::vector<int> logs(static_cast<size_t>(n), -1);
+  for (int rank = 1; rank < n; ++rank) {
+    const std::string log = logdir.empty()
+                                ? "/dev/null"
+                                : logdir + "/rank" + std::to_string(rank) + ".log";
+    const int fd = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) {
+      std::fprintf(stderr, "olb_launch: cannot open %s: %s\n", log.c_str(),
+                   std::strerror(errno));
+      std::exit(2);
+    }
+    logs[static_cast<size_t>(rank)] = fd;
+  }
+
   std::vector<pid_t> pids(static_cast<size_t>(n), -1);
   for (int rank = 0; rank < n; ++rank) {
     const pid_t pid = fork();
     if (pid < 0) { std::perror("olb_launch: fork"); std::exit(2); }
     if (pid == 0) {
-      if (rank != 0) {
-        const std::string log = logdir.empty()
-                                    ? "/dev/null"
-                                    : logdir + "/rank" + std::to_string(rank) +
-                                          ".log";
-        const int fd = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (fd >= 0) {
-          dup2(fd, STDOUT_FILENO);
-          if (!logdir.empty()) dup2(fd, STDERR_FILENO);
-          close(fd);
-        }
+      if (const int fd = logs[static_cast<size_t>(rank)]; fd >= 0) {
+        dup2(fd, STDOUT_FILENO);
+        if (!logdir.empty()) dup2(fd, STDERR_FILENO);
       }
       std::vector<std::string> extra = {
           "--backend=sockets",
@@ -136,6 +145,9 @@ int main(int argc, char** argv) {
       _exit(127);
     }
     pids[static_cast<size_t>(rank)] = pid;
+  }
+  for (const int fd : logs) {
+    if (fd >= 0) close(fd);
   }
 
   const auto deadline = std::chrono::steady_clock::now() +
