@@ -179,6 +179,7 @@ std::string unsupported_reason(const RunConfig& config) {
     if (config.plant.kind == PlantedBug::Kind::kLostWork) {
       return "the lost-work plant drops messages in the simulated network";
     }
+    if (config.sim_shards >= 2) return "simulator shards are a simulator concept";
   }
   if (config.backend == Backend::kSockets) {
     if (config.tracer != nullptr || config.metrics != nullptr) {

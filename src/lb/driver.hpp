@@ -183,7 +183,8 @@ struct RunConfig {
   /// but a different (equally valid) timeline than the single-queue run.
   /// Features that assume one global event order (tracing, live metrics,
   /// fault injection, perturbation, the lost-work plant) refuse >= 2 (see
-  /// unsupported_reason), as does service mode (svc::unsupported_reason).
+  /// unsupported_reason), as do service mode (svc::unsupported_reason) and
+  /// the real-time backends.
   int sim_shards = 0;
 
   /// Execution backend. runtime::run dispatches on it, and each runner only
@@ -224,7 +225,8 @@ std::string_view crash_refusal(const RunConfig& config, int peer);
 /// well-formed (overlay strategy, no fault plan, 1 <= initial_peers <= n,
 /// the root never leaves, one join for each dormant peer and only for them,
 /// at most one leave a member, a late joiner's leave after its join); the
-/// real-time backends take no fault plan, speed scaling or lost-work plant;
+/// real-time backends take no fault plan, speed scaling, lost-work plant or
+/// simulator shards (sim_shards >= 2);
 /// sockets take no in-process tracer or hub and need a configured bring-up
 /// whose table has n entries; and sim_shards >= 2 takes no tracer, hub,
 /// fault plan, perturbation or lost-work plant, which all need one global

@@ -93,7 +93,7 @@ void Engine::transport_set_timer(Actor& from, Time delay, std::int64_t tag) {
   Message m(kTimerMsgType, tag);
   m.src = from.id_;
   m.dst = from.id_;
-  emplace_event(now_ + delay, from.id_, Event::Kind::kArrival).msg = std::move(m);
+  emplace_after(delay, from.id_, Event::Kind::kArrival).msg = std::move(m);
 }
 
 Engine::Engine(NetworkConfig config, std::uint64_t seed)
@@ -189,8 +189,8 @@ void Engine::send_from(Actor& from, int dst, Message m) {
     // overlay tolerates them (OverlayPeer::on_req_up keeps the newest
     // child aggregates whatever their arrival order), and the conformance
     // oracles assume strict link FIFO only on unjittered runs. Clamping
-    // every link would move both perfbench pins, so it waits for a
-    // benchmark change (ROADMAP item 5).
+    // every link would move both perfbench pins, so it waits for the
+    // change that re-pins them (ROADMAP item 1).
     if (perturb_link_last_.empty()) {
       perturb_link_last_.resize(static_cast<std::size_t>(num_actors()) *
                                     static_cast<std::size_t>(num_actors()),
@@ -273,7 +273,14 @@ void Engine::schedule_wake(Actor& a, Time at) {
   a.wake_pending_ = true;
   // Wake events read only msg.dst, so the rest of the recycled slot's
   // moved-from shell (payload always null after consumption) is left as-is.
-  emplace_event(at, a.id_, Event::Kind::kWake);
+  // A wake at once or after one message's handling goes to its lane; a
+  // compute end or a stall's thaw lands at a delay of its own.
+  const Time delay = at - now_;
+  if (delay == 0 || delay == config_.msg_handling_cost) {
+    emplace_after(delay, a.id_, Event::Kind::kWake);
+  } else {
+    emplace_event(at, a.id_, Event::Kind::kWake);
+  }
 }
 
 Message Engine::pop_inbox(Actor& a) {
@@ -525,8 +532,14 @@ void Engine::schedule_startup() {
   // the start wakes when picking the window base.
   if (startup_scheduled_) return;
   startup_scheduled_ = true;
+  // The start wakes go to the heap, not the zero-delay lane: all of a
+  // shard's actors at once would grow that ring to the shard's size for
+  // good, where it otherwise holds a handful of wakes.
   for (auto& a : actors_) {
-    if (!a->started_ && !a->wake_pending_) schedule_wake(*a, 0);
+    if (!a->started_ && !a->wake_pending_) {
+      a->wake_pending_ = true;
+      emplace_event(0, a->id_, Event::Kind::kWake);
+    }
   }
   // Empty unless set_faults installed a plan.
   for (const CrashEvent& c : injector_.plan().crashes) {

@@ -14,7 +14,9 @@
 // Determinism: all randomness (latency jitter, per-actor RNG streams) is
 // derived from the engine seed, and simultaneous events are ordered by a
 // global insertion counter, so a run is a pure function of (actors, config,
-// seed).
+// seed). Where an event is filed — the queue's heap, or the FIFO lane for
+// its delay (timers, and wakes at once or one msg_handling_cost later; see
+// event_queue.hpp) — never changes when it is served.
 #pragma once
 
 #include <cstdint>
@@ -337,6 +339,14 @@ class Engine final : public Transport {
     std::uint64_t tie = 0;
     if (perturb_ties_) [[unlikely]] tie = perturb_rng_();
     return queue_.emplace(at, tie, next_seq_++, dst, kind);
+  }
+  /// emplace_event for an event `delay` after now: files it into the
+  /// queue's lane for that delay (see event_queue.hpp). Tie-shuffled events
+  /// need the heap's full key, so they take emplace_event, which draws the
+  /// tie exactly as before.
+  Event& emplace_after(Time delay, int dst, Event::Kind kind) {
+    if (perturb_ties_) [[unlikely]] return emplace_event(now_ + delay, dst, kind);
+    return queue_.emplace_after(now_, delay, next_seq_++, dst, kind);
   }
   void push_arrival(Message&& m, Time at);
   /// Moves the oldest inbox message out of its slab slot and frees the

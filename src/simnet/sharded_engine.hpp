@@ -35,7 +35,13 @@
 // its arrivals from the source shards in id order (each outbox a FIFO),
 // stamping its own insertion sequence — so the threaded execution is
 // bit-identical to running the shards one after another. A run is still a
-// pure function of (actors, config, seed, shard count).
+// pure function of (actors, config, seed, shard count). Each shard's queue
+// serves its heap and its constant-delay lanes (event_queue.hpp) in one
+// (time, tie, seq) order. Only a shard's own timers and wakes enter its
+// lanes, filed a fixed delay after its own clock; handed-over arrivals
+// carry jittered times and go to the heap. A shard's clock never goes
+// back, across window boundaries too, so its lanes stay sorted and the
+// lanes move no event from where the heap alone would serve it.
 //
 // Threads: the calling thread runs shard 0 and a pool of k - 1 workers runs
 // the rest. They step through windows on two atomics, a generation counter

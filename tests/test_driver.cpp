@@ -43,6 +43,11 @@ TEST(Driver, UnsupportedReasonNamesEachRule) {
   sockets.sockets.peers.assign(static_cast<std::size_t>(sim.num_peers), "127.0.0.1:1");
   for (const lb::RunConfig* config : {&sim, &threads, &sockets}) {
     EXPECT_EQ(lb::unsupported_reason(*config), "") << lb::backend_name(config->backend);
+    // One shard is the one engine every simulator run uses: no request for
+    // shards that any backend would ignore.
+    lb::RunConfig one_shard = *config;
+    one_shard.sim_shards = 1;
+    EXPECT_EQ(lb::unsupported_reason(one_shard), "") << lb::backend_name(config->backend);
   }
 
   // Churn plans over the default 100 peers: 99 start in, peer 99 joins.
@@ -129,6 +134,10 @@ TEST(Driver, UnsupportedReasonNamesEachRule) {
       {"speed scaling is a simulator concept", threads,
        [](lb::RunConfig& c) { c.het.fraction = 0.5; }},
       {"the lost-work plant drops messages", sockets, lose_work},
+      {"simulator shards are a simulator concept", threads,
+       [](lb::RunConfig& c) { c.sim_shards = 2; }},
+      {"simulator shards are a simulator concept", sockets,
+       [](lb::RunConfig& c) { c.sim_shards = 4; }},
       // Sockets.
       {"not in-process sinks", sockets, trace},
       {"not in-process sinks", sockets, meter},

@@ -2,6 +2,9 @@
 // compute/message interleaving, timers, latency model, determinism.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -181,6 +184,155 @@ TEST(EventQueue, StressAgainstSortedReference) {
   for (const auto& [t, s] : ref) {
     EXPECT_EQ(q.peek_time(), t);
     EXPECT_EQ(q.pop().msg.a, static_cast<std::int64_t>(s));
+  }
+}
+
+TEST(EventQueue, LanesAndHeapMatchASortedReference) {
+  // Drives the queue the way an engine does — a clock that follows the
+  // served events, an insertion sequence that only grows — and checks every
+  // served event, and how many events wait in the heap, against a model: a
+  // sorted (time, tie, seq) reference plus the placement each event must
+  // get. Lanes are claimed for 0, 5 us, 10 ms and 1 ms; a fifth delay
+  // (2 ms) finds every lane taken. Jittered arrivals, tie-shuffled events
+  // and events at a lane's exact time but filed with emplace() go to the
+  // heap, so equal times meet across lanes and heap. The 10 ms lane holds
+  // thousands of events, so its ring grows and wraps many times.
+  using Key = std::tuple<Time, std::uint64_t, std::uint64_t>;
+  constexpr std::array<Time, 5> kDelays{0, microseconds(5), milliseconds(10),
+                                        milliseconds(1), milliseconds(2)};
+  Xoshiro256 rng(11);
+  EventQueue q;
+  std::set<Key> ref;
+  std::set<std::uint64_t> heap_filed;  // seqs the heap must hold
+  Time now = 0;
+  std::uint64_t seq = 0;
+  std::vector<std::uint32_t> detached;
+  std::size_t lane_filed = 0, served = 0;
+
+  const auto file = [&](Event& e, Time t, std::uint64_t tie, std::uint64_t s,
+                        bool heap) {
+    e.msg.a = static_cast<std::int64_t>(s);
+    e.msg.b = static_cast<std::int64_t>(tie);
+    ref.emplace(t, tie, s);
+    if (heap) {
+      heap_filed.insert(s);
+    } else {
+      ++lane_filed;
+    }
+  };
+  const auto file_after = [&](std::size_t d) {
+    const std::uint64_t s = seq++;
+    file(q.emplace_after(now, kDelays[d], s, 0, Event::Kind::kWake),
+         now + kDelays[d], 0, s, d == 4);
+  };
+  const auto check_front = [&] {
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.heap_size(), heap_filed.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    if (ref.empty()) return;
+    const auto& [t, tie, s] = *ref.begin();
+    ASSERT_EQ(q.peek_time(), t);
+    ASSERT_EQ(q.top().msg.a, static_cast<std::int64_t>(s));
+    ASSERT_EQ(q.top().msg.b, static_cast<std::int64_t>(tie));
+  };
+  // Takes the reference's front off the model; returns its seq.
+  const auto serve = [&] {
+    const auto [t, tie, s] = *ref.begin();
+    ref.erase(ref.begin());
+    heap_filed.erase(s);
+    now = t;
+    ++served;
+    return static_cast<std::int64_t>(s);
+  };
+
+  for (std::size_t d = 0; d < 4; ++d) file_after(d);  // claims the lanes
+  for (int op = 0; op < 200000; ++op) {
+    const std::uint64_t r = rng.below(100);
+    if (r < 45) {
+      file_after(rng.below(kDelays.size()));
+    } else if (r < 57) {
+      // A jittered arrival, one in four at exactly a lane's time.
+      const Time t = rng.below(4) == 0
+                         ? now + kDelays[rng.below(2)]
+                         : now + microseconds(20) + static_cast<Time>(rng.below(4000));
+      const std::uint64_t s = seq++;
+      file(q.emplace(t, 0, s, 0, Event::Kind::kArrival), t, 0, s, true);
+    } else if (r < 60) {
+      // A tie-shuffled event at a lane's time: only the heap may hold it.
+      const Time t = now + kDelays[rng.below(kDelays.size())];
+      const std::uint64_t tie = 1 + rng.below(1000);
+      const std::uint64_t s = seq++;
+      file(q.emplace(t, tie, s, 0, Event::Kind::kWake), t, tie, s, true);
+    } else if (!ref.empty()) {
+      check_front();
+      const std::int64_t s = serve();
+      switch (rng.below(3)) {
+        case 0:
+          q.drop_top();
+          break;
+        case 1:
+          ASSERT_EQ(q.pop().msg.a, s);
+          break;
+        default:
+          // An inbox keeps the slot a while, then hands it back.
+          detached.push_back(q.detach_top());
+          if (detached.size() > 8) {
+            q.release(detached.front());
+            detached.erase(detached.begin());
+          }
+      }
+    }
+    if (op % 64 == 0) check_front();
+  }
+  while (!ref.empty()) {
+    check_front();
+    serve();
+    q.drop_top();
+  }
+  check_front();
+  EXPECT_GT(lane_filed, 50000u);
+  EXPECT_GT(served, 100000u);
+}
+
+TEST(EventQueueDeathTest, LaneRefusesAnEventAheadOfItsTail) {
+  // A lane is sorted because its caller's clock never goes back; a caller
+  // whose clock did would silently misorder the run, so the lane aborts.
+  EventQueue q;
+  q.emplace_after(100, milliseconds(1), 0, 0, Event::Kind::kWake);
+  EXPECT_DEATH(q.emplace_after(99, milliseconds(1), 1, 0, Event::Kind::kWake),
+               "key order");
+}
+
+TEST(EventQueue, MemoryBytesCountsTheLaneRings) {
+  // One delay's events fill a ring of 24-byte entries beside the 64-byte
+  // slots; the heap's 32-byte entries stay unallocated.
+  constexpr std::size_t kEvents = 4000;
+  EventQueue q;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    q.emplace_after(static_cast<Time>(i), milliseconds(10), i, 0,
+                    Event::Kind::kArrival);
+  }
+  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_GE(q.memory_bytes(), kEvents * (sizeof(Event) + 24));
+  while (!q.empty()) q.drop_top();
+  EXPECT_GE(q.memory_bytes(), kEvents * (sizeof(Event) + 24));  // never shrinks
+}
+
+TEST(EventQueue, FreedSlotsAreReusedLastInFirstOut) {
+  // The free list runs through Event::next: the most recently released slot
+  // is the next one filled, from the heap and the lanes alike.
+  EventQueue q;
+  std::vector<std::uint32_t> slots;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    q.emplace_after(0, static_cast<Time>(i % 2), i, 0, Event::Kind::kWake);
+  }
+  while (!q.empty()) slots.push_back(q.detach_top());
+  for (const std::uint32_t s : slots) q.release(s);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    Event& e = i % 3 == 0
+                   ? q.emplace(5, 0, 100 + i, 0, Event::Kind::kWake)
+                   : q.emplace_after(5, 0, 100 + i, 0, Event::Kind::kWake);
+    EXPECT_EQ(&e, &q.slot(slots[slots.size() - 1 - i])) << "fill " << i;
   }
 }
 
