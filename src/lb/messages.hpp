@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "lb/counter_wave.hpp"
 #include "lb/work.hpp"
 #include "simnet/message.hpp"
+#include "support/check.hpp"
 
 namespace olb::lb {
 
@@ -30,8 +32,12 @@ enum MsgType : int {
   kNoWork = 5,     ///< negative reply to kReqDown; c = echoed episode
   kWork = 6,       ///< work transfer; payload = WorkPayload
   kTerminate = 7,  ///< root-initiated termination broadcast
-  kProbe = 8,      ///< termination confirmation wave; payload = ProbePayload
-  kProbeAck = 9,   ///< reply to kProbe; payload = ProbePayload
+  kProbe = 8,      ///< termination confirmation wave; b = wave id
+  kProbeAck = 9,   ///< reply to kProbe; b = (wave id, membership events,
+                   ///< crash epoch, dirty), c = subtree transfer counters
+                   ///< sent/recv (pack_probe_ack_b/_c below). Both wave
+                   ///< types ride the reliable channel
+                   ///< (sim::Message::reliable)
   kBound = 10,     ///< explicit bound diffusion (a = bound)
 
   // --- random work stealing ---
@@ -154,23 +160,6 @@ enum TimerTag : std::int64_t {
 inline constexpr int kTimerTagShift = 16;
 inline constexpr std::int64_t kTimerTagMask = (std::int64_t{1} << kTimerTagShift) - 1;
 
-/// Payload of kProbe / kProbeAck: one subtree's counter-wave reading
-/// (lb::CounterReading in counter_wave.hpp, which states the rule the root
-/// applies to it).
-struct ProbePayload final : sim::MsgPayload {
-  std::uint64_t probe_id = 0;
-  /// The subtree's summed transfer counters: bridge transfers on reliable
-  /// links, every transfer under faults or churn.
-  std::uint64_t sent = 0;
-  std::uint64_t recv = 0;
-  bool dirty = false;  ///< some node in the subtree was active
-  /// Max crash epoch (count of known crashed peers) over the wave.
-  int crash_epoch = 0;
-  /// Sum of membership events (joins accepted + leaves absorbed) over the
-  /// wave.
-  std::uint64_t member_events = 0;
-};
-
 /// Payload of kLeave: the graceful leaver's handover to its parent — the
 /// child links being transferred (with the leaver's bookkeeping for each:
 /// last known subtree size, an outstanding-request flag, and the per-child
@@ -250,6 +239,49 @@ inline std::uint64_t term_ack_sent(std::int64_t c) {
 }
 inline std::uint64_t term_ack_recv(std::int64_t c) {
   return static_cast<std::uint64_t>(c) & 0xffffffffull;
+}
+
+/// Packing helpers for kProbeAck: one subtree's counter-wave reading
+/// (lb::CounterReading in counter_wave.hpp, which states the rule the root
+/// applies to it) in two fields, so a wave allocates nothing. Field b holds,
+/// from the top bit down, the wave id (32 bits), the membership events
+/// summed over the wave (joins accepted + leaves absorbed, 16 bits), the
+/// highest crash epoch the wave saw (count of known crashed peers, 15 bits)
+/// and dirty (bit 0: some node in the subtree was active). Field c holds
+/// the subtree's summed transfer counters (bridge transfers on reliable
+/// links, every transfer under faults or churn) like kTermAck's. Packing
+/// aborts on a value wider than its field. Every wave and every transfer
+/// costs at least one event, and runs are event-capped below 2^32; a run
+/// past 2^15 crashes, or 2^16 membership events in one wave, is refused
+/// rather than misread.
+inline constexpr int kProbeAckEpochBits = 15;
+inline constexpr int kProbeAckMemberBits = 16;
+
+inline std::int64_t pack_probe_ack_b(std::uint64_t wave, bool dirty,
+                                     const CounterReading& r) {
+  OLB_CHECK_MSG(wave >> 32 == 0, "kProbeAck: wave id exceeds 32 bits");
+  OLB_CHECK_MSG(r.crash_epoch >= 0 && r.crash_epoch >> kProbeAckEpochBits == 0,
+                "kProbeAck: crash epoch exceeds 15 bits");
+  OLB_CHECK_MSG(r.member_events >> kProbeAckMemberBits == 0,
+                "kProbeAck: membership events exceed 16 bits");
+  return static_cast<std::int64_t>(
+      (wave << 32) | (r.member_events << (kProbeAckEpochBits + 1)) |
+      (static_cast<std::uint64_t>(r.crash_epoch) << 1) | (dirty ? 1u : 0u));
+}
+inline std::int64_t pack_probe_ack_c(const CounterReading& r) {
+  OLB_CHECK_MSG(r.sent >> 32 == 0 && r.recv >> 32 == 0,
+                "kProbeAck: a transfer counter exceeds 32 bits");
+  return pack_term_ack_c(r.sent, r.recv);
+}
+inline std::uint64_t probe_ack_wave(std::int64_t b) {
+  return static_cast<std::uint64_t>(b) >> 32;
+}
+inline bool probe_ack_dirty(std::int64_t b) { return (b & 1) != 0; }
+inline CounterReading probe_ack_reading(std::int64_t b, std::int64_t c) {
+  const auto bits = static_cast<std::uint64_t>(b);
+  return {term_ack_sent(c), term_ack_recv(c),
+          static_cast<int>((bits >> 1) & ((1u << kProbeAckEpochBits) - 1)),
+          (bits >> (kProbeAckEpochBits + 1)) & ((1u << kProbeAckMemberBits) - 1)};
 }
 
 }  // namespace olb::lb

@@ -878,12 +878,10 @@ void OverlayPeer::departed_dispatch(sim::Message m) {
     case kReqDown:
       send(m.src, make_msg(kNoWork, 0, m.c));
       break;
-    case kProbe: {
-      const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
-      OLB_CHECK(pp != nullptr);
-      send_probe_ack(m.src, pp->probe_id, /*dirty=*/false, own_reading());
+    case kProbe:
+      send_probe_ack(m.src, static_cast<std::uint64_t>(m.b), /*dirty=*/false,
+                     own_reading());
       break;
-    }
     case kTerminate:
       if (!terminated_) stop();
       break;
@@ -1152,9 +1150,8 @@ bool OverlayPeer::forward_wave(WaveNode& wave, int type, std::uint64_t id, int p
   auto forward = [&](int dst) {
     auto msg = make_msg(type);
     if (type == kProbe) {
-      auto payload = std::make_unique<ProbePayload>();
-      payload->probe_id = id;
-      msg.payload = std::move(payload);
+      msg.b = static_cast<std::int64_t>(id);
+      msg.reliable = true;
     } else {
       auto payload = std::make_unique<JobProbePayload>();
       payload->probe_id = id;
@@ -1187,34 +1184,26 @@ void OverlayPeer::join_probe(std::uint64_t id, int parent) {
 
 void OverlayPeer::on_probe(sim::Message m) {
   if (terminated_) return;
-  const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
+  const auto id = static_cast<std::uint64_t>(m.b);
   if (!locally_quiet() || !all_children_pending()) {
-    send_probe_ack(m.src, pp->probe_id, /*dirty=*/true, {.crash_epoch = crash_epoch()});
+    send_probe_ack(m.src, id, /*dirty=*/true, {.crash_epoch = crash_epoch()});
     return;
   }
-  join_probe(pp->probe_id, m.src);
+  join_probe(id, m.src);
 }
 
 void OverlayPeer::on_probe_ack(sim::Message m) {
   if (terminated_) return;
-  const auto* pp = static_cast<const ProbePayload*>(m.payload.get());
-  if (!probe_.awaits(pp->probe_id)) return;  // stale
-  probe_sum_.absorb({pp->sent, pp->recv, pp->crash_epoch, pp->member_events});
-  probe_dirty_ = probe_dirty_ || pp->dirty;
+  if (!probe_.awaits(probe_ack_wave(m.b))) return;  // stale
+  probe_sum_.absorb(probe_ack_reading(m.b, m.c));
+  probe_dirty_ = probe_dirty_ || probe_ack_dirty(m.b);
   if (--probe_.acks_missing == 0) reply_probe();
 }
 
 void OverlayPeer::send_probe_ack(int dst, std::uint64_t id, bool dirty,
                                  const CounterReading& r) {
-  auto msg = make_msg(kProbeAck);
-  auto payload = std::make_unique<ProbePayload>();
-  payload->probe_id = id;
-  payload->sent = r.sent;
-  payload->recv = r.recv;
-  payload->dirty = dirty;
-  payload->crash_epoch = r.crash_epoch;
-  payload->member_events = r.member_events;
-  msg.payload = std::move(payload);
+  auto msg = make_msg(kProbeAck, pack_probe_ack_b(id, dirty, r), pack_probe_ack_c(r));
+  msg.reliable = true;
   send(dst, std::move(msg));
 }
 

@@ -61,10 +61,10 @@ class Host {
     OLB_CHECK_MSG(m.type >= 0, "application message types must be >= 0");
     m.src = a.id_;
     m.dst = dst;
-    // 31 bits, like every Message id: they recycle after 2^31 / n sends.
+    // 30 bits, like every Message id: they recycle after 2^30 / n sends.
     m.id = static_cast<std::uint32_t>(
         (tally_.messages * n + static_cast<std::uint64_t>(a.id_) + 1) &
-        0x7fffffffu);
+        sim::kMsgIdMask);
     tally_.count_send(m.type);
     if (trace::TraceSink* sink = a.transport_->transport_tracer();
         sink != nullptr) [[unlikely]] {

@@ -40,9 +40,11 @@ inline constexpr std::uint32_t kWireMagic = 0x4F4C4257u;  // "OLBW" (LE "WBLO")
 /// lb::PeerReport (retries and the declaration time for every strategy).
 /// v4: the rank result blob carries the rank's sends by message type, and
 /// the service message types left the codec (service mode never runs on
-/// sockets; a frame of one is malformed). Peers of different versions
-/// refuse to talk.
-inline constexpr std::uint16_t kWireVersion = 4;
+/// sockets; a frame of one is malformed). v5: kProbe/kProbeAck carry their
+/// reading in fields b/c instead of a probe payload (its payload kind is
+/// gone), and bit 30 of the id word carries Message::reliable. Peers of
+/// different versions refuse to talk.
+inline constexpr std::uint16_t kWireVersion = 5;
 /// Upper bound on a frame body; anything larger is a corrupt or hostile
 /// header, not a real message (the largest legitimate frames are work
 /// transfers of a few hundred KB).

@@ -15,9 +15,8 @@ namespace {
 // Payload discriminator byte of a kMsg body.
 enum PayloadKind : std::uint8_t {
   kPayloadNone = 0,
-  kPayloadProbe = 1,
-  kPayloadWork = 2,
-  kPayloadLeave = 3,
+  kPayloadWork = 1,
+  kPayloadLeave = 2,
 };
 
 /// The one payload kind each message type carries; a frame that pairs a
@@ -25,8 +24,6 @@ enum PayloadKind : std::uint8_t {
 PayloadKind payload_kind_of(int type) {
   switch (type) {
     case lb::kWork: return kPayloadWork;
-    case lb::kProbe:
-    case lb::kProbeAck: return kPayloadProbe;
     case lb::kLeave: return kPayloadLeave;
     default: return kPayloadNone;
   }
@@ -167,6 +164,7 @@ std::unique_ptr<WorkCodec> make_work_codec(lb::Workload& workload) {
 void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w) {
   w.i32(m.type);
   w.u32(static_cast<std::uint32_t>(m.id) |
+        (static_cast<std::uint32_t>(m.reliable) << 30) |
         (static_cast<std::uint32_t>(m.bounced) << 31));
   w.i32(m.src);
   w.i32(m.dst);
@@ -175,16 +173,6 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
   w.i64(m.c);
   if (m.payload == nullptr) {
     w.u8(kPayloadNone);
-    return;
-  }
-  if (const auto* probe = dynamic_cast<const lb::ProbePayload*>(m.payload.get())) {
-    w.u8(kPayloadProbe);
-    w.u64(probe->probe_id);
-    w.u64(probe->sent);
-    w.u64(probe->recv);
-    w.u8(probe->dirty ? 1 : 0);
-    w.i32(probe->crash_epoch);
-    w.u64(probe->member_events);
     return;
   }
   if (const auto* leave = dynamic_cast<const lb::LeavePayload*>(m.payload.get())) {
@@ -223,7 +211,8 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
   sim::Message m;
   m.type = r.i32();
   const std::uint32_t packed = r.u32();
-  m.id = packed & 0x7fffffffu;
+  m.id = packed & sim::kMsgIdMask;
+  m.reliable = (packed >> 30) & 1u;
   m.bounced = packed >> 31;
   m.src = r.i32();
   m.dst = r.i32();
@@ -235,17 +224,6 @@ bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg) {
   switch (kind) {
     case kPayloadNone:
       break;
-    case kPayloadProbe: {
-      auto probe = std::make_unique<lb::ProbePayload>();
-      probe->probe_id = r.u64();
-      probe->sent = r.u64();
-      probe->recv = r.u64();
-      probe->dirty = r.u8() != 0;
-      probe->crash_epoch = r.i32();
-      probe->member_events = r.u64();
-      m.payload = std::move(probe);
-      break;
-    }
     case kPayloadLeave: {
       auto leave = std::make_unique<lb::LeavePayload>();
       const std::uint32_t nc = r.u32();

@@ -1,7 +1,7 @@
 // Workload-aware serialisation for sim::Message over the socket backend.
 //
-// The message struct itself (type/id/bounced/a/b/c/src/dst) encodes the
-// same way for every workload, but a kWork transfer carries a
+// The message struct itself (type/id/reliable/bounced/a/b/c/src/dst)
+// encodes the same way for every workload, but a kWork transfer carries a
 // `lb::WorkPayload` whose concrete `lb::Work` subtype only the workload
 // knows. WorkCodec is that knowledge: one implementation per workload
 // family (UTS pending-node deques, B&B interval pools), selected once at
@@ -54,8 +54,8 @@ void encode_message(const sim::Message& m, const WorkCodec* codec, WireWriter& w
 /// Inverse of encode_message. Returns false (msg unspecified) on any
 /// malformed body — a service message type (service mode never runs on
 /// sockets), a payload kind the message type does not carry (each type
-/// carries exactly one: work, probe, leave or none), truncated fields,
-/// codec rejection.
+/// carries exactly one: work, leave or none), truncated fields, codec
+/// rejection.
 bool decode_message(WireReader& r, const WorkCodec* codec, sim::Message* msg);
 
 }  // namespace olb::runtime

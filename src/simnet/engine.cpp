@@ -90,10 +90,14 @@ void Engine::transport_compute_started(Actor& from, Time duration) {
 }
 
 void Engine::transport_set_timer(Actor& from, Time delay, std::int64_t tag) {
-  Message m(kTimerMsgType, tag);
-  m.src = from.id_;
-  m.dst = from.id_;
-  emplace_after(delay, from.id_, Event::Kind::kArrival).msg = std::move(m);
+  // A lane keeps the tag in its entry; tie-shuffled timers need the heap's
+  // full key, and the heap keeps a timer's message in a slot.
+  if (perturb_ties_) [[unlikely]] {
+    emplace_event(now_ + delay, from.id_, Event::Kind::kArrival).msg =
+        timer_message(from.id_, tag);
+    return;
+  }
+  queue_.push_timer_after(now_, delay, next_seq_++, from.id_, tag);
 }
 
 Engine::Engine(NetworkConfig config, std::uint64_t seed)
@@ -203,11 +207,12 @@ void Engine::send_from(Actor& from, int dst, Message m) {
     last = now_ + latency;
   }
 
-  // Link faults apply to control messages only: payload-carrying transfers
-  // model a reliable bulk channel (see faults.hpp), so work is never
-  // silently destroyed or cloned by the network. The whole faulty path is
-  // out of line so the fault-free send stays at its pre-fault-layer shape.
-  if (link_faults_on_ && m.payload == nullptr) [[unlikely]] {
+  // Link faults spare the reliable channel (Message::reliable_channel,
+  // faults.hpp): work transfers and the overlay's termination waves are
+  // never silently destroyed, cloned or delayed by the network. The whole
+  // faulty path is out of line so the fault-free send stays at its
+  // pre-fault-layer shape.
+  if (link_faults_on_ && !m.reliable_channel()) [[unlikely]] {
     send_faulty(from, dst, std::move(m), latency);
     return;
   }
@@ -216,7 +221,7 @@ void Engine::send_from(Actor& from, int dst, Message m) {
     // The id store lives under the tracer check: writing a bit-field is a
     // read-modify-write of the whole type/id unit, too costly for a field
     // nothing reads in untraced runs.
-    m.id = static_cast<std::uint32_t>(tally_.messages);
+    m.id = static_cast<std::uint32_t>(tally_.messages) & kMsgIdMask;
     trace::emit(tracer_, now_, trace::EventKind::kMsgSend, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), latency);
   }
@@ -239,7 +244,7 @@ void Engine::send_faulty(Actor& from, int dst, Message&& m, Time latency) {
   }
 
   if (tracer_ != nullptr) {
-    m.id = static_cast<std::uint32_t>(tally_.messages);
+    m.id = static_cast<std::uint32_t>(tally_.messages) & kMsgIdMask;
     trace::emit(tracer_, now_, trace::EventKind::kMsgSend, from.id_, dst, m.type,
                 static_cast<std::int64_t>(m.id), latency);
   }
@@ -271,15 +276,16 @@ void Engine::push_arrival(Message&& m, Time at) {
 void Engine::schedule_wake(Actor& a, Time at) {
   OLB_CHECK(!a.wake_pending_);
   a.wake_pending_ = true;
-  // Wake events read only msg.dst, so the rest of the recycled slot's
-  // moved-from shell (payload always null after consumption) is left as-is.
-  // A wake at once or after one message's handling goes to its lane; a
-  // compute end or a stall's thaw lands at a delay of its own.
+  // A wake is its queue entry alone (no slab slot). One at once or after
+  // one message's handling goes to its lane; a compute end or a stall's
+  // thaw lands at a delay of its own, and a tie-shuffled one needs the
+  // heap's full key.
   const Time delay = at - now_;
-  if (delay == 0 || delay == config_.msg_handling_cost) {
-    emplace_after(delay, a.id_, Event::Kind::kWake);
+  if (!perturb_ties_ && (delay == 0 || delay == config_.msg_handling_cost)) {
+    queue_.push_wake_after(now_, delay, next_seq_++, a.id_);
   } else {
-    emplace_event(at, a.id_, Event::Kind::kWake);
+    const std::uint64_t tie = draw_tie();
+    queue_.push_wake(at, tie, next_seq_++, a.id_);
   }
 }
 
@@ -357,33 +363,33 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
       __builtin_prefetch(p);
       __builtin_prefetch(p + 64);
     }
-    // The event is consumed in place: scalars are copied out, an arrival's
-    // slot is detached from the schedule and linked into the inbox as it
-    // is, and drop_top() recycles every other slot — the Event body itself
-    // never moves. `e` is dead once its slot is released or the slab may
-    // grow (anything that schedules — schedule_wake, service — can do
-    // both), so each branch finishes with `e` before it emplaces.
-    Event& e = queue_.top();
+    // The event is consumed in place: its target and kind come from its
+    // queue entry (a wake touches no slab slot at all), an arrival's slot
+    // is detached from the schedule and linked into the inbox as it is (a
+    // lane timer takes its slot only here), and drop_top() recycles every
+    // other slot — the Event body itself never moves. A slab reference is
+    // dead once its slot is released or the slab may grow (service can do
+    // both), so each branch finishes with it first.
     now_ = queue_.peek_time();
     ++result.events;
     result.end_time = now_;
     // kTimeMax unless a metrics hub is attached (see run()).
     if (now_ >= metrics_next_) [[unlikely]] flush_metrics(result.events);
-    const int dst = e.msg.dst;
-    const Event::Kind kind = e.kind;
+    const int dst = queue_.top_dst();
     Actor& a = *actors_[static_cast<std::size_t>(dst - id_base_)];
     // Crash and stall events are only ever queued from a fault plan, and
     // crashed_ is only ever set by one, so fault-free runs take none of the
     // [[unlikely]] branches below.
-    switch (kind) {
+    switch (queue_.top_kind()) {
       case Event::Kind::kArrival: {
         if (a.crashed_) [[unlikely]] {
           arrival_at_crashed(std::move(queue_.pop().msg));
           break;
         }
+        const std::uint32_t s = queue_.detach_top();
+        Event& e = queue_.slot(s);
         e.msg.arrived_at = now_;
         e.next = kNoSlot;
-        const std::uint32_t s = queue_.detach_top();
         if (a.inbox_tail_ == kNoSlot) {
           a.inbox_head_ = s;
         } else {
@@ -406,7 +412,7 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
         apply_crash(dst);
         break;
       case Event::Kind::kStall: {
-        const Time stall = e.msg.a;
+        const Time stall = queue_.top().msg.a;
         queue_.drop_top();
         apply_stall(dst, stall);
         break;
@@ -417,14 +423,16 @@ Engine::RunResult Engine::run_loop(Time time_limit, std::uint64_t event_limit) {
   return result;
 }
 
-// A message reaching a fail-stopped peer. Control messages vanish. A work
-// transfer is bounced back to its sender once — modelling a sender that
-// detects the failed delivery and keeps the data — so no work is lost and
-// the sender's transfer counters re-balance. A bounce that itself lands on
-// a crashed peer (sender died meanwhile) is destroyed and accounted.
+// A message reaching a fail-stopped peer. Control messages vanish. A
+// reliable-channel message (a work transfer or a termination wave) is
+// bounced back to its sender once — modelling a sender that detects the
+// failed delivery and keeps the data — so no work is lost and the sender's
+// transfer counters re-balance. A bounce that itself lands on a crashed
+// peer (sender died meanwhile) is destroyed and accounted.
 void Engine::arrival_at_crashed(Message m) {
   const int victim = m.dst;
-  if (m.payload != nullptr && !m.bounced && m.src >= 0 && is_local(m.src) &&
+  const bool reliable = m.reliable_channel();
+  if (reliable && !m.bounced && m.src >= 0 && is_local(m.src) &&
       !actors_[static_cast<std::size_t>(m.src - id_base_)]->crashed_) {
     ++tally_.work_bounced;
     const int sender = m.src;
@@ -435,14 +443,9 @@ void Engine::arrival_at_crashed(Message m) {
     return;
   }
   ++tally_.msgs_dropped;
-  if (m.payload != nullptr) {
-    tally_.work_lost_units += m.payload->amount();
-    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
-                static_cast<std::int64_t>(m.id), 2);
-  } else {
-    trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
-                static_cast<std::int64_t>(m.id), 1);
-  }
+  if (m.payload != nullptr) tally_.work_lost_units += m.payload->amount();
+  trace::emit(tracer_, now_, trace::EventKind::kMsgDrop, m.src, victim, m.type,
+              static_cast<std::int64_t>(m.id), reliable ? 2 : 1);
 }
 
 void Engine::apply_crash(int peer) {
@@ -538,7 +541,8 @@ void Engine::schedule_startup() {
   for (auto& a : actors_) {
     if (!a->started_ && !a->wake_pending_) {
       a->wake_pending_ = true;
-      emplace_event(0, a->id_, Event::Kind::kWake);
+      const std::uint64_t tie = draw_tie();
+      queue_.push_wake(0, tie, next_seq_++, a->id_);
     }
   }
   // Empty unless set_faults installed a plan.

@@ -16,7 +16,8 @@
 // global insertion counter, so a run is a pure function of (actors, config,
 // seed). Where an event is filed — the queue's heap, or the FIFO lane for
 // its delay (timers, and wakes at once or one msg_handling_cost later; see
-// event_queue.hpp) — never changes when it is served.
+// event_queue.hpp) — never changes when it is served, and neither does
+// whether it holds a slab slot (wakes and lane timers do not).
 #pragma once
 
 #include <cstdint>
@@ -330,23 +331,20 @@ class Engine final : public Transport {
   /// and flushes a snapshot stamped `now_`. Cold path (once per interval).
   void flush_metrics(std::uint64_t events_so_far);
 
-  /// Single choke point for event insertion: stamps the insertion sequence
-  /// and the random tie-break key when tie shuffling is active (0 otherwise,
-  /// preserving FIFO order). Returns the slab-resident event so callers fill
-  /// the message in place — no whole-Event moves on the send path. The
-  /// reference dies at the next queue operation.
-  Event& emplace_event(Time at, int dst, Event::Kind kind) {
-    std::uint64_t tie = 0;
-    if (perturb_ties_) [[unlikely]] tie = perturb_rng_();
-    return queue_.emplace(at, tie, next_seq_++, dst, kind);
+  /// The random tie-break key of the next event when tie shuffling is
+  /// active, 0 otherwise (preserving FIFO order). Every event insertion
+  /// draws it once, next to stamping the insertion sequence.
+  std::uint64_t draw_tie() {
+    if (perturb_ties_) [[unlikely]] return perturb_rng_();
+    return 0;
   }
-  /// emplace_event for an event `delay` after now: files it into the
-  /// queue's lane for that delay (see event_queue.hpp). Tie-shuffled events
-  /// need the heap's full key, so they take emplace_event, which draws the
-  /// tie exactly as before.
-  Event& emplace_after(Time delay, int dst, Event::Kind kind) {
-    if (perturb_ties_) [[unlikely]] return emplace_event(now_ + delay, dst, kind);
-    return queue_.emplace_after(now_, delay, next_seq_++, dst, kind);
+  /// Files an event with a body into the queue's heap. Returns the
+  /// slab-resident event so callers fill the message in place — no
+  /// whole-Event moves on the send path. The reference dies at the next
+  /// queue operation.
+  Event& emplace_event(Time at, int dst, Event::Kind kind) {
+    const std::uint64_t tie = draw_tie();
+    return queue_.emplace(at, tie, next_seq_++, dst, kind);
   }
   void push_arrival(Message&& m, Time at);
   /// Moves the oldest inbox message out of its slab slot and frees the

@@ -9,13 +9,21 @@
 // std::priority_queue cannot hand back move-only elements, so the heap is
 // hand-rolled. Its layout keeps it fast and small at 10^5+ peers:
 //
-//  * Event bodies live in a slab (`slots_`) and are recycled through a
-//    free list threaded through Event::next (a free slot has no other use
-//    for it), most recently freed first. The heap and the lanes hold POD
-//    entries carrying the ordering key plus the slot index, so sifts
+//  * The heap and the lanes hold POD entries: the ordering key, the target
+//    actor and, for the events that need a body, a slab slot index. Sifts
 //    shuffle trivially-copyable entries instead of move-only Events (whose
 //    Message member drags a unique_ptr along), and an Event's bytes never
 //    move between its emplace and its release.
+//  * Which events hold a slot. An event with a message or a fault-plan
+//    argument — an arrival, a crash, a stall, a timer filed in the heap —
+//    takes a slot when it is filed. A wake needs nothing but its target,
+//    which its entry names, so it never takes one. A timer filed in a lane
+//    keeps its tag in the lane entry and takes a slot only when it fires
+//    (detach_top), the moment its message enters the actor's inbox.
+//  * Event bodies live in a slab (`slots_`). Freed slots are recycled from
+//    a contiguous stack of slot indices, most recently freed first: an
+//    acquire reads the stack's top, not the freed slot itself, so a burst
+//    of acquires does not chain one cache miss behind another.
 //  * The key lives only in the entry, so a slot is {Message, kind, next}:
 //    exactly one 64-byte cache line.
 //  * A delivered arrival keeps its slot: detach_top() takes its key off the
@@ -30,15 +38,15 @@
 //
 // Lanes. Most events of a large run are filed a fixed delay after the
 // engine's clock: a retry timer 10 ms out, a wake at the current instant,
-// a wake one msg_handling_cost later. emplace_after() files such an event
-// into the lane for its exact delay, a power-of-two ring of 24-byte
-// entries (no tie: a lane holds tie-0 events only). An engine's clock
-// never goes back and its sequence only grows, so the events of one delay
-// arrive in key order: a lane is a FIFO that is already sorted, a push is
-// an append and a pop advances the head, and neither touches the heap (a
-// push checks that it lands behind the lane's tail). The first kLanes
-// distinct delays claim the lanes for the queue's life; a later delay goes
-// to the heap.
+// a wake one msg_handling_cost later. push_wake_after() and
+// push_timer_after() file such an event into the lane for its exact delay,
+// a power-of-two ring of 32-byte entries (no tie: a lane holds tie-0
+// events only). An engine's clock never goes back and its sequence only
+// grows, so the events of one delay arrive in key order: a lane is a FIFO
+// that is already sorted, a push is an append and a pop advances the head,
+// and neither touches the heap (a push checks that it lands behind the
+// lane's tail). The first kLanes distinct delays claim the lanes for the
+// queue's life; a later delay goes to the heap.
 //
 // Front. The heap top and the non-empty lane heads sit in `heads_`, sorted
 // by key, so the front is heads_[0]. A push that gives its source a new
@@ -51,9 +59,9 @@
 // the moving entry once) rather than std::swap chains — one copy per level
 // instead of three.
 //
-// The slab and the rings never shrink: the slab holds as many slots as the
-// high-water mark of pending events plus queued inbox messages, which for
-// the protocols here is small (O(1) per actor).
+// The slab, the free stack and the rings never shrink: the slab holds as
+// many slots as the high-water mark of slotted pending events plus queued
+// inbox messages, which for the protocols here is small (O(1) per actor).
 #pragma once
 
 #include <array>
@@ -84,8 +92,7 @@ struct alignas(64) Event {
   Message msg;
   Kind kind = Kind::kWake;
   /// Next slot of the inbox FIFO this delivered arrival sits in (kNoSlot at
-  /// the tail), or of the free list while the slot is free. Meaningless
-  /// while the event is pending.
+  /// the tail). Meaningless while the event is pending or the slot free.
   std::uint32_t next = kNoSlot;
 };
 static_assert(sizeof(Event) == 64, "an event slot is one cache line");
@@ -107,159 +114,173 @@ class EventQueue {
   /// in lanes.
   std::size_t heap_size() const { return heap_.size(); }
 
-  /// Files an event under any key into the heap. Constructs it in its slab
-  /// slot and returns a reference for the caller to finish (typically
-  /// moving a Message into `.msg`, which keeps the msg.dst stored here).
-  /// The reference is valid only until the next queue operation (emplace
-  /// may grow or recycle the slab).
+  /// Files an event with a body under any key into the heap. Constructs it
+  /// in its slab slot and returns a reference for the caller to finish
+  /// (typically moving a Message into `.msg`, which keeps the msg.dst
+  /// stored here). The reference is valid only until the next queue
+  /// operation (emplace may grow or recycle the slab).
   Event& emplace(Time time, std::uint64_t tie, std::uint64_t seq, int dst,
                  Event::Kind kind) {
-    const std::uint32_t s = acquire(dst, kind);
-    const Entry entry{time, tie, seq, s, dst};
-    heap_.push_back(entry);  // placeholder; sift_up writes the final position
-    if (sift_up(entry, heap_.size() - 1) == 0) {
-      raise_head(kHeap, entry, heap_.size() > 1);
-    }
-    return slots_[s];
+    const std::uint32_t s = acquire();
+    Event& ev = slots_[s];
+    ev.msg.dst = dst;
+    ev.kind = kind;
+    push_heap(Entry{time, tie, seq, s, dst});
+    return ev;
   }
 
-  /// Files an event at `now + delay` with tie 0 into the lane for `delay`,
-  /// or into the heap when every lane holds another delay. Across calls
-  /// `now` must never go back and `seq` must only grow (an engine's clock
-  /// and insertion sequence); a lane aborts on an event ahead of its tail.
-  /// Same reference contract as emplace().
-  Event& emplace_after(Time now, Time delay, std::uint64_t seq, int dst,
-                       Event::Kind kind) {
-    const Time time = now + delay;
+  /// Files a wake of actor `dst` under any key into the heap. It takes no
+  /// slot: its entry names the target.
+  void push_wake(Time time, std::uint64_t tie, std::uint64_t seq, int dst) {
+    push_heap(Entry{time, tie, seq, kWakeEntry, dst});
+  }
+
+  /// Files a wake of actor `dst` at `now + delay` with tie 0 into the lane
+  /// for `delay`, or into the heap when every lane holds another delay.
+  /// Across calls that reach a lane, `now` must never go back and `seq`
+  /// must only grow (an engine's clock and insertion sequence); a lane
+  /// aborts on an event ahead of its tail.
+  void push_wake_after(Time now, Time delay, std::uint64_t seq, int dst) {
     const int l = lane_for(delay);
-    if (l < 0) return emplace(time, 0, seq, dst, kind);
-    Lane& lane = lanes_[l];
-    if (lane.count != 0) {
-      const LaneEntry& tail = lane.at(lane.count - 1);
-      OLB_CHECK_MSG(time > tail.time || (time == tail.time && seq > tail.seq),
-                    "a lane's events must come in key order");
-    }
-    if (lane.count == lane.cap) grow(lane);
-    const std::uint32_t s = acquire(dst, kind);
-    lane.at(lane.count) = LaneEntry{time, seq, s, dst};
-    if (lane.count++ == 0) raise_head(l, Entry{time, 0, seq, s, dst}, false);
-    return slots_[s];
+    if (l < 0) return push_wake(now + delay, 0, seq, dst);
+    push_lane(l, LaneEntry{now + delay, seq, 0, kWakeEntry, dst});
   }
 
-  /// Removes and returns the earliest event. Precondition: !empty().
-  Event pop() {
-    const std::uint32_t s = detach_top();
-    Event out = std::move(slots_[s]);
-    release(s);
-    return out;
-  }
-
-  /// The earliest event, mutable so callers can consume `.msg` in place
-  /// before drop_top()/detach_top() — the zero-move alternative to pop().
-  /// Precondition: !empty().
-  Event& top() { return slots_[heads_[0].entry.slot]; }
-
-  /// Discards the earliest event without moving it out; pair with top().
-  /// Any reference from top()/emplace() is dead after this (the slot is
-  /// recycled). Precondition: !empty().
-  void drop_top() { release(detach_top()); }
-
-  /// Removes the earliest event's key but keeps its slot allocated,
-  /// returning the slot index: the event leaves the schedule, its body
-  /// stays put (the engine's inbox path). The caller owns the slot until
-  /// release(). References into the slab stay valid. Precondition: !empty().
-  std::uint32_t detach_top() {
-    const int src = heads_[0].src;
-    const std::uint32_t s = heads_[0].entry.slot;
-    Entry next{};
-    bool more;
-    if (src == kHeap) {
-      const Entry last = heap_.back();
-      heap_.pop_back();
-      more = !heap_.empty();
-      if (more) {
-        sift_down(last);
-        next = heap_.front();
-      }
-    } else {
-      Lane& lane = lanes_[src];
-      lane.head = (lane.head + 1) & (lane.cap - 1);
-      more = --lane.count != 0;
-      if (more) next = lane.head_entry();
+  /// Files actor `dst`'s timer `tag` at `now + delay` with tie 0, under
+  /// push_wake_after()'s contract. In a lane the tag rides the entry and
+  /// the timer takes its slot only when it fires (detach_top); in the heap
+  /// it is a slotted kArrival of timer_message(dst, tag) from the start.
+  void push_timer_after(Time now, Time delay, std::uint64_t seq, int dst,
+                        std::int64_t tag) {
+    const int l = lane_for(delay);
+    if (l < 0) {
+      emplace(now + delay, 0, seq, dst, Event::Kind::kArrival).msg =
+          timer_message(dst, tag);
+      return;
     }
-    // The source's new head is no earlier than its old one: slide it back
-    // past the heads it no longer beats (or drop the source if it emptied).
-    int p = 0;
-    if (more) {
-      for (; p + 1 < nheads_ && heads_[p + 1].entry.before(next); ++p) {
-        heads_[p] = heads_[p + 1];
-      }
-      heads_[p] = Head{next, src};
-    } else {
-      for (--nheads_; p < nheads_; ++p) heads_[p] = heads_[p + 1];
-    }
-    return s;
-  }
-
-  /// A detached slot (see detach_top). Valid until the next emplace.
-  Event& slot(std::uint32_t s) { return slots_[s]; }
-
-  /// Returns a detached slot to the free list. Its message must already be
-  /// moved out or destroyed: recycled slots are reused as-is.
-  void release(std::uint32_t s) {
-    slots_[s].next = free_;
-    free_ = s;
+    push_lane(l, LaneEntry{now + delay, seq, tag, kTimerEntry, dst});
   }
 
   /// Timestamp of the earliest event. Precondition: !empty().
   Time peek_time() const { return heads_[0].entry.time; }
+  /// Target actor of the earliest event. Precondition: !empty().
+  int top_dst() const { return heads_[0].entry.dst; }
+  /// Kind of the earliest event: kWake for a wake, kArrival for a lane
+  /// timer, else its slot's kind. Precondition: !empty().
+  Event::Kind top_kind() const {
+    const std::uint32_t s = heads_[0].entry.slot;
+    if (s == kWakeEntry) return Event::Kind::kWake;
+    if (s == kTimerEntry) return Event::Kind::kArrival;
+    return slots_[s].kind;
+  }
+
+  /// The earliest event's body, mutable so callers can consume `.msg` in
+  /// place before drop_top()/detach_top() — the zero-move alternative to
+  /// pop(). Precondition: the earliest event holds a slot (it is neither a
+  /// wake nor a timer waiting in a lane).
+  Event& top() { return slots_[heads_[0].entry.slot]; }
+
+  /// Removes and returns the earliest event; a wake comes back as a kWake
+  /// naming its target in msg.dst, a lane timer as its kArrival.
+  /// Precondition: !empty().
+  Event pop() {
+    const Front f = take_front();
+    Event out;
+    if (f.slot < kTimerEntry) {
+      out = std::move(slots_[f.slot]);
+      release(f.slot);
+    } else if (f.slot == kTimerEntry) {
+      out.kind = Event::Kind::kArrival;
+      out.msg = timer_message(f.dst, f.tag);
+    } else {
+      out.msg.dst = f.dst;
+    }
+    return out;
+  }
+
+  /// Discards the earliest event without moving it out; pair with top().
+  /// Any reference from top()/emplace() is dead after this (the slot is
+  /// recycled). Precondition: !empty().
+  void drop_top() {
+    const std::uint32_t s = take_front().slot;
+    if (s < kTimerEntry) release(s);
+  }
+
+  /// Removes the earliest event's key but keeps its slot allocated,
+  /// returning the slot index: the event leaves the schedule, its body
+  /// stays put (the engine's inbox path). A lane timer takes its slot here,
+  /// filled with its kArrival of timer_message(). The caller owns the slot
+  /// until release(). References into the slab stay valid unless a lane
+  /// timer grows the slab. Precondition: !empty() and the earliest event
+  /// is not a wake.
+  std::uint32_t detach_top() {
+    const Front f = take_front();
+    if (f.slot != kTimerEntry) return f.slot;
+    const std::uint32_t s = acquire();
+    slots_[s].msg = timer_message(f.dst, f.tag);
+    slots_[s].kind = Event::Kind::kArrival;
+    return s;
+  }
+
+  /// A detached slot (see detach_top). Valid until the slab next grows
+  /// (emplace, or detach_top of a lane timer).
+  Event& slot(std::uint32_t s) { return slots_[s]; }
+
+  /// Returns a detached slot to the free stack. Its message must already
+  /// be moved out or destroyed: recycled slots are reused as-is.
+  void release(std::uint32_t s) { free_[nfree_++] = s; }
 
   /// Prefetches the slab slots of the two events that can be served after
   /// the front — the runner-up head and the front source's next entry (the
   /// smaller child of the heap's root, or the lane's second entry); one of
   /// them is next unless a newer event beats both — and returns their
   /// target actors (-1 where one is missing) for the caller to prefetch
-  /// too. A cache hint only: it changes no order and no state. The ids come
-  /// back as a result because GCC deletes calls to a function whose only
-  /// effect is a prefetch.
+  /// too. Events without a slot have nothing to warm but their actor. A
+  /// cache hint only: it changes no order and no state. The ids come back
+  /// as a result because GCC deletes calls to a function whose only effect
+  /// is a prefetch.
   std::array<int, 2> prefetch_next() const {
     std::array<int, 2> next{-1, -1};
     if (nheads_ > 1) {
-      __builtin_prefetch(&slots_[heads_[1].entry.slot]);
+      prefetch_slot(heads_[1].entry.slot);
       next[0] = heads_[1].entry.dst;
     }
     const int src = heads_[0].src;
-    std::uint32_t slot = kNoSlot;
     if (src == kHeap) {
       if (heap_.size() > 1) {
         std::size_t c = 1;
         if (heap_.size() > 2 && heap_[2].before(heap_[1])) c = 2;
-        slot = heap_[c].slot;
+        prefetch_slot(heap_[c].slot);
         next[1] = heap_[c].dst;
       }
     } else if (const Lane& lane = lanes_[src]; lane.count > 1) {
-      const LaneEntry& e = lane.at(1);
-      slot = e.slot;
-      next[1] = e.dst;
+      next[1] = lane.at(1).dst;  // lane entries hold no slot
     }
-    if (slot != kNoSlot) __builtin_prefetch(&slots_[slot]);
     return next;
   }
 
-  /// Bytes of heap storage behind the queue: heap, lane rings and slab.
-  /// Tracks their high-water marks (none of them shrinks) — the honest
-  /// number for the bytes-per-peer accounting in docs/SCALING.md.
+  /// Bytes of heap storage behind the queue: heap, lane rings, slab and
+  /// free stack. Tracks their high-water marks (none of them shrinks) —
+  /// the honest number for the bytes-per-peer accounting in
+  /// docs/SCALING.md.
   std::size_t memory_bytes() const {
-    std::size_t bytes =
-        heap_.capacity() * sizeof(Entry) + slots_.capacity() * sizeof(Event);
+    std::size_t bytes = heap_.capacity() * sizeof(Entry) +
+                        slots_.capacity() * sizeof(Event) +
+                        free_.capacity() * sizeof(std::uint32_t);
     for (const Lane& lane : lanes_) bytes += lane.cap * sizeof(LaneEntry);
     return bytes;
   }
 
  private:
+  /// Entry::slot values that are no slab index: a wake, and a timer whose
+  /// tag waits in its lane entry.
+  static constexpr std::uint32_t kWakeEntry = kNoSlot;
+  static constexpr std::uint32_t kTimerEntry = kNoSlot - 1;
+
   /// Heap entry: the deterministic ordering key, the slab slot holding the
-  /// event body and the target actor (for prefetch_next; ordering ignores
-  /// it). Trivially copyable by design — sifts copy these.
+  /// event body (or kWakeEntry / kTimerEntry) and the target actor
+  /// (ordering ignores it). Trivially copyable by design — sifts copy
+  /// these.
   struct Entry {
     Time time;
     std::uint64_t tie;
@@ -275,14 +296,17 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) == 32, "dst fills the padding: two entries per line");
 
-  /// Lane entry: a heap entry without its tie, which is 0 in every lane.
+  /// Lane entry: a heap entry without its tie, which is 0 in every lane,
+  /// and with a lane timer's tag (0 for a wake). Lanes hold only wakes and
+  /// timers, so `slot` is kWakeEntry or kTimerEntry.
   struct LaneEntry {
     Time time;
     std::uint64_t seq;
+    std::int64_t tag;
     std::uint32_t slot;
     std::int32_t dst;
   };
-  static_assert(sizeof(LaneEntry) == 24);
+  static_assert(sizeof(LaneEntry) == 32);
 
   struct Lane {
     Time delay = -1;            ///< the delay this lane holds; -1: unclaimed
@@ -294,10 +318,6 @@ class EventQueue {
     /// The i-th pending entry, earliest first.
     LaneEntry& at(std::uint32_t i) { return ring[(head + i) & (cap - 1)]; }
     const LaneEntry& at(std::uint32_t i) const { return ring[(head + i) & (cap - 1)]; }
-    Entry head_entry() const {
-      const LaneEntry& e = ring[head];
-      return Entry{e.time, 0, e.seq, e.slot, e.dst};
-    }
   };
 
   /// A source's earliest entry: a lane index, or kHeap for the heap top.
@@ -307,19 +327,84 @@ class EventQueue {
   };
   static constexpr int kHeap = kLanes;
 
-  /// A slot from the free list (most recently freed first) or a new one.
-  std::uint32_t acquire(int dst, Event::Kind kind) {
-    std::uint32_t s = free_;
-    if (s != kNoSlot) {
-      free_ = slots_[s].next;
-    } else {
-      s = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
+  /// What take_front() removed: its slot (or marker), target, and a lane
+  /// timer's tag.
+  struct Front {
+    std::uint32_t slot;
+    std::int32_t dst;
+    std::int64_t tag;
+  };
+
+  static Entry key_of(const LaneEntry& e) {
+    return Entry{e.time, 0, e.seq, e.slot, e.dst};
+  }
+
+  /// A slot from the free stack (most recently freed first) or a new one.
+  /// The stack never holds more indices than the slab has slots, so it
+  /// grows with the slab and release() needs no capacity check.
+  std::uint32_t acquire() {
+    if (nfree_ != 0) return free_[--nfree_];
+    slots_.emplace_back();
+    free_.resize(slots_.size());
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+
+  void prefetch_slot(std::uint32_t s) const {
+    if (s < kTimerEntry) __builtin_prefetch(&slots_[s]);
+  }
+
+  void push_heap(const Entry& entry) {
+    heap_.push_back(entry);  // placeholder; sift_up writes the final position
+    if (sift_up(entry, heap_.size() - 1) == 0) {
+      raise_head(kHeap, entry, heap_.size() > 1);
     }
-    Event& ev = slots_[s];
-    ev.msg.dst = dst;
-    ev.kind = kind;
-    return s;
+  }
+
+  void push_lane(int l, const LaneEntry& e) {
+    Lane& lane = lanes_[l];
+    if (lane.count != 0) {
+      const LaneEntry& tail = lane.at(lane.count - 1);
+      OLB_CHECK_MSG(e.time > tail.time || (e.time == tail.time && e.seq > tail.seq),
+                    "a lane's events must come in key order");
+    }
+    if (lane.count == lane.cap) grow(lane);
+    lane.at(lane.count) = e;
+    if (lane.count++ == 0) raise_head(l, key_of(e), false);
+  }
+
+  /// Removes the earliest entry from its source and re-sorts `heads_`.
+  Front take_front() {
+    const int src = heads_[0].src;
+    Front f{heads_[0].entry.slot, heads_[0].entry.dst, 0};
+    Entry next{};
+    bool more;
+    if (src == kHeap) {
+      const Entry last = heap_.back();
+      heap_.pop_back();
+      more = !heap_.empty();
+      if (more) {
+        sift_down(last);
+        next = heap_.front();
+      }
+    } else {
+      Lane& lane = lanes_[src];
+      f.tag = lane.ring[lane.head].tag;
+      lane.head = (lane.head + 1) & (lane.cap - 1);
+      more = --lane.count != 0;
+      if (more) next = key_of(lane.ring[lane.head]);
+    }
+    // The source's new head is no earlier than its old one: slide it back
+    // past the heads it no longer beats (or drop the source if it emptied).
+    int p = 0;
+    if (more) {
+      for (; p + 1 < nheads_ && heads_[p + 1].entry.before(next); ++p) {
+        heads_[p] = heads_[p + 1];
+      }
+      heads_[p] = Head{next, src};
+    } else {
+      for (--nheads_; p < nheads_; ++p) heads_[p] = heads_[p + 1];
+    }
+    return f;
   }
 
   /// The lane holding `delay`, claiming a free one on first sight; -1 when
@@ -391,8 +476,10 @@ class EventQueue {
   /// Each non-empty source's earliest entry, sorted: heads_[0] is the front.
   std::array<Head, kLanes + 1> heads_{};
   int nheads_ = 0;
-  std::vector<Event> slots_;       ///< slab of event bodies, slot-indexed
-  std::uint32_t free_ = kNoSlot;   ///< free-list head, linked through Event::next
+  std::vector<Event> slots_;         ///< slab of event bodies, slot-indexed
+  /// Free slot indices in free_[0, nfree_); the top is reused first.
+  std::vector<std::uint32_t> free_;
+  std::uint32_t nfree_ = 0;
 };
 
 }  // namespace olb::sim

@@ -4,14 +4,20 @@
 //
 //  * link faults  — every control message is independently dropped,
 //    duplicated or hit by a latency spike with the configured
-//    probabilities. Payload-carrying messages (work transfers) are exempt:
-//    they model a reliable bulk-data channel, so faults can delay work but
-//    never silently destroy or clone it — cloning work would corrupt the
-//    application state, and destroying it is modelled explicitly through
-//    crashes instead.
+//    probabilities. Messages on the reliable channel
+//    (Message::reliable_channel) are exempt. Work transfers ride it because
+//    they carry a payload: faults never silently destroy or clone work —
+//    cloning work would corrupt the application state, and destroying it
+//    is modelled explicitly through crashes instead. The overlay's
+//    termination waves (kProbe, kProbeAck) ride it because their sender
+//    sets Message::reliable: the fault-tolerant counter waves are built on
+//    waves that always come back.
 //  * crashes      — a peer fail-stops at an absolute simulated time: its
-//    inbox is discarded, future arrivals bounce or vanish, and it never
-//    speaks again. All surviving peers learn about the crash after
+//    inbox is discarded, and it never speaks again. A control message
+//    arriving there vanishes; a reliable-channel one bounces back to its
+//    sender once (so a bounced kProbe reaches its sender as a kProbe from
+//    the dead peer, which the sender answers unless it already knows of
+//    the crash). All surviving peers learn about the crash after
 //    `detection_delay` (an eventually-perfect failure detector).
 //  * stalls       — a peer freezes for a duration (GC pause, OS jitter)
 //    and then resumes; no state is lost.
@@ -36,7 +42,7 @@ namespace olb::sim {
 struct LinkFaults {
   double drop_prob = 0.0;   ///< P(control message silently lost)
   double dup_prob = 0.0;    ///< P(control message delivered twice)
-  double spike_prob = 0.0;  ///< P(message delayed by spike_latency extra)
+  double spike_prob = 0.0;  ///< P(control message delayed by spike_latency)
   Time spike_latency = milliseconds(2);
 
   bool any() const { return drop_prob > 0.0 || dup_prob > 0.0 || spike_prob > 0.0; }

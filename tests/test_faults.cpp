@@ -18,6 +18,7 @@
 #include "bb/bb_work.hpp"
 #include "bb/interval_bb.hpp"
 #include "lb/driver.hpp"
+#include "lb/messages.hpp"
 #include "overlay/tree_overlay.hpp"
 #include "simnet/faults.hpp"
 #include "test_util.hpp"
@@ -65,6 +66,31 @@ TEST(Faults, UtsExactUnderLinkFaults) {
       }
     }
   }
+}
+
+TEST(Faults, TerminationWavesRideTheReliableChannel) {
+  // The overlay flags kProbe and kProbeAck reliable (DESIGN.md §5c): link
+  // faults drop control messages all around the waves but never a wave,
+  // and with one crash every wave that meets the victim bounces home.
+  auto config = faulty_config(lb::Strategy::kOverlayBTD, 12, 5);
+  config.faults.link.drop_prob = 0.1;
+  config.faults.add_crash(7, sim::milliseconds(2));
+  trace::VectorTracer tracer;
+  config.tracer = &tracer;
+  const auto m = check_uts_run(config);
+  EXPECT_EQ(m.peers_crashed, 1u);
+  std::uint64_t wave_sends = 0, drops = 0;
+  for (const trace::TraceEvent& e : tracer.snapshot()) {
+    const bool wave = e.type == lb::kProbe || e.type == lb::kProbeAck;
+    if (e.kind == trace::EventKind::kMsgSend && wave) ++wave_sends;
+    if (e.kind == trace::EventKind::kMsgDrop) {
+      ++drops;
+      EXPECT_FALSE(wave) << lb::msg_type_name(e.type) << " id " << e.a
+                         << " dropped at t=" << e.time;
+    }
+  }
+  EXPECT_GT(wave_sends, 0u);
+  EXPECT_GT(drops, 0u);
 }
 
 // --- crashes (plus background message loss) ------------------------------

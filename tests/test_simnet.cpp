@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -191,58 +192,110 @@ TEST(EventQueue, LanesAndHeapMatchASortedReference) {
   // Drives the queue the way an engine does — a clock that follows the
   // served events, an insertion sequence that only grows — and checks every
   // served event, and how many events wait in the heap, against a model: a
-  // sorted (time, tie, seq) reference plus the placement each event must
-  // get. Lanes are claimed for 0, 5 us, 10 ms and 1 ms; a fifth delay
-  // (2 ms) finds every lane taken. Jittered arrivals, tie-shuffled events
-  // and events at a lane's exact time but filed with emplace() go to the
-  // heap, so equal times meet across lanes and heap. The 10 ms lane holds
-  // thousands of events, so its ring grows and wraps many times.
+  // sorted (time, tie, seq) reference holding each event's kind, target and
+  // tag, plus the placement each event must get. Lanes are claimed for
+  // 0, 5 us, 10 ms and 1 ms; a fifth delay (2 ms) finds every lane taken.
+  // Lanes take slot-less wakes and tagged timers; the heap takes slotted
+  // arrivals (jittered, or at a lane's exact time), slot-less wakes, the
+  // fifth delay's wakes and slotted timers, and tie-shuffled events, so
+  // equal times meet across lanes and heap. The 10 ms lane holds thousands
+  // of events, so its ring grows and wraps many times.
   using Key = std::tuple<Time, std::uint64_t, std::uint64_t>;
+  struct Expect {
+    Event::Kind kind;
+    int dst;
+    std::int64_t a;  ///< an arrival's marker, a timer's tag; unused for wakes
+  };
   constexpr std::array<Time, 5> kDelays{0, microseconds(5), milliseconds(10),
                                         milliseconds(1), milliseconds(2)};
   Xoshiro256 rng(11);
   EventQueue q;
-  std::set<Key> ref;
+  std::map<Key, Expect> ref;
   std::set<std::uint64_t> heap_filed;  // seqs the heap must hold
   Time now = 0;
   std::uint64_t seq = 0;
   std::vector<std::uint32_t> detached;
-  std::size_t lane_filed = 0, served = 0;
+  std::size_t lane_filed = 0, served = 0, timers_served = 0, wakes_served = 0;
 
-  const auto file = [&](Event& e, Time t, std::uint64_t tie, std::uint64_t s,
-                        bool heap) {
-    e.msg.a = static_cast<std::int64_t>(s);
-    e.msg.b = static_cast<std::int64_t>(tie);
-    ref.emplace(t, tie, s);
+  const auto file = [&](Time t, std::uint64_t tie, std::uint64_t s, bool heap,
+                        Expect x) {
+    ref.emplace(Key{t, tie, s}, x);
     if (heap) {
       heap_filed.insert(s);
     } else {
       ++lane_filed;
     }
   };
+  const auto dst_of = [](std::uint64_t s) { return static_cast<int>(s % 97); };
+  const auto tag_of = [](std::uint64_t s) {
+    return static_cast<std::int64_t>(s * 0x9e3779b97f4a7c15ull);  // any bits
+  };
   const auto file_after = [&](std::size_t d) {
     const std::uint64_t s = seq++;
-    file(q.emplace_after(now, kDelays[d], s, 0, Event::Kind::kWake),
-         now + kDelays[d], 0, s, d == 4);
+    if (rng.below(2) == 0) {
+      q.push_wake_after(now, kDelays[d], s, dst_of(s));
+      file(now + kDelays[d], 0, s, d == 4, {Event::Kind::kWake, dst_of(s), 0});
+    } else {
+      q.push_timer_after(now, kDelays[d], s, dst_of(s), tag_of(s));
+      file(now + kDelays[d], 0, s, d == 4,
+           {Event::Kind::kArrival, dst_of(s), tag_of(s)});
+    }
+  };
+  const auto file_arrival = [&](Time t, std::uint64_t tie) {
+    const std::uint64_t s = seq++;
+    Message& m = q.emplace(t, tie, s, dst_of(s), Event::Kind::kArrival).msg;
+    m = Message(1, static_cast<std::int64_t>(s));
+    m.dst = dst_of(s);
+    file(t, tie, s, true,
+         {Event::Kind::kArrival, dst_of(s), static_cast<std::int64_t>(s)});
   };
   const auto check_front = [&] {
     ASSERT_EQ(q.size(), ref.size());
     ASSERT_EQ(q.heap_size(), heap_filed.size());
     ASSERT_EQ(q.empty(), ref.empty());
     if (ref.empty()) return;
-    const auto& [t, tie, s] = *ref.begin();
-    ASSERT_EQ(q.peek_time(), t);
-    ASSERT_EQ(q.top().msg.a, static_cast<std::int64_t>(s));
-    ASSERT_EQ(q.top().msg.b, static_cast<std::int64_t>(tie));
+    const auto& [key, x] = *ref.begin();
+    ASSERT_EQ(q.peek_time(), std::get<0>(key));
+    ASSERT_EQ(q.top_kind(), x.kind);
+    ASSERT_EQ(q.top_dst(), x.dst);
   };
-  // Takes the reference's front off the model; returns its seq.
-  const auto serve = [&] {
-    const auto [t, tie, s] = *ref.begin();
+  // The message an arrival or timer delivers, wherever it was filed.
+  const auto check_message = [&](const Message& m, const Expect& x) {
+    ASSERT_EQ(m.dst, x.dst);
+    ASSERT_EQ(m.a, x.a);
+    if (m.type == kTimerMsgType) {
+      ASSERT_EQ(m.src, x.dst);
+      ++timers_served;
+    }
+  };
+  // Takes the reference's front off the model and serves the queue's front
+  // one of three ways, checking it against the model.
+  const auto serve = [&](std::uint64_t how) {
+    check_front();
+    const auto [key, x] = *ref.begin();
     ref.erase(ref.begin());
-    heap_filed.erase(s);
-    now = t;
+    heap_filed.erase(std::get<2>(key));
+    now = std::get<0>(key);
     ++served;
-    return static_cast<std::int64_t>(s);
+    if (x.kind == Event::Kind::kWake) ++wakes_served;
+    if (how == 0) {
+      q.drop_top();
+    } else if (how == 1 || x.kind == Event::Kind::kWake) {
+      const Event e = q.pop();
+      ASSERT_EQ(e.kind, x.kind);
+      ASSERT_EQ(e.msg.dst, x.dst);
+      if (x.kind == Event::Kind::kArrival) check_message(e.msg, x);
+    } else {
+      // An inbox keeps the slot a while, then hands it back.
+      const std::uint32_t s = q.detach_top();
+      ASSERT_EQ(q.slot(s).kind, Event::Kind::kArrival);
+      check_message(q.slot(s).msg, x);
+      detached.push_back(s);
+      if (detached.size() > 8) {
+        q.release(detached.front());
+        detached.erase(detached.begin());
+      }
+    }
   };
 
   for (std::size_t d = 0; d < 4; ++d) file_after(d);  // claims the lanes
@@ -250,90 +303,114 @@ TEST(EventQueue, LanesAndHeapMatchASortedReference) {
     const std::uint64_t r = rng.below(100);
     if (r < 45) {
       file_after(rng.below(kDelays.size()));
-    } else if (r < 57) {
+    } else if (r < 52) {
       // A jittered arrival, one in four at exactly a lane's time.
-      const Time t = rng.below(4) == 0
-                         ? now + kDelays[rng.below(2)]
-                         : now + microseconds(20) + static_cast<Time>(rng.below(4000));
+      file_arrival(rng.below(4) == 0
+                       ? now + kDelays[rng.below(2)]
+                       : now + microseconds(20) + static_cast<Time>(rng.below(4000)),
+                   0);
+    } else if (r < 56) {
+      // A heap wake, as a compute end files one, sometimes at a lane's time.
       const std::uint64_t s = seq++;
-      file(q.emplace(t, 0, s, 0, Event::Kind::kArrival), t, 0, s, true);
+      const Time t = now + (rng.below(2) == 0 ? kDelays[rng.below(2)]
+                                              : static_cast<Time>(rng.below(5000)));
+      q.push_wake(t, 0, s, dst_of(s));
+      file(t, 0, s, true, {Event::Kind::kWake, dst_of(s), 0});
     } else if (r < 60) {
       // A tie-shuffled event at a lane's time: only the heap may hold it.
       const Time t = now + kDelays[rng.below(kDelays.size())];
       const std::uint64_t tie = 1 + rng.below(1000);
-      const std::uint64_t s = seq++;
-      file(q.emplace(t, tie, s, 0, Event::Kind::kWake), t, tie, s, true);
-    } else if (!ref.empty()) {
-      check_front();
-      const std::int64_t s = serve();
-      switch (rng.below(3)) {
-        case 0:
-          q.drop_top();
-          break;
-        case 1:
-          ASSERT_EQ(q.pop().msg.a, s);
-          break;
-        default:
-          // An inbox keeps the slot a while, then hands it back.
-          detached.push_back(q.detach_top());
-          if (detached.size() > 8) {
-            q.release(detached.front());
-            detached.erase(detached.begin());
-          }
+      if (rng.below(2) == 0) {
+        file_arrival(t, tie);
+      } else {
+        const std::uint64_t s = seq++;
+        q.push_wake(t, tie, s, dst_of(s));
+        file(t, tie, s, true, {Event::Kind::kWake, dst_of(s), 0});
       }
+    } else if (!ref.empty()) {
+      serve(rng.below(3));
+      if (::testing::Test::HasFatalFailure()) return;
     }
     if (op % 64 == 0) check_front();
   }
   while (!ref.empty()) {
-    check_front();
-    serve();
-    q.drop_top();
+    serve(rng.below(3));
+    if (::testing::Test::HasFatalFailure()) return;
   }
   check_front();
   EXPECT_GT(lane_filed, 50000u);
   EXPECT_GT(served, 100000u);
+  EXPECT_GT(timers_served, 20000u);
+  EXPECT_GT(wakes_served, 20000u);
 }
 
 TEST(EventQueueDeathTest, LaneRefusesAnEventAheadOfItsTail) {
   // A lane is sorted because its caller's clock never goes back; a caller
   // whose clock did would silently misorder the run, so the lane aborts.
   EventQueue q;
-  q.emplace_after(100, milliseconds(1), 0, 0, Event::Kind::kWake);
-  EXPECT_DEATH(q.emplace_after(99, milliseconds(1), 1, 0, Event::Kind::kWake),
-               "key order");
+  q.push_wake_after(100, milliseconds(1), 0, 0);
+  EXPECT_DEATH(q.push_timer_after(99, milliseconds(1), 1, 0, 7), "key order");
 }
 
-TEST(EventQueue, MemoryBytesCountsTheLaneRings) {
-  // One delay's events fill a ring of 24-byte entries beside the 64-byte
-  // slots; the heap's 32-byte entries stay unallocated.
-  constexpr std::size_t kEvents = 4000;
+TEST(EventQueue, LaneTimersAndWakesHoldNoSlot) {
+  // 10^4 pending timers of one delay fill a ring of 32-byte entries, tags
+  // included, and nothing else: no slab slot, no heap entry. Each takes a
+  // slot only as it fires, and the slab never shrinks after.
+  constexpr std::uint64_t kTimers = 10000;
+  constexpr std::size_t kRingBytes = 16384 * 32;  // the next power of two
   EventQueue q;
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    q.emplace_after(static_cast<Time>(i), milliseconds(10), i, 0,
-                    Event::Kind::kArrival);
+  for (std::uint64_t i = 0; i < kTimers; ++i) {
+    q.push_timer_after(static_cast<Time>(i), milliseconds(10), i, 3,
+                       static_cast<std::int64_t>(i) - 5);
   }
   EXPECT_EQ(q.heap_size(), 0u);
-  EXPECT_GE(q.memory_bytes(), kEvents * (sizeof(Event) + 24));
+  EXPECT_EQ(q.memory_bytes(), kRingBytes);
+  const std::uint32_t s = q.detach_top();
+  EXPECT_EQ(q.slot(s).msg.type, kTimerMsgType);
+  EXPECT_EQ(q.slot(s).msg.a, -5);
+  EXPECT_GE(q.memory_bytes(), kRingBytes + sizeof(Event));
+  q.release(s);
   while (!q.empty()) q.drop_top();
-  EXPECT_GE(q.memory_bytes(), kEvents * (sizeof(Event) + 24));  // never shrinks
+  EXPECT_GE(q.memory_bytes(), kRingBytes + sizeof(Event));  // never shrinks
+
+  // Wakes, in a lane and in the heap alike, are their entry alone: a ring
+  // and a heap of 32-byte entries, no 64-byte slot each.
+  EventQueue w;
+  for (std::uint64_t i = 0; i < kTimers; ++i) {
+    w.push_wake_after(static_cast<Time>(i), 0, 2 * i, 1);
+    w.push_wake(static_cast<Time>(i) + 7, 0, 2 * i + 1, 2);
+  }
+  EXPECT_EQ(w.heap_size(), kTimers);
+  EXPECT_LE(w.memory_bytes(), 2 * kRingBytes);
+  while (!w.empty()) w.drop_top();
+  EXPECT_LE(w.memory_bytes(), 2 * kRingBytes);
 }
 
 TEST(EventQueue, FreedSlotsAreReusedLastInFirstOut) {
-  // The free list runs through Event::next: the most recently released slot
-  // is the next one filled, from the heap and the lanes alike.
+  // Freed slots stack up: the most recently released slot is the next one
+  // filled, by a heap event as it is filed and by a lane timer as it fires.
   EventQueue q;
   std::vector<std::uint32_t> slots;
   for (std::uint64_t i = 0; i < 8; ++i) {
-    q.emplace_after(0, static_cast<Time>(i % 2), i, 0, Event::Kind::kWake);
+    q.emplace(0, 0, i, 0, Event::Kind::kArrival);
   }
   while (!q.empty()) slots.push_back(q.detach_top());
   for (const std::uint32_t s : slots) q.release(s);
   for (std::uint64_t i = 0; i < 8; ++i) {
-    Event& e = i % 3 == 0
-                   ? q.emplace(5, 0, 100 + i, 0, Event::Kind::kWake)
-                   : q.emplace_after(5, 0, 100 + i, 0, Event::Kind::kWake);
-    EXPECT_EQ(&e, &q.slot(slots[slots.size() - 1 - i])) << "fill " << i;
+    const std::uint32_t expect = slots[slots.size() - 1 - i];
+    if (i % 3 == 0) {
+      Event& e = q.emplace(5, 0, 100 + i, 0, Event::Kind::kArrival);
+      EXPECT_EQ(&e, &q.slot(expect)) << "fill " << i;
+      EXPECT_EQ(q.detach_top(), expect) << "fill " << i;
+    } else {
+      q.push_timer_after(5, 0, 100 + i, 0, 42);
+      q.push_wake_after(5, 0, 200 + i, 0);  // takes none
+      EXPECT_EQ(q.detach_top(), expect) << "fill " << i;
+      EXPECT_EQ(q.slot(expect).msg.a, 42);
+      q.drop_top();
+    }
   }
+  EXPECT_TRUE(q.empty());
 }
 
 // ----------------------------------------------------------------- actors ---

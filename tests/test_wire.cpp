@@ -1,6 +1,7 @@
 // Property tests for the socket backend's wire codec (src/runtime/wire,
 // work_codec): every message type round-trips bit-exactly — including
-// extreme field values and the packed bounced bit — and truncated or
+// extreme field values and the packed reliable and bounced bits, and the
+// fields a kProbeAck packs its reading into — and truncated or
 // garbage frames are rejected, never misparsed.
 #include <gtest/gtest.h>
 
@@ -165,6 +166,7 @@ std::unique_ptr<bb::BBWorkload> test_bb() {
 void expect_messages_equal(const sim::Message& in, const sim::Message& out) {
   EXPECT_EQ(out.type, in.type);
   EXPECT_EQ(out.id, in.id);
+  EXPECT_EQ(out.reliable, in.reliable);
   EXPECT_EQ(out.bounced, in.bounced);
   EXPECT_EQ(out.src, in.src);
   EXPECT_EQ(out.dst, in.dst);
@@ -179,23 +181,15 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
   // The socket vocabulary: every type but the service ones, which follow it.
   for (int type = 0; type < lb::kJobInject; ++type) {
     sim::Message m(type);
-    m.id = 0x7fffffffu;  // full 31-bit id next to the packed bounced bit
+    m.id = sim::kMsgIdMask;  // full 30-bit id next to the packed flag bits
+    m.reliable = 1;
     m.bounced = 1;
     m.src = 0;
     m.dst = std::numeric_limits<std::int32_t>::max();
     m.a = kI64Min;
     m.b = kI64Max;
     m.c = -1;
-    if (type == lb::kProbe || type == lb::kProbeAck) {
-      auto probe = std::make_unique<lb::ProbePayload>();
-      probe->probe_id = std::numeric_limits<std::uint64_t>::max();
-      probe->sent = 1;
-      probe->recv = 2;
-      probe->dirty = true;
-      probe->crash_epoch = -3;
-      probe->member_events = std::numeric_limits<std::uint64_t>::max() - 1;
-      m.payload = std::move(probe);
-    } else if (type == lb::kWork) {
+    if (type == lb::kWork) {
       auto root = workload->make_root_work();
       m.payload = std::make_unique<lb::WorkPayload>(std::move(root));
     } else if (type == lb::kLeave) {
@@ -213,17 +207,7 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
     EXPECT_TRUE(r.exhausted());
     expect_messages_equal(m, out);
 
-    if (type == lb::kProbe || type == lb::kProbeAck) {
-      const auto* probe = dynamic_cast<const lb::ProbePayload*>(out.payload.get());
-      ASSERT_NE(probe, nullptr);
-      EXPECT_EQ(probe->probe_id, std::numeric_limits<std::uint64_t>::max());
-      EXPECT_EQ(probe->sent, 1u);
-      EXPECT_EQ(probe->recv, 2u);
-      EXPECT_TRUE(probe->dirty);
-      EXPECT_EQ(probe->crash_epoch, -3);
-      EXPECT_EQ(probe->member_events,
-                std::numeric_limits<std::uint64_t>::max() - 1);
-    } else if (type == lb::kWork) {
+    if (type == lb::kWork) {
       const auto* wp = dynamic_cast<const lb::WorkPayload*>(out.payload.get());
       ASSERT_NE(wp, nullptr);
       ASSERT_NE(wp->work, nullptr);
@@ -239,16 +223,19 @@ TEST(WorkCodec, EveryMessageTypeRoundTripsWithExtremeFields) {
 }
 
 TEST(WorkCodec, PayloadMismatchedToItsTypeIsRejected) {
-  // Each type carries exactly one payload kind. A kProbe frame without its
-  // payload would otherwise reach OverlayPeer::on_probe as a null pointer.
-  // Service mode never runs on sockets, so a frame of any service type is
-  // rejected whatever it carries.
+  // Each type carries exactly one payload kind. Probe waves carry their
+  // reading in b and c, so a kProbe or kProbeAck frame with a payload byte
+  // is malformed, like a kWork frame with a leave handover. Service mode
+  // never runs on sockets, so a frame of any service type is rejected
+  // whatever it carries.
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
   std::vector<sim::Message> rows;
-  rows.emplace_back(lb::kProbe);
-  rows.emplace_back(lb::kWork).payload = std::make_unique<lb::ProbePayload>();
-  rows.emplace_back(lb::kNoWork).payload = std::make_unique<lb::ProbePayload>();
+  rows.emplace_back(lb::kProbe).payload = std::make_unique<lb::LeavePayload>();
+  rows.emplace_back(lb::kProbeAck).payload =
+      std::make_unique<lb::WorkPayload>(workload->make_root_work());
+  rows.emplace_back(lb::kWork).payload = std::make_unique<lb::LeavePayload>();
+  rows.emplace_back(lb::kNoWork).payload = std::make_unique<lb::LeavePayload>();
   for (int type = lb::kJobInject; type <= lb::kSvcShutdown; ++type) {
     rows.emplace_back(type);
   }
@@ -260,6 +247,65 @@ TEST(WorkCodec, PayloadMismatchedToItsTypeIsRejected) {
     EXPECT_FALSE(runtime::decode_message(r, codec.get(), &out))
         << lb::msg_type_name(m.type);
   }
+}
+
+// ---------------------------------------------------- probe-ack packing ---
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr int kEpochMax = (1 << lb::kProbeAckEpochBits) - 1;
+constexpr std::uint64_t kMemberMax = (std::uint64_t{1} << lb::kProbeAckMemberBits) - 1;
+
+TEST(ProbeAckPacking, EveryFieldRoundTripsAtItsLimitThroughTheCodec) {
+  // Each row sets one field to its limit and the others to small values
+  // (the last row sets them all), so a field that spills into its
+  // neighbour shows up as a wrong neighbour.
+  struct Row {
+    std::uint64_t wave;
+    bool dirty;
+    lb::CounterReading reading;
+  };
+  const std::vector<Row> rows = {
+      {kU32Max, false, {1, 2, 3, 4}},
+      {5, true, {1, 2, 3, 4}},
+      {5, false, {kU32Max, 2, 3, 4}},
+      {5, false, {1, kU32Max, 3, 4}},
+      {5, false, {1, 2, kEpochMax, 4}},
+      {5, false, {1, 2, 3, kMemberMax}},
+      {0, false, {0, 0, 0, 0}},
+      {kU32Max, true, {kU32Max, kU32Max, kEpochMax, kMemberMax}},
+  };
+  auto workload = test_uts();
+  const auto codec = runtime::make_work_codec(*workload);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    sim::Message m(lb::kProbeAck, /*a=*/kI64Min,
+                   lb::pack_probe_ack_b(row.wave, row.dirty, row.reading),
+                   lb::pack_probe_ack_c(row.reading));
+    m.reliable = 1;
+    runtime::WireWriter w;
+    runtime::encode_message(m, codec.get(), w);
+    runtime::WireReader r(w.data());
+    sim::Message out;
+    ASSERT_TRUE(runtime::decode_message(r, codec.get(), &out)) << "row " << i;
+    expect_messages_equal(m, out);
+    EXPECT_EQ(out.reliable, 1u) << "row " << i;
+    EXPECT_EQ(out.payload, nullptr) << "row " << i;
+    EXPECT_EQ(lb::probe_ack_wave(out.b), row.wave) << "row " << i;
+    EXPECT_EQ(lb::probe_ack_dirty(out.b), row.dirty) << "row " << i;
+    EXPECT_EQ(lb::probe_ack_reading(out.b, out.c), row.reading) << "row " << i;
+  }
+}
+
+TEST(ProbeAckPackingDeathTest, OnePastEachLimitAborts) {
+  const lb::CounterReading ok{1, 2, 3, 4};
+  EXPECT_DEATH(lb::pack_probe_ack_b(kU32Max + 1, false, ok), "wave id");
+  EXPECT_DEATH(lb::pack_probe_ack_b(5, false, {1, 2, kEpochMax + 1, 4}),
+               "crash epoch");
+  EXPECT_DEATH(lb::pack_probe_ack_b(5, false, {1, 2, -1, 4}), "crash epoch");
+  EXPECT_DEATH(lb::pack_probe_ack_b(5, false, {1, 2, 3, kMemberMax + 1}),
+               "membership events");
+  EXPECT_DEATH(lb::pack_probe_ack_c({kU32Max + 1, 2, 3, 4}), "transfer counter");
+  EXPECT_DEATH(lb::pack_probe_ack_c({1, kU32Max + 1, 3, 4}), "transfer counter");
 }
 
 TEST(WorkCodec, LeaveHandoverRoundTripsChildrenPhantomsAndCounters) {
@@ -446,12 +492,16 @@ TEST(WorkCodec, MalformedUtsNodeRejected) {
 TEST(WorkCodec, EveryTruncatedMessagePrefixIsRejected) {
   auto workload = test_uts();
   const auto codec = runtime::make_work_codec(*workload);
-  for (const int type : {lb::kReqUp, lb::kProbe, lb::kWork}) {
+  for (const int type : {lb::kReqUp, lb::kProbe, lb::kProbeAck, lb::kWork}) {
     sim::Message m(type, /*a=*/7);
     m.id = 99;
     m.src = 1;
     m.dst = 2;
-    if (type == lb::kProbe) m.payload = std::make_unique<lb::ProbePayload>();
+    if (type == lb::kProbe || type == lb::kProbeAck) {
+      m.b = -1;
+      m.c = -1;
+      m.reliable = 1;
+    }
     if (type == lb::kWork) {
       m.payload = std::make_unique<lb::WorkPayload>(workload->make_root_work());
     }
